@@ -57,7 +57,6 @@ from .torus import (
     fixed_components,
     fixed_self_dual_check,
     self_dual_check,
-    tangent_weights,
 )
 from .envelopes import (
     Chamber,

@@ -37,7 +37,9 @@ from .reps import (
     tau_charpoly,
 )
 from .sampling import (
+    random_fraction,
     random_leg_stable_aux,
+    random_representation,
     random_scalar_moment_leg,
 )
 from .stability import (
@@ -71,6 +73,8 @@ class InputError(Exception):
 
 
 def _load_doc(path: str) -> dict:
+    if path is None:
+        raise InputError("an input file is required")
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -196,13 +200,8 @@ def _surgery_payload(args, what: str) -> dict:
     raise InputError(f"unknown artifact {what!r}")
 
 
-def cmd_aux(args) -> int:
-    _emit(_surgery_payload(args, "aux"), "json")
-    return EXIT_OK
-
-
-def cmd_cb(args) -> int:
-    _emit(_surgery_payload(args, "cb"), "json")
+def cmd_surgery(args) -> int:
+    _emit(_surgery_payload(args, args.command), "json")
     return EXIT_OK
 
 
@@ -218,7 +217,7 @@ def _candidates_for(args):
     sigma = _parse_vector(args.sigma) if args.sigma else sigma_doc
     if sigma is None:
         raise InputError("no cocharacter: give --sigma or a 'sigma' entry")
-    window = _parse_window(args.window) if getattr(args, "window", None) else None
+    window = _parse_window(args.window) if args.window else None
     cands = fixed_components(q, split, dims, action, sigma, window)
     return q, split, dims, action, sigma, cands
 
@@ -234,41 +233,52 @@ def _candidate_doc(cand) -> dict:
     return doc
 
 
-def cmd_fixed(args) -> int:
+def _fixed_payload(args) -> dict:
     *_, cands = _candidates_for(args)
-    payload = {"count": len(cands), "candidates": [_candidate_doc(c) for c in cands]}
-    lines = [f"{len(cands)} candidates"] + [
-        f"  {c.name()}  dimF={c.dim_fixed()}" for c in cands
+    return {"count": len(cands), "candidates": [_candidate_doc(c) for c in cands]}
+
+
+def cmd_fixed(args) -> int:
+    payload = _fixed_payload(args)
+    lines = [f"{payload['count']} candidates"] + [
+        f"  {c['name']}  dimF={c['dim_fixed']}" for c in payload["candidates"]
     ]
     _emit(payload, args.format, lines)
     return EXIT_OK
 
 
 def _roots_for(args):
-    if getattr(args, "roots", None):
+    if args.roots:
         roots = tuple(
             tuple(int(x) for x in part.split(",")) for part in args.roots.split(";")
         )
-        rank = len(roots[0]) if roots else 0
-        return roots, rank, None
+        rank = len(roots[0])
+        if any(len(r) != rank for r in roots):
+            raise InputError(f"every root needs {rank} coordinates")
+        if not all(any(r) for r in roots):
+            raise InputError("roots must be nonzero")
+        return roots, rank
     q, split, dims, action, sigma, cands = _candidates_for(args)
-    return torus_roots(cands), action.rank, cands
+    return torus_roots(cands), action.rank
+
+
+def _chambers_payload(args) -> dict:
+    roots, rank = _roots_for(args)
+    return {
+        "roots": [list(r) for r in roots],
+        "chambers": [
+            {"signs": list(c.signs), "point": [frac_to_json(x) for x in c.point]}
+            for c in chambers(roots, rank)
+        ],
+    }
 
 
 def cmd_chambers(args) -> int:
-    roots, rank, _ = _roots_for(args)
-    chs = chambers(roots, rank)
-    payload = {
-        "roots": [list(r) for r in roots],
-        "count": len(chs),
-        "chambers": [
-            {"signs": list(c.signs), "point": [frac_to_json(x) for x in c.point]}
-            for c in chs
-        ],
-    }
-    lines = [f"{len(chs)} chambers over {len(roots)} roots"] + [
-        f"  signs={c.signs} point=({', '.join(frac_to_json(x) for x in c.point)})"
-        for c in chs
+    payload = _chambers_payload(args)
+    chs = payload["chambers"]
+    payload["count"] = len(chs)
+    lines = [f"{len(chs)} chambers over {len(payload['roots'])} roots"] + [
+        f"  signs={tuple(c['signs'])} point=({', '.join(c['point'])})" for c in chs
     ]
     _emit(payload, args.format, lines)
     return EXIT_OK
@@ -312,23 +322,27 @@ def cmd_stab_table(args) -> int:
     return EXIT_OK if all(r.consistent for r in table.rows) else EXIT_FAIL
 
 
-def cmd_triangle(args) -> int:
-    q, split, dims, action, sigma, cands = _candidates_for(args)
-    roots = torus_roots(cands)
-    chs = chambers(roots, action.rank)
-    checks = failures = 0
+def _triangle_checks(cands, rank):
+    """(candidate, chamber, face, report) for every triangle split check."""
+    chs = chambers(torus_roots(cands), rank)
     for cand in cands:
         for ch in chs:
             for face in faces(ch):
-                checks += 1
-                rpt = triangle_split_check(cand, ch, face)
-                if not rpt.ok:
-                    failures += 1
-                    print(
-                        f"FAIL {cand.name()} signs={ch.signs} zero={sorted(face.zero_set)} "
-                        f"problems={rpt.problems}",
-                        file=sys.stderr,
-                    )
+                yield cand, ch, face, triangle_split_check(cand, ch, face)
+
+
+def cmd_triangle(args) -> int:
+    q, split, dims, action, sigma, cands = _candidates_for(args)
+    checks = failures = 0
+    for cand, ch, face, rpt in _triangle_checks(cands, action.rank):
+        checks += 1
+        if not rpt.ok:
+            failures += 1
+            print(
+                f"FAIL {cand.name()} signs={ch.signs} zero={sorted(face.zero_set)} "
+                f"problems={rpt.problems}",
+                file=sys.stderr,
+            )
     payload = {"checks": checks, "failures": failures}
     _emit(payload, args.format, [f"triangle: {checks - failures}/{checks} pass"])
     return EXIT_OK if failures == 0 else EXIT_FAIL
@@ -360,38 +374,26 @@ def cmd_stability(args) -> int:
     try:
         stable, witness = stability_report(q, dims, rep, theta)
         payload["mode"] = "exact"
-        payload["stable"] = stable
-        if witness is not None:
-            payload["witness"] = {
-                "dims": {node_key(n): witness.dims[n] for n in q.nodes},
-                "basis": {
-                    node_key(n): [[frac_to_json(x) for x in vec] for vec in witness.basis[n]]
-                    for n in q.nodes
-                },
-                "pairing": frac_to_json(witness.pairing),
-                "includes_framing": witness.includes_framing,
-                "verified": verify_witness(q, dims, rep, theta, witness),
-            }
     except MixedSignTheta:
         witness = destabilizer_search(q, dims, rep, theta, trials=args.trials, seed=args.seed)
+        stable = None if witness is None else False
         payload["mode"] = "search"
         payload["seed"] = args.seed
         payload["trials"] = args.trials
         if witness is None:
-            payload["stable"] = None
             payload["note"] = "no destabilizer found within budget; not a stability proof"
-        else:
-            payload["stable"] = False
-            payload["witness"] = {
-                "dims": {node_key(n): witness.dims[n] for n in q.nodes},
-                "basis": {
-                    node_key(n): [[frac_to_json(x) for x in vec] for vec in witness.basis[n]]
-                    for n in q.nodes
-                },
-                "pairing": frac_to_json(witness.pairing),
-                "includes_framing": witness.includes_framing,
-                "verified": verify_witness(q, dims, rep, theta, witness),
-            }
+    payload["stable"] = stable
+    if witness is not None:
+        payload["witness"] = {
+            "dims": {node_key(n): witness.dims[n] for n in q.nodes},
+            "basis": {
+                node_key(n): [[frac_to_json(x) for x in vec] for vec in witness.basis[n]]
+                for n in q.nodes
+            },
+            "pairing": frac_to_json(witness.pairing),
+            "includes_framing": witness.includes_framing,
+            "verified": verify_witness(q, dims, rep, theta, witness),
+        }
     lines = [f"mode: {payload['mode']}", f"stable: {payload.get('stable')}"]
     if "witness" in payload:
         lines.append(f"witness dims: {payload['witness']['dims']}")
@@ -419,17 +421,24 @@ def cmd_tau(args) -> int:
     return EXIT_OK
 
 
+def _moment_failures(aux, samples: int, seed: int) -> int:
+    """Failed moment comparisons over unconstrained rational auxiliary samples."""
+    rng = random.Random(seed)
+    dims = DimData(aux.v, aux.d)
+    failures = 0
+    for _ in range(samples):
+        rep = random_representation(rng, aux.quiver, dims)
+        t = {l: random_fraction(rng) for l in aux.add_split.loops}
+        if not check_compare_moment(aux, rep, t):
+            failures += 1
+    return failures
+
+
 def cmd_moment_check(args) -> int:
     q, split, dims, _, _ = _load_problem(args.file)
     if dims is None:
         raise InputError("dimension data required")
-    aux = build_aux(q, split, dims)
-    rng = random.Random(args.seed)
-    failures = 0
-    for _ in range(args.samples):
-        rep, t = _random_aux_sample(rng, aux)
-        if not check_compare_moment(aux, rep, t):
-            failures += 1
+    failures = _moment_failures(build_aux(q, split, dims), args.samples, args.seed)
     payload = {"samples": args.samples, "failures": failures, "seed": args.seed}
     _emit(payload, args.format, [f"moment: {args.samples - failures}/{args.samples} pass (seed {args.seed})"])
     return EXIT_OK if failures == 0 else EXIT_FAIL
@@ -438,28 +447,12 @@ def cmd_moment_check(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites over the built-in corpus
 
-def _random_aux_sample(rng, aux):
-    """Unconstrained rational auxiliary representation plus loop offsets."""
-    from .quiver import DimData
-    from .sampling import random_fraction, random_representation as _rr
-
-    rep = _rr(rng, aux.quiver, DimData(aux.v, aux.d))
-    t = {l: random_fraction(rng) for l in aux.add_split.loops}
-    return rep, t
-
-
 def _suite_moment(samples: int, seed: int, report):
     entries = corpus_mod.corpus()
     ok = True
     for name in corpus_mod.MOMENT_QUIVERS:
         e = entries[name]
-        aux = build_aux(e.quiver, e.split, e.dims)
-        rng = random.Random(seed)
-        failures = 0
-        for _ in range(samples):
-            rep, t = _random_aux_sample(rng, aux)
-            if not check_compare_moment(aux, rep, t):
-                failures += 1
+        failures = _moment_failures(build_aux(e.quiver, e.split, e.dims), samples, seed)
         report(f"moment[{name}]: {samples - failures}/{samples} pass")
         ok = ok and failures == 0
     return ok
@@ -487,8 +480,6 @@ def _suite_transfer(samples: int, seed: int, report, delta=None):
     for name in corpus_mod.TRANSFER_QUIVERS:
         e = entries[name]
         aux = build_aux(e.quiver, e.split, e.dims)
-        if delta is not None:
-            lift_stability({n: 1 for n in e.quiver.nodes}, aux, delta)  # validates
         rng = random.Random(seed)
         xi = {n: Fraction(1) for n in e.quiver.nodes}
         failures = 0
@@ -513,24 +504,15 @@ def _suite_triangle(report):
     for name in corpus_mod.ACTION_ENTRIES:
         e = entries[name]
         cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
-        roots = torus_roots(cands)
-        chs = chambers(roots, e.action.rank)
-        checks = failures = 0
-        for cand in cands:
-            for ch in chs:
-                for face in faces(ch):
-                    checks += 1
-                    if not triangle_split_check(cand, ch, face).ok:
-                        failures += 1
-        report(f"triangle[{name}]: {checks - failures}/{checks} pass")
+        results = [rpt.ok for *_, rpt in _triangle_checks(cands, e.action.rank)]
+        failures = results.count(False)
+        report(f"triangle[{name}]: {len(results) - failures}/{len(results)} pass")
         ok = ok and failures == 0
     return ok
 
 
 def cmd_verify(args) -> int:
-    suites = ("moment", "flag", "transfer", "triangle")
-    if args.suite != "all" and args.suite not in suites:
-        raise InputError(f"unknown suite {args.suite!r}; choose from {suites + ('all',)}")
+    delta = None
     if args.delta is not None:
         # validate the override before running anything
         entries = corpus_mod.corpus()
@@ -538,22 +520,22 @@ def cmd_verify(args) -> int:
             e = entries[name]
             aux = build_aux(e.quiver, e.split, e.dims)
             try:
-                lift_stability({n: 1 for n in e.quiver.nodes}, aux, frac(args.delta))
+                delta = frac(args.delta)
+                lift_stability({n: 1 for n in e.quiver.nodes}, aux, delta)
             except ValueError as exc:
                 raise InputError(f"delta override rejected for {name}: {exc}")
     lines: list[str] = []
     report = lines.append
+    suites = {
+        "moment": lambda: _suite_moment(args.samples, args.seed, report),
+        "flag": lambda: _suite_flag(args.samples, args.seed, report),
+        "transfer": lambda: _suite_transfer(args.samples, args.seed, report, delta),
+        "triangle": lambda: _suite_triangle(report),
+    }
     ok = True
-    run = args.suite
-    if run in ("moment", "all"):
-        ok = _suite_moment(args.samples, args.seed, report) and ok
-    if run in ("flag", "all"):
-        ok = _suite_flag(args.samples, args.seed, report) and ok
-    if run in ("transfer", "all"):
-        delta = frac(args.delta) if args.delta is not None else None
-        ok = _suite_transfer(args.samples, args.seed, report, delta) and ok
-    if run in ("triangle", "all"):
-        ok = _suite_triangle(report) and ok
+    for name, suite in suites.items():
+        if args.suite in (name, "all"):
+            ok = suite() and ok
     payload = {"suite": args.suite, "seed": args.seed, "samples": args.samples,
                "ok": ok, "log": lines}
     _emit(payload, args.format, lines + [f"verify: {'ok' if ok else 'FAILED'} (seed {args.seed})"])
@@ -564,24 +546,12 @@ def cmd_verify(args) -> int:
 # export
 
 def cmd_export(args) -> int:
-    what = args.what
-    if what in ("add", "rem", "aux", "cb"):
-        payload = _surgery_payload(args, what)
-    elif what == "fixed":
-        *_, cands = _candidates_for(args)
-        payload = {"count": len(cands), "candidates": [_candidate_doc(c) for c in cands]}
-    elif what == "chambers":
-        roots, rank, _ = _roots_for(args)
-        chs = chambers(roots, rank)
-        payload = {
-            "roots": [list(r) for r in roots],
-            "chambers": [
-                {"signs": list(c.signs), "point": [frac_to_json(x) for x in c.point]}
-                for c in chs
-            ],
-        }
+    if args.what == "fixed":
+        payload = _fixed_payload(args)
+    elif args.what == "chambers":
+        payload = _chambers_payload(args)
     else:
-        raise InputError(f"unknown export target {what!r}")
+        payload = _surgery_payload(args, args.what)
     text = dumps_canonical(payload)
     if args.out:
         try:
@@ -611,6 +581,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--samples", type=int, default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("json", "table"), default=argparse.SUPPRESS)
+    # cocharacter and weight window of the commands that enumerate fixed components
+    torus_opts = argparse.ArgumentParser(add_help=False)
+    torus_opts.add_argument("--sigma", help="cocharacter, comma separated")
+    torus_opts.add_argument("--window", help="weight window lo..hi")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common], help="adjacency, symmetry and dimension report")
@@ -619,36 +593,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aux", parents=[common], help="emit the leg-replaced auxiliary quiver")
     p.add_argument("file")
-    p.set_defaults(func=cmd_aux)
+    p.set_defaults(func=cmd_surgery)
 
     p = sub.add_parser("cb", parents=[common], help="emit the framing-absorbed quiver")
     p.add_argument("file")
-    p.set_defaults(func=cmd_cb)
+    p.set_defaults(func=cmd_surgery)
 
-    p = sub.add_parser("fixed", parents=[common], help="fixed-component candidates for a cocharacter")
+    p = sub.add_parser("fixed", parents=[common, torus_opts], help="fixed-component candidates for a cocharacter")
     p.add_argument("file")
-    p.add_argument("--sigma", help="cocharacter, comma separated")
-    p.add_argument("--window", help="weight window lo..hi")
     p.set_defaults(func=cmd_fixed)
 
-    p = sub.add_parser("chambers", parents=[common], help="chamber decomposition of the root arrangement")
+    p = sub.add_parser("chambers", parents=[common, torus_opts], help="chamber decomposition of the root arrangement")
     p.add_argument("file", nargs="?")
     p.add_argument("--roots", help="explicit roots, e.g. '1,0;0,1;1,-1'")
-    p.add_argument("--sigma", help="cocharacter when deriving roots from the file")
-    p.add_argument("--window")
     p.set_defaults(func=cmd_chambers)
 
-    p = sub.add_parser("stab-table", parents=[common], help="attracting-cycle dimension and degree ledger")
+    p = sub.add_parser("stab-table", parents=[common, torus_opts], help="attracting-cycle dimension and degree ledger")
     p.add_argument("file")
-    p.add_argument("--sigma")
-    p.add_argument("--window")
     p.add_argument("--xi", help="chamber point, comma separated; defaults to sigma")
     p.set_defaults(func=cmd_stab_table)
 
-    p = sub.add_parser("triangle", parents=[common], help="weight-level split identity over all faces")
+    p = sub.add_parser("triangle", parents=[common, torus_opts], help="weight-level split identity over all faces")
     p.add_argument("file")
-    p.add_argument("--sigma")
-    p.add_argument("--window")
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("stability", parents=[common], help="stability verdict for a representation file")
@@ -670,13 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", help="override the lifted-stability offset")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("export", parents=[common], help="write a surgery or combinatorics artifact")
+    p = sub.add_parser("export", parents=[common, torus_opts], help="write a surgery or combinatorics artifact")
     p.add_argument("file", nargs="?")
     p.add_argument("--what", required=True,
                    choices=("add", "rem", "aux", "cb", "fixed", "chambers"))
     p.add_argument("--out")
-    p.add_argument("--sigma")
-    p.add_argument("--window")
     p.add_argument("--roots")
     p.set_defaults(func=cmd_export)
 
@@ -688,10 +652,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError) as e:
+    except (InputError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

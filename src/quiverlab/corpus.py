@@ -22,7 +22,6 @@ class CorpusEntry:
     action: TorusAction | None = None
     sigma: tuple | None = None
     window: tuple[int, int] | None = None
-    seed: int = 2024
 
 
 def _jordan(v: int) -> CorpusEntry:

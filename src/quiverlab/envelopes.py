@@ -18,7 +18,7 @@ from math import gcd
 from .exactlinalg import Mat, dot, frac, kernel_basis
 from .quiver import ArrowSplit, DimData, Quiver
 from .surgery import dim_quiver_variety, hgamma_data
-from .torus import FixedCandidate, zero_char
+from .torus import FixedCandidate
 
 MAX_CHAMBER_RANK = 4
 
@@ -146,9 +146,6 @@ class Face:
     point: tuple            # relative-interior point
     span_basis: tuple       # primitive integer basis of the face span
     improper: bool
-
-    def subtorus_rank(self) -> int:
-        return len(self.span_basis)
 
 
 def _closed_flats(roots, rank: int):

@@ -21,7 +21,10 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -194,12 +197,6 @@ def _rref_inplace(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
         if r == len(rows):
             break
     return rows, pivots
-
-
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    rows = [list(r) for r in m.data]
-    reduced, pivots = _rref_inplace(rows)
-    return Mat(reduced, cols=m.cols), tuple(pivots)
 
 
 def rank(m: Mat) -> int:

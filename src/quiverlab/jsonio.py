@@ -8,7 +8,6 @@ object keys use the canonical string form from quiver.node_key.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .exactlinalg import Mat, frac
 from .quiver import Arrow, ArrowSplit, DimData, Quiver, check_symmetric, node_key
@@ -18,10 +17,6 @@ from .torus import TorusAction
 
 def frac_to_json(x) -> str:
     return str(frac(x))
-
-
-def frac_from_json(s) -> Fraction:
-    return frac(s)
 
 
 def node_to_json(node):
@@ -58,7 +53,7 @@ def mat_to_json(m: Mat) -> dict:
 
 def mat_from_json(doc) -> Mat:
     rows, cols = doc["rows"], doc["cols"]
-    entries = [frac_from_json(e) for e in doc["entries"]]
+    entries = [frac(e) for e in doc["entries"]]
     if len(entries) != rows * cols:
         raise ValueError("matrix entry count does not match its shape")
     return Mat(
@@ -139,7 +134,7 @@ def quiver_from_json(doc: dict):
         for n in q.nodes:
             d.setdefault(n, 0)
         theta = {
-            keys[k]: frac_from_json(x) for k, x in doc.get("theta", {}).items()
+            keys[k]: frac(x) for k, x in doc.get("theta", {}).items()
         }
         dims = DimData(v, d, theta)
 
@@ -181,7 +176,7 @@ def rep_from_json(q: Quiver, doc: dict):
     b = {keys[k]: mat_from_json(m) for k, m in doc["B"].items()}
     t = None
     if "t" in doc:
-        t = {by_str[s]: frac_from_json(v) for s, v in doc["t"].items()}
+        t = {by_str[s]: frac(v) for s, v in doc["t"].items()}
     return Representation(x, a, b), t
 
 

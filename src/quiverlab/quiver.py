@@ -49,9 +49,6 @@ class Quiver:
                 return a
         raise KeyError(aid)
 
-    def node_index(self, node: NodeId) -> int:
-        return self.nodes.index(node)
-
     def adjacency_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Entry (i, j) counts arrows i -> j, in declared node order."""
         idx = {n: k for k, n in enumerate(self.nodes)}
@@ -111,9 +108,6 @@ class ArrowSplit:
             if b == aid:
                 return a
         raise KeyError(aid)
-
-    def is_unstarred(self, aid: ArrowId) -> bool:
-        return any(a == aid for a, _ in self.pairs)
 
     def is_loop(self, aid: ArrowId) -> bool:
         return aid in self.loops

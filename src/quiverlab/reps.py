@@ -102,25 +102,32 @@ def leg_stable(aux: AuxResult, rep: Representation) -> bool:
     return True
 
 
-def leg_moment_scalars(aux: AuxResult, rep: Representation, loop_id):
-    """Moment scalars (s_1, ..., s_{n-1}) indexed by leg depth.
+def _leg_depth_scalars(n: int, cs: list[Mat], ds: list[Mat]) -> list:
+    """Moment scalar at each leg depth 1..n-1, None where the block is not scalar.
 
-    Returns None if some leg-node moment block is not scalar. Depth j has
-    dimension n-j; its moment value is C_{m-1} D_{m-1} - D_m C_m at m = n-j.
+    Depth j has dimension n-j; its moment value is C_{m-1} D_{m-1} - D_m C_m
+    at m = n-j.
     """
-    n = aux.v[aux.loop_node(loop_id)]
-    cs, ds = leg_chains(aux, rep, loop_id)
     out = []
     for depth in range(1, n):
         m = n - depth
         block = -ds[m - 1].matmul(cs[m - 1])
         if m >= 2:
             block = block + cs[m - 2].matmul(ds[m - 2])
-        s = block.scaled_identity_value()
-        if s is None:
-            return None
-        out.append(s)
-    return tuple(out)
+        out.append(block.scaled_identity_value())
+    return out
+
+
+def leg_moment_scalars(aux: AuxResult, rep: Representation, loop_id):
+    """Moment scalars (s_1, ..., s_{n-1}) indexed by leg depth.
+
+    Returns None if some leg-node moment block is not scalar.
+    """
+    cs, ds = leg_chains(aux, rep, loop_id)
+    scalars = _leg_depth_scalars(aux.v[aux.loop_node(loop_id)], cs, ds)
+    if any(s is None for s in scalars):
+        return None
+    return tuple(scalars)
 
 
 def p_map(aux: AuxResult, rep: Representation, t: dict) -> Representation:
@@ -207,20 +214,9 @@ def flag_check(n: int, cs: list[Mat], ds: list[Mat], t) -> FlagReport:
         if rank(c) < c.cols:
             raise ValueError("leg is not leg-stable: some C has a kernel")
 
-    # moment scalar at depth j (dimension m = n - j)
-    lambdas = []
-    nonscalar = []
-    for depth in range(1, n):
-        m = n - depth
-        block = -ds[m - 1].matmul(cs[m - 1])
-        if m >= 2:
-            block = block + cs[m - 2].matmul(ds[m - 2])
-        s = block.scaled_identity_value()
-        if s is None:
-            nonscalar.append(depth)
-            lambdas.append(None)
-        else:
-            lambdas.append(-s)
+    scalars = _leg_depth_scalars(n, cs, ds)
+    lambdas = [None if s is None else -s for s in scalars]
+    nonscalar = [depth for depth, s in enumerate(scalars, 1) if s is None]
     if nonscalar:
         return FlagReport(
             ok=False,

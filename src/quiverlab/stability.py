@@ -47,9 +47,6 @@ class SubrepWitness:
     pairing: Fraction     # completed pairing; positive for a destabilizer
     includes_framing: bool  # True when the extra framing node is inside
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
 
 def generated_closure(
     q: Quiver,
@@ -160,24 +157,17 @@ def _theta_sign(q: Quiver, theta) -> int:
 def is_stable_signdef(q: Quiver, dims: DimData, rep: Representation, theta) -> bool:
     """Exact stability for strictly positive or strictly negative theta."""
     validate_shapes(q, dims, rep)
-    sign = _theta_sign(q, theta)
-    if sign == 0:
-        raise MixedSignTheta(
-            "mixed-sign stability is undecidable by this routine; "
-            "use destabilizer_search for a semidecision"
-        )
-    if sign > 0:
-        core = cogenerated_core(q, dims, rep)
-        return all(span_dim(core[n]) == 0 for n in q.nodes)
-    closure = generated_closure(q, dims, rep, {}, include_framing=True)
-    return all(span_dim(closure[n]) == dims.v[n] for n in q.nodes)
+    return stability_report(q, dims, rep, theta)[0]
 
 
 def stability_report(q: Quiver, dims: DimData, rep: Representation, theta):
     """(stable, witness) for sign-definite theta; witness is None when stable."""
     sign = _theta_sign(q, theta)
     if sign == 0:
-        raise MixedSignTheta("sign-definite theta required")
+        raise MixedSignTheta(
+            "mixed-sign stability is undecidable by this routine; "
+            "use destabilizer_search for a semidecision"
+        )
     if sign > 0:
         core = cogenerated_core(q, dims, rep)
         if all(span_dim(core[n]) == 0 for n in q.nodes):

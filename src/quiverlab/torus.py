@@ -77,10 +77,6 @@ class TorusAction:
         return tuple(tuple(c) for c in self.framing_chars.get(node, ()))
 
 
-def trivial_action(rank: int = 0) -> TorusAction:
-    return TorusAction(rank=rank, arrow_chars={}, framing_chars={})
-
-
 @dataclass(frozen=True)
 class WeightEntry:
     char: Char
@@ -411,11 +407,6 @@ def fixed_components(
             )
         )
     return out
-
-
-def tangent_weights(cand: FixedCandidate) -> Counter:
-    """Virtual tangent character multiset of a candidate (see tangent())."""
-    return cand.tangent()
 
 
 def fixed_self_dual_check(cand: FixedCandidate) -> bool:

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,9 @@ from quiverlab.exactlinalg import Mat
 from quiverlab.quiver import DimData
 from quiverlab.sampling import random_representation
 from quiverlab.surgery import build_aux
+
+ROOT = Path(__file__).resolve().parent.parent
+THETA_ZERO_DEN = "perfbench/data/theta_zero_den.json"
 
 
 @pytest.fixture
@@ -245,3 +249,26 @@ def test_stability_cli_mixed_sign_search(tmp_path, capsys):
     # zero representation with a positive node: coordinate line destabilizes
     assert doc["stable"] is False
     assert doc["witness"]["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", THETA_ZERO_DEN],
+        ["stab-table", THETA_ZERO_DEN],
+        ["stability", "inputs/jordan2_rep.json", "--theta=1/0"],
+        ["verify", "transfer", "--delta", "1/0"],
+        ["chambers", "--roots", "1,0;1"],
+        ["chambers", "--roots", "1,0;0,1,1"],
+        ["chambers", "--roots", "0,0"],
+        ["chambers"],
+        ["export", "--what", "aux"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_input_is_input_error(argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
