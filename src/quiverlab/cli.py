@@ -100,13 +100,19 @@ def _emit(payload: dict, fmt: str, lines=None):
             print(line)
 
 
-def _parse_vector(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip() != "")
+def _parse_vector(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in text.split(",") if p.strip() != "")
+    except ValueError:
+        raise InputError(f"{flag} needs comma-separated integers, got {text!r}")
 
 
 def _parse_window(text: str) -> tuple[int, int]:
-    lo, hi = text.split("..")
-    return int(lo), int(hi)
+    try:
+        lo, hi = (int(p) for p in text.split(".."))
+    except ValueError:
+        raise InputError(f"--window needs integers lo..hi, got {text!r}")
+    return lo, hi
 
 
 def _parse_theta(text: str, q) -> dict:
@@ -214,7 +220,7 @@ def _candidates_for(args):
         raise InputError("dimension data required")
     if action is None:
         raise InputError("no torus action in the input file")
-    sigma = _parse_vector(args.sigma) if args.sigma else sigma_doc
+    sigma = _parse_vector(args.sigma, "--sigma") if args.sigma else sigma_doc
     if sigma is None:
         raise InputError("no cocharacter: give --sigma or a 'sigma' entry")
     window = _parse_window(args.window) if args.window else None
@@ -249,9 +255,12 @@ def cmd_fixed(args) -> int:
 
 def _roots_for(args):
     if args.roots:
-        roots = tuple(
-            tuple(int(x) for x in part.split(",")) for part in args.roots.split(";")
-        )
+        try:
+            roots = tuple(
+                tuple(int(x) for x in part.split(",")) for part in args.roots.split(";")
+            )
+        except ValueError:
+            raise InputError(f"--roots needs integer coordinates, got {args.roots!r}")
         rank = len(roots[0])
         if any(len(r) != rank for r in roots):
             raise InputError(f"every root needs {rank} coordinates")
@@ -286,27 +295,22 @@ def cmd_chambers(args) -> int:
 
 def cmd_stab_table(args) -> int:
     q, split, dims, action, sigma, cands = _candidates_for(args)
-    xi = _parse_vector(args.xi) if args.xi else sigma
+    xi = _parse_vector(args.xi, "--xi") if args.xi else sigma
+    if len(xi) != action.rank:
+        raise InputError(f"--xi needs {action.rank} entries, got {len(xi)}")
     table = stab_degree_table(q, split, dims, cands, xi)
     payload = {
         "dim_ambient": table.dim_ambient,
         "dim_base": table.dim_base,
         "xi": list(xi),
+        # vars(), not dataclasses.asdict: asdict deep-copies every value
         "rows": [
-            {
-                "name": r.name,
-                "dim_fixed": r.dim_fixed,
-                "rank_minus": r.rank_minus,
-                "rank_plus": r.rank_plus,
-                "attracting_dim": frac_to_json(r.attracting_dim),
-                "consistent": r.consistent,
-            }
+            {**vars(r), "attracting_dim": frac_to_json(r.attracting_dim)}
             for r in table.rows
         ],
         "pairs": [
             {
-                "first": p.first,
-                "second": p.second,
+                **vars(p),
                 "off_diagonal_bound": frac_to_json(p.off_diagonal_bound),
                 "fiber_product_bound": frac_to_json(p.fiber_product_bound),
             }
@@ -324,10 +328,10 @@ def cmd_stab_table(args) -> int:
 
 def _triangle_checks(cands, rank):
     """(candidate, chamber, face, report) for every triangle split check."""
-    chs = chambers(torus_roots(cands), rank)
+    chamber_faces = [(ch, faces(ch)) for ch in chambers(torus_roots(cands), rank)]
     for cand in cands:
-        for ch in chs:
-            for face in faces(ch):
+        for ch, face_list in chamber_faces:
+            for face in face_list:
                 yield cand, ch, face, triangle_split_check(cand, ch, face)
 
 

@@ -9,6 +9,7 @@ is also the Lie algebra of the associated subtorus.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -128,8 +129,6 @@ def chambers(roots, rank: int) -> list[Chamber]:
     if rank > MAX_CHAMBER_RANK:
         raise ValueError(f"rank {rank} exceeds the enumeration budget {MAX_CHAMBER_RANK}")
     roots = tuple(tuple(r) for r in roots)
-    if not roots:
-        return [Chamber(roots=(), signs=(), point=(Fraction(0),) * rank)]
     out = []
     for signs in itertools.product((1, -1), repeat=len(roots)):
         rows = [tuple(s * c for c in r) for s, r in zip(signs, roots)]
@@ -141,40 +140,29 @@ def chambers(roots, rank: int) -> list[Chamber]:
 
 @dataclass
 class Face:
-    chamber: Chamber
     zero_set: frozenset     # indices of roots vanishing on the face
     point: tuple            # relative-interior point
     span_basis: tuple       # primitive integer basis of the face span
     improper: bool
 
 
-def _closed_flats(roots, rank: int):
-    """All flats of the arrangement as (zero set, kernel basis) pairs."""
-    def closure(sel: frozenset):
-        if sel:
-            m = Mat([roots[i] for i in sorted(sel)], cols=rank)
-            kb = kernel_basis(m)
-        else:
-            kb = tuple(tuple(Fraction(1 if i == j else 0) for j in range(rank)) for i in range(rank))
-        zero = frozenset(
-            i for i, r in enumerate(roots) if all(dot(r, b) == 0 for b in kb)
-        )
-        return zero, kb
+@functools.lru_cache(maxsize=1)
+def _flats(roots, rank: int):
+    """All flats as (zero set, kernel basis) pairs, by zero-set size then members.
 
+    Every flat is cut out by at most rank independent roots, so the closures
+    of the root subsets of that size find them all. The kernel basis comes
+    from the canonical RREF of the subset's span, whichever subset found it.
+    """
     flats = {}
-    frontier = [frozenset()]
-    while frontier:
-        nxt = []
-        for sel in frontier:
-            zero, kb = closure(sel)
-            if zero in flats:
-                continue
-            flats[zero] = kb
-            for i in range(len(roots)):
-                if i not in zero:
-                    nxt.append(zero | {i})
-        frontier = nxt
-    return flats
+    for size in range(rank + 1):
+        for sel in itertools.combinations(range(len(roots)), size):
+            kb = kernel_basis(Mat([roots[i] for i in sel], cols=rank))
+            zero = frozenset(
+                i for i, r in enumerate(roots) if all(dot(r, b) == 0 for b in kb)
+            )
+            flats.setdefault(zero, kb)
+    return tuple(sorted(flats.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))))
 
 
 def faces(chamber: Chamber) -> list[Face]:
@@ -187,9 +175,7 @@ def faces(chamber: Chamber) -> list[Face]:
     roots = chamber.roots
     rank = len(chamber.point)
     out = []
-    for zero_set, kb in sorted(
-        _closed_flats(roots, rank).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-    ):
+    for zero_set, kb in _flats(roots, rank):
         strict = [i for i in range(len(roots)) if i not in zero_set]
         k = len(kb)
         if strict and k == 0:
@@ -209,7 +195,6 @@ def faces(chamber: Chamber) -> list[Face]:
         )
         out.append(
             Face(
-                chamber=chamber,
                 zero_set=zero_set,
                 point=point,
                 span_basis=basis,

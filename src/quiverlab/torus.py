@@ -255,26 +255,11 @@ def _derived_quiver(q, split, dims, act, grading):
 
 
 def _trivial_candidate(q, split, dims, act, sigma) -> FixedCandidate:
-    rank = act.rank
-    grading = {n: {zero_char(rank): dims.v[n]} for n in q.nodes}
-    framing_slots = {
-        (n, zero_char(rank)): tuple(range(dims.d[n])) for n in q.nodes
-    }
-    quiver = Quiver(
-        tuple((n, zero_char(rank)) for n in q.nodes),
-        tuple(
-            Arrow((a.id, zero_char(rank)), (a.tail, zero_char(rank)), (a.head, zero_char(rank)))
-            for a in q.arrows
-        ),
-    )
-    dsplit = ArrowSplit(
-        tuple(
-            ((a, zero_char(rank)), (b, zero_char(rank))) for a, b in split.pairs
-        ),
-        tuple((l, zero_char(rank)) for l in split.loops),
-    )
-    v = {(n, zero_char(rank)): dims.v[n] for n in q.nodes}
-    d = {(n, zero_char(rank)): dims.d[n] for n in q.nodes}
+    zero = zero_char(act.rank)
+    grading = {n: {zero: dims.v[n]} for n in q.nodes}
+    # with every character zero, the derived quiver is the input relabelled
+    still = TorusAction(act.rank, {}, {n: (zero,) * dims.d[n] for n in q.nodes})
+    quiver, dsplit, v, d, framing_slots = _derived_quiver(q, split, dims, still, grading)
     return FixedCandidate(
         base=q,
         base_split=split,
@@ -328,7 +313,6 @@ def fixed_components(
     to zero, merging gradings that induce the same action; candidates whose
     graded representation space and framing both vanish are dropped.
     """
-    act.validate(q, split, dims)
     if not self_dual_check(q, split, dims, act):
         raise ValueError("action is not self-dual")
     sigma = tuple(sigma)

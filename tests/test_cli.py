@@ -272,3 +272,27 @@ def test_malformed_input_is_input_error(argv, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--window", ["fixed", "inputs/a2sym.json", "--window", "1"]),
+        ("--window", ["fixed", "inputs/a2sym.json", "--window=a..1"]),
+        ("--window", ["triangle", "inputs/loop2.json", "--window=-1..0..1"]),
+        ("--sigma", ["fixed", "inputs/a2sym.json", "--sigma", "x"]),
+        ("--xi", ["stab-table", "inputs/framed2.json", "--xi", "1,x"]),
+        ("--xi", ["stab-table", "inputs/framed2.json", "--xi", "1"]),
+        ("--xi", ["stab-table", "inputs/framed2.json", "--xi", "1,1,1"]),
+        ("--roots", ["chambers", "--roots", "1,x;0,1"]),
+        ("--roots", ["export", "--what", "chambers", "--roots", "1,0;"]),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else x,
+)
+def test_flag_parse_error_names_flag(flag, argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -103,6 +104,34 @@ def test_chambers_oracle_on_corpus_rank2():
     chs = chambers(roots, 2)
     oracle = sign_vector_oracle(roots, 2, box=8, samples=20000, seed=3)
     assert {c.signs for c in chs} == oracle
+
+
+def zaslavsky_regions(chs):
+    """Region count of a central arrangement from its flat lattice alone:
+    the sum of |mu(0, X)| over the flats X (Zaslavsky 1975). Every flat is
+    the zero set of a face of some chamber; the order is inclusion of zero
+    sets."""
+    flats = sorted({f.zero_set for ch in chs for f in faces(ch)}, key=len)
+    mu = {}
+    for x in flats:
+        mu[x] = 1 if not x else -sum(m for y, m in mu.items() if y < x)
+    return sum(abs(m) for m in mu.values())
+
+
+def test_chambers_match_zaslavsky_count():
+    systems = []
+    for name in ("framed2", "a2sym", "loop2"):
+        e, cands = corpus_candidates(name)
+        systems.append((torus_roots(cands), e.action.rank))
+    box = sorted(
+        {primitive_up_to_sign(v) for v in itertools.product((-1, 0, 1), repeat=3)}
+        - {None}
+    )
+    rng = random.Random(5)
+    systems += [(tuple(rng.sample(box, k)), 3) for k in (6, 7, 8)]
+    for roots, rank in systems:
+        chs = chambers(roots, rank)
+        assert zaslavsky_regions(chs) == len(chs), roots
 
 
 def test_faces_rank1():

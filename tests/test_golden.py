@@ -37,6 +37,10 @@ def _cases() -> list[tuple[str, ...]]:
                 cases.append(("--format", fmt, cmd, f"inputs/{name}.json") + extra)
         for cmd in ("stability", "tau"):
             cases.append(("--format", fmt, cmd, "inputs/jordan2_rep.json"))
+    for name in QUIVER_FILES:
+        sigma = "0,0" if name == "framed2" else "0"
+        cases.append(("--format", "json", "fixed", f"inputs/{name}.json", "--sigma", sigma))
+    cases.append(("--format", "json", "triangle", "inputs/loop2.json", "--window=-1..1"))
     return cases
 
 
@@ -175,6 +179,12 @@ GOLDEN = {
     '--format table moment-check inputs/loop2.json --samples 5 --seed 7': '95160d44d36e5b881089abca79bcd27411f287b0678080823e6049b9250de733',
     '--format table stability inputs/jordan2_rep.json': '9c8b0fb6b34e19a8c1c344442bbdaacbb26f8f6b299e8103ede7700baddef2e4',
     '--format table tau inputs/jordan2_rep.json': 'c2f9eb1755b1fcabd4cffbf49f7866a221070e7fe4c0c0baf5c4b9fbcc1294d3',
+    '--format json fixed inputs/a2sym.json --sigma 0': 'aca058bace24ad352636f1642d9331eef690c2da958123ad392bae4e1daf1d45',
+    '--format json fixed inputs/framed2.json --sigma 0,0': '89a92dea41f8e4db0eaa91bfba89d48a64b1f8ed39d6c58a123a8e87b26e33e0',
+    '--format json fixed inputs/jordan2.json --sigma 0': 'e8f6dcf89f4c90d60cd3e9c932f73be754efcf63c3cf6cea64a671bc4f710599',
+    '--format json fixed inputs/jordan3.json --sigma 0': '910af6a66642a316726243f061c044fcc07ade3d9a9f2bdd2a307594d2a04aa0',
+    '--format json fixed inputs/loop2.json --sigma 0': 'bb82b66850acbfa773d4634f2d578beaf86f1a2aaf8c4f613936d2837539c9d6',
+    '--format json triangle inputs/loop2.json --window=-1..1': '30e72c93b5996b8e5e5c1fad348025babe7de21a6439f342ada6c019ba9e155f',
 }
 
 

@@ -60,7 +60,8 @@ def test_self_dual_check_positive_and_negative():
 
 
 def test_fixed_components_sigma_zero():
-    for name in ("jordan2", "a2sym", "framed2"):
+    # loop2 has a loop and an arrow with a nonzero character
+    for name in ("jordan2", "a2sym", "framed2", "loop2"):
         e = corpus()[name]
         cands = fixed_components(
             e.quiver, e.split, e.dims, e.action, (0,) * e.action.rank, e.window
@@ -68,9 +69,26 @@ def test_fixed_components_sigma_zero():
         assert len(cands) == 1
         cand = cands[0]
         assert cand.trivial
+        assert cand.action is e.action
         assert {n: sum(g.values()) for n, g in cand.grading.items()} == dict(e.dims.v)
-        # derived quiver is the input itself
+        # derived quiver is the input itself, relabelled node for node
         assert len(cand.quiver.arrows) == len(e.quiver.arrows)
+        z = (0,) * e.action.rank
+        assert cand.quiver == Quiver(
+            tuple((n, z) for n in e.quiver.nodes),
+            tuple(Arrow((a.id, z), (a.tail, z), (a.head, z)) for a in e.quiver.arrows),
+        )
+        assert cand.split == ArrowSplit(
+            tuple(((a, z), (b, z)) for a, b in e.split.pairs),
+            tuple((l, z) for l in e.split.loops),
+        )
+        assert cand.framing_slots == {
+            (n, z): tuple(range(e.dims.d[n])) for n in e.quiver.nodes
+        }
+        assert (cand.v, cand.d) == (
+            {(n, z): e.dims.v[n] for n in e.quiver.nodes},
+            {(n, z): e.dims.d[n] for n in e.quiver.nodes},
+        )
         assert cand.dim_fixed() == dim_quiver_variety(e.quiver, e.dims)
         assert dict(cand.tangent()) == {
             (0,) * e.action.rank: dim_quiver_variety(e.quiver, e.dims)
