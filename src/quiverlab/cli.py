@@ -100,11 +100,14 @@ def _emit(payload: dict, fmt: str, lines=None):
             print(line)
 
 
-def _parse_vector(text: str, flag: str) -> tuple[int, ...]:
+def _parse_vector(text: str, flag: str, size: int) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
+        vec = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InputError(f"{flag} needs comma-separated integers, got {text!r}")
+    if len(vec) != size:
+        raise InputError(f"{flag} needs {size} entries, got {len(vec)}")
+    return vec
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -220,7 +223,7 @@ def _candidates_for(args):
         raise InputError("dimension data required")
     if action is None:
         raise InputError("no torus action in the input file")
-    sigma = _parse_vector(args.sigma, "--sigma") if args.sigma else sigma_doc
+    sigma = _parse_vector(args.sigma, "--sigma", action.rank) if args.sigma else sigma_doc
     if sigma is None:
         raise InputError("no cocharacter: give --sigma or a 'sigma' entry")
     window = _parse_window(args.window) if args.window else None
@@ -295,9 +298,7 @@ def cmd_chambers(args) -> int:
 
 def cmd_stab_table(args) -> int:
     q, split, dims, action, sigma, cands = _candidates_for(args)
-    xi = _parse_vector(args.xi, "--xi") if args.xi else sigma
-    if len(xi) != action.rank:
-        raise InputError(f"--xi needs {action.rank} entries, got {len(xi)}")
+    xi = _parse_vector(args.xi, "--xi", action.rank) if args.xi else sigma
     table = stab_degree_table(q, split, dims, cands, xi)
     payload = {
         "dim_ambient": table.dim_ambient,

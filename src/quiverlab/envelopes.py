@@ -22,6 +22,7 @@ from .surgery import dim_quiver_variety, hgamma_data
 from .torus import FixedCandidate
 
 MAX_CHAMBER_RANK = 4
+MAX_CHAMBER_ROOTS = 12
 
 
 class WallError(ValueError):
@@ -129,6 +130,11 @@ def chambers(roots, rank: int) -> list[Chamber]:
     if rank > MAX_CHAMBER_RANK:
         raise ValueError(f"rank {rank} exceeds the enumeration budget {MAX_CHAMBER_RANK}")
     roots = tuple(tuple(r) for r in roots)
+    if len(roots) > MAX_CHAMBER_ROOTS:
+        raise ValueError(
+            f"{len(roots)} roots mean 2^{len(roots)} sign vectors, over the "
+            f"enumeration budget of 2^{MAX_CHAMBER_ROOTS} ({MAX_CHAMBER_ROOTS} roots)"
+        )
     out = []
     for signs in itertools.product((1, -1), repeat=len(roots)):
         rows = [tuple(s * c for c in r) for s, r in zip(signs, roots)]
@@ -148,7 +154,9 @@ class Face:
 
 @functools.lru_cache(maxsize=1)
 def _flats(roots, rank: int):
-    """All flats as (zero set, kernel basis) pairs, by zero-set size then members.
+    """All flats as (zero set, kernel basis, pairings) triples, by zero-set
+    size then members; pairings holds (i, root i against the kernel basis)
+    for every root i off the zero set.
 
     Every flat is cut out by at most rank independent roots, so the closures
     of the root subsets of that size find them all. The kernel basis comes
@@ -158,11 +166,12 @@ def _flats(roots, rank: int):
     for size in range(rank + 1):
         for sel in itertools.combinations(range(len(roots)), size):
             kb = kernel_basis(Mat([roots[i] for i in sel], cols=rank))
-            zero = frozenset(
-                i for i, r in enumerate(roots) if all(dot(r, b) == 0 for b in kb)
-            )
-            flats.setdefault(zero, kb)
-    return tuple(sorted(flats.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))))
+            rows = [tuple(dot(r, b) for b in kb) for r in roots]
+            zero = frozenset(i for i, row in enumerate(rows) if not any(row))
+            if zero not in flats:
+                pairings = tuple((i, row) for i, row in enumerate(rows) if i not in zero)
+                flats[zero] = (zero, kb, pairings)
+    return tuple(sorted(flats.values(), key=lambda f: (len(f[0]), sorted(f[0]))))
 
 
 def faces(chamber: Chamber) -> list[Face]:
@@ -175,14 +184,11 @@ def faces(chamber: Chamber) -> list[Face]:
     roots = chamber.roots
     rank = len(chamber.point)
     out = []
-    for zero_set, kb in _flats(roots, rank):
-        strict = [i for i in range(len(roots)) if i not in zero_set]
+    for zero_set, kb, pairings in _flats(roots, rank):
         k = len(kb)
-        if strict and k == 0:
+        if pairings and k == 0:
             continue  # no room for strict signs on the origin flat
-        rows = [
-            tuple(chamber.sign_of(i) * dot(roots[i], b) for b in kb) for i in strict
-        ]
+        rows = [tuple(chamber.sign_of(i) * p for p in row) for i, row in pairings]
         coords = feasible_interior(rows, k)
         if coords is None:
             continue

@@ -288,14 +288,6 @@ def reduce_span(vectors: Iterable[Sequence], dim: int) -> tuple[Vector, ...]:
     return tuple(tuple(reduced[i]) for i in range(len(pivots)))
 
 
-def span_dim(basis: tuple[Vector, ...]) -> int:
-    return len(basis)
-
-
-def full_span(dim: int) -> tuple[Vector, ...]:
-    return tuple(Mat.identity(dim).data)
-
-
 def in_span(vec: Sequence, basis: tuple[Vector, ...], dim: int) -> bool:
     joined = reduce_span(list(basis) + [tuple(vec)], dim)
     return len(joined) == len(basis)

@@ -18,18 +18,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlinalg import (
-    frac,
-    full_span,
-    image_span,
-    in_span,
-    preimage_span,
-    reduce_span,
-    span_dim,
-    span_intersect,
-    span_sum,
-)
-from .quiver import DimData, Quiver
+from .exactlinalg import Mat, frac, in_span, kernel_basis, reduce_span
+from .quiver import Arrow, DimData, Quiver
 from .reps import Representation, leg_moment_scalars, leg_stable, p_map, validate_shapes
 from .surgery import AuxResult, lift_stability
 
@@ -70,8 +60,8 @@ def generated_closure(
     while changed:
         changed = False
         for ar in q.arrows:
-            img = image_span(rep.x[ar.id], spans[ar.tail])
-            merged = span_sum(spans[ar.head], img, dims.v[ar.head])
+            images = tuple(rep.x[ar.id].apply(v) for v in spans[ar.tail])
+            merged = reduce_span(spans[ar.head] + images, dims.v[ar.head])
             if merged != spans[ar.head]:
                 spans[ar.head] = merged
                 changed = True
@@ -79,23 +69,21 @@ def generated_closure(
 
 
 def cogenerated_core(q: Quiver, dims: DimData, rep: Representation) -> dict:
-    """Largest graded subspace sent into itself by every arrow and killed by B."""
-    spans = {}
-    for n in q.nodes:
-        if dims.d[n] == 0:
-            spans[n] = full_span(dims.v[n])
-        else:
-            spans[n] = preimage_span(rep.b[n], ())
-    changed = True
-    while changed:
-        changed = False
-        for ar in q.arrows:
-            pre = preimage_span(rep.x[ar.id], spans[ar.head])
-            cut = span_intersect(spans[ar.tail], pre, dims.v[ar.tail])
-            if cut != spans[ar.tail]:
-                spans[ar.tail] = cut
-                changed = True
-    return spans
+    """Largest graded subspace sent into itself by every arrow and killed by B.
+
+    Computed as an annihilator: the covectors vanishing on the core form
+    the smallest graded subspace of the dual containing the rows of every
+    B block and closed under the transposed arrows, which is
+    generated_closure on the opposite quiver.
+    """
+    opposite = Quiver(q.nodes, tuple(Arrow(a.id, a.head, a.tail) for a in q.arrows))
+    # no framing blocks: the closure below never includes the framing node
+    dual = Representation({a.id: rep.x[a.id].transpose() for a in q.arrows}, {}, {})
+    rows = generated_closure(opposite, dims, dual, {n: rep.b[n].data for n in q.nodes})
+    return {
+        n: reduce_span(kernel_basis(Mat(rows[n], cols=dims.v[n])), dims.v[n])
+        for n in q.nodes
+    }
 
 
 def _completed_pairing(q: Quiver, dims: DimData, theta, sub_dims, includes_framing: bool) -> Fraction:
@@ -106,7 +94,7 @@ def _completed_pairing(q: Quiver, dims: DimData, theta, sub_dims, includes_frami
 
 
 def _witness_from_spans(q, dims, theta, spans, includes_framing) -> SubrepWitness:
-    sub_dims = {n: span_dim(spans[n]) for n in q.nodes}
+    sub_dims = {n: len(spans[n]) for n in q.nodes}
     return SubrepWitness(
         dims=sub_dims,
         basis={n: spans[n] for n in q.nodes},
@@ -122,7 +110,7 @@ def verify_witness(
     it was produced: arrow invariance, the framing condition for its side
     of the completion, and the recorded pairing value."""
     for n in q.nodes:
-        if span_dim(w.basis[n]) != w.dims[n]:
+        if len(w.basis[n]) != w.dims[n]:
             return False
     for ar in q.arrows:
         for vec in w.basis[ar.tail]:
@@ -170,11 +158,11 @@ def stability_report(q: Quiver, dims: DimData, rep: Representation, theta):
         )
     if sign > 0:
         core = cogenerated_core(q, dims, rep)
-        if all(span_dim(core[n]) == 0 for n in q.nodes):
+        if all(len(core[n]) == 0 for n in q.nodes):
             return True, None
         return False, _witness_from_spans(q, dims, theta, core, includes_framing=False)
     closure = generated_closure(q, dims, rep, {}, include_framing=True)
-    if all(span_dim(closure[n]) == dims.v[n] for n in q.nodes):
+    if all(len(closure[n]) == dims.v[n] for n in q.nodes):
         return True, None
     return False, _witness_from_spans(q, dims, theta, closure, includes_framing=True)
 
@@ -239,7 +227,7 @@ def destabilizer_search(
                         for _ in range(count)
                     ]
         spans = generated_closure(q, dims, rep, seeds, include_framing=include_framing)
-        sub_dims = {n: span_dim(spans[n]) for n in q.nodes}
+        sub_dims = {n: len(spans[n]) for n in q.nodes}
         if include_framing:
             # completed subspace contains the framing node: proper means
             # some gauge node is not exhausted

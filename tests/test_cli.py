@@ -263,6 +263,8 @@ def test_stability_cli_mixed_sign_search(tmp_path, capsys):
         ["chambers", "--roots", "0,0"],
         ["chambers"],
         ["export", "--what", "aux"],
+        ["chambers", "inputs/framed2.json", "--window=-2..2"],
+        ["triangle", "inputs/framed2.json", "--window=-3..3"],
     ],
     ids=" ".join,
 )
@@ -281,9 +283,12 @@ def test_malformed_input_is_input_error(argv, capsys, monkeypatch):
         ("--window", ["fixed", "inputs/a2sym.json", "--window=a..1"]),
         ("--window", ["triangle", "inputs/loop2.json", "--window=-1..0..1"]),
         ("--sigma", ["fixed", "inputs/a2sym.json", "--sigma", "x"]),
+        ("--sigma", ["fixed", "inputs/framed2.json", "--sigma", "0,,0"]),
+        ("--sigma needs 1 entries, got 2", ["fixed", "inputs/a2sym.json", "--sigma", "1,2"]),
         ("--xi", ["stab-table", "inputs/framed2.json", "--xi", "1,x"]),
         ("--xi", ["stab-table", "inputs/framed2.json", "--xi", "1"]),
         ("--xi", ["stab-table", "inputs/framed2.json", "--xi", "1,1,1"]),
+        ("--xi", ["stab-table", "inputs/framed2.json", "--xi", "1,,3"]),
         ("--roots", ["chambers", "--roots", "1,x;0,1"]),
         ("--roots", ["export", "--what", "chambers", "--roots", "1,0;"]),
     ],

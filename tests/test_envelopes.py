@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quiverlab.envelopes import (
+    MAX_CHAMBER_ROOTS,
     WallError,
     chambers,
     coarsen_grading,
@@ -96,6 +97,10 @@ def test_chambers_empty_roots():
 def test_chambers_budget():
     with pytest.raises(ValueError):
         chambers(((1, 0, 0, 0, 1),), 5)
+    roots = ((1,),) * (MAX_CHAMBER_ROOTS + 1)
+    with pytest.raises(ValueError, match=r"2\^13 sign vectors"):
+        chambers(roots, 1)
+    assert len(chambers(roots[:MAX_CHAMBER_ROOTS], 1)) == 2
 
 
 def test_chambers_oracle_on_corpus_rank2():

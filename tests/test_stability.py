@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from quiverlab.exactlinalg import Mat, span_dim
+from quiverlab.exactlinalg import Mat, in_span, preimage_span, span_intersect
 from quiverlab.quiver import Arrow, ArrowSplit, DimData, Quiver
 from quiverlab.reps import Representation, zero_representation
-from quiverlab.sampling import random_leg_stable_aux, random_representation
+from quiverlab.sampling import random_leg_stable_aux, random_matrix, random_representation
 from quiverlab.stability import (
     MixedSignTheta,
     check_stability_transfer,
@@ -32,7 +32,7 @@ def jordan_rep(x, a, b, v=2, d=1):
 def test_generated_closure_examples():
     q, _, dims, rep = jordan_rep([[0, 0], [1, 0]], [[1], [0]], [[0, 0]])
     spans = generated_closure(q, dims, rep, {"0": [(1, 0)]})
-    assert span_dim(spans["0"]) == 2  # e1, X e1 = e2
+    assert len(spans["0"]) == 2  # e1, X e1 = e2
 
     q2, _, dims2, rep2 = jordan_rep([[0, 0], [0, 0]], [[1], [0]], [[0, 0]])
     spans2 = generated_closure(q2, dims2, rep2, {"0": [(1, 0)]})
@@ -52,7 +52,7 @@ def test_generated_closure_monotone():
         s1 = generated_closure(e.quiver, e.dims, rep, small)
         s2 = generated_closure(e.quiver, e.dims, rep, large)
         for n in e.quiver.nodes:
-            assert span_dim(s1[n]) <= span_dim(s2[n])
+            assert len(s1[n]) <= len(s2[n])
 
 
 def test_cogenerated_core_examples():
@@ -66,7 +66,64 @@ def test_cogenerated_core_examples():
 
     _, _, _, rep3 = jordan_rep([[0, 1], [0, 0]], [[0], [0]], [[0, 0]])
     core3 = cogenerated_core(q, dims, rep3)
-    assert span_dim(core3["0"]) == 2
+    assert len(core3["0"]) == 2
+
+
+def _core_reference(q, dims, rep):
+    """The core by preimages and intersections: start from ker B and cut
+    each tail down to the preimage of its head until nothing changes."""
+    spans = {n: preimage_span(rep.b[n], ()) for n in q.nodes}
+    changed = True
+    while changed:
+        changed = False
+        for ar in q.arrows:
+            pre = preimage_span(rep.x[ar.id], spans[ar.head])
+            cut = span_intersect(spans[ar.tail], pre, dims.v[ar.tail])
+            if cut != spans[ar.tail]:
+                spans[ar.tail] = cut
+                changed = True
+    return spans
+
+
+def _core_samples():
+    rng = random.Random(404)
+    for e in corpus().values():
+        q, dims = e.quiver, e.dims
+        for k in range(80):
+            rep = random_representation(rng, q, dims)
+            variant = k % 4
+            if variant == 1:  # zeroed B: the core is the whole space
+                rep.b.update({n: Mat.zero(dims.d[n], dims.v[n]) for n in q.nodes})
+            elif variant == 2:  # zeroed X
+                rep.x.update({a.id: Mat.zero(dims.v[a.head], dims.v[a.tail]) for a in q.arrows})
+            elif variant == 3:  # rank-one X
+                for a in q.arrows:
+                    col = random_matrix(rng, dims.v[a.head], 1)
+                    row = random_matrix(rng, 1, dims.v[a.tail])
+                    rep.x[a.id] = col.matmul(row)
+            yield q, dims, rep
+    for v in range(2, 7):
+        q = Quiver(("0",), (Arrow("eps", "0", "0"),))
+        aux = build_aux(q, ArrowSplit((), ("eps",)), DimData({"0": v}, {"0": 1}))
+        for _ in range(12):
+            rep, _ = random_leg_stable_aux(rng, aux)
+            yield aux.quiver, DimData(aux.v, aux.d), rep
+
+
+def test_cogenerated_core_matches_preimage_reference():
+    count = nonzero = 0
+    for q, dims, rep in _core_samples():
+        core = cogenerated_core(q, dims, rep)
+        assert core == _core_reference(q, dims, rep)
+        for n in q.nodes:
+            assert all(not any(rep.b[n].apply(vec)) for vec in core[n])
+        for ar in q.arrows:
+            for vec in core[ar.tail]:
+                assert in_span(rep.x[ar.id].apply(vec), core[ar.head], dims.v[ar.head])
+        count += 1
+        nonzero += any(core[n] for n in q.nodes)
+    assert count >= 400
+    assert 0 < nonzero < count
 
 
 def test_cogenerated_core_monotone_in_b_kernel():
@@ -75,7 +132,7 @@ def test_cogenerated_core_monotone_in_b_kernel():
     _, _, _, rep_large = jordan_rep([[0, 0], [0, 0]], [[0], [0]], [[0, 0]])
     small = cogenerated_core(q, dims, rep_small)
     large = cogenerated_core(q, dims, rep_large)
-    assert span_dim(small["0"]) <= span_dim(large["0"])
+    assert len(small["0"]) <= len(large["0"])
 
 
 def test_is_stable_signdef_examples():
