@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -656,10 +657,18 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (InputError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the exit flush is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -155,13 +155,10 @@ class Mat:
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-               for i, row in enumerate(self.data)]
-        reduced, pivots = _rref_inplace(aug)
-        if len(pivots) < n or any(p >= n for p in pivots):
+        inv = solve(self, Mat.identity(self.rows))
+        if inv is None:
             raise ValueError("matrix is singular")
-        return Mat((row[n:] for row in reduced), cols=n)
+        return inv
 
     def _same_shape(self, other: "Mat"):
         if self.rows != other.rows or self.cols != other.cols:

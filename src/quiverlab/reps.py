@@ -24,6 +24,7 @@ from .quiver import ArrowSplit, DimData, Quiver
 from .surgery import (
     AuxResult,
     generic_locus_hyperplanes,
+    is_generic_level,
     leg_arrow_c,
     leg_arrow_d,
 )
@@ -339,16 +340,13 @@ def in_H_circ(aux: AuxResult, h: dict) -> bool:
         if len(h[l]) != expected:
             raise ValueError(f"leg {l!r} expects {expected} coordinates")
     normals = generic_locus_hyperplanes(aux.quiver, aux.v)
-    node_order = aux.quiver.nodes
-    perm_sets = [list(itertools.permutations(range(len(h[l])))) for l in loops]
-    for combo in itertools.product(*perm_sets):
+    for combo in itertools.product(*(itertools.permutations(h[l]) for l in loops)):
         t_of = {}
         lam_of = {}
-        for l, perm in zip(loops, combo):
-            rs = [frac(h[l][i]) for i in perm]
+        for l, rs in zip(loops, combo):
             t_of[l], lam_of[l] = leg_coordinates(rs)
         level = []
-        for node in node_order:
+        for node in aux.quiver.nodes:
             if node in aux.base_quiver.nodes:
                 level.append(
                     -sum(
@@ -359,7 +357,6 @@ def in_H_circ(aux: AuxResult, h: dict) -> bool:
             else:
                 loop_id, depth = node
                 level.append(-lam_of[loop_id][depth - 1])
-        for u in normals:
-            if sum(x * ui for x, ui in zip(level, u)) == 0:
-                return False
+        if not is_generic_level(level, normals):
+            return False
     return True

@@ -39,10 +39,6 @@ def random_injective(rng: random.Random, rows: int, cols: int) -> Mat:
             return m
 
 
-def random_invertible(rng: random.Random, n: int) -> Mat:
-    return random_injective(rng, n, n)
-
-
 def random_representation(rng: random.Random, q: Quiver, dims: DimData) -> Representation:
     x = {
         ar.id: random_matrix(rng, dims.v[ar.head], dims.v[ar.tail]) for ar in q.arrows
@@ -53,7 +49,7 @@ def random_representation(rng: random.Random, q: Quiver, dims: DimData) -> Repre
 
 
 def random_gauge(rng: random.Random, q: Quiver, dims: DimData) -> dict:
-    return {n: random_invertible(rng, dims.v[n]) for n in q.nodes}
+    return {n: random_injective(rng, dims.v[n], dims.v[n]) for n in q.nodes}
 
 
 def random_scalar_moment_leg(rng: random.Random, n: int) -> tuple[list[Mat], list[Mat]]:

@@ -7,13 +7,14 @@ serializations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .quiver import Arrow, ArrowSplit, DimData, NodeId, Quiver, node_key
 
 
-def added_loop_id(node: NodeId, q: Quiver | None = None) -> str:
+def added_loop_id(node: NodeId, q: Quiver) -> str:
     """Fresh loop identifier for a node.
 
     Prime-suffixed when the plain name would clash with an existing arrow
@@ -21,8 +22,6 @@ def added_loop_id(node: NodeId, q: Quiver | None = None) -> str:
     happens when the surgery is iterated on its own output.
     """
     candidate = f"loop:{node_key(node)}"
-    if q is None:
-        return candidate
     arrow_ids = {a.id for a in q.arrows}
     leg_stems = {n[0] for n in q.nodes if isinstance(n, tuple) and len(n) == 2}
     while candidate in arrow_ids or candidate in leg_stems:
@@ -276,24 +275,13 @@ def hgamma_data(q: Quiver, split: ArrowSplit, dims: DimData) -> HGammaData:
 
 def generic_locus_hyperplanes(q: Quiver, v) -> tuple[tuple[int, ...], ...]:
     """All nonzero integer normals u with 0 <= u_i <= v_i, in node order."""
-    normals = []
-    bounds = [v[n] for n in q.nodes]
-
-    def rec(prefix):
-        if len(prefix) == len(bounds):
-            if any(prefix):
-                normals.append(tuple(prefix))
-            return
-        for x in range(bounds[len(prefix)] + 1):
-            rec(prefix + [x])
-
-    rec([])
-    return tuple(normals)
+    return tuple(u for u in itertools.product(*(range(v[n] + 1) for n in q.nodes)) if any(u))
 
 
 def is_generic_level(lam, normals) -> bool:
     """True when the level avoids every hyperplane sum(u_i * lam_i) = 0."""
+    lam = [Fraction(x) for x in lam]
     for u in normals:
-        if sum(Fraction(x) * Fraction(ui) for x, ui in zip(lam, u)) == 0:
+        if sum(x * ui for x, ui in zip(lam, u)) == 0:
             return False
     return True

@@ -15,6 +15,7 @@ here.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -22,6 +23,8 @@ from .quiver import Arrow, ArrowSplit, DimData, Quiver, node_key
 from .surgery import dim_quiver_variety
 
 Char = tuple  # tuple of ints, length = rank
+
+MAX_FIXED_GRADINGS = 20_000
 
 
 def char_add(a: Char, b: Char) -> Char:
@@ -102,33 +105,19 @@ def action_weights(q: Quiver, split: ArrowSplit, dims: DimData, act: TorusAction
     return entries
 
 
-def _dual_key(entry: WeightEntry):
-    if entry.kind == "arrow":
-        aid, t, h = entry.where
-        return (char_neg(entry.char), "arrow", (h, t))
-    node, slot = entry.where
-    other = "B" if entry.kind == "A" else "A"
-    return (char_neg(entry.char), other, (node,))
-
-
-def _self_key(entry: WeightEntry):
-    if entry.kind == "arrow":
-        aid, t, h = entry.where
-        return (entry.char, "arrow", (t, h))
-    node, slot = entry.where
-    return (entry.char, entry.kind, (node,))
-
-
 def self_dual_check(q: Quiver, split: ArrowSplit, dims: DimData, act: TorusAction) -> bool:
-    """Labeled character multiset closed under negation + block transpose."""
-    entries = action_weights(q, split, dims, act)
+    """Arrow characters closed under negation plus block transpose.
+
+    Only the arrow blocks carry a condition: every framing slot's A column
+    carries its character and its B row the negated one at the same node,
+    so the framing part Hom(W,V) + Hom(V,W) is self-dual by construction.
+    """
     bag = Counter()
-    for e in entries:
-        bag[_self_key(e)] += e.mult
-    dual = Counter()
-    for e in entries:
-        dual[_dual_key(e)] += e.mult
-    return bag == dual
+    for e in action_weights(q, split, dims, act):
+        if e.kind == "arrow":
+            _, t, h = e.where
+            bag[(e.char, t, h)] += e.mult
+    return bag == Counter({(char_neg(ch), h, t): m for (ch, t, h), m in bag.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -254,26 +243,16 @@ def _derived_quiver(q, split, dims, act, grading):
     return quiver, dsplit, v, d, framing_slots
 
 
-def _trivial_candidate(q, split, dims, act, sigma) -> FixedCandidate:
-    zero = zero_char(act.rank)
-    grading = {n: {zero: dims.v[n]} for n in q.nodes}
-    # with every character zero, the derived quiver is the input relabelled
-    still = TorusAction(act.rank, {}, {n: (zero,) * dims.d[n] for n in q.nodes})
-    quiver, dsplit, v, d, framing_slots = _derived_quiver(q, split, dims, still, grading)
-    return FixedCandidate(
-        base=q,
-        base_split=split,
-        base_dims=dims,
-        action=act,
-        sigma=tuple(sigma),
-        grading=grading,
-        quiver=quiver,
-        split=dsplit,
-        v=v,
-        d=d,
-        framing_slots=framing_slots,
-        trivial=True,
-    )
+def _candidate(q, split, dims, act, sigma, grading, trivial=False) -> FixedCandidate:
+    # the trivial candidate derives its quiver with every character zero,
+    # which relabels the input, but keeps the real action for its tangent
+    derive = act
+    if trivial:
+        zero = zero_char(act.rank)
+        derive = TorusAction(act.rank, {}, {n: (zero,) * dims.d[n] for n in q.nodes})
+    # _derived_quiver returns the fields quiver, split, v, d, framing_slots in order
+    derived = _derived_quiver(q, split, dims, derive, grading)
+    return FixedCandidate(q, split, dims, act, sigma, grading, *derived, trivial=trivial)
 
 
 def _components_of(q: Quiver) -> list[set]:
@@ -311,7 +290,8 @@ def fixed_components(
     window (default: max gauge dimension on both sides). Unframed connected
     components are normalized by shifting their smallest occupied character
     to zero, merging gradings that induce the same action; candidates whose
-    graded representation space and framing both vanish are dropped.
+    graded representation space and framing both vanish are dropped. A
+    window with more than MAX_FIXED_GRADINGS gradings is refused up front.
     """
     if not self_dual_check(q, split, dims, act):
         raise ValueError("action is not self-dual")
@@ -319,7 +299,9 @@ def fixed_components(
     if len(sigma) != act.rank:
         raise ValueError("cocharacter has wrong rank")
     if act.rank == 0 or not any(sigma):
-        return [_trivial_candidate(q, split, dims, act, sigma)]
+        zero = zero_char(act.rank)
+        grading = {n: {zero: dims.v[n]} for n in q.nodes}
+        return [_candidate(q, split, dims, act, sigma, grading, trivial=True)]
     if window is None:
         vmax = max(dims.v[n] for n in q.nodes) if q.nodes else 1
         window = (-vmax, vmax)
@@ -327,8 +309,12 @@ def fixed_components(
     if lo > hi:
         raise ValueError("empty weight window")
     chars = [tuple(c) for c in itertools.product(range(lo, hi + 1), repeat=act.rank)]
-    if not chars:
-        raise ValueError("empty weight window")
+    gradings = math.prod(math.comb(len(chars) + dims.v[n] - 1, dims.v[n]) for n in q.nodes)
+    if gradings > MAX_FIXED_GRADINGS:
+        raise ValueError(
+            f"the weight window gives {gradings} gradings, over the "
+            f"enumeration budget of {MAX_FIXED_GRADINGS}"
+        )
 
     components = _components_of(q)
     framed = [any(dims.d[n] > 0 for n in comp) for comp in components]
@@ -336,13 +322,10 @@ def fixed_components(
     def sort_key(ch: Char):
         return (sum(s * c for s, c in zip(sigma, ch)), ch)
 
-    per_node_options = []
-    for n in q.nodes:
-        opts = [
-            Counter(combo)
-            for combo in itertools.combinations_with_replacement(chars, dims.v[n])
-        ]
-        per_node_options.append(opts)
+    per_node_options = [
+        [Counter(c) for c in itertools.combinations_with_replacement(chars, dims.v[n])]
+        for n in q.nodes
+    ]
 
     seen = set()
     out = []
@@ -367,29 +350,11 @@ def fixed_components(
         if key in seen:
             continue
         seen.add(key)
-        quiver, dsplit, v, d, framing_slots = _derived_quiver(
-            q, split, dims, act, grading
-        )
-        dim_r = sum(v[a.tail] * v[a.head] for a in quiver.arrows) + 2 * sum(
-            d[nd] * v[nd] for nd in quiver.nodes
-        )
-        if dim_r == 0 and all(x == 0 for x in d.values()):
-            continue
-        out.append(
-            FixedCandidate(
-                base=q,
-                base_split=split,
-                base_dims=dims,
-                action=act,
-                sigma=sigma,
-                grading=grading,
-                quiver=quiver,
-                split=dsplit,
-                v=v,
-                d=d,
-                framing_slots=framing_slots,
-            )
-        )
+        cand = _candidate(q, split, dims, act, sigma, grading)
+        # every derived node has positive dimension, so the graded space
+        # vanishes exactly when no arrow copy and no framing slot survives
+        if cand.quiver.arrows or any(cand.d.values()):
+            out.append(cand)
     return out
 
 

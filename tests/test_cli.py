@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -265,6 +268,7 @@ def test_stability_cli_mixed_sign_search(tmp_path, capsys):
         ["export", "--what", "aux"],
         ["chambers", "inputs/framed2.json", "--window=-2..2"],
         ["triangle", "inputs/framed2.json", "--window=-3..3"],
+        ["fixed", "inputs/loop2.json", "--window=-20..20"],
     ],
     ids=" ".join,
 )
@@ -274,6 +278,24 @@ def test_malformed_input_is_input_error(argv, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "inputs/jordan2.json"], ["fixed", "inputs/loop2.json"]], ids=" ".join
+)
+def test_closed_stdout_exits_quietly(argv):
+    # the reader closes its end of the pipe before the command writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quiverlab", *argv], cwd=ROOT, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode in {0, 1, 2}
 
 
 @pytest.mark.parametrize(

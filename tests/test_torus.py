@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from quiverlab.quiver import Arrow, ArrowSplit, DimData, Quiver
 from quiverlab.surgery import dim_quiver_variety
 from quiverlab.torus import (
+    MAX_FIXED_GRADINGS,
     TorusAction,
     action_weights,
     fixed_components,
@@ -57,6 +59,72 @@ def test_self_dual_check_positive_and_negative():
     # trivial action is self-dual
     triv = TorusAction(1, {}, {"0": ((0,),), "1": ()})
     assert self_dual_check(e.quiver, e.split, e.dims, triv)
+
+
+def _labelled_multiset_self_dual(q, split, dims, act):
+    """Reference check over every block: each labelled weight, arrow or
+    framing, must meet its negation on the transposed block."""
+    bag, dual = Counter(), Counter()
+    for e in action_weights(q, split, dims, act):
+        neg = tuple(-c for c in e.char)
+        if e.kind == "arrow":
+            _, t, h = e.where
+            bag[(e.char, "arrow", (t, h))] += e.mult
+            dual[(neg, "arrow", (h, t))] += e.mult
+        else:
+            node, _ = e.where
+            bag[(e.char, e.kind, node)] += e.mult
+            dual[(neg, "B" if e.kind == "A" else "A", node)] += e.mult
+    return bag == dual
+
+
+def _random_symmetric_problem(rng):
+    rank = rng.randint(1, 2)
+    nodes = tuple(str(i) for i in range(rng.randint(1, 3)))
+    arrows, pairs, loops, chars = [], [], [], {}
+    broken = False
+
+    def rand_char():
+        return tuple(rng.randint(-2, 2) for _ in range(rank))
+
+    for k in range(rng.randint(1, 4)):
+        t, h = rng.choice(nodes), rng.choice(nodes)
+        if t == h and rng.random() < 0.5:
+            arrows.append(Arrow(f"l{k}", t, t))
+            loops.append(f"l{k}")
+            continue
+        a, b = f"a{k}", f"a{k}*"
+        arrows += [Arrow(a, t, h), Arrow(b, h, t)]
+        pairs.append((a, b))
+        ch = rand_char()
+        if rng.random() < 0.2:
+            # both sides explicit and not opposite
+            other = rand_char()
+            while other == tuple(-c for c in ch):
+                other = rand_char()
+            chars[a], chars[b] = ch, other
+            broken = True
+        elif rng.random() < 0.8:
+            chars[rng.choice((a, b))] = ch
+    q = Quiver(nodes, tuple(arrows))
+    split = ArrowSplit(tuple(pairs), tuple(loops))
+    dims = DimData({n: rng.randint(0, 2) for n in nodes}, {n: rng.randint(0, 2) for n in nodes})
+    framing = {n: tuple(rand_char() for _ in range(dims.d[n])) for n in nodes}
+    return q, split, dims, TorusAction(rank, chars, framing), broken
+
+
+def test_self_dual_check_matches_labelled_multiset_reference():
+    rng = random.Random(20261018)
+    not_self_dual = broken_pairs = framed = 0
+    for _ in range(600):
+        q, split, dims, act, broken = _random_symmetric_problem(rng)
+        expected = _labelled_multiset_self_dual(q, split, dims, act)
+        assert self_dual_check(q, split, dims, act) == expected
+        not_self_dual += not expected
+        broken_pairs += broken and not expected
+        framed += any(dims.d[n] and dims.v[n] for n in q.nodes)
+    assert not_self_dual >= 20 and broken_pairs >= 20
+    assert framed >= 200
 
 
 def test_fixed_components_sigma_zero():
@@ -184,6 +252,10 @@ def test_window_validation_and_budget():
     not_sd = TorusAction(1, {"a": (1,), "a*": (1,)}, {"0": ((0,),), "1": ()})
     with pytest.raises(ValueError):
         fixed_components(e.quiver, e.split, e.dims, not_sd, (1,))
+    # loop2 over -20..20: 41 characters, C(42, 2) * 41 = 35301 gradings
+    e = corpus()["loop2"]
+    with pytest.raises(ValueError, match=f"35301 gradings.*{MAX_FIXED_GRADINGS}"):
+        fixed_components(e.quiver, e.split, e.dims, e.action, (1,), (-20, 20))
 
 
 def test_fixed_components_jordan1_window_enumeration():
