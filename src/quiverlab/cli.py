@@ -11,18 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from fractions import Fraction
 
-from . import corpus as corpus_mod
-from .envelopes import (
-    chambers,
-    faces,
-    stab_degree_table,
-    torus_roots,
-    triangle_split_check,
-)
+from . import verify
+from .corpus import TRANSFER_QUIVERS, corpus
+from .envelopes import chambers, stab_degree_table, torus_roots
 from .exactlinalg import frac
 from .jsonio import (
     dumps_canonical,
@@ -32,20 +25,9 @@ from .jsonio import (
     rep_from_json,
 )
 from .quiver import DimData, node_key
-from .reps import (
-    check_compare_moment,
-    flag_check,
-    tau_charpoly,
-)
-from .sampling import (
-    random_fraction,
-    random_leg_stable_aux,
-    random_representation,
-    random_scalar_moment_leg,
-)
+from .reps import tau_charpoly
 from .stability import (
     MixedSignTheta,
-    check_stability_transfer,
     destabilizer_search,
     stability_report,
     verify_witness,
@@ -101,14 +83,20 @@ def _emit(payload: dict, fmt: str, lines=None):
             print(line)
 
 
-def _parse_vector(text: str, flag: str, size: int) -> tuple[int, ...]:
+def _parse_vector(text: str, flag: str, size: int, entry=int) -> tuple:
     try:
-        vec = tuple(int(p) for p in text.split(","))
+        vec = tuple(entry(p) for p in text.split(","))
     except ValueError:
-        raise InputError(f"{flag} needs comma-separated integers, got {text!r}")
+        kind = "integers" if entry is int else "rationals"
+        raise InputError(f"{flag} needs comma-separated {kind}, got {text!r}")
     if len(vec) != size:
         raise InputError(f"{flag} needs {size} entries, got {len(vec)}")
     return vec
+
+
+def _check_positive(value: int, flag: str):
+    if value < 1:
+        raise InputError(f"{flag} needs a positive integer, got {value}")
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -117,13 +105,6 @@ def _parse_window(text: str) -> tuple[int, int]:
     except ValueError:
         raise InputError(f"--window needs integers lo..hi, got {text!r}")
     return lo, hi
-
-
-def _parse_theta(text: str, q) -> dict:
-    parts = [frac(p) for p in text.split(",")]
-    if len(parts) != len(q.nodes):
-        raise InputError(f"theta needs {len(q.nodes)} entries")
-    return dict(zip(q.nodes, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -328,27 +309,15 @@ def cmd_stab_table(args) -> int:
     return EXIT_OK if all(r.consistent for r in table.rows) else EXIT_FAIL
 
 
-def _triangle_checks(cands, rank):
-    """(candidate, chamber, face, report) for every triangle split check."""
-    chamber_faces = [(ch, faces(ch)) for ch in chambers(torus_roots(cands), rank)]
-    for cand in cands:
-        for ch, face_list in chamber_faces:
-            for face in face_list:
-                yield cand, ch, face, triangle_split_check(cand, ch, face)
-
-
 def cmd_triangle(args) -> int:
     q, split, dims, action, sigma, cands = _candidates_for(args)
-    checks = failures = 0
-    for cand, ch, face, rpt in _triangle_checks(cands, action.rank):
-        checks += 1
-        if not rpt.ok:
-            failures += 1
-            print(
-                f"FAIL {cand.name()} signs={ch.signs} zero={sorted(face.zero_set)} "
-                f"problems={rpt.problems}",
-                file=sys.stderr,
-            )
+    records = (
+        (rpt.ok, None if rpt.ok else f"FAIL {cand.name()} signs={ch.signs} "
+         f"zero={sorted(face.zero_set)} problems={rpt.problems}")
+        for cand, ch, face, rpt in verify.triangle_checks(
+            cands, verify.chamber_faces(cands, action.rank))
+    )
+    checks, failures = verify.tally(records, lambda line: print(line, file=sys.stderr))
     payload = {"checks": checks, "failures": failures}
     _emit(payload, args.format, [f"triangle: {checks - failures}/{checks} pass"])
     return EXIT_OK if failures == 0 else EXIT_FAIL
@@ -372,8 +341,11 @@ def _load_rep(path: str):
 
 
 def cmd_stability(args) -> int:
+    _check_positive(args.trials, "--trials")
     q, split, dims, rep, _ = _load_rep(args.file)
-    theta = _parse_theta(args.theta, q) if args.theta else dims.theta
+    theta = dims.theta
+    if args.theta:
+        theta = dict(zip(q.nodes, _parse_vector(args.theta, "--theta", len(q.nodes), frac)))
     if not theta:
         raise InputError("no stability condition: give --theta or a 'theta' entry")
     payload: dict = {"theta": {node_key(n): frac_to_json(theta[n]) for n in q.nodes}}
@@ -427,24 +399,12 @@ def cmd_tau(args) -> int:
     return EXIT_OK
 
 
-def _moment_failures(aux, samples: int, seed: int) -> int:
-    """Failed moment comparisons over unconstrained rational auxiliary samples."""
-    rng = random.Random(seed)
-    dims = DimData(aux.v, aux.d)
-    failures = 0
-    for _ in range(samples):
-        rep = random_representation(rng, aux.quiver, dims)
-        t = {l: random_fraction(rng) for l in aux.add_split.loops}
-        if not check_compare_moment(aux, rep, t):
-            failures += 1
-    return failures
-
-
 def cmd_moment_check(args) -> int:
+    _check_positive(args.samples, "--samples")
     q, split, dims, _, _ = _load_problem(args.file)
     if dims is None:
         raise InputError("dimension data required")
-    failures = _moment_failures(build_aux(q, split, dims), args.samples, args.seed)
+    _, failures = verify.tally(verify.moment_records(build_aux(q, split, dims), args.samples, args.seed))
     payload = {"samples": args.samples, "failures": failures, "seed": args.seed}
     _emit(payload, args.format, [f"moment: {args.samples - failures}/{args.samples} pass (seed {args.seed})"])
     return EXIT_OK if failures == 0 else EXIT_FAIL
@@ -453,95 +413,27 @@ def cmd_moment_check(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites over the built-in corpus
 
-def _suite_moment(samples: int, seed: int, report):
-    entries = corpus_mod.corpus()
-    ok = True
-    for name in corpus_mod.MOMENT_QUIVERS:
-        e = entries[name]
-        failures = _moment_failures(build_aux(e.quiver, e.split, e.dims), samples, seed)
-        report(f"moment[{name}]: {samples - failures}/{samples} pass")
-        ok = ok and failures == 0
-    return ok
-
-
-def _suite_flag(samples: int, seed: int, report):
-    ok = True
-    for n in (2, 3, 4):
-        rng = random.Random(seed + n)
-        failures = 0
-        for _ in range(samples):
-            cs, ds = random_scalar_moment_leg(rng, n)
-            t = Fraction(rng.randint(-10, 10), rng.randint(1, 5))
-            rpt = flag_check(n, cs, ds, t)
-            if not rpt.ok:
-                failures += 1
-        report(f"flag[n={n}]: {samples - failures}/{samples} pass")
-        ok = ok and failures == 0
-    return ok
-
-
-def _suite_transfer(samples: int, seed: int, report, delta=None):
-    entries = corpus_mod.corpus()
-    ok = True
-    for name in corpus_mod.TRANSFER_QUIVERS:
-        e = entries[name]
-        aux = build_aux(e.quiver, e.split, e.dims)
-        rng = random.Random(seed)
-        xi = {n: Fraction(1) for n in e.quiver.nodes}
-        failures = 0
-        for _ in range(samples):
-            rep, t = random_leg_stable_aux(rng, aux)
-            rpt = check_stability_transfer(aux, rep, t, xi, delta)
-            if not rpt.inclusion_ok:
-                failures += 1
-                report(
-                    f"  VIOLATION [{name}]: lhs={rpt.lhs_stable} rhs={rpt.rhs_stable} "
-                    f"lhs_witness={rpt.lhs_witness and rpt.lhs_witness.dims} "
-                    f"rhs_witness={rpt.rhs_witness and rpt.rhs_witness.dims}"
-                )
-        report(f"transfer[{name}]: {samples - failures}/{samples} pass")
-        ok = ok and failures == 0
-    return ok
-
-
-def _suite_triangle(report):
-    entries = corpus_mod.corpus()
-    ok = True
-    for name in corpus_mod.ACTION_ENTRIES:
-        e = entries[name]
-        cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
-        results = [rpt.ok for *_, rpt in _triangle_checks(cands, e.action.rank)]
-        failures = results.count(False)
-        report(f"triangle[{name}]: {len(results) - failures}/{len(results)} pass")
-        ok = ok and failures == 0
-    return ok
-
-
 def cmd_verify(args) -> int:
+    _check_positive(args.samples, "--samples")
     delta = None
     if args.delta is not None:
-        # validate the override before running anything
-        entries = corpus_mod.corpus()
-        for name in corpus_mod.TRANSFER_QUIVERS:
-            e = entries[name]
+        # validate the override on every transfer entry before any suite starts
+        for e in map(corpus().get, TRANSFER_QUIVERS):
             aux = build_aux(e.quiver, e.split, e.dims)
             try:
                 delta = frac(args.delta)
                 lift_stability({n: 1 for n in e.quiver.nodes}, aux, delta)
             except ValueError as exc:
-                raise InputError(f"delta override rejected for {name}: {exc}")
-    lines: list[str] = []
-    report = lines.append
+                raise InputError(f"delta override rejected for {e.name}: {exc}")
+    # the suites are generators, so none starts before verify.run reaches it
     suites = {
-        "moment": lambda: _suite_moment(args.samples, args.seed, report),
-        "flag": lambda: _suite_flag(args.samples, args.seed, report),
-        "transfer": lambda: _suite_transfer(args.samples, args.seed, report, delta),
-        "triangle": lambda: _suite_triangle(report),
+        "moment": verify.moment_suite(args.samples, args.seed),
+        "flag": verify.flag_suite(args.samples, args.seed),
+        "transfer": verify.transfer_suite(args.samples, args.seed, delta),
+        "triangle": verify.triangle_suite(),
     }
-    ok = True
-    for name, suite in suites.items():
-        if args.suite in (name, "all"):
-            ok = suite() and ok
+    lines: list[str] = []
+    ok = verify.run((s for name, s in suites.items() if args.suite in (name, "all")), lines.append)
     payload = {"suite": args.suite, "seed": args.seed, "samples": args.samples,
                "ok": ok, "log": lines}
     _emit(payload, args.format, lines + [f"verify: {'ok' if ok else 'FAILED'} (seed {args.seed})"])

@@ -170,11 +170,7 @@ def check_compare_moment(aux: AuxResult, rep: Representation, t: dict) -> bool:
     the node) * id.
     """
     img = p_map(aux, rep, t)
-    dims_add = DimData(
-        {n: aux.v[n] for n in aux.base_quiver.nodes},
-        {n: aux.d[n] for n in aux.base_quiver.nodes},
-    )
-    mu_add = moment_map(aux.add_quiver, aux.add_split, dims_add, img)
+    mu_add = moment_map(aux.add_quiver, aux.add_split, aux.base_dims(), img)
     mu_res = moment_resolved(aux, rep)
     for node in aux.base_quiver.nodes:
         t_sum = sum(

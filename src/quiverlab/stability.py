@@ -273,8 +273,7 @@ def check_stability_transfer(
     (both conditions are then exactly decidable), a leg-stable input and
     scalar leg moment values.
     """
-    base = aux.base_quiver
-    if any(frac(xi[n]) <= 0 for n in base.nodes):
+    if any(frac(xi[n]) <= 0 for n in aux.base_quiver.nodes):
         raise ValueError("xi must be strictly positive on every base node")
     if not leg_stable(aux, rep):
         raise ValueError("auxiliary representation is not leg-stable")
@@ -284,12 +283,8 @@ def check_stability_transfer(
 
     lifted, delta_used = lift_stability(xi, aux, delta)
     img = p_map(aux, rep, t)
-    dims_add = DimData(
-        {n: aux.v[n] for n in base.nodes}, {n: aux.d[n] for n in base.nodes}
-    )
-    dims_aux = DimData(aux.v, aux.d)
-    lhs, lhs_w = stability_report(aux.add_quiver, dims_add, img, xi)
-    rhs, rhs_w = stability_report(aux.quiver, dims_aux, rep, lifted)
+    lhs, lhs_w = stability_report(aux.add_quiver, aux.base_dims(), img, xi)
+    rhs, rhs_w = stability_report(aux.quiver, DimData(aux.v, aux.d), rep, lifted)
     return TransferReport(
         lhs_stable=lhs,
         rhs_stable=rhs,

@@ -81,6 +81,10 @@ class AuxResult:
     def loop_node(self, loop_id) -> NodeId:
         return self.add_quiver.arrow(loop_id).head
 
+    def base_dims(self) -> DimData:
+        nodes = self.base_quiver.nodes
+        return DimData({n: self.v[n] for n in nodes}, {n: self.d[n] for n in nodes})
+
 
 def build_aux(q: Quiver, split: ArrowSplit, dims: DimData) -> AuxResult:
     """Replace each loop of Q^add by a doubled A_{n-1} leg.

@@ -12,30 +12,12 @@ from fractions import Fraction
 from quiverlab.corpus import (
     ACTION_ENTRIES,
     MOMENT_QUIVERS,
-    TRANSFER_QUIVERS,
     corpus,
 )
-from quiverlab.envelopes import (
-    chambers,
-    faces,
-    split_N,
-    torus_roots,
-    triangle_split_check,
-)
+from quiverlab.envelopes import chambers, split_N, torus_roots
 from quiverlab.exactlinalg import dot
-from quiverlab.quiver import DimData
-from quiverlab.reps import (
-    check_compare_moment,
-    flag_check,
-    gauge_transform,
-    tau_charpoly,
-)
-from quiverlab.sampling import (
-    random_gauge,
-    random_leg_stable_aux,
-    random_representation,
-    random_scalar_moment_leg,
-)
+from quiverlab.reps import gauge_transform, tau_charpoly
+from quiverlab.sampling import random_gauge, random_representation
 from quiverlab.stability import (
     destabilizer_search,
     stability_report,
@@ -49,6 +31,13 @@ from quiverlab.surgery import (
     hgamma_data,
 )
 from quiverlab.torus import fixed_components
+from quiverlab.verify import (
+    chamber_faces,
+    flag_reports,
+    moment_suite,
+    transfer_suite,
+    triangle_checks,
+)
 
 SEED = 20240809
 
@@ -60,19 +49,11 @@ def _report(name, detail, started, budget):
 
 
 def test_criterion_1_moment_identity():
-    from quiverlab.quiver import DimData
-    from quiverlab.sampling import random_fraction
-
     started = time.monotonic()
     total = 0
-    for name in MOMENT_QUIVERS:
-        e = corpus()[name]
-        aux = build_aux(e.quiver, e.split, e.dims)
-        rng = random.Random(SEED)
-        for _ in range(200):
-            rep = random_representation(rng, aux.quiver, DimData(aux.v, aux.d))
-            t = {l: random_fraction(rng) for l in aux.add_split.loops}
-            assert check_compare_moment(aux, rep, t), (name, "moment identity failed")
+    for label, records in moment_suite(200, SEED):
+        for ok, _ in records:
+            assert ok, (label, "moment identity failed")
             total += 1
     _report("criterion 1 (moment identity)", f"{total} samples exact", started, 5)
 
@@ -81,37 +62,21 @@ def test_criterion_2_flag_structure():
     started = time.monotonic()
     total = 0
     for n in (2, 3, 4):
-        rng = random.Random(SEED + n)
-        for _ in range(100):
-            cs, ds = random_scalar_moment_leg(rng, n)
-            t = Fraction(rng.randint(-10, 10), rng.randint(1, 5))
-            rpt = flag_check(n, cs, ds, t)
+        for rpt in flag_reports(n, 100, SEED):
             assert rpt.ok, (n, rpt.violations, rpt.nonscalar_depths)
             total += 1
     _report("criterion 2 (flag structure)", f"{total} legs pass", started, 5)
 
 
 def test_criterion_3_stability_transfer():
-    from quiverlab.stability import check_stability_transfer
-
     started = time.monotonic()
     total = violations = 0
-    for name in TRANSFER_QUIVERS:
-        e = corpus()[name]
-        aux = build_aux(e.quiver, e.split, e.dims)
-        xi = {n: Fraction(1) for n in e.quiver.nodes}
-        rng = random.Random(SEED)
-        for _ in range(200):
-            rep, t = random_leg_stable_aux(rng, aux)
-            rpt = check_stability_transfer(aux, rep, t, xi)
+    for _, records in transfer_suite(200, SEED):
+        for ok, detail in records:
             total += 1
-            if not rpt.inclusion_ok:
+            if not ok:
                 violations += 1
-                print(
-                    f"VIOLATION [{name}]: lhs={rpt.lhs_stable} rhs={rpt.rhs_stable} "
-                    f"lhs_witness={rpt.lhs_witness and rpt.lhs_witness.dims} "
-                    f"rhs_witness={rpt.rhs_witness and rpt.rhs_witness.dims}"
-                )
+                print(detail)
     assert violations == 0, f"{violations} unexplained transfer violations"
     _report(
         "criterion 3 (stability transfer)",
@@ -215,16 +180,14 @@ def test_criterion_8_triangle_shadow():
         e = corpus()[name]
         cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
         roots = torus_roots(cands)
-        chs = chambers(roots, e.action.rank)
-        for cand in cands:
-            for ch in chs:
-                face_list = faces(ch)
-                assert any(f.improper for f in face_list)
-                assert any(len(f.zero_set) == len(roots) for f in face_list)
-                for f in face_list:
-                    rpt = triangle_split_check(cand, ch, f)
-                    assert rpt.ok, (name, cand.name(), ch.signs, sorted(f.zero_set))
-                    checks += 1
+        chamber_list = chamber_faces(cands, e.action.rank)
+        for ch, face_list in chamber_list:
+            assert any(f.improper for f in face_list)
+            assert any(len(f.zero_set) == len(roots) for f in face_list)
+        for cand, ch, f, rpt in triangle_checks(cands, chamber_list):
+            assert rpt.ok, (name, cand.name(), ch.signs, sorted(f.zero_set))
+            assert rpt.n_minus_full == rpt.side_face + rpt.side_quotient
+            checks += 1
     _report(
         "criterion 8 (triangle split)", f"{checks} triples, exact multisets", started, 5
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from quiverlab import verify
 from quiverlab.cli import main
 from quiverlab.corpus import corpus
 from quiverlab.jsonio import (
@@ -187,6 +189,34 @@ def test_verify_bad_delta_is_input_error(capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+def test_verify_failure_path(capsys, monkeypatch):
+    # the second moment sample and the first transfer sample are made to fail
+    moment, transfer = verify.check_compare_moment, verify.check_stability_transfer
+    calls = {"moment": 0, "transfer": 0}
+
+    def failing_moment(*args):
+        calls["moment"] += 1
+        return calls["moment"] != 2 and moment(*args)
+
+    def failing_transfer(*args):
+        calls["transfer"] += 1
+        rpt = transfer(*args)
+        if calls["transfer"] == 1:
+            rpt = dataclasses.replace(rpt, rhs_stable=False, inclusion_ok=False)
+        return rpt
+
+    monkeypatch.setattr(verify, "check_compare_moment", failing_moment)
+    monkeypatch.setattr(verify, "check_stability_transfer", failing_transfer)
+    assert main(["verify", "all", "--samples", "3", "--seed", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["moment[jordan2]: 2/3 pass", "moment[jordan3]: 3/3 pass"]
+    i = lines.index("transfer[jordan2]: 2/3 pass")
+    assert lines[i - 1] == "  VIOLATION [jordan2]: lhs=True rhs=False lhs_witness=None rhs_witness=None"
+    assert lines[i + 1] == "transfer[jordan3]: 3/3 pass"
+    assert sum("VIOLATION" in line for line in lines) == 1
+    assert lines[-2:] == ["triangle[framed2]: 1088/1088 pass", "verify: FAILED (seed 5)"]
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])
@@ -313,6 +343,14 @@ def test_closed_stdout_exits_quietly(argv):
         ("--xi", ["stab-table", "inputs/framed2.json", "--xi", "1,,3"]),
         ("--roots", ["chambers", "--roots", "1,x;0,1"]),
         ("--roots", ["export", "--what", "chambers", "--roots", "1,0;"]),
+        ("--samples", ["verify", "moment", "--samples", "-3"]),
+        ("--samples", ["verify", "flag", "--samples", "0"]),
+        ("--samples", ["moment-check", "inputs/loop2.json", "--samples", "-2"]),
+        ("--trials", ["stability", "inputs/jordan2_rep.json", "--trials", "-4"]),
+        ("--trials", ["stability", "inputs/jordan2_rep.json", "--theta", "1", "--trials", "0"]),
+        ("--theta needs 1 entries, got 2", ["stability", "inputs/jordan2_rep.json", "--theta", "1,2"]),
+        ("--theta", ["stability", "inputs/jordan2_rep.json", "--theta", "abc"]),
+        ("--theta", ["stability", "inputs/jordan2_rep.json", "--theta=1,,2"]),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, list) else x,
 )
