@@ -180,15 +180,14 @@ def _surgery_payload(args, what: str) -> dict:
         doc["new_node_total"] = aux.new_node_total
         doc["delta_default"] = frac_to_json(default_delta(aux))
         return doc
-    if what == "cb":
-        if not dims.theta:
-            raise InputError("theta required for the framing absorption")
-        cb = crawley_boevey(q, split, dims)
-        doc = quiver_to_json(cb.quiver, cb.split)
-        doc["v"] = {node_key(n): cb.v[n] for n in cb.quiver.nodes}
-        doc["theta"] = {node_key(n): frac_to_json(cb.theta[n]) for n in cb.quiver.nodes}
-        return doc
-    raise InputError(f"unknown artifact {what!r}")
+    # argparse choices leave "cb" as the last artifact
+    if not dims.theta:
+        raise InputError("theta required for the framing absorption")
+    cb = crawley_boevey(q, split, dims)
+    doc = quiver_to_json(cb.quiver, cb.split)
+    doc["v"] = {node_key(n): cb.v[n] for n in cb.quiver.nodes}
+    doc["theta"] = {node_key(n): frac_to_json(cb.theta[n]) for n in cb.quiver.nodes}
+    return doc
 
 
 def cmd_surgery(args) -> int:
@@ -246,12 +245,7 @@ def _roots_for(args):
             )
         except ValueError:
             raise InputError(f"--roots needs integer coordinates, got {args.roots!r}")
-        rank = len(roots[0])
-        if any(len(r) != rank for r in roots):
-            raise InputError(f"every root needs {rank} coordinates")
-        if not all(any(r) for r in roots):
-            raise InputError("roots must be nonzero")
-        return roots, rank
+        return roots, len(roots[0])
     q, split, dims, action, sigma, cands = _candidates_for(args)
     return torus_roots(cands), action.rank
 

@@ -59,10 +59,7 @@ def torus_roots(candidates) -> tuple[tuple[int, ...], ...]:
     """Nonzero tangent characters across candidates, primitive up to sign."""
     roots = set()
     for cand in candidates:
-        for ch in cand.nonzero_tangent():
-            p = primitive_up_to_sign(ch)
-            if p is not None:
-                roots.add(p)
+        roots.update(primitive_up_to_sign(ch) for ch in cand.nonzero_tangent())
     return tuple(sorted(roots))
 
 
@@ -127,9 +124,13 @@ class Chamber:
 
 def chambers(roots, rank: int) -> list[Chamber]:
     """All chambers of the central arrangement, by sign-vector enumeration."""
+    roots = tuple(tuple(r) for r in roots)
+    if any(len(r) != rank for r in roots):
+        raise ValueError(f"every root needs {rank} coordinates")
+    if not all(any(r) for r in roots):
+        raise ValueError("roots must be nonzero")
     if rank > MAX_CHAMBER_RANK:
         raise ValueError(f"rank {rank} exceeds the enumeration budget {MAX_CHAMBER_RANK}")
-    roots = tuple(tuple(r) for r in roots)
     if len(roots) > MAX_CHAMBER_ROOTS:
         raise ValueError(
             f"{len(roots)} roots mean 2^{len(roots)} sign vectors, over the "
@@ -186,8 +187,6 @@ def faces(chamber: Chamber) -> list[Face]:
     out = []
     for zero_set, kb, pairings in _flats(roots, rank):
         k = len(kb)
-        if pairings and k == 0:
-            continue  # no room for strict signs on the origin flat
         rows = [tuple(chamber.sign_of(i) * p for p in row) for i, row in pairings]
         coords = feasible_interior(rows, k)
         if coords is None:
@@ -196,9 +195,8 @@ def faces(chamber: Chamber) -> list[Face]:
             sum((coords[j] * kb[j][c] for j in range(k)), Fraction(0))
             for c in range(rank)
         )
-        basis = tuple(
-            b for b in (primitive_up_to_sign(v) for v in kb) if b is not None
-        )
+        # kernel basis vectors are nonzero, so each has a primitive form
+        basis = tuple(primitive_up_to_sign(v) for v in kb)
         out.append(
             Face(
                 zero_set=zero_set,

@@ -82,8 +82,6 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        if self.rows == 0:
-            return self
         return Mat(
             (tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
             cols=self.cols,
@@ -108,14 +106,12 @@ class Mat:
             raise ValueError(
                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        ot = tuple(zip(*other.data)) if other.rows else ((),) * 0
-        out = []
-        for row in self.data:
-            if other.cols and other.rows:
-                out.append(tuple(sum(a * b for a, b in zip(row, col)) for col in ot))
-            else:
-                out.append((Fraction(0),) * other.cols)
-        return Mat(out, cols=other.cols)
+        # columns of other; with no rows it still has other.cols empty ones
+        ot = tuple(zip(*other.data)) if other.rows else ((),) * other.cols
+        return Mat(
+            (tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.data),
+            cols=other.cols,
+        )
 
     def transpose(self) -> "Mat":
         if self.rows == 0:
@@ -226,15 +222,10 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     n, k = a.cols, b.cols
     aug = [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)]
     reduced, pivots = _rref_inplace(aug)
-    for i in range(len(reduced)):
-        if all(reduced[i][c] == 0 for c in range(n)) and any(
-            reduced[i][n + j] != 0 for j in range(k)
-        ):
-            return None
     sol = [[Fraction(0)] * k for _ in range(n)]
     for r, p in enumerate(pivots):
         if p >= n:
-            return None
+            return None  # a pivot on the right-hand side: inconsistent
         for j in range(k):
             sol[p][j] = reduced[r][n + j]
     return Mat(sol, cols=k)

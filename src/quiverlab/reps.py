@@ -93,14 +93,14 @@ def leg_chains(aux: AuxResult, rep: Representation, loop_id) -> tuple[list[Mat],
     return cs, ds
 
 
+def _injective_chain(cs: list[Mat]) -> bool:
+    """Every C map of a leg chain has full column rank."""
+    return all(rank(c) == c.cols for c in cs)
+
+
 def leg_stable(aux: AuxResult, rep: Representation) -> bool:
     """Every map pointing toward the original nodes has full column rank."""
-    for loop_id in aux.leg_index:
-        cs, _ = leg_chains(aux, rep, loop_id)
-        for c in cs:
-            if rank(c) < c.cols:
-                return False
-    return True
+    return all(_injective_chain(leg_chains(aux, rep, l)[0]) for l in aux.leg_index)
 
 
 def _leg_depth_scalars(n: int, cs: list[Mat], ds: list[Mat]) -> list:
@@ -207,9 +207,8 @@ def flag_check(n: int, cs: list[Mat], ds: list[Mat], t) -> FlagReport:
     t = frac(t)
     if len(cs) != n - 1 or len(ds) != n - 1:
         raise ValueError("chain length must be n-1")
-    for c in cs:
-        if rank(c) < c.cols:
-            raise ValueError("leg is not leg-stable: some C has a kernel")
+    if not _injective_chain(cs):
+        raise ValueError("leg is not leg-stable: some C has a kernel")
 
     scalars = _leg_depth_scalars(n, cs, ds)
     lambdas = [None if s is None else -s for s in scalars]

@@ -103,6 +103,17 @@ def _witness_from_spans(q, dims, theta, spans, includes_framing) -> SubrepWitnes
     )
 
 
+def _side_rule_holds(q, dims, rep, spans, includes_framing) -> bool:
+    """The completion's side condition on an invariant graded subspace: one
+    holding the framing node must be proper, one missing it must be nonzero
+    and killed by every B map."""
+    if includes_framing:
+        return any(len(spans[n]) < dims.v[n] for n in q.nodes)
+    return any(spans[n] for n in q.nodes) and not any(
+        any(rep.b[n].apply(vec)) for n in q.nodes for vec in spans[n]
+    )
+
+
 def verify_witness(
     q: Quiver, dims: DimData, rep: Representation, theta, w: SubrepWitness
 ) -> bool:
@@ -121,15 +132,8 @@ def verify_witness(
             for j in range(rep.a[n].cols):
                 if not in_span(rep.a[n].col_tuple(j), w.basis[n], dims.v[n]):
                     return False
-        if all(w.dims[n] == dims.v[n] for n in q.nodes):
-            return False  # not proper
-    else:
-        for n in q.nodes:
-            for vec in w.basis[n]:
-                if any(rep.b[n].apply(vec)):
-                    return False
-        if all(w.dims[n] == 0 for n in q.nodes):
-            return False  # zero subspace
+    if not _side_rule_holds(q, dims, rep, w.basis, w.includes_framing):
+        return False
     return w.pairing == _completed_pairing(q, dims, theta, w.dims, w.includes_framing)
 
 
@@ -144,27 +148,30 @@ def _theta_sign(q: Quiver, theta) -> int:
 
 def is_stable_signdef(q: Quiver, dims: DimData, rep: Representation, theta) -> bool:
     """Exact stability for strictly positive or strictly negative theta."""
-    validate_shapes(q, dims, rep)
     return stability_report(q, dims, rep, theta)[0]
 
 
 def stability_report(q: Quiver, dims: DimData, rep: Representation, theta):
-    """(stable, witness) for sign-definite theta; witness is None when stable."""
+    """(stable, witness) for sign-definite theta; witness is None when stable.
+
+    The B-killed core (positive theta) or the closure of the framing images
+    (negative theta) destabilizes exactly when it obeys the side rule.
+    """
+    validate_shapes(q, dims, rep)
     sign = _theta_sign(q, theta)
     if sign == 0:
         raise MixedSignTheta(
             "mixed-sign stability is undecidable by this routine; "
             "use destabilizer_search for a semidecision"
         )
-    if sign > 0:
-        core = cogenerated_core(q, dims, rep)
-        if all(len(core[n]) == 0 for n in q.nodes):
-            return True, None
-        return False, _witness_from_spans(q, dims, theta, core, includes_framing=False)
-    closure = generated_closure(q, dims, rep, {}, include_framing=True)
-    if all(len(closure[n]) == dims.v[n] for n in q.nodes):
+    includes_framing = sign < 0
+    if includes_framing:
+        spans = generated_closure(q, dims, rep, {}, include_framing=True)
+    else:
+        spans = cogenerated_core(q, dims, rep)
+    if not _side_rule_holds(q, dims, rep, spans, includes_framing):
         return True, None
-    return False, _witness_from_spans(q, dims, theta, closure, includes_framing=True)
+    return False, _witness_from_spans(q, dims, theta, spans, includes_framing)
 
 
 def destabilizer_search(
@@ -227,24 +234,11 @@ def destabilizer_search(
                         for _ in range(count)
                     ]
         spans = generated_closure(q, dims, rep, seeds, include_framing=include_framing)
-        sub_dims = {n: len(spans[n]) for n in q.nodes}
-        if include_framing:
-            # completed subspace contains the framing node: proper means
-            # some gauge node is not exhausted
-            if all(sub_dims[n] == dims.v[n] for n in q.nodes):
-                continue
-        else:
-            # completed subspace misses the framing node: must be nonzero
-            # and killed by every B map
-            if all(sub_dims[n] == 0 for n in q.nodes):
-                continue
-            if any(
-                any(rep.b[n].apply(vec)) for n in q.nodes for vec in spans[n]
-            ):
-                continue
-        pairing = _completed_pairing(q, dims, theta, sub_dims, include_framing)
-        if pairing > 0:
-            return _witness_from_spans(q, dims, theta, spans, include_framing)
+        if not _side_rule_holds(q, dims, rep, spans, include_framing):
+            continue
+        witness = _witness_from_spans(q, dims, theta, spans, include_framing)
+        if witness.pairing > 0:
+            return witness
     return None
 
 

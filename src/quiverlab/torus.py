@@ -52,10 +52,15 @@ class TorusAction:
     framing_chars: dict    # node -> tuple of Chars, one per framing slot
 
     def validate(self, q: Quiver, split: ArrowSplit, dims: DimData):
+        def check(ch, where: str):
+            if len(ch) != self.rank:
+                raise ValueError(f"{where} has wrong rank")
+            if not all(type(c) is int for c in ch):
+                raise ValueError(f"{where} needs integer entries, got {list(ch)}")
+
         for aid, ch in self.arrow_chars.items():
             q.arrow(aid)
-            if len(ch) != self.rank:
-                raise ValueError(f"character on {aid!r} has wrong rank")
+            check(ch, f"character on {aid!r}")
             if split.is_loop(aid) and any(ch):
                 raise ValueError(f"loop {aid!r} must carry the zero character")
         for n in q.nodes:
@@ -63,8 +68,7 @@ class TorusAction:
             if len(chars) != dims.d[n]:
                 raise ValueError(f"node {n!r} needs {dims.d[n]} framing characters")
             for ch in chars:
-                if len(ch) != self.rank:
-                    raise ValueError(f"framing character at {n!r} has wrong rank")
+                check(ch, f"framing character at {n!r}")
 
     def char(self, aid, split: ArrowSplit) -> Char:
         if aid in self.arrow_chars:

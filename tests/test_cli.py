@@ -299,6 +299,8 @@ def test_stability_cli_mixed_sign_search(tmp_path, capsys):
         ["chambers", "inputs/framed2.json", "--window=-2..2"],
         ["triangle", "inputs/framed2.json", "--window=-3..3"],
         ["fixed", "inputs/loop2.json", "--window=-20..20"],
+        ["analyze", "inputs"],
+        ["export", "inputs/jordan2.json", "--what", "aux", "--out", "no_such_dir/aux.json"],
     ],
     ids=" ".join,
 )
@@ -361,3 +363,94 @@ def test_flag_parse_error_names_flag(flag, argv, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert flag in captured.err
+
+
+def _input_doc(name, **changes):
+    """The JSON document of inputs/<name>.json with top-level keys replaced
+    (a value of None drops the key)."""
+    doc = json.loads((ROOT / "inputs" / f"{name}.json").read_text())
+    for key, value in changes.items():
+        if value is None:
+            doc.pop(key)
+        else:
+            doc[key] = value
+    return doc
+
+
+def _assert_one_error_line(argv, capsys, needle):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert needle in captured.err
+
+
+def _write(tmp_path, name, doc) -> str:
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["aux", "fixed", "moment-check"])
+def test_missing_dimension_data_is_input_error(command, tmp_path, capsys):
+    path = _write(tmp_path, "nodims.json", _input_doc("loop2", v=None, d=None, theta=None))
+    _assert_one_error_line([command, path], capsys, "dimension data required")
+
+
+def test_missing_action_or_cocharacter_is_input_error(tmp_path, capsys):
+    path = _write(tmp_path, "noaction.json", _input_doc("a2sym", action=None))
+    _assert_one_error_line(["fixed", path], capsys, "no torus action")
+    path = _write(tmp_path, "nosigma.json", _input_doc("a2sym", sigma=None))
+    _assert_one_error_line(["fixed", path], capsys, "no cocharacter")
+
+
+def _rep_doc():
+    return json.loads((ROOT / "inputs" / "jordan2_rep.json").read_text())
+
+
+def test_representation_file_without_quiver_is_input_error(tmp_path, capsys):
+    doc = _rep_doc()
+    del doc["quiver"]
+    path = _write(tmp_path, "rep.json", doc)
+    _assert_one_error_line(["stability", path], capsys, "needs 'quiver' and 'representation'")
+
+
+@pytest.mark.parametrize("theta", ["--theta=1", "--theta=-1"])
+def test_stability_refuses_malformed_representation(theta, tmp_path, capsys):
+    # a 2x1 A block at a node of dimension 1
+    doc = _rep_doc()
+    doc["quiver"]["v"] = {"0": 1}
+    rep = doc["representation"]
+    rep["arrows"]["eps"] = {"rows": 1, "cols": 1, "entries": ["0"]}
+    rep["B"]["0"] = {"rows": 1, "cols": 1, "entries": ["0"]}
+    rep["A"]["0"] = {"rows": 2, "cols": 1, "entries": ["1", "0"]}
+    path = _write(tmp_path, "shape.json", doc)
+    _assert_one_error_line(["stability", path, theta], capsys, "A block at '0' has wrong shape")
+    # the same representation without its B block
+    doc = _rep_doc()
+    doc["representation"]["B"] = {}
+    path = _write(tmp_path, "nob.json", doc)
+    _assert_one_error_line(["stability", path, theta], capsys, "missing framing block at node '0'")
+
+
+@pytest.mark.parametrize(
+    "action, needle",
+    [
+        ({"rank": 1, "arrow_chars": {}, "framing_chars": {"0": [["a"]]}}, "'0'"),
+        ({"rank": 1, "arrow_chars": {"a": ["x"]}, "framing_chars": {"0": [[0]]}}, "'a'"),
+        ({"rank": 1, "arrow_chars": {}, "framing_chars": {"0": [[1.5]]}}, "'0'"),
+        ({"rank": 1, "arrow_chars": {"a": [0.5]}, "framing_chars": {"0": [[0]]}}, "'a'"),
+    ],
+    ids=["framing-string", "arrow-string", "framing-float", "arrow-float"],
+)
+@pytest.mark.parametrize("command", ["fixed", "chambers", "stab-table", "triangle"])
+def test_non_integer_characters_are_input_errors(command, action, needle, tmp_path, capsys):
+    path = _write(tmp_path, "chars.json", _input_doc("a2sym", action=action))
+    _assert_one_error_line([command, path], capsys, needle)
+
+
+@pytest.mark.parametrize("name", ["loop2", "a2sym"])
+def test_quiver_without_pairs_derives_the_corpus_split(name):
+    _, split, *_ = quiver_from_json(_input_doc(name, pairs=None))
+    e = corpus()[name]
+    assert split.pairs == e.split.pairs and split.loops == e.split.loops

@@ -287,3 +287,34 @@ def test_triangle_foreign_face_detected():
         if rpt.problems:
             flagged += 1
     assert flagged > 0
+
+
+def test_triangle_flags_face_outside_chamber_closure():
+    # the open face of the opposite chamber: every character positive on
+    # the chamber is alive there and negative at the face point
+    e, cands = corpus_candidates("framed2")
+    chs = chambers(torus_roots(cands), 2)
+    opposite = next(c for c in chs if c.signs == tuple(-s for s in chs[0].signs))
+    face = next(f for f in faces(opposite) if f.improper)
+    flagged = 0
+    for cand in cands:
+        rpt = triangle_split_check(cand, chs[0], face)
+        positive = {ch for ch in cand.nonzero_tangent() if dot(ch, chs[0].point) > 0}
+        assert {ch for _, ch in rpt.problems} == positive
+        assert {kind for kind, _ in rpt.problems} <= {"face-not-in-chamber-closure"}
+        assert rpt.ok == (not positive)
+        flagged += bool(positive)
+    assert flagged == len(cands) - 1  # one candidate has no nonzero tangent character
+
+
+@pytest.mark.parametrize(
+    "roots, message",
+    [
+        (((1, 0), (1,)), "every root needs 2 coordinates"),
+        (((1, 0), (0, 1, 1)), "every root needs 2 coordinates"),
+        (((1, 0), (0, 0)), "roots must be nonzero"),
+    ],
+)
+def test_chambers_refuses_ragged_or_zero_roots(roots, message):
+    with pytest.raises(ValueError, match=message):
+        chambers(roots, 2)

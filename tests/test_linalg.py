@@ -126,3 +126,35 @@ def test_preimage_randomized_membership():
         pre = preimage_span(x, target)
         for v in pre:
             assert in_span(x.apply(v), target, 3)
+
+
+def test_solve_matches_sympy_ranks():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+
+    def rand_rows(r, c):
+        return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(c)] for _ in range(r)]
+
+    def product(u, v, inner, cols):
+        return [[sum((row[t] * v[t][j] for t in range(inner)), Fraction(0)) for j in range(cols)]
+                for row in u]
+
+    def sym(rows, cols):
+        return sympy.Matrix(len(rows), cols, [sympy.Rational(x.numerator, x.denominator)
+                                              for row in rows for x in row])
+
+    outcomes = {True: 0, False: 0}
+    for trial in range(500):
+        m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+        r = rng.randint(0, min(m, n))  # planted rank of A
+        a = product(rand_rows(m, r), rand_rows(r, n), r, n)
+        # half the right-hand sides lie in the column space, half are random
+        b = product(a, rand_rows(n, k), n, k) if trial % 2 else rand_rows(m, k)
+        x = solve(Mat(a, cols=n), Mat(b, cols=k))
+        consistent = sym(a, n).rank() == sympy.Matrix.hstack(sym(a, n), sym(b, k)).rank()
+        assert (x is not None) == consistent
+        if x is not None:
+            assert (x.rows, x.cols) == (n, k)
+            assert Mat(a, cols=n).matmul(x) == Mat(b, cols=k)
+        outcomes[consistent] += 1
+    assert min(outcomes.values()) > 100

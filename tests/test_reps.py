@@ -293,3 +293,36 @@ def test_in_H_circ_three_step_leg():
     assert not in_H_circ(aux, repeated)
     # small integers collide with a box normal under some permutation
     assert not in_H_circ(aux, {"eps": (1, 9, 41), "loop:0": (Fraction(1, 2), 17, 83)})
+
+
+def test_compare_moment_false_under_perturbed_t(jordan2, monkeypatch):
+    # the same offsets enter both sides, so they cancel for every t; the
+    # identity must fail once the assembled side sees different offsets
+    import quiverlab.reps as reps
+
+    q, split, dims = jordan2
+    aux = build_aux(q, split, dims)
+    rng = random.Random(9)
+    samples = [random_leg_stable_aux(rng, aux) for _ in range(5)]
+    for rep, t in samples:
+        assert check_compare_moment(aux, rep, t)
+    assemble = reps.p_map
+    monkeypatch.setattr(
+        reps, "p_map", lambda aux, rep, t: assemble(aux, rep, {k: v + 1 for k, v in t.items()})
+    )
+    for rep, t in samples:
+        assert check_compare_moment(aux, rep, t) is False
+
+
+def test_flag_reports_violation_under_wrong_scalars(monkeypatch):
+    # with each leg-depth scalar shifted by one, the induced scalar on V_1
+    # no longer matches and the quotient check flags the basis vector of V_1
+    import quiverlab.reps as reps
+
+    depth_scalars = reps._leg_depth_scalars
+    monkeypatch.setattr(
+        reps, "_leg_depth_scalars", lambda *a: [s + 1 for s in depth_scalars(*a)]
+    )
+    rpt = flag_check(2, [Mat([[1], [0]])], [Mat([[3, 5]])], Fraction(1))
+    assert not rpt.ok and rpt.preserved
+    assert rpt.violations == ((1, (Fraction(1), Fraction(0))),)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from quiverlab.exactlinalg import Mat, in_span, preimage_span, span_intersect
 from quiverlab.quiver import Arrow, ArrowSplit, DimData, Quiver
-from quiverlab.reps import Representation, zero_representation
+from quiverlab.reps import Representation, leg_moment_scalars, leg_stable, zero_representation
 from quiverlab.sampling import random_leg_stable_aux, random_matrix, random_representation
 from quiverlab.stability import (
     MixedSignTheta,
@@ -240,3 +241,65 @@ def test_transfer_respects_delta_override():
     assert rpt.delta == Fraction(1, 100)
     with pytest.raises(ValueError):
         check_stability_transfer(aux, rep, t, {"0": Fraction(1)}, Fraction(1, 3))
+
+
+def test_verify_witness_rejects_tampered_witnesses():
+    theta_pos = {"0": Fraction(1)}
+    q, _, dims, rep = jordan_rep([[0, 1], [0, 0]], [[1], [0]], [[0, 1]])
+    stable, w = stability_report(q, dims, rep, theta_pos)
+    assert not stable and verify_witness(q, dims, rep, theta_pos, w)
+    e1, e2 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+    # recorded dims disagree with the basis
+    assert not verify_witness(q, dims, rep, theta_pos, dataclasses.replace(w, dims={"0": 2}))
+    # wrong recorded pairing
+    assert not verify_witness(q, dims, rep, theta_pos, dataclasses.replace(w, pairing=w.pairing + 1))
+    # zero subspace on the side missing the framing node
+    zero = dataclasses.replace(w, dims={"0": 0}, basis={"0": ()}, pairing=Fraction(0))
+    assert not verify_witness(q, dims, rep, theta_pos, zero)
+    # X e2 = e1 leaves span(e2), although B kills e2
+    _, _, _, b_zero = jordan_rep([[0, 1], [0, 0]], [[1], [0]], [[0, 0]])
+    line2 = dataclasses.replace(w, basis={"0": (e2,)})
+    assert not verify_witness(q, dims, b_zero, theta_pos, line2)
+    # X = 0 keeps every line, but B does not kill e1
+    _, _, _, x_zero = jordan_rep([[0, 0], [0, 0]], [[1], [0]], [[1, 0]])
+    assert verify_witness(q, dims, x_zero, theta_pos, line2)
+    assert not verify_witness(q, dims, x_zero, theta_pos, dataclasses.replace(w, basis={"0": (e1,)}))
+
+
+def test_verify_witness_rejects_tampered_framing_witnesses():
+    theta_neg = {"0": Fraction(-1)}
+    q, _, dims, rep = jordan_rep([[0, 0], [0, 0]], [[1], [0]], [[0, 0]])
+    stable, w = stability_report(q, dims, rep, theta_neg)
+    assert not stable and w.includes_framing and w.basis["0"] == ((Fraction(1), Fraction(0)),)
+    assert verify_witness(q, dims, rep, theta_neg, w)
+    # span(e2) is invariant and proper but misses the A column e1
+    e2 = (Fraction(0), Fraction(1))
+    assert not verify_witness(q, dims, rep, theta_neg, dataclasses.replace(w, basis={"0": (e2,)}))
+    # the whole space holds the framing node but is not proper
+    whole = dataclasses.replace(
+        w, dims={"0": 2}, basis={"0": ((Fraction(1), Fraction(0)), e2)}, pairing=Fraction(0)
+    )
+    assert not verify_witness(q, dims, rep, theta_neg, whole)
+
+
+@pytest.mark.parametrize("theta", [1, -1])
+def test_stability_entry_points_refuse_wrong_shapes(theta):
+    # a 2x1 A block at a node of dimension 1
+    q, _, dims, rep = jordan_rep([[0]], [[1], [0]], [[0]], v=1)
+    theta = {"0": Fraction(theta)}
+    for decide in (stability_report, is_stable_signdef):
+        with pytest.raises(ValueError, match="A block at '0'"):
+            decide(q, dims, rep, theta)
+    with pytest.raises(ValueError, match="A block at '0'"):
+        destabilizer_search(q, dims, rep, theta)
+
+
+def test_transfer_rejects_non_scalar_leg():
+    # unconstrained chains on a three-step leg: C's injective, moments not scalar
+    e = corpus()["jordan3"]
+    aux = build_aux(e.quiver, e.split, e.dims)
+    rng = random.Random(12)
+    rep = random_representation(rng, aux.quiver, DimData(aux.v, aux.d))
+    assert leg_stable(aux, rep) and leg_moment_scalars(aux, rep, "eps") is None
+    with pytest.raises(ValueError, match="not scalar"):
+        check_stability_transfer(aux, rep, {"eps": 0, "loop:0": 0}, {"0": Fraction(1)})
