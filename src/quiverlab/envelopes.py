@@ -1,7 +1,10 @@
 """Root hyperplane combinatorics: chambers, faces, attracting-weight splits.
 
 A chamber is a feasible all-strict sign assignment over the root list,
-certified by an exact interior point from Fourier-Motzkin elimination.
+certified by an exact interior point from Fourier-Motzkin elimination on
+primitive integer rows. Chambers are found by extending feasible sign
+prefixes one root at a time, so the work follows the chamber count rather
+than the 2^n sign vectors.
 A face fixes a closed subset of roots to zero and keeps the chamber signs
 on the rest; its span is the common kernel of the vanishing roots, which
 is also the Lie algebra of the associated subtorus.
@@ -14,7 +17,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm
+from operator import mul
 
 from .exactlinalg import Mat, dot, frac, kernel_basis
 from .quiver import ArrowSplit, DimData, Quiver
@@ -22,7 +26,7 @@ from .surgery import dim_quiver_variety, hgamma_data
 from .torus import FixedCandidate
 
 MAX_CHAMBER_RANK = 4
-MAX_CHAMBER_ROOTS = 12
+MAX_CHAMBER_REGIONS = 600
 
 
 class WallError(ValueError):
@@ -33,26 +37,25 @@ class WallError(ValueError):
         super().__init__(f"point lies on the wall of character {char}")
 
 
+def _primitive_row(vec) -> tuple[int, ...]:
+    """The positive rational multiple of a vector with coprime integer
+    entries; the zero vector stays zero."""
+    if not all(isinstance(x, int) for x in vec):
+        fracs = [frac(x) for x in vec]
+        denom = lcm(*(x.denominator for x in fracs))
+        vec = [x.numerator * (denom // x.denominator) for x in fracs]
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
+
+
 def primitive_up_to_sign(vec) -> tuple[int, ...] | None:
     """Scale a rational vector to a primitive integer one, positive leading
     entry; None for the zero vector."""
-    fracs = [frac(x) for x in vec]
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
+    ints = _primitive_row(vec)
+    lead = next((x for x in ints if x), 0)
+    if lead == 0:
         return None
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    return ints if lead > 0 else tuple(-x for x in ints)
 
 
 def torus_roots(candidates) -> tuple[tuple[int, ...], ...]:
@@ -74,8 +77,14 @@ def feasible_interior(rows, nvars: int):
     variable, a negative one an upper bound, and each bound pair combines
     to a strict row on the remaining variables. A row with no variables
     reads 0 > 0 and kills the system.
+
+    Scaling a row by a positive rational changes neither its half-space
+    nor any bound -r.x/c it gives, so elimination runs on primitive
+    integer rows, each level reduced by gcds and cleared of duplicates,
+    and back-substitution keeps an integer numerator vector over one common
+    denominator.
     """
-    levels = [[tuple(frac(c) for c in r) for r in rows]]
+    levels = [list(dict.fromkeys(map(_primitive_row, rows)))]
     for k in range(nvars, 0, -1):
         cur = levels[-1]
         if any(not any(r) for r in cur):
@@ -88,27 +97,39 @@ def feasible_interior(rows, nvars: int):
             for p in pos
             for n in neg
         ]
-        levels.append(zero + combos)
+        levels.append(list(dict.fromkeys(map(_primitive_row, zero + combos))))
     if levels[-1]:
         return None  # leftover variable-free strict rows
 
+    # x = xs / denom with integer xs, so a row r with c = r[j - 1] != 0
+    # bounds x_j by -(r . xs) / (c * denom); the extreme bounds are picked
+    # as integer pairs (-(r . xs), c) before any Fraction is made.
     x: list[Fraction] = []
+    xs: list[int] = []
+    denom = 1
     for j in range(1, nvars + 1):
-        lowers, uppers = [], []
+        lower = upper = None
         for r in levels[nvars - j]:
             c = r[j - 1]
             if c == 0:
                 continue
-            bound = -dot(r[: j - 1], x) / c
-            (lowers if c > 0 else uppers).append(bound)
-        if lowers and uppers:
-            x.append((max(lowers) + min(uppers)) / 2)
-        elif lowers:
-            x.append(max(lowers) + 1)
-        elif uppers:
-            x.append(min(uppers) - 1)
+            num = -sum(map(mul, r, xs))
+            if c > 0 and (lower is None or num * lower[1] > lower[0] * c):
+                lower = (num, c)
+            elif c < 0 and (upper is None or num * upper[1] < upper[0] * c):
+                upper = (num, c)
+        if lower and upper:
+            xj = (Fraction(*lower) + Fraction(*upper)) / (2 * denom)
+        elif lower:
+            xj = Fraction(*lower) / denom + 1
+        elif upper:
+            xj = Fraction(*upper) / denom - 1
         else:
-            x.append(Fraction(0))
+            xj = Fraction(0)
+        x.append(xj)
+        scale = xj.denominator // gcd(denom, xj.denominator)
+        denom *= scale
+        xs = [v * scale for v in xs] + [xj.numerator * (denom // xj.denominator)]
     return tuple(x)
 
 
@@ -122,8 +143,23 @@ class Chamber:
         return self.signs[idx]
 
 
+def region_bound(n: int, rank: int) -> int:
+    """Most regions n central hyperplanes in rank dimensions can cut out,
+    2 * sum_{i < rank} C(n - 1, i) (Cover 1965; Zaslavsky 1975)."""
+    return 2 * sum(comb(n - 1, i) for i in range(rank)) if n else 1
+
+
 def chambers(roots, rank: int) -> list[Chamber]:
-    """All chambers of the central arrangement, by sign-vector enumeration."""
+    """All chambers of the central arrangement, in lexicographic sign order
+    with +1 before -1.
+
+    Sign prefixes are extended one root at a time and only feasible ones
+    kept, since every chamber restricts to a region of each sub-arrangement.
+    A prefix carries an interior point; when that point pairs nonzero with
+    the next root, the agreeing side is feasible without elimination. Each
+    chamber's point is `feasible_interior` of its full sign rows, so it does
+    not depend on the order of the search.
+    """
     roots = tuple(tuple(r) for r in roots)
     if any(len(r) != rank for r in roots):
         raise ValueError(f"every root needs {rank} coordinates")
@@ -131,17 +167,33 @@ def chambers(roots, rank: int) -> list[Chamber]:
         raise ValueError("roots must be nonzero")
     if rank > MAX_CHAMBER_RANK:
         raise ValueError(f"rank {rank} exceeds the enumeration budget {MAX_CHAMBER_RANK}")
-    if len(roots) > MAX_CHAMBER_ROOTS:
+    bound = region_bound(len(roots), rank)
+    if bound > MAX_CHAMBER_REGIONS:
         raise ValueError(
-            f"{len(roots)} roots mean 2^{len(roots)} sign vectors, over the "
-            f"enumeration budget of 2^{MAX_CHAMBER_ROOTS} ({MAX_CHAMBER_ROOTS} roots)"
+            f"{len(roots)} roots in rank {rank} may cut out up to {bound} chambers, "
+            f"over the enumeration budget of {MAX_CHAMBER_REGIONS}"
         )
     out = []
-    for signs in itertools.product((1, -1), repeat=len(roots)):
-        rows = [tuple(s * c for c in r) for s, r in zip(signs, roots)]
-        point = feasible_interior(rows, rank)
-        if point is not None:
+    # (signs, sign rows, an interior point of the rows); a full-length entry's
+    # point is always feasible_interior of its rows
+    stack = [((), (), feasible_interior((), rank))]
+    while stack:
+        signs, rows, point = stack.pop()
+        if len(signs) == len(roots):
             out.append(Chamber(roots=roots, signs=signs, point=point))
+            continue
+        root = roots[len(signs)]
+        pairing = sum(map(mul, root, point))
+        children = []
+        for s in (1, -1):
+            ext = rows + (tuple(s * c for c in root),)
+            if s * pairing > 0 and len(ext) < len(roots):
+                children.append((signs + (s,), ext, point))
+            else:
+                p = feasible_interior(ext, rank)
+                if p is not None:
+                    children.append((signs + (s,), ext, p))
+        stack.extend(reversed(children))
     return out
 
 
@@ -155,9 +207,11 @@ class Face:
 
 @functools.lru_cache(maxsize=1)
 def _flats(roots, rank: int):
-    """All flats as (zero set, kernel basis, pairings) triples, by zero-set
-    size then members; pairings holds (i, root i against the kernel basis)
-    for every root i off the zero set.
+    """All flats as (zero set, kernel basis, span basis, pairings), by
+    zero-set size then members. The span basis is the kernel basis made
+    primitive up to sign; pairings holds (i, root i against the kernel
+    basis, scaled to a primitive integer row) for every root i off the
+    zero set.
 
     Every flat is cut out by at most rank independent roots, so the closures
     of the root subsets of that size find them all. The kernel basis comes
@@ -167,11 +221,18 @@ def _flats(roots, rank: int):
     for size in range(rank + 1):
         for sel in itertools.combinations(range(len(roots)), size):
             kb = kernel_basis(Mat([roots[i] for i in sel], cols=rank))
-            rows = [tuple(dot(r, b) for b in kb) for r in roots]
+            # the basis times the common denominator of its entries
+            denom = lcm(*(x.denominator for b in kb for x in b))
+            cols = [[x.numerator * (denom // x.denominator) for x in b] for b in kb]
+            rows = [[sum(map(mul, r, c)) for c in cols] for r in roots]
             zero = frozenset(i for i, row in enumerate(rows) if not any(row))
             if zero not in flats:
-                pairings = tuple((i, row) for i, row in enumerate(rows) if i not in zero)
-                flats[zero] = (zero, kb, pairings)
+                pairings = tuple(
+                    (i, _primitive_row(row)) for i, row in enumerate(rows) if i not in zero
+                )
+                # kernel basis vectors are nonzero, so each has a primitive form
+                basis = tuple(primitive_up_to_sign(v) for v in kb)
+                flats[zero] = (zero, kb, basis, pairings)
     return tuple(sorted(flats.values(), key=lambda f: (len(f[0]), sorted(f[0]))))
 
 
@@ -185,7 +246,7 @@ def faces(chamber: Chamber) -> list[Face]:
     roots = chamber.roots
     rank = len(chamber.point)
     out = []
-    for zero_set, kb, pairings in _flats(roots, rank):
+    for zero_set, kb, basis, pairings in _flats(roots, rank):
         k = len(kb)
         rows = [tuple(chamber.sign_of(i) * p for p in row) for i, row in pairings]
         coords = feasible_interior(rows, k)
@@ -195,8 +256,6 @@ def faces(chamber: Chamber) -> list[Face]:
             sum((coords[j] * kb[j][c] for j in range(k)), Fraction(0))
             for c in range(rank)
         )
-        # kernel basis vectors are nonzero, so each has a primitive form
-        basis = tuple(primitive_up_to_sign(v) for v in kb)
         out.append(
             Face(
                 zero_set=zero_set,

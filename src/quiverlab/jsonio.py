@@ -153,7 +153,11 @@ def quiver_from_json(doc: dict):
         }
         action = TorusAction(adoc["rank"], arrow_chars, framing_chars)
 
-    sigma = tuple(doc["sigma"]) if "sigma" in doc else None
+    sigma = None
+    if "sigma" in doc:
+        sigma = tuple(doc["sigma"])
+        if not all(type(s) is int for s in sigma):
+            raise ValueError(f"sigma needs integer entries, got {doc['sigma']!r}")
     return q, split, dims, action, sigma
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -28,6 +29,11 @@ from quiverlab.surgery import build_aux
 
 ROOT = Path(__file__).resolve().parent.parent
 THETA_ZERO_DEN = "perfbench/data/theta_zero_den.json"
+# 16 rank-4 roots may cut out 1152 chambers, over the region budget
+RANK4_ROOTS_16 = ";".join(
+    ",".join(map(str, r))
+    for r in [v for v in itertools.product((0, 1), repeat=4) if any(v)] + [(1, -1, 0, 0)]
+)
 
 
 @pytest.fixture
@@ -127,6 +133,22 @@ def test_stab_table_cli(corpus_files, capsys):
 def test_triangle_cli(corpus_files, capsys):
     assert main(["triangle", corpus_files["framed2"]]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        pytest.param(argv, line, id=" ".join(argv))
+        for argv, line in [
+            (["chambers", "inputs/framed2.json", "--window=-3..3"], "48 chambers over 24 roots"),
+            (["triangle", "inputs/framed2.json", "--window=-2..2"], "triangle: 6272/6272 pass"),
+        ]
+    ],
+)
+def test_wide_window_arrangements_run(argv, first_line, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
 def test_stability_cli(tmp_path, capsys):
@@ -296,8 +318,10 @@ def test_stability_cli_mixed_sign_search(tmp_path, capsys):
         ["chambers", "--roots", "0,0"],
         ["chambers"],
         ["export", "--what", "aux"],
-        ["chambers", "inputs/framed2.json", "--window=-2..2"],
-        ["triangle", "inputs/framed2.json", "--window=-3..3"],
+        ["chambers", "--roots", RANK4_ROOTS_16],
+        ["fixed", "tests/data/a2sym_sigma_str.json"],
+        ["triangle", "tests/data/a2sym_sigma_str.json"],
+        ["stab-table", "tests/data/a2sym_sigma_float.json"],
         ["fixed", "inputs/loop2.json", "--window=-20..20"],
         ["analyze", "inputs"],
         ["export", "inputs/jordan2.json", "--what", "aux", "--out", "no_such_dir/aux.json"],

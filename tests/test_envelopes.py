@@ -1,23 +1,25 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from quiverlab.envelopes import (
-    MAX_CHAMBER_ROOTS,
+    MAX_CHAMBER_REGIONS,
     WallError,
     chambers,
     coarsen_grading,
     faces,
     feasible_interior,
     primitive_up_to_sign,
+    region_bound,
     split_N,
     stab_degree_table,
     torus_roots,
     triangle_split_check,
 )
-from quiverlab.exactlinalg import dot
+from quiverlab.exactlinalg import Mat, dot, kernel_basis
 from quiverlab.torus import fixed_components
 from quiverlab.corpus import corpus
 
@@ -30,13 +32,11 @@ def corpus_candidates(name):
     return e, cands
 
 
-def sign_vector_oracle(roots, rank, box=6, samples=10000, seed=0):
-    """Independent chamber count: collect realized sign vectors of lattice
-    points in a box."""
-    rng = random.Random(seed)
+def sign_vector_oracle(roots, rank, box=6):
+    """Independent chamber count: collect realized sign vectors of every
+    lattice point in a box."""
     seen = set()
-    for _ in range(samples):
-        x = tuple(Fraction(rng.randint(-box, box)) for _ in range(rank))
+    for x in itertools.product(map(Fraction, range(-box, box + 1)), repeat=rank):
         signs = []
         for r in roots:
             p = dot(r, x)
@@ -97,17 +97,143 @@ def test_chambers_empty_roots():
 def test_chambers_budget():
     with pytest.raises(ValueError):
         chambers(((1, 0, 0, 0, 1),), 5)
-    roots = ((1,),) * (MAX_CHAMBER_ROOTS + 1)
-    with pytest.raises(ValueError, match=r"2\^13 sign vectors"):
-        chambers(roots, 1)
-    assert len(chambers(roots[:MAX_CHAMBER_ROOTS], 1)) == 2
+    # 16 rank-4 roots may cut out 2 * (1 + 15 + 105 + 455) = 1152 chambers
+    assert region_bound(16, 4) == 1152 > MAX_CHAMBER_REGIONS
+    roots = tuple(r for r in itertools.product((0, 1), repeat=4) if any(r)) + ((1, -1, 0, 0),)
+    with pytest.raises(ValueError, match="up to 1152 chambers"):
+        chambers(roots, 4)
+    assert region_bound(24, 3) == 554 <= MAX_CHAMBER_REGIONS < region_bound(25, 3)
+    # in rank 1 the bound is 2 whatever the root count
+    assert len(chambers(((1,),) * 40, 1)) == 2
+
+
+def fraction_feasible_interior(rows, nvars):
+    """Fourier-Motzkin over Fraction rows with no scaling or deduplication,
+    kept as the reference for the integer-row elimination."""
+    levels = [[tuple(Fraction(c) for c in r) for r in rows]]
+    for k in range(nvars, 0, -1):
+        cur = levels[-1]
+        if any(not any(r) for r in cur):
+            return None
+        pos = [r for r in cur if r[k - 1] > 0]
+        neg = [r for r in cur if r[k - 1] < 0]
+        zero = [r[: k - 1] for r in cur if r[k - 1] == 0]
+        combos = [
+            tuple(p[k - 1] * n[j] - n[k - 1] * p[j] for j in range(k - 1))
+            for p in pos
+            for n in neg
+        ]
+        levels.append(zero + combos)
+    if levels[-1]:
+        return None
+    x = []
+    for j in range(1, nvars + 1):
+        lowers, uppers = [], []
+        for r in levels[nvars - j]:
+            c = r[j - 1]
+            if c == 0:
+                continue
+            bound = -dot(r[: j - 1], x) / c
+            (lowers if c > 0 else uppers).append(bound)
+        if lowers and uppers:
+            x.append((max(lowers) + min(uppers)) / 2)
+        elif lowers:
+            x.append(max(lowers) + 1)
+        elif uppers:
+            x.append(min(uppers) - 1)
+        else:
+            x.append(Fraction(0))
+    return tuple(x)
+
+
+def product_chambers(roots, rank):
+    """Chambers as (signs, point) by elimination on every one of the 2^n
+    sign vectors, in itertools.product order: the enumeration that prefix
+    extension replaced."""
+    out = []
+    for signs in itertools.product((1, -1), repeat=len(roots)):
+        rows = [tuple(s * c for c in r) for s, r in zip(signs, roots)]
+        point = feasible_interior(rows, rank)
+        if point is not None:
+            out.append((signs, point))
+    return out
+
+
+def test_feasible_interior_matches_fraction_elimination():
+    rng = random.Random(8)
+    outcomes = Counter()
+    for trial in range(1500):
+        nvars = rng.randint(0, 3)
+        rows = [
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nvars))
+            for _ in range(rng.randint(0, 7))
+        ]
+        if rows and trial % 3 == 0:
+            # a positive multiple and a duplicate of rows already present
+            rows.append(tuple(Fraction(5, 2) * c for c in rng.choice(rows)))
+            rows.append(rng.choice(rows))
+        want = fraction_feasible_interior(rows, nvars)
+        got = feasible_interior(rows, nvars)
+        assert got == want, (rows, nvars)
+        assert got is None or all(type(c) is Fraction for c in got)
+        outcomes[got is None] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100
+
+
+def seeded_arrangements():
+    """Rank 1-4 arrangements of up to 12 roots with repeated, parallel
+    (scaled or negated) and non-spanning roots among them."""
+    rng = random.Random(11)
+    out = []
+    for rank in (1, 2, 3, 4):
+        box = [v for v in itertools.product(range(-2, 3), repeat=rank) if any(v)]
+        flat = [v for v in box if v[-1] == 0] or box
+        for n in (1, 2, 3, 5, 8, 12 if rank < 4 else 9):
+            roots = rng.sample(box, min(n, len(box)))
+            while len(roots) < n:
+                roots.append(rng.choice(roots))
+            out.append((tuple(roots), rank))
+            if n > 8:
+                continue  # one arrangement at the largest size keeps the 2^n reference quick
+            twisted = [tuple(rng.choice((-2, -1, 3)) * c for c in r) for r in roots[: n // 3]]
+            out.append((tuple(roots[: n - len(twisted)] + twisted), rank))
+            if rank > 1:
+                out.append((tuple(rng.choice(flat) for _ in range(n)), rank))
+    return out
+
+
+def test_chambers_match_product_enumeration():
+    for roots, rank in seeded_arrangements():
+        got = [(c.signs, c.point) for c in chambers(roots, rank)]
+        assert got == product_chambers(roots, rank), (roots, rank)
+
+
+def test_faces_match_fraction_elimination():
+    # each face point from Fraction rows over the flat's canonical kernel basis
+    rng = random.Random(2)
+    box = sorted({primitive_up_to_sign(v) for v in itertools.product((-1, 0, 1), repeat=3)} - {None})
+    systems = [(RANK2_ROOTS, 2), (torus_roots(corpus_candidates("framed2")[1]), 2)]
+    systems += [(tuple(rng.sample(box, k)), 3) for k in (5, 7)]
+    for roots, rank in systems:
+        for ch in chambers(roots, rank):
+            for f in faces(ch):
+                kb = kernel_basis(Mat([roots[i] for i in sorted(f.zero_set)], cols=rank))
+                rows = [
+                    tuple(ch.sign_of(i) * dot(r, b) for b in kb)
+                    for i, r in enumerate(roots)
+                    if i not in f.zero_set
+                ]
+                coords = fraction_feasible_interior(rows, len(kb))
+                want = tuple(sum((c * b[j] for c, b in zip(coords, kb)), Fraction(0)) for j in range(rank))
+                assert f.point == want, (roots, ch.signs, sorted(f.zero_set))
+                assert f.span_basis == tuple(primitive_up_to_sign(b) for b in kb)
 
 
 def test_chambers_oracle_on_corpus_rank2():
     e, cands = corpus_candidates("framed2")
     roots = torus_roots(cands)
     chs = chambers(roots, 2)
-    oracle = sign_vector_oracle(roots, 2, box=8, samples=20000, seed=3)
+    oracle = sign_vector_oracle(roots, 2, box=8)
     assert {c.signs for c in chs} == oracle
 
 
