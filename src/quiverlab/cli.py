@@ -151,14 +151,12 @@ def cmd_analyze(args) -> int:
             f"dim X = {dim_x}",
             f"dim H = {hg.dim_h}, Gamma = {' x '.join(f'S_{m}' for m in hg.gamma_factors)}, dim L = {hg.dim_l}",
             f"dim N(aux) = {dim_n}",
-            f"fiber dim (dim X - dim H) = {dim_x - hg.dim_h}",
-            f"delta default = {frac_to_json(default_delta(aux))}",
-            f"consistency: {dim_x} = {dim_n} + {hg.dim_l} ({'ok' if dim_x == dim_n + hg.dim_l else 'MISMATCH'})",
+            f"fiber dim (dim X - dim H) = {payload['fiber_dim']}",
+            f"delta default = {payload['delta_default']}",
+            f"consistency: {payload['consistency']} ({'ok' if payload['consistency_ok'] else 'MISMATCH'})",
         ]
     _emit(payload, args.format, lines)
-    if dims is not None and not payload.get("consistency_ok", True):
-        return EXIT_FAIL
-    return EXIT_OK
+    return EXIT_OK if payload.get("consistency_ok", True) else EXIT_FAIL
 
 
 def _surgery_payload(args, what: str) -> dict:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 
-from .exactlinalg import Mat, dot, frac, kernel_basis
+from .exactlinalg import Mat, frac, kernel_basis
 from .quiver import ArrowSplit, DimData, Quiver
 from .surgery import dim_quiver_variety, hgamma_data
 from .torus import FixedCandidate
@@ -139,9 +139,6 @@ class Chamber:
     signs: tuple            # +1 / -1 per root
     point: tuple            # certified interior point
 
-    def sign_of(self, idx: int) -> int:
-        return self.signs[idx]
-
 
 def region_bound(n: int, rank: int) -> int:
     """Most regions n central hyperplanes in rank dimensions can cut out,
@@ -248,7 +245,7 @@ def faces(chamber: Chamber) -> list[Face]:
     out = []
     for zero_set, kb, basis, pairings in _flats(roots, rank):
         k = len(kb)
-        rows = [tuple(chamber.sign_of(i) * p for p in row) for i, row in pairings]
+        rows = [tuple(chamber.signs[i] * p for p in row) for i, row in pairings]
         coords = feasible_interior(rows, k)
         if coords is None:
             continue
@@ -280,10 +277,13 @@ class NormalSplit:
 
 def split_N(candidate: FixedCandidate, xi) -> NormalSplit:
     """Partition the nonzero tangent characters by the sign of their pairing."""
-    xi = tuple(frac(c) for c in xi)
+    xi = tuple(map(frac, xi))
+    rank = candidate.action.rank
+    if len(xi) != rank:
+        raise ValueError(f"xi has {len(xi)} coordinates, the action has rank {rank}")
     plus, minus = Counter(), Counter()
     for ch, m in candidate.nonzero_tangent().items():
-        p = dot(ch, xi)
+        p = sum(map(mul, ch, xi))
         if p == 0:
             raise WallError(ch)
         (plus if p > 0 else minus)[ch] += m
@@ -363,24 +363,12 @@ def stab_degree_table(
 # ---------------------------------------------------------------------------
 # Weight-level triangle identity
 
-def coarsen_grading(candidate: FixedCandidate, span_basis) -> dict:
-    """Grading by restricted characters: pairings against the face span."""
-    out = {}
-    for n, table in candidate.grading.items():
-        merged: Counter = Counter()
-        for ch, m in table.items():
-            merged[tuple(dot(ch, b) for b in span_basis)] += m
-        out[n] = dict(merged)
-    return out
-
-
 @dataclass
 class TriangleReport:
     ok: bool
     n_minus_full: Counter
     side_face: Counter       # characters alive on the subtorus, face-negative
     side_quotient: Counter   # characters dead on the subtorus, chamber-negative
-    pairing_ok: bool = True
     problems: tuple = ()
 
 
@@ -388,56 +376,42 @@ def triangle_split_check(
     candidate: FixedCandidate,
     chamber: Chamber,
     face: Face,
-    coarse_grading: dict | None = None,
 ) -> TriangleReport:
     """Two-step split of the attracting weights along a face.
 
-    The downward weights for the chamber must equal the disjoint union of
-    the downward weights seen by the face subtorus and the downward weights
-    of the residual direction among characters the subtorus kills. A
-    character is killed exactly when it vanishes on the face span; any
-    disagreement with the sign at the face point flags incompatible input
-    data, as does a face-negative character that is not chamber-negative
-    (face outside the chamber closure).
+    The downward weights for the chamber, read from `split_N` at the
+    chamber point, must equal the disjoint union of the downward weights
+    seen by the face subtorus and the downward weights of the residual
+    direction among characters the subtorus kills. A character is killed
+    exactly when it vanishes on the face span; any disagreement with the
+    sign at the face point flags incompatible input data, as does a
+    face-negative character that is not chamber-negative (face outside the
+    chamber closure).
     """
+    rank = candidate.action.rank
+    if len(face.point) != rank:
+        raise ValueError(f"face point has {len(face.point)} coordinates, the action has rank {rank}")
+    n_minus_full = split_N(candidate, chamber.point).n_minus
     problems = []
-    xi = chamber.point
-    xi_face = face.point
-    n_minus_full: Counter = Counter()
     side_face: Counter = Counter()
     side_quot: Counter = Counter()
     for ch, m in candidate.nonzero_tangent().items():
-        s_full = dot(ch, xi)
-        if s_full == 0:
-            raise WallError(ch)
-        s_face = dot(ch, xi_face)
-        dead = all(dot(ch, b) == 0 for b in face.span_basis)
+        s_face = sum(map(mul, ch, face.point))
+        dead = not any(sum(map(mul, ch, b)) for b in face.span_basis)
         if dead != (s_face == 0):
             problems.append(("incoherent-face-sign", ch))
-            continue
-        if s_full < 0:
-            n_minus_full[ch] += m
-        if not dead and s_face < 0:
-            if s_full >= 0:
+        elif dead:
+            if ch in n_minus_full:
+                side_quot[ch] += m
+        elif s_face < 0:
+            if ch in n_minus_full:
+                side_face[ch] += m
+            else:
                 problems.append(("face-not-in-chamber-closure", ch))
-                continue
-            side_face[ch] += m
-        if dead and s_full < 0:
-            side_quot[ch] += m
-    pairing_ok = True
-    if coarse_grading is not None:
-        derived = coarsen_grading(candidate, face.span_basis)
-        pairing_ok = derived == coarse_grading
-    ok = (
-        not problems
-        and pairing_ok
-        and n_minus_full == side_face + side_quot
-    )
     return TriangleReport(
-        ok=ok,
+        ok=not problems and n_minus_full == side_face + side_quot,
         n_minus_full=n_minus_full,
         side_face=side_face,
         side_quotient=side_quot,
-        pairing_ok=pairing_ok,
         problems=tuple(problems),
     )

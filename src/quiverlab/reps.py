@@ -281,15 +281,6 @@ class TauPoint:
     loop_polys: dict   # loop arrow id -> coefficient tuple
     node_polys: dict   # node -> coefficient tuple
 
-    def as_tuple(self):
-        return (
-            tuple(sorted(self.loop_polys.items(), key=lambda kv: repr(kv[0]))),
-            tuple(sorted(self.node_polys.items(), key=lambda kv: repr(kv[0]))),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, TauPoint) and self.as_tuple() == other.as_tuple()
-
 
 def tau_charpoly(q: Quiver, split: ArrowSplit, dims: DimData, rep: Representation) -> TauPoint:
     mu = moment_map(q, split, dims, rep)

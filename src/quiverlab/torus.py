@@ -294,8 +294,9 @@ def fixed_components(
     window (default: max gauge dimension on both sides). Unframed connected
     components are normalized by shifting their smallest occupied character
     to zero, merging gradings that induce the same action; candidates whose
-    graded representation space and framing both vanish are dropped. A
-    window with more than MAX_FIXED_GRADINGS gradings is refused up front.
+    graded representation space and framing both vanish are dropped. An
+    action whose paired arrows do not carry opposite characters, and a
+    window with more than MAX_FIXED_GRADINGS gradings, are refused up front.
     """
     if not self_dual_check(q, split, dims, act):
         raise ValueError("action is not self-dual")
@@ -306,6 +307,15 @@ def fixed_components(
         zero = zero_char(act.rank)
         grading = {n: {zero: dims.v[n]} for n in q.nodes}
         return [_candidate(q, split, dims, act, sigma, grading, trivial=True)]
+    # self-duality alone admits a pair whose partners carry the characters
+    # of another pair; the derived quiver could not pair their copies
+    for a_id, astar_id in split.pairs:
+        ch, ch_star = act.char(a_id, split), act.char(astar_id, split)
+        if ch_star != char_neg(ch):
+            raise ValueError(
+                f"paired arrows {a_id!r} and {astar_id!r} need opposite characters, "
+                f"got {list(ch)} and {list(ch_star)}"
+            )
     if window is None:
         vmax = max(dims.v[n] for n in q.nodes) if q.nodes else 1
         window = (-vmax, vmax)

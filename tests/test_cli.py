@@ -473,6 +473,18 @@ def test_non_integer_characters_are_input_errors(command, action, needle, tmp_pa
     _assert_one_error_line([command, path], capsys, needle)
 
 
+@pytest.mark.parametrize("command", ["fixed", "chambers", "stab-table", "triangle"])
+def test_pairs_with_swapped_characters_are_input_errors(command, capsys, monkeypatch):
+    # a:[1], a*:[2], b:[-2], b*:[-1] is self-dual, but neither pair is opposite
+    monkeypatch.chdir(ROOT)
+    _assert_one_error_line(
+        [command, "tests/data/swapped_pairs.json"], capsys,
+        "paired arrows 'a' and 'a*' need opposite characters, got [1] and [2]",
+    )
+    # the zero cocharacter never pairs arrow copies, so it still runs
+    assert main(["fixed", "tests/data/swapped_pairs.json", "--sigma", "0"]) == 0
+
+
 @pytest.mark.parametrize("name", ["loop2", "a2sym"])
 def test_quiver_without_pairs_derives_the_corpus_split(name):
     _, split, *_ = quiver_from_json(_input_doc(name, pairs=None))

@@ -7,9 +7,9 @@ import pytest
 
 from quiverlab.envelopes import (
     MAX_CHAMBER_REGIONS,
+    Face,
     WallError,
     chambers,
-    coarsen_grading,
     faces,
     feasible_interior,
     primitive_up_to_sign,
@@ -21,7 +21,7 @@ from quiverlab.envelopes import (
 )
 from quiverlab.exactlinalg import Mat, dot, kernel_basis
 from quiverlab.torus import fixed_components
-from quiverlab.corpus import corpus
+from quiverlab.corpus import ACTION_ENTRIES, corpus
 
 RANK2_ROOTS = ((1, 0), (0, 1), (1, -1))
 
@@ -219,7 +219,7 @@ def test_faces_match_fraction_elimination():
             for f in faces(ch):
                 kb = kernel_basis(Mat([roots[i] for i in sorted(f.zero_set)], cols=rank))
                 rows = [
-                    tuple(ch.sign_of(i) * dot(r, b) for b in kb)
+                    tuple(ch.signs[i] * dot(r, b) for b in kb)
                     for i, r in enumerate(roots)
                     if i not in f.zero_set
                 ]
@@ -292,7 +292,7 @@ def test_face_points_lie_in_chamber_closure():
                 if i in f.zero_set:
                     assert p == 0
                 else:
-                    assert (p > 0) == (ch.sign_of(i) > 0) and p != 0
+                    assert (p > 0) == (ch.signs[i] > 0) and p != 0
 
 
 def test_split_N_basic():
@@ -387,19 +387,6 @@ def test_triangle_all_corpus_triples():
                     assert rpt.n_minus_full == rpt.side_face + rpt.side_quotient
 
 
-def test_triangle_with_paired_coarse_candidate():
-    e, cands = corpus_candidates("framed2")
-    roots = torus_roots(cands)
-    ch = chambers(roots, 2)[0]
-    facet = next(f for f in faces(ch) if len(f.zero_set) == 1)
-    cand = cands[0]
-    good = coarsen_grading(cand, facet.span_basis)
-    assert triangle_split_check(cand, ch, facet, good).ok
-    bad = {n: {(99,): sum(t.values())} for n, t in good.items()}
-    rpt = triangle_split_check(cand, ch, facet, bad)
-    assert not rpt.ok and not rpt.pairing_ok
-
-
 def test_triangle_foreign_face_detected():
     # a face from a different root system is flagged, not silently accepted
     e, cands = corpus_candidates("framed2")
@@ -431,6 +418,86 @@ def test_triangle_flags_face_outside_chamber_closure():
         assert rpt.ok == (not positive)
         flagged += bool(positive)
     assert flagged == len(cands) - 1  # one candidate has no nonzero tangent character
+
+
+def per_character_triangle(candidate, chamber, face):
+    """The triangle check as one loop over the characters, each pairing
+    taken on its own, before it read the chamber split from split_N:
+    (ok, n_minus_full, side_face, side_quotient, problems)."""
+    problems = []
+    n_minus, side_face, side_quot = Counter(), Counter(), Counter()
+    for ch, m in candidate.nonzero_tangent().items():
+        s_full = dot(ch, chamber.point)
+        if s_full == 0:
+            raise WallError(ch)
+        s_face = dot(ch, face.point)
+        dead = all(dot(ch, b) == 0 for b in face.span_basis)
+        if dead != (s_face == 0):
+            problems.append(("incoherent-face-sign", ch))
+            continue
+        if s_full < 0:
+            n_minus[ch] += m
+        if not dead and s_face < 0:
+            if s_full >= 0:
+                problems.append(("face-not-in-chamber-closure", ch))
+                continue
+            side_face[ch] += m
+        if dead and s_full < 0:
+            side_quot[ch] += m
+    ok = not problems and n_minus == side_face + side_quot
+    return ok, n_minus, side_face, side_quot, tuple(problems)
+
+
+def triangle_inputs():
+    """(label, candidates, chamber, face) over every corpus triple, framed2
+    at window -2..2, a foreign face, the opposite chamber's open face and a
+    face whose point disagrees with its span."""
+    out = []
+    for name in ACTION_ENTRIES:
+        e, cands = corpus_candidates(name)
+        for ch in chambers(torus_roots(cands), e.action.rank):
+            out += [(name, cands, ch, f) for f in faces(ch)]
+    e = corpus()["framed2"]
+    wide = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, (-2, 2))
+    for ch in chambers(torus_roots(wide), 2):
+        out += [("framed2 -2..2", wide, ch, f) for f in faces(ch)]
+    _, cands = corpus_candidates("framed2")
+    chs = chambers(torus_roots(cands), 2)
+    foreign = next(f for f in faces(chambers(((1, 1),), 2)[0]) if f.zero_set)
+    opposite = next(c for c in chs if c.signs == tuple(-s for s in chs[0].signs))
+    incoherent = Face(frozenset(), (Fraction(0), Fraction(0)), ((1, 0), (0, 1)), True)
+    for label, f in [("foreign", foreign), ("opposite", faces(opposite)[0]), ("incoherent", incoherent)]:
+        out += [(label, cands, ch, f) for ch in chs]
+    return out
+
+
+def test_triangle_matches_per_character_loop():
+    kinds = Counter()
+    for label, cands, ch, f in triangle_inputs():
+        for cand in cands:
+            rpt = triangle_split_check(cand, ch, f)
+            ok, n_minus, side_face, side_quot, problems = per_character_triangle(cand, ch, f)
+            where = (label, cand.name(), ch.signs, sorted(f.zero_set))
+            assert (rpt.ok, rpt.side_face, rpt.side_quotient, rpt.problems) == (
+                ok, side_face, side_quot, problems), where
+            if not problems:
+                assert rpt.n_minus_full == n_minus, where
+            # a character flagged incoherent stays in N^-, as split_N puts it
+            assert rpt.n_minus_full == split_N(cand, ch.point).n_minus, where
+            kinds.update({kind for kind, _ in problems} | {label})
+    assert kinds["incoherent-face-sign"] and kinds["face-not-in-chamber-closure"]
+    assert kinds["framed2 -2..2"] > kinds["framed2"]
+
+
+def test_wrong_rank_pairings_name_the_rank():
+    e, cands = corpus_candidates("framed2")
+    cand = next(c for c in cands if c.nonzero_tangent())
+    ch = chambers(torus_roots(cands), 2)[0]
+    with pytest.raises(ValueError, match="xi has 3 coordinates, the action has rank 2"):
+        split_N(cand, (1, 2, 3))
+    rank3_face = faces(chambers(((1, 0, 0),), 3)[0])[0]
+    with pytest.raises(ValueError, match="face point has 3 coordinates, the action has rank 2"):
+        triangle_split_check(cand, ch, rank3_face)
 
 
 @pytest.mark.parametrize(
