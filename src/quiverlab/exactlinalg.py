@@ -1,24 +1,33 @@
 """Exact dense linear algebra over the rationals.
 
-Everything here is Fraction-based and allocation heavy, which is fine at
-the matrix sizes this package works with (dimensions rarely above 10).
-Subspaces are represented by canonical reduced-row-echelon bases, so two
-equal subspaces always carry identical basis tuples.
+Matrices and vectors hold Fractions. Elimination runs in one kernel,
+_rref_inplace, on integer rows: each row is cleared of denominators, reduced
+by integer cross multiplication with gcd normalisation, and turned back into
+Fractions only once, divided by its pivot. That is fine at the matrix sizes
+this package works with (dimensions rarely above 10). Subspaces are
+represented by canonical reduced-row-echelon bases, so two equal subspaces
+always carry identical basis tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple  # tuple of Fractions
 
+_ZERO = Fraction(0)
+
 
 def frac(x) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to an exact rational."""
+    """Coerce ints, 'p/q' strings and Fractions to an exact rational.
+
+    A bool is refused, though Python counts it as an int.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -163,32 +172,41 @@ class Mat:
             )
 
 
-def _rref_inplace(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _rref_inplace(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Each row is scaled to integers by the lcm of its entries' denominators,
+    and Gauss-Jordan runs on Python ints: a row is updated by cross
+    multiplication with the pivot row and divided by the gcd of its
+    entries. Only at the end is each pivot row divided by its pivot, one
+    Fraction per entry. The RREF is unique, so this is the same basis a
+    Fraction elimination gives. ``rows`` is replaced by the pivot rows.
+    """
+    ints = []
+    for row in rows:
+        scale = lcm(*(e.denominator for e in row))
+        ints.append([e.numerator * (scale // e.denominator) for e in row])
+    ncols = len(ints[0]) if ints else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+        if r == len(ints):
+            break
+        pivot_row = next((i for i in range(r, len(ints)) if ints[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [e / pv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
+        top = ints[r]
+        pv = top[c]
+        for i, row in enumerate(ints):
+            f = row[c]
+            if f and i != r:
+                row = [pv * a - f * b for a, b in zip(row, top)]
+                g = gcd(*row)
+                ints[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
+    rows[:] = [[Fraction(e, row[p]) if e else _ZERO for e in row] for row, p in zip(ints, pivots)]
     return rows, pivots
 
 
@@ -272,8 +290,8 @@ def reduce_span(vectors: Iterable[Sequence], dim: int) -> tuple[Vector, ...]:
     for v in rows:
         if len(v) != dim:
             raise ValueError("vector of wrong length in span")
-    reduced, pivots = _rref_inplace(rows)
-    return tuple(tuple(reduced[i]) for i in range(len(pivots)))
+    reduced, _ = _rref_inplace(rows)
+    return tuple(map(tuple, reduced))
 
 
 def in_span(vec: Sequence, basis: tuple[Vector, ...], dim: int) -> bool:

@@ -53,6 +53,8 @@ def mat_to_json(m: Mat) -> dict:
 
 def mat_from_json(doc) -> Mat:
     rows, cols = doc["rows"], doc["cols"]
+    if not (type(rows) is int and type(cols) is int and rows >= 0 and cols >= 0):
+        raise ValueError(f"matrix shape needs nonnegative integers, got {rows!r}x{cols!r}")
     entries = [frac(e) for e in doc["entries"]]
     if len(entries) != rows * cols:
         raise ValueError("matrix entry count does not match its shape")

@@ -129,7 +129,7 @@ class DimData:
         )
         for name, table in (("v", self.v), ("d", self.d)):
             for node, value in table.items():
-                if not isinstance(value, int) or value < 0:
+                if type(value) is not int or value < 0:
                     raise ValueError(f"{name}[{node!r}] must be a nonnegative integer")
 
     def validate(self, q: Quiver, need_theta: bool = False):

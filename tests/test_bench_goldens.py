@@ -5,7 +5,9 @@
 result at ``GOLDEN_SEED``. This runs the first round of that seed for every
 workload with goldens, from the repo root as the benchmark does, so a change
 of output fails here instead of in a benchmark run. Ops that only check an
-input error have no golden, as in ``perfbench/make_goldens.py``.
+input error have no golden, as in ``perfbench/make_goldens.py``. The
+``moment`` ops return no payload and have no goldens, so only their property
+verdicts are checked.
 """
 
 import json
@@ -29,3 +31,12 @@ def test_first_golden_round_matches(workload, monkeypatch):
         ok, payload = op.fn(*op.args)
         assert ok, op.key
         assert WORKLOADS["digest"](payload) == golden[op.key], op.key
+
+
+def test_first_golden_round_of_moment_holds(monkeypatch):
+    monkeypatch.chdir(PERFBENCH.parent)
+    (first_round,) = WORKLOADS["build"]("moment", WORKLOADS["GOLDEN_SEED"], rounds=1)
+    assert first_round
+    for op in first_round:
+        ok, payload = op.fn(*op.args)
+        assert ok and payload is None, op.key

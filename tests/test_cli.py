@@ -322,6 +322,11 @@ def test_stability_cli_mixed_sign_search(tmp_path, capsys):
         ["fixed", "tests/data/a2sym_sigma_str.json"],
         ["triangle", "tests/data/a2sym_sigma_str.json"],
         ["stab-table", "tests/data/a2sym_sigma_float.json"],
+        # JSON true is a bool, not the number 1
+        ["stability", "tests/data/jordan2_rep_bool_entry.json"],
+        ["tau", "tests/data/jordan2_rep_bool_entry.json"],
+        ["analyze", "tests/data/jordan2_bool_framing.json"],
+        ["stability", "tests/data/jordan2_rep_negative_shape.json"],
         ["fixed", "inputs/loop2.json", "--window=-20..20"],
         ["analyze", "inputs"],
         ["export", "inputs/jordan2.json", "--what", "aux", "--out", "no_such_dir/aux.json"],

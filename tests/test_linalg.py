@@ -6,6 +6,7 @@ import pytest
 from quiverlab.exactlinalg import (
     Mat,
     charpoly,
+    frac,
     in_span,
     kernel_basis,
     left_inverse,
@@ -158,3 +159,142 @@ def test_solve_matches_sympy_ranks():
             assert Mat(a, cols=n).matmul(x) == Mat(b, cols=k)
         outcomes[consistent] += 1
     assert min(outcomes.values()) > 100
+
+
+def _fraction_rref(rows):
+    """Gauss-Jordan over Fractions: the pivot row is divided by its pivot,
+    then cleared from every other row. Returns (rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    pivots, r = [], 0
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [e / pv for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _reference_span(rows):
+    reduced, pivots = _fraction_rref([list(r) for r in rows])
+    return tuple(tuple(reduced[i]) for i in range(len(pivots)))
+
+
+def _reference_kernel(rows, n):
+    reduced, pivots = _fraction_rref([list(r) for r in rows])
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r][f]
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def _reference_solve(a_rows, b_rows, n, k):
+    reduced, pivots = _fraction_rref([list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)])
+    if any(p >= n for p in pivots):
+        return None
+    sol = [[Fraction(0)] * k for _ in range(n)]
+    for r, p in enumerate(pivots):
+        sol[p] = reduced[r][n:]
+    return Mat(sol, cols=k)
+
+
+def _kernel_cases(seed, count):
+    """(rows, cols) pairs: empty, tall, wide and square shapes with mixed
+    denominators and signs, zero rows and columns, repeated and scaled rows
+    and planted low rank."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7, 12)))
+
+    for _ in range(count):
+        r, c = rng.randint(0, 7), rng.randint(0, 7)
+        rank = rng.randint(0, min(r, c))
+        if rng.random() < 0.5 and rank:
+            left = [[entry() for _ in range(rank)] for _ in range(r)]
+            right = [[entry() for _ in range(c)] for _ in range(rank)]
+            rows = [[sum((u[t] * right[t][j] for t in range(rank)), Fraction(0)) for j in range(c)]
+                    for u in left]
+        else:
+            rows = [[entry() for _ in range(c)] for _ in range(r)]
+        for row in rows:
+            pick = rng.random()
+            if pick < 0.1:
+                row[:] = [Fraction(0)] * c
+            elif pick < 0.2 and c:
+                row[rng.randrange(c)] = Fraction(0)
+        if c and rng.random() < 0.2:
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] = Fraction(0)
+        if rows and rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), [-2 * e for e in rng.choice(rows)])
+        if rows and rng.random() < 0.2:
+            rows.append(list(rng.choice(rows)))
+        yield [tuple(row) for row in rows], c
+
+
+def test_integer_kernel_matches_fraction_elimination():
+    rng = random.Random(41)
+    shapes = set()
+    for rows, c in _kernel_cases(40, 400):
+        m = Mat(rows, cols=c)
+        shapes.add((len(rows) > c) - (len(rows) < c))
+        assert reduce_span(rows, c) == _reference_span(rows)
+        assert kernel_basis(m) == _reference_kernel(rows, c)
+        assert rank(m) == len(_reference_span(rows))
+        k = rng.randint(1, 3)
+        if rng.random() < 0.5 and c:
+            x = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k)] for _ in range(c)]
+            b = [[sum((row[t] * x[t][j] for t in range(c)), Fraction(0)) for j in range(k)] for row in rows]
+        else:
+            b = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k)] for _ in rows]
+        assert solve(m, Mat(b, cols=k)) == _reference_solve(rows, b, c, k)
+    assert shapes == {-1, 0, 1}
+    assert reduce_span([], 3) == () and kernel_basis(Mat([], cols=0)) == ()
+    assert kernel_basis(Mat([], cols=2)) == ((1, 0), (0, 1))
+
+
+def test_integer_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def rat(e):
+        return sympy.Rational(e.numerator, e.denominator)
+
+    def frac_of(e):
+        return Fraction(int(e.p), int(e.q))
+
+    for rows, c in _kernel_cases(43, 250):
+        sm = sympy.Matrix(len(rows), c, [rat(e) for row in rows for e in row])
+        reduced, pivots = sm.rref()
+        expected = tuple(tuple(frac_of(e) for e in reduced.row(i)) for i in range(len(pivots)))
+        assert reduce_span(rows, c) == expected
+        null = tuple(tuple(frac_of(e) for e in v) for v in sm.nullspace())
+        assert kernel_basis(Mat(rows, cols=c)) == null
+        if rows and len(rows) == c:
+            coeffs = sm.charpoly(x).all_coeffs()
+            assert charpoly(Mat(rows, cols=c)) == tuple(frac_of(sympy.Rational(e)) for e in coeffs)
+
+
+def test_frac_refuses_bool():
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            frac(flag)
+    assert frac(1) == 1 and frac("-3/6") == Fraction(-1, 2)

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from quiverlab.exactlinalg import Mat, in_span, preimage_span, span_intersect
+from quiverlab.exactlinalg import Mat, in_span, preimage_span, reduce_span, span_intersect
 from quiverlab.quiver import Arrow, ArrowSplit, DimData, Quiver
 from quiverlab.reps import Representation, leg_moment_scalars, leg_stable, zero_representation
-from quiverlab.sampling import random_leg_stable_aux, random_matrix, random_representation
+from quiverlab.sampling import random_fraction, random_leg_stable_aux, random_matrix, random_representation
 from quiverlab.stability import (
     MixedSignTheta,
     check_stability_transfer,
@@ -125,6 +125,66 @@ def test_cogenerated_core_matches_preimage_reference():
         nonzero += any(core[n] for n in q.nodes)
     assert count >= 400
     assert 0 < nonzero < count
+
+
+def _closure_reference(q, dims, rep, seeds, include_framing):
+    """The closure by sweeps over all arrows, re-reducing every head span,
+    until a whole sweep adds nothing."""
+    spans = {}
+    for n in q.nodes:
+        vecs = [tuple(v) for v in seeds.get(n, ())]
+        if include_framing:
+            vecs += [rep.a[n].col_tuple(j) for j in range(rep.a[n].cols)]
+        spans[n] = reduce_span(vecs, dims.v[n])
+    changed = True
+    while changed:
+        changed = False
+        for ar in q.arrows:
+            images = tuple(rep.x[ar.id].apply(v) for v in spans[ar.tail])
+            merged = reduce_span(spans[ar.head] + images, dims.v[ar.head])
+            if merged != spans[ar.head]:
+                spans[ar.head] = merged
+                changed = True
+    return spans
+
+
+def _seed_kinds(rng, q, dims):
+    """Unit, random, zero and empty seeds for one representation."""
+    nodes = [n for n in q.nodes if dims.v[n]]
+    n = rng.choice(nodes)
+    j = rng.randrange(dims.v[n])
+    unit = {n: [tuple(Fraction(int(i == j)) for i in range(dims.v[n]))]}
+    rand = {m: [tuple(random_fraction(rng) for _ in range(dims.v[m])) for _ in range(rng.randint(1, 2))]
+            for m in nodes if rng.random() < 0.7}
+    zero = {m: [(0,) * dims.v[m]] for m in q.nodes}
+    return {"unit": unit, "random": rand, "zero": zero, "empty": {}}
+
+
+def test_generated_closure_matches_sweep_reference():
+    # the rank-one loop maps of _core_samples have rows with different
+    # denominators; scaling each row of an arrow matrix separately changes
+    # the map, and the Jordan v = 3 samples then close to the wrong span
+    # a block of four consecutive samples covers the four _core_samples
+    # variants, and each block takes the next seed kind
+    rng = random.Random(505)
+    count = proper = 0
+    for i, (q, dims, rep) in enumerate(_core_samples()):
+        kind, seeds = list(_seed_kinds(rng, q, dims).items())[i // 4 % 4]
+        for include_framing in (False, True):
+            got = generated_closure(q, dims, rep, seeds, include_framing)
+            assert got == _closure_reference(q, dims, rep, seeds, include_framing), (i, kind)
+            count += 1
+            proper += 0 < sum(map(len, got.values())) < sum(dims.v.values())
+    assert count >= 900
+    assert proper > count // 10
+
+
+def test_generated_closure_refuses_seed_of_wrong_length():
+    q, _, dims, rep = jordan_rep([[0, 0], [1, 0]], [[1], [0]], [[0, 0]])
+    with pytest.raises(ValueError):
+        generated_closure(q, dims, rep, {"0": [(1, 0, 0)]})
+    with pytest.raises(ValueError):
+        generated_closure(q, dims, rep, {"0": [(1,)]}, include_framing=True)
 
 
 def test_cogenerated_core_monotone_in_b_kernel():
