@@ -179,8 +179,9 @@ def _rref_inplace(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     and Gauss-Jordan runs on Python ints: a row is updated by cross
     multiplication with the pivot row and divided by the gcd of its
     entries. Only at the end is each pivot row divided by its pivot, one
-    Fraction per entry. The RREF is unique, so this is the same basis a
-    Fraction elimination gives. ``rows`` is replaced by the pivot rows.
+    Fraction per nonzero entry. The RREF is unique, so this is the same
+    basis a Fraction elimination gives. ``rows`` is replaced by the pivot
+    rows.
     """
     ints = []
     for row in rows:

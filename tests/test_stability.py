@@ -163,9 +163,9 @@ def _seed_kinds(rng, q, dims):
 def test_generated_closure_matches_sweep_reference():
     # the rank-one loop maps of _core_samples have rows with different
     # denominators; scaling each row of an arrow matrix separately changes
-    # the map, and the Jordan v = 3 samples then close to the wrong span
-    # a block of four consecutive samples covers the four _core_samples
-    # variants, and each block takes the next seed kind
+    # the map, and the Jordan v = 3 samples then close to the wrong span.
+    # A block of four consecutive samples covers the four _core_samples
+    # variants, and each block takes the next seed kind.
     rng = random.Random(505)
     count = proper = 0
     for i, (q, dims, rep) in enumerate(_core_samples()):
