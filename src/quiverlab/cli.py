@@ -67,12 +67,21 @@ def _load_doc(path: str) -> dict:
         raise InputError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}")
 
 
-def _load_problem(path: str):
-    doc = _load_doc(path)
+def _parse_problem(doc: dict, path: str, symmetric: bool):
+    """quiver_from_json on doc, with its errors as input errors. With
+    symmetric, a quiver without a doubled-pair split is refused: every
+    command that builds on the split needs one."""
     try:
-        return quiver_from_json(doc)
+        problem = quiver_from_json(doc)
     except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"{path}: {e}")
+    if symmetric and problem[1] is None:
+        raise InputError(f"{path}: the quiver is not symmetric")
+    return problem
+
+
+def _load_problem(path: str, symmetric: bool = True):
+    return _parse_problem(_load_doc(path), path, symmetric)
 
 
 def _emit(payload: dict, fmt: str, lines=None):
@@ -111,7 +120,7 @@ def _parse_window(text: str) -> tuple[int, int]:
 # analyze / surgery commands
 
 def cmd_analyze(args) -> int:
-    q, split, dims, _, _ = _load_problem(args.file)
+    q, split, dims, _, _ = _load_problem(args.file, symmetric=False)
     payload: dict = {
         "adjacency": [list(r) for r in q.adjacency_matrix()],
         "cartan": [list(r) for r in q.cartan_matrix()],
@@ -318,14 +327,14 @@ def cmd_triangle(args) -> int:
 # ---------------------------------------------------------------------------
 # representation commands
 
-def _load_rep(path: str):
+def _load_rep(path: str, symmetric: bool = True):
     doc = _load_doc(path)
-    if "quiver" not in doc or "representation" not in doc:
+    if not (isinstance(doc, dict) and "quiver" in doc and "representation" in doc):
         raise InputError("representation file needs 'quiver' and 'representation'")
+    q, split, dims, _, _ = _parse_problem(doc["quiver"], path, symmetric)
+    if dims is None:
+        raise InputError("dimension data required")
     try:
-        q, split, dims, action, sigma = quiver_from_json(doc["quiver"])
-        if dims is None:
-            raise InputError("dimension data required")
         rep, t = rep_from_json(q, doc["representation"])
         return q, split, dims, rep, t
     except (KeyError, ValueError, TypeError) as e:
@@ -334,7 +343,7 @@ def _load_rep(path: str):
 
 def cmd_stability(args) -> int:
     _check_positive(args.trials, "--trials")
-    q, split, dims, rep, _ = _load_rep(args.file)
+    q, split, dims, rep, _ = _load_rep(args.file, symmetric=False)
     theta = dims.theta
     if args.theta:
         theta = dict(zip(q.nodes, _parse_vector(args.theta, "--theta", len(q.nodes), frac)))

@@ -17,10 +17,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 
-from .exactlinalg import Mat, frac, kernel_basis
+from .exactlinalg import Mat, clear_denominators, frac, kernel_basis
 from .quiver import ArrowSplit, DimData, Quiver
 from .surgery import dim_quiver_variety, hgamma_data
 from .torus import FixedCandidate
@@ -41,9 +41,7 @@ def _primitive_row(vec) -> tuple[int, ...]:
     """The positive rational multiple of a vector with coprime integer
     entries; the zero vector stays zero."""
     if not all(isinstance(x, int) for x in vec):
-        fracs = [frac(x) for x in vec]
-        denom = lcm(*(x.denominator for x in fracs))
-        vec = [x.numerator * (denom // x.denominator) for x in fracs]
+        vec, _ = clear_denominators([frac(x) for x in vec])
     g = gcd(*vec)
     return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
@@ -219,8 +217,8 @@ def _flats(roots, rank: int):
         for sel in itertools.combinations(range(len(roots)), size):
             kb = kernel_basis(Mat([roots[i] for i in sel], cols=rank))
             # the basis times the common denominator of its entries
-            denom = lcm(*(x.denominator for b in kb for x in b))
-            cols = [[x.numerator * (denom // x.denominator) for x in b] for b in kb]
+            flat, _ = clear_denominators([x for b in kb for x in b])
+            cols = [flat[j * rank : (j + 1) * rank] for j in range(len(kb))]
             rows = [[sum(map(mul, r, c)) for c in cols] for r in roots]
             zero = frozenset(i for i, row in enumerate(rows) if not any(row))
             if zero not in flats:

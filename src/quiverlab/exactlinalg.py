@@ -1,23 +1,32 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices and vectors hold Fractions. Elimination runs in one kernel,
-_rref_inplace, on integer rows: each row is cleared of denominators, reduced
-by integer cross multiplication with gcd normalisation, and turned back into
-Fractions only once, divided by its pivot. That is fine at the matrix sizes
-this package works with (dimensions rarely above 10). Subspaces are
-represented by canonical reduced-row-echelon bases, so two equal subspaces
-always carry identical basis tuples.
+Matrices and vectors hold Fractions, but the kernels run on Python ints.
+clear_denominators turns a row into integers and one scale. Elimination
+runs in one kernel, _rref_inplace: each row is cleared of denominators,
+reduced by integer cross multiplication with gcd normalisation, and turned
+back into Fractions only once, divided by its pivot. Mat.matmul and
+Mat.apply clear each row of the left factor and each column (or the vector)
+on the right, so an entry is one integer dot product made into one
+Fraction. charpoly runs its recurrence on the integer matrix. That is fine
+at the matrix sizes this package works with (dimensions rarely above 10).
+Subspaces are represented by canonical reduced-row-echelon bases, so two
+equal subspaces always carry identical basis tuples.
+
+Mat(...) coerces and checks outside data. Mat._exact wraps entries that are
+already Fractions without either step; it is internal to this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 Vector = tuple  # tuple of Fractions
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -37,6 +46,14 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def clear_denominators(entries: Sequence) -> tuple[list[int], int]:
+    """(ints, scale) with entries[i] == ints[i] / scale, where scale is the
+    lcm of the entries' denominators. Takes Fractions or ints."""
+    pairs = [e.as_integer_ratio() for e in entries]
+    scale = lcm(*(d for _, d in pairs))
+    return [n * (scale // d) for n, d in pairs], scale
+
+
 class Mat:
     """Immutable rational matrix."""
 
@@ -54,18 +71,27 @@ class Mat:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", cols)
 
+    @staticmethod
+    def _exact(rows: tuple, cols: int) -> "Mat":
+        """A Mat over a tuple of equal-length tuples of Fractions, taken as
+        is: no coercion, no ragged check. Internal to this module."""
+        m = object.__new__(Mat)
+        object.__setattr__(m, "data", rows)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        return m
+
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
-        return Mat(((Fraction(0),) * cols for _ in range(rows)), cols=cols)
+        return Mat._exact(((_ZERO,) * cols,) * rows, cols)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(
-            (tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)),
-            cols=n,
+        return Mat._exact(
+            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n
         )
 
     @staticmethod
@@ -91,22 +117,21 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(
-            (tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
-            cols=self.cols,
+        return Mat._exact(
+            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.data, other.data)), self.cols
         )
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
-        return Mat((tuple(-a for a in row) for row in self.data), cols=self.cols)
+        return Mat._exact(tuple(tuple(map(neg, row)) for row in self.data), self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             return self.matmul(other)
         s = frac(other)
-        return Mat((tuple(a * s for a in row) for row in self.data), cols=self.cols)
+        return Mat._exact(tuple(tuple(a * s for a in row) for row in self.data), self.cols)
 
     __rmul__ = __mul__
 
@@ -116,16 +141,20 @@ class Mat:
                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         # columns of other; with no rows it still has other.cols empty ones
-        ot = tuple(zip(*other.data)) if other.rows else ((),) * other.cols
-        return Mat(
-            (tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.data),
-            cols=other.cols,
+        ot = zip(*other.data) if other.rows else ((),) * other.cols
+        cols = [clear_denominators(col) for col in ot]
+        return Mat._exact(
+            tuple(
+                tuple(Fraction(sum(map(mul, row, col)), rs * cs) for col, cs in cols)
+                for row, rs in map(clear_denominators, self.data)
+            ),
+            other.cols,
         )
 
     def transpose(self) -> "Mat":
         if self.rows == 0:
-            return Mat(tuple(() for _ in range(self.cols)), cols=0)
-        return Mat(zip(*self.data), cols=self.rows)
+            return Mat._exact(((),) * self.cols, 0)
+        return Mat._exact(tuple(zip(*self.data)), self.rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -155,7 +184,11 @@ class Mat:
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * frac(x) for a, x in zip(row, vec)) for row in self.data)
+        ints, scale = clear_denominators([frac(x) for x in vec])
+        return tuple(
+            Fraction(sum(map(mul, row, ints)), rs * scale)
+            for row, rs in map(clear_denominators, self.data)
+        )
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -183,10 +216,7 @@ def _rref_inplace(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     basis a Fraction elimination gives. ``rows`` is replaced by the pivot
     rows.
     """
-    ints = []
-    for row in rows:
-        scale = lcm(*(e.denominator for e in row))
-        ints.append([e.numerator * (scale // e.denominator) for e in row])
+    ints = [clear_denominators(row)[0] for row in rows]
     ncols = len(ints[0]) if ints else 0
     pivots: list[int] = []
     r = 0
@@ -241,31 +271,41 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     n, k = a.cols, b.cols
     aug = [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)]
     reduced, pivots = _rref_inplace(aug)
-    sol = [[Fraction(0)] * k for _ in range(n)]
+    sol = [(_ZERO,) * k] * n
     for r, p in enumerate(pivots):
         if p >= n:
             return None  # a pivot on the right-hand side: inconsistent
-        for j in range(k):
-            sol[p][j] = reduced[r][n + j]
-    return Mat(sol, cols=k)
+        sol[p] = tuple(reduced[r][n:])
+    return Mat._exact(tuple(sol), k)
 
 
 def charpoly(m: Mat) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial of a square matrix.
 
     Returns coefficients (1, c1, ..., cn) of x^n + c1 x^(n-1) + ... + cn,
-    computed by the Faddeev-LeVerrier recurrence (exact over Q).
+    computed by the Faddeev-LeVerrier recurrence on the integer matrix
+    B = s*m, where s is the lcm of all denominators in m:
+
+        M_1 = I,  b_k = -tr(B M_k) / k,  M_{k+1} = B M_k + b_k I.
+
+    The b_k are the coefficients of the characteristic polynomial of B, an
+    integer matrix, so every M_k is an integer matrix and each division by
+    k is exact. Then c_k = b_k / s**k.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    coeffs = [Fraction(1)]
-    mk = Mat.identity(n)
+    flat, s = clear_denominators([e for row in m.data for e in row])
+    b = [flat[i * n : (i + 1) * n] for i in range(n)]
+    coeffs = [_ONE]
+    mk_cols = [[int(i == j) for i in range(n)] for j in range(n)]
     for k in range(1, n + 1):
-        am = m.matmul(mk)
-        ck = -am.trace() / k
-        coeffs.append(ck)
-        mk = am + ck * Mat.identity(n)
+        am = [[sum(map(mul, row, col)) for col in mk_cols] for row in b]
+        bk = -sum(am[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(bk, s**k))
+        for i in range(n):
+            am[i][i] += bk
+        mk_cols = list(zip(*am))
     return tuple(coeffs)
 
 

@@ -55,6 +55,8 @@ def mat_from_json(doc) -> Mat:
     rows, cols = doc["rows"], doc["cols"]
     if not (type(rows) is int and type(cols) is int and rows >= 0 and cols >= 0):
         raise ValueError(f"matrix shape needs nonnegative integers, got {rows!r}x{cols!r}")
+    if not isinstance(doc["entries"], list):
+        raise ValueError(f"matrix entries need a JSON list, got {doc['entries']!r}")
     entries = [frac(e) for e in doc["entries"]]
     if len(entries) != rows * cols:
         raise ValueError("matrix entry count does not match its shape")

@@ -17,10 +17,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
-from .exactlinalg import Mat, _rref_inplace, frac, in_span, kernel_basis, reduce_span
+from .exactlinalg import (
+    Mat,
+    _rref_inplace,
+    clear_denominators,
+    frac,
+    in_span,
+    kernel_basis,
+    reduce_span,
+)
 from .quiver import Arrow, DimData, Quiver
 from .reps import Representation, leg_moment_scalars, leg_stable, p_map, validate_shapes
 from .surgery import AuxResult, lift_stability
@@ -46,8 +54,9 @@ def _integer_rows(rows) -> list[list[int]]:
     One common scale for all rows, so a matrix keeps its map up to a scalar;
     scaling its rows separately would change the map.
     """
-    scale = lcm(*(e.denominator for row in rows for e in row))
-    return [[e.numerator * (scale // e.denominator) for e in row] for row in rows]
+    ints, _ = clear_denominators([e for row in rows for e in row])
+    n = len(rows[0]) if rows else 0
+    return [ints[i * n : (i + 1) * n] for i in range(len(rows))]
 
 
 def _insert(basis: dict, vec: list) -> list | None:
@@ -115,7 +124,7 @@ def generated_closure(
         if any(len(v) != dims.v[n] for v in vecs):
             raise ValueError(f"vector of wrong length at node {n!r}")
         for v in vecs:
-            row = _insert(bases[n], _integer_rows((v,))[0])
+            row = _insert(bases[n], clear_denominators(v)[0])
             if row is not None:
                 work.append((n, row))
     while work:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import itertools
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from quiverlab import verify
-from quiverlab.cli import main
+from quiverlab.cli import build_parser, main
 from quiverlab.corpus import corpus
 from quiverlab.jsonio import (
     dumps_canonical,
@@ -327,6 +328,11 @@ def test_stability_cli_mixed_sign_search(tmp_path, capsys):
         ["tau", "tests/data/jordan2_rep_bool_entry.json"],
         ["analyze", "tests/data/jordan2_bool_framing.json"],
         ["stability", "tests/data/jordan2_rep_negative_shape.json"],
+        ["tau", "tests/data/jordan2_rep_string_entries.json"],
+        # a quiver without a doubled-pair split
+        ["moment-check", "tests/data/nonsymmetric.json"],
+        ["triangle", "tests/data/nonsymmetric.json"],
+        ["tau", "tests/data/nonsymmetric_rep.json"],
         ["fixed", "inputs/loop2.json", "--window=-20..20"],
         ["analyze", "inputs"],
         ["export", "inputs/jordan2.json", "--what", "aux", "--out", "no_such_dir/aux.json"],
@@ -339,6 +345,48 @@ def test_malformed_input_is_input_error(argv, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+NONSYMMETRIC = ("tests/data/nonsymmetric.json", "tests/data/nonsymmetric_rep.json")
+# the commands that need no doubled-pair split read a non-symmetric quiver
+NONSYMMETRIC_OK = {"analyze", "stability"}
+
+
+def _file_commands():
+    """An argv stem for every subcommand of the parser that reads an input
+    file, one per choice of each required option."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        if not any(a.dest == "file" for a in parser._actions):
+            continue
+        required = [a for a in parser._actions if a.required and a.option_strings]
+        for picks in itertools.product(*[[(a.option_strings[0], c) for c in a.choices] for a in required]):
+            yield [name, *itertools.chain.from_iterable(picks)]
+
+
+@pytest.mark.parametrize("stem", list(_file_commands()), ids=" ".join)
+def test_nonsymmetric_quiver_is_refused(stem, capsys, monkeypatch):
+    # each command gets the quiver file and the representation file; one of
+    # them is its kind of input, the other is refused as malformed
+    monkeypatch.chdir(ROOT)
+    codes, errors = [], []
+    for path in NONSYMMETRIC:
+        codes.append(main([*stem, path]))
+        captured = capsys.readouterr()
+        if codes[-1]:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            errors.append(captured.err)
+    if stem[0] in NONSYMMETRIC_OK:
+        assert sorted(codes) == [0, 2]
+    else:
+        assert codes == [2, 2]
+        assert any("not symmetric" in e for e in errors)
+
+
+def test_nonsymmetric_check_finds_the_file_commands():
+    # an empty enumeration would leave the check above with no cases
+    assert NONSYMMETRIC_OK < {stem[0] for stem in _file_commands()}
 
 
 @pytest.mark.parametrize(

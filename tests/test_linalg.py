@@ -271,6 +271,84 @@ def test_integer_kernel_matches_fraction_elimination():
     assert kernel_basis(Mat([], cols=2)) == ((1, 0), (0, 1))
 
 
+def _fraction_matmul(a, b, m):
+    """Product of row lists a (n x k) and b (k x m), one Fraction product
+    and sum at a time."""
+    cols = list(zip(*b)) if b else [()] * m
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
+                 for row in a)
+
+
+def _fraction_apply(rows, vec):
+    return tuple(sum((a * Fraction(x) for a, x in zip(row, vec)), Fraction(0)) for row in rows)
+
+
+def _fraction_charpoly(rows):
+    """Faddeev-LeVerrier over Fractions: M_1 = I, c_k = -tr(A M_k)/k,
+    M_{k+1} = A M_k + c_k I."""
+    n = len(rows)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    coeffs, mk = [Fraction(1)], ident
+    for k in range(1, n + 1):
+        am = _fraction_matmul(rows, mk, n)
+        ck = -sum((am[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs.append(ck)
+        mk = [[a + ck * e for a, e in zip(ra, ri)] for ra, ri in zip(am, ident)]
+    return tuple(coeffs)
+
+
+def _all_fractions(entries):
+    return all(type(e) is Fraction for e in entries)
+
+
+def test_integer_products_match_fraction_products():
+    rng = random.Random(46)
+    right = _kernel_cases(47, 400)
+    empty = set()
+    for rows, k in _kernel_cases(46, 400):
+        # a right factor with k rows, cut or padded from the next case
+        b, m = next(right)
+        b = [row[:m] for row in b[:k]] + [tuple(Fraction(rng.randint(-4, 4), 3) for _ in range(m))
+                                          for _ in range(k - len(b))]
+        empty.update(axis for axis, size in zip("nkm", (len(rows), k, m)) if size == 0)
+        a_mat, b_mat = Mat(rows, cols=k), Mat(b, cols=m)
+        product = a_mat.matmul(b_mat)
+        assert (product.rows, product.cols) == (len(rows), m)
+        assert product.data == _fraction_matmul(rows, b, m)
+        assert _all_fractions(e for row in product.data for e in row)
+        vec = [rng.choice((0, rng.randint(-6, 6), Fraction(rng.randint(-6, 6), rng.randint(1, 9))))
+               for _ in range(k)]
+        image = a_mat.apply(vec)
+        assert image == _fraction_apply(rows, vec) and _all_fractions(image)
+        n = min(len(rows), k)
+        square = [row[:n] for row in rows[:n]]
+        poly = charpoly(Mat(square, cols=n))
+        assert poly == _fraction_charpoly(square) and _all_fractions(poly)
+    assert empty == {"n", "k", "m"}
+
+
+def test_exact_constructor_matches_checked_constructor():
+    for rows, c in _kernel_cases(48, 200):
+        checked = Mat(rows, cols=c)
+        exact = Mat._exact(tuple(map(tuple, rows)), c)
+        assert exact == checked and hash(exact) == hash(checked)
+        n = min(len(rows), c)
+        results = [
+            checked + checked, -checked, Fraction(-3, 4) * checked, checked - checked,
+            checked.transpose(), checked.matmul(checked.transpose()),
+            Mat.identity(n), Mat.zero(len(rows), c), Mat.zero(0, c), Mat.zero(c, 0),
+        ]
+        sol = solve(checked, checked.matmul(Mat.identity(c)))
+        assert sol is not None
+        results.append(sol)
+        for r in results:
+            rebuilt = Mat([list(row) for row in r.data], cols=r.cols)
+            assert r == rebuilt and hash(r) == hash(rebuilt)
+            assert (r.rows, r.cols) == (rebuilt.rows, rebuilt.cols)
+            assert all(len(row) == r.cols for row in r.data)
+            assert _all_fractions(e for row in r.data for e in row)
+
+
 def test_integer_kernel_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -291,6 +369,12 @@ def test_integer_kernel_matches_sympy():
         if rows and len(rows) == c:
             coeffs = sm.charpoly(x).all_coeffs()
             assert charpoly(Mat(rows, cols=c)) == tuple(frac_of(sympy.Rational(e)) for e in coeffs)
+    for (a, k), (b, m) in zip(_kernel_cases(44, 150), _kernel_cases(45, 150)):
+        b = [row[:m] for row in b[:k]] + [(Fraction(0),) * m] * (k - len(b))
+        product = sympy.Matrix(len(a), k, [rat(e) for row in a for e in row]) * sympy.Matrix(
+            k, m, [rat(e) for row in b for e in row])
+        expected = tuple(tuple(frac_of(product[i, j]) for j in range(m)) for i in range(len(a)))
+        assert Mat(a, cols=k).matmul(Mat(b, cols=m)).data == expected
 
 
 def test_frac_refuses_bool():
