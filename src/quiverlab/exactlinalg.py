@@ -156,11 +156,6 @@ class Mat:
             return Mat._exact(((),) * self.cols, 0)
         return Mat._exact(tuple(zip(*self.data)), self.rows)
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
-
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.data for e in row)
 
