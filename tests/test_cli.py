@@ -331,7 +331,6 @@ def test_stability_cli_mixed_sign_search(tmp_path, capsys):
         ["tau", "tests/data/jordan2_rep_string_entries.json"],
         # a quiver without a doubled-pair split
         ["moment-check", "tests/data/nonsymmetric.json"],
-        ["triangle", "tests/data/nonsymmetric.json"],
         ["tau", "tests/data/nonsymmetric_rep.json"],
         ["fixed", "inputs/loop2.json", "--window=-20..20"],
         ["analyze", "inputs"],
