@@ -245,7 +245,7 @@ def cmd_fixed(args) -> int:
 
 
 def _roots_for(args):
-    if args.roots:
+    if args.roots is not None:
         try:
             roots = tuple(
                 tuple(int(x) for x in part.split(",")) for part in args.roots.split(";")

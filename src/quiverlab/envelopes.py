@@ -7,7 +7,13 @@ prefixes one root at a time, so the work follows the chamber count rather
 than the 2^n sign vectors.
 A face fixes a closed subset of roots to zero and keeps the chamber signs
 on the rest; its span is the common kernel of the vanishing roots, which
-is also the Lie algebra of the associated subtorus.
+is also the Lie algebra of the associated subtorus. These closed subsets
+are the flats of the arrangement, found by walking up from the whole space
+through covers: a flat is covered by one flat per hyperplane the remaining
+roots cut out of its kernel, so the lattice costs one kernel basis per flat.
+Every pairing of a root or character with a rational point is an integer
+dot product with the point's numerators over a common positive
+denominator, which keeps its sign.
 """
 
 from __future__ import annotations
@@ -42,8 +48,13 @@ def _primitive_row(vec) -> tuple[int, ...]:
     entries; the zero vector stays zero."""
     if not all(isinstance(x, int) for x in vec):
         vec, _ = clear_denominators([frac(x) for x in vec])
-    g = gcd(*vec)
-    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
+    return _coprime(tuple(vec))
+
+
+def _coprime(row: tuple[int, ...]) -> tuple[int, ...]:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else row
 
 
 def primitive_up_to_sign(vec) -> tuple[int, ...] | None:
@@ -95,7 +106,7 @@ def feasible_interior(rows, nvars: int):
             for p in pos
             for n in neg
         ]
-        levels.append(list(dict.fromkeys(map(_primitive_row, zero + combos))))
+        levels.append(list(dict.fromkeys(zero + list(map(_coprime, combos)))))
     if levels[-1]:
         return None  # leftover variable-free strict rows
 
@@ -169,25 +180,28 @@ def chambers(roots, rank: int) -> list[Chamber]:
             f"over the enumeration budget of {MAX_CHAMBER_REGIONS}"
         )
     out = []
-    # (signs, sign rows, an interior point of the rows); a full-length entry's
-    # point is always feasible_interior of its rows
-    stack = [((), (), feasible_interior((), rank))]
+    # (signs, sign rows, an interior point of the rows, the point's integer
+    # numerators); a full-length entry's point is always feasible_interior
+    # of its rows
+    origin = feasible_interior((), rank)
+    stack = [((), (), origin, clear_denominators(origin)[0])]
     while stack:
-        signs, rows, point = stack.pop()
+        signs, rows, point, nums = stack.pop()
         if len(signs) == len(roots):
             out.append(Chamber(roots=roots, signs=signs, point=point))
             continue
         root = roots[len(signs)]
-        pairing = sum(map(mul, root, point))
+        # the numerators are the point times a positive scale: same sign
+        pairing = sum(map(mul, root, nums))
         children = []
         for s in (1, -1):
             ext = rows + (tuple(s * c for c in root),)
             if s * pairing > 0 and len(ext) < len(roots):
-                children.append((signs + (s,), ext, point))
+                children.append((signs + (s,), ext, point, nums))
             else:
                 p = feasible_interior(ext, rank)
                 if p is not None:
-                    children.append((signs + (s,), ext, p))
+                    children.append((signs + (s,), ext, p, clear_denominators(p)[0]))
         stack.extend(reversed(children))
     return out
 
@@ -208,26 +222,39 @@ def _flats(roots, rank: int):
     basis, scaled to a primitive integer row) for every root i off the
     zero set.
 
-    Every flat is cut out by at most rank independent roots, so the closures
-    of the root subsets of that size find them all. The kernel basis comes
-    from the canonical RREF of the subset's span, whichever subset found it.
+    The lattice is built from covers, starting at the flat where no root
+    vanishes. On a flat's kernel, the roots off its zero set Z restrict to
+    the pairings rows; two roots cut the same hyperplane of the kernel
+    exactly when their rows agree up to sign. So each sign class C of rows
+    gives one flat covering this one, with zero set Z | C, and every flat
+    is reached along a chain of covers. The kernel basis is taken once per
+    flat, from the canonical RREF of its zero set's roots; a flat with a
+    zero kernel has no pairings and so no covers.
     """
     flats = {}
-    for size in range(rank + 1):
-        for sel in itertools.combinations(range(len(roots)), size):
-            kb = kernel_basis(Mat([roots[i] for i in sel], cols=rank))
-            # the basis times the common denominator of its entries
-            flat, _ = clear_denominators([x for b in kb for x in b])
-            cols = [flat[j * rank : (j + 1) * rank] for j in range(len(kb))]
-            rows = [[sum(map(mul, r, c)) for c in cols] for r in roots]
-            zero = frozenset(i for i, row in enumerate(rows) if not any(row))
-            if zero not in flats:
-                pairings = tuple(
-                    (i, _primitive_row(row)) for i, row in enumerate(rows) if i not in zero
-                )
-                # kernel basis vectors are nonzero, so each has a primitive form
-                basis = tuple(primitive_up_to_sign(v) for v in kb)
-                flats[zero] = (zero, kb, basis, pairings)
+    todo = [frozenset(i for i, r in enumerate(roots) if not any(r))]
+    while todo:
+        zero = todo.pop()
+        if zero in flats:
+            continue
+        kb = kernel_basis(Mat([roots[i] for i in sorted(zero)], cols=rank))
+        # the basis times the common denominator of its entries
+        flat, _ = clear_denominators([x for b in kb for x in b])
+        cols = [flat[j * rank : (j + 1) * rank] for j in range(len(kb))]
+        pairings = tuple(
+            (i, _coprime(tuple(sum(map(mul, r, c)) for c in cols)))
+            for i, r in enumerate(roots)
+            if i not in zero
+        )
+        # kernel basis vectors are nonzero, so each has a primitive form
+        basis = tuple(primitive_up_to_sign(v) for v in kb)
+        flats[zero] = (zero, kb, basis, pairings)
+        covers: dict = {}
+        for i, row in pairings:
+            covers.setdefault(primitive_up_to_sign(row), []).append(i)
+        # built in increasing order, as a frozenset of a scan over the roots
+        # would be, so even its iteration order is the same
+        todo.extend(frozenset(sorted(zero.union(c))) for c in covers.values())
     return tuple(sorted(flats.values(), key=lambda f: (len(f[0]), sorted(f[0]))))
 
 
@@ -279,9 +306,11 @@ def split_N(candidate: FixedCandidate, xi) -> NormalSplit:
     rank = candidate.action.rank
     if len(xi) != rank:
         raise ValueError(f"xi has {len(xi)} coordinates, the action has rank {rank}")
+    # xi times a positive scale: every pairing keeps its sign
+    nums, _ = clear_denominators(xi)
     plus, minus = Counter(), Counter()
     for ch, m in candidate.nonzero_tangent().items():
-        p = sum(map(mul, ch, xi))
+        p = sum(map(mul, ch, nums))
         if p == 0:
             raise WallError(ch)
         (plus if p > 0 else minus)[ch] += m
@@ -390,11 +419,12 @@ def triangle_split_check(
     if len(face.point) != rank:
         raise ValueError(f"face point has {len(face.point)} coordinates, the action has rank {rank}")
     n_minus_full = split_N(candidate, chamber.point).n_minus
+    face_nums, _ = clear_denominators(face.point)
     problems = []
     side_face: Counter = Counter()
     side_quot: Counter = Counter()
     for ch, m in candidate.nonzero_tangent().items():
-        s_face = sum(map(mul, ch, face.point))
+        s_face = sum(map(mul, ch, face_nums))
         dead = not any(sum(map(mul, ch, b)) for b in face.span_basis)
         if dead != (s_face == 0):
             problems.append(("incoherent-face-sign", ch))

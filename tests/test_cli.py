@@ -421,6 +421,9 @@ def test_closed_stdout_exits_quietly(argv):
         ("--xi", ["stab-table", "inputs/framed2.json", "--xi", "1,,3"]),
         ("--roots", ["chambers", "--roots", "1,x;0,1"]),
         ("--roots", ["export", "--what", "chambers", "--roots", "1,0;"]),
+        # an empty --roots is still --roots, not a missing input file
+        ("--roots", ["chambers", "--roots", ""]),
+        ("--roots", ["export", "--what", "chambers", "--roots", ""]),
         ("--samples", ["verify", "moment", "--samples", "-3"]),
         ("--samples", ["verify", "flag", "--samples", "0"]),
         ("--samples", ["moment-check", "inputs/loop2.json", "--samples", "-2"]),

@@ -2,13 +2,16 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from quiverlab.envelopes import (
     MAX_CHAMBER_REGIONS,
+    Chamber,
     Face,
     WallError,
+    _flats,
     chambers,
     faces,
     feasible_interior,
@@ -227,6 +230,46 @@ def test_faces_match_fraction_elimination():
                 want = tuple(sum((c * b[j] for c, b in zip(coords, kb)), Fraction(0)) for j in range(rank))
                 assert f.point == want, (roots, ch.signs, sorted(f.zero_set))
                 assert f.span_basis == tuple(primitive_up_to_sign(b) for b in kb)
+
+
+def all_subsets_flats(roots, rank):
+    """The flat lattice as the closures of every root subset of size at most
+    rank, each flat keeping the kernel basis of the first subset that finds
+    it; pairings are Fraction products scaled to primitive integer rows."""
+
+    def primitive(row):
+        den = lcm(*(x.denominator for x in row))
+        ints = [int(x * den) for x in row]
+        g = gcd(*ints)
+        return tuple(x // g for x in ints)
+
+    found = {}
+    for size in range(rank + 1):
+        for sel in itertools.combinations(range(len(roots)), size):
+            kb = kernel_basis(Mat([roots[i] for i in sel], cols=rank))
+            rows = [tuple(sum(a * b for a, b in zip(r, v)) for v in kb) for r in roots]
+            zero = frozenset(i for i, row in enumerate(rows) if not any(row))
+            if zero not in found:
+                pairings = tuple((i, primitive(row)) for i, row in enumerate(rows) if i not in zero)
+                basis = tuple(primitive_up_to_sign(v) for v in kb)
+                found[zero] = (zero, kb, basis, pairings)
+    return tuple(sorted(found.values(), key=lambda f: (len(f[0]), sorted(f[0]))))
+
+
+def test_flats_match_all_subsets_closures():
+    systems = seeded_arrangements() + [((), rank) for rank in (1, 2, 3, 4)]
+    systems += [
+        (((1, 0, 0),), 3),
+        (((1, 0, 0), (2, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -3, -3)), 3),
+        (((1, 1, 0, 0), (0, 0, 1, 1), (2, 2, 1, 1), (1, 1, -1, -1)), 4),  # rank 2 in rank 4
+        (RANK2_ROOTS, 2),
+    ]
+    sizes = Counter()
+    for roots, rank in systems:
+        got = _flats(roots, rank)
+        assert got == all_subsets_flats(roots, rank), (roots, rank)
+        sizes[rank] = max(sizes[rank], len(got))
+    assert sizes[3] > 20 and sizes[4] > 20
 
 
 def test_chambers_oracle_on_corpus_rank2():
@@ -487,6 +530,77 @@ def test_triangle_matches_per_character_loop():
             kinds.update({kind for kind, _ in problems} | {label})
     assert kinds["incoherent-face-sign"] and kinds["face-not-in-chamber-closure"]
     assert kinds["framed2 -2..2"] > kinds["framed2"]
+
+
+def fraction_split(candidate, xi):
+    """(N^+, N^-) from Fraction pairings, before split_N cleared denominators."""
+    plus, minus = Counter(), Counter()
+    for ch, m in candidate.nonzero_tangent().items():
+        p = sum(Fraction(c) * x for c, x in zip(ch, xi))
+        if p == 0:
+            raise WallError(ch)
+        (plus if p > 0 else minus)[ch] += m
+    return plus, minus
+
+
+# positive scales with unlike denominators
+SCALES = (Fraction(2, 3), Fraction(7, 5), Fraction(1, 6), 4)
+
+
+def test_split_N_matches_fraction_pairing_under_positive_scaling():
+    rng = random.Random(5)
+    checked = walls = 0
+    for name in ACTION_ENTRIES:
+        e, cands = corpus_candidates(name)
+        rank = e.action.rank
+        points = [ch.point for ch in chambers(torus_roots(cands), rank)]
+        points += [
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rank))
+            for _ in range(30)
+        ]
+        for cand in cands:
+            for point in points:
+                try:
+                    want = fraction_split(cand, point)
+                except WallError as err:
+                    with pytest.raises(WallError) as got:
+                        split_N(cand, point)
+                    assert got.value.char == err.char
+                    walls += 1
+                    continue
+                for s in (1,) + SCALES:
+                    ns = split_N(cand, tuple(s * x for x in point))
+                    assert (ns.n_plus, ns.n_minus) == want, (name, point, s)
+                    assert (ns.rank_plus, ns.rank_minus) == tuple(sum(c.values()) for c in want)
+                    checked += 1
+    assert checked > 1000 and walls
+
+
+def test_triangle_unchanged_by_positive_scaling_of_points():
+    inputs = triangle_inputs()
+    for n, (label, cands, ch, f) in enumerate(inputs[::5]):
+        s_ch, s_face = SCALES[n % 4], SCALES[(n + 1) % 4]
+        scaled_ch = Chamber(ch.roots, ch.signs, tuple(s_ch * x for x in ch.point))
+        scaled_face = Face(f.zero_set, tuple(s_face * x for x in f.point), f.span_basis, f.improper)
+        for cand in cands:
+            rpt = triangle_split_check(cand, scaled_ch, scaled_face)
+            assert rpt == triangle_split_check(cand, ch, f), (label, ch.signs, sorted(f.zero_set))
+            ok, _, side_face, side_quot, problems = per_character_triangle(cand, scaled_ch, scaled_face)
+            assert (rpt.ok, rpt.side_face, rpt.side_quotient, rpt.problems) == (
+                ok, side_face, side_quot, problems)
+
+
+def test_split_N_refuses_bool_before_length():
+    e, cands = corpus_candidates("framed2")
+    cand = next(c for c in cands if c.nonzero_tangent())
+    ch = chambers(torus_roots(cands), 2)[0]
+    for xi in ((True, 1), (1, False), (True, 1, 2)):
+        with pytest.raises(TypeError, match="cannot interpret .* as an exact rational"):
+            split_N(cand, xi)
+        with pytest.raises(TypeError, match="cannot interpret .* as an exact rational"):
+            triangle_split_check(cand, Chamber(ch.roots, ch.signs, xi), faces(ch)[0])
+    with pytest.raises(ValueError, match="xi has 1 coordinates, the action has rank 2"):
+        split_N(cand, (Fraction(1, 2),))
 
 
 def test_wrong_rank_pairings_name_the_rank():
