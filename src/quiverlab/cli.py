@@ -211,10 +211,10 @@ def _candidates_for(args):
         raise InputError("dimension data required")
     if action is None:
         raise InputError("no torus action in the input file")
-    sigma = _parse_vector(args.sigma, "--sigma", action.rank) if args.sigma else sigma_doc
+    sigma = _parse_vector(args.sigma, "--sigma", action.rank) if args.sigma is not None else sigma_doc
     if sigma is None:
         raise InputError("no cocharacter: give --sigma or a 'sigma' entry")
-    window = _parse_window(args.window) if args.window else None
+    window = _parse_window(args.window) if args.window is not None else None
     cands = fixed_components(q, split, dims, action, sigma, window)
     return q, split, dims, action, sigma, cands
 
@@ -281,7 +281,7 @@ def cmd_chambers(args) -> int:
 
 def cmd_stab_table(args) -> int:
     q, split, dims, action, sigma, cands = _candidates_for(args)
-    xi = _parse_vector(args.xi, "--xi", action.rank) if args.xi else sigma
+    xi = _parse_vector(args.xi, "--xi", action.rank) if args.xi is not None else sigma
     table = stab_degree_table(q, split, dims, cands, xi)
     payload = {
         "dim_ambient": table.dim_ambient,
@@ -345,7 +345,7 @@ def cmd_stability(args) -> int:
     _check_positive(args.trials, "--trials")
     q, split, dims, rep, _ = _load_rep(args.file, symmetric=False)
     theta = dims.theta
-    if args.theta:
+    if args.theta is not None:
         theta = dict(zip(q.nodes, _parse_vector(args.theta, "--theta", len(q.nodes), frac)))
     if not theta:
         raise InputError("no stability condition: give --theta or a 'theta' entry")

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, gcd
 from operator import mul
 
-from .exactlinalg import Mat, clear_denominators, frac, kernel_basis
+from .exactlinalg import Mat, clear_denominators, clear_matrix, frac, kernel_basis
 from .quiver import ArrowSplit, DimData, Quiver
 from .surgery import dim_quiver_variety, hgamma_data
 from .torus import FixedCandidate
@@ -239,8 +239,7 @@ def _flats(roots, rank: int):
             continue
         kb = kernel_basis(Mat([roots[i] for i in sorted(zero)], cols=rank))
         # the basis times the common denominator of its entries
-        flat, _ = clear_denominators([x for b in kb for x in b])
-        cols = [flat[j * rank : (j + 1) * rank] for j in range(len(kb))]
+        cols, _ = clear_matrix(kb)
         pairings = tuple(
             (i, _coprime(tuple(sum(map(mul, r, c)) for c in cols)))
             for i, r in enumerate(roots)

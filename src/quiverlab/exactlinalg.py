@@ -1,14 +1,15 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices and vectors hold Fractions, but the kernels run on Python ints.
-clear_denominators turns a row into integers and one scale. Elimination
-runs in one kernel, _rref_inplace: each row is cleared of denominators,
-reduced by integer cross multiplication with gcd normalisation, and turned
-back into Fractions only once, divided by its pivot. Mat.matmul and
-Mat.apply clear each row of the left factor and each column (or the vector)
-on the right, so an entry is one integer dot product made into one
-Fraction. charpoly runs its recurrence on the integer matrix. That is fine
-at the matrix sizes this package works with (dimensions rarely above 10).
+clear_denominators turns a row into integers and one scale, clear_matrix a
+matrix. Elimination has one step, insert_row, which adds an integer row to
+a Gauss-Jordan basis {pivot: row} by cross multiplication and gcd division
+(integer rows, in the style of Bareiss); normalise_basis divides each row
+by its pivot once, at the end. Mat.matmul and Mat.apply clear each row of
+the left factor and each column (or the vector) on the right, so an entry
+is one integer dot product made into one Fraction. charpoly runs its
+recurrence on the integer matrix. That is fine at the matrix sizes this
+package works with (dimensions rarely above 10).
 Subspaces are represented by canonical reduced-row-echelon bases, so two
 equal subspaces always carry identical basis tuples.
 
@@ -200,61 +201,82 @@ class Mat:
             )
 
 
-def _rref_inplace(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def clear_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(ints, scale) with rows[i][j] == ints[i][j] / scale: one common scale
+    for all rows, so a matrix keeps its map up to a scalar."""
+    flat, scale = clear_denominators([e for row in rows for e in row])
+    n = len(rows[0]) if rows else 0
+    return [flat[i * n : (i + 1) * n] for i in range(len(rows))], scale
 
-    Each row is scaled to integers by the lcm of its entries' denominators,
-    and Gauss-Jordan runs on Python ints: a row is updated by cross
-    multiplication with the pivot row and divided by the gcd of its
-    entries. Only at the end is each pivot row divided by its pivot, one
-    Fraction per nonzero entry. The RREF is unique, so this is the same
-    basis a Fraction elimination gives. ``rows`` is replaced by the pivot
-    rows.
+
+def _reduce(basis: dict, vec: list[int]) -> list[int]:
+    """The remainder of an integer vector against a basis {pivot: row}; it
+    is zero exactly when the vector lies in the span. Every row is zero at
+    the other rows' pivots, so the rows apply in any order."""
+    for p, row in basis.items():
+        c = vec[p]
+        if c:
+            d = row[p]
+            vec = [d * a - c * b for a, b in zip(vec, row)]
+    return vec
+
+
+def insert_row(basis: dict, vec: list[int]) -> list[int] | None:
+    """Add an integer vector to a Gauss-Jordan basis {pivot: row}.
+
+    A nonzero remainder, divided by its gcd, is cleared from the other rows
+    at its first nonzero column, stored and returned; a vector already in
+    the span returns None. Each row's pivot stays its first nonzero column.
     """
-    ints = [clear_denominators(row)[0] for row in rows]
-    ncols = len(ints[0]) if ints else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(ints):
-            break
-        pivot_row = next((i for i in range(r, len(ints)) if ints[i][c]), None)
-        if pivot_row is None:
-            continue
-        ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
-        top = ints[r]
-        pv = top[c]
-        for i, row in enumerate(ints):
-            f = row[c]
-            if f and i != r:
-                row = [pv * a - f * b for a, b in zip(row, top)]
-                g = gcd(*row)
-                ints[i] = [a // g for a in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    rows[:] = [[Fraction(e, row[p]) if e else _ZERO for e in row] for row, p in zip(ints, pivots)]
-    return rows, pivots
+    vec = _reduce(basis, vec)
+    g = gcd(*vec)
+    if not g:
+        return None
+    if g > 1:
+        vec = [a // g for a in vec]
+    pivot = next(i for i, a in enumerate(vec) if a)
+    d = vec[pivot]
+    for p, row in basis.items():
+        c = row[pivot]
+        if c:
+            row = [d * a - c * b for a, b in zip(row, vec)]
+            g = gcd(*row)
+            basis[p] = [a // g for a in row] if g > 1 else row
+    basis[pivot] = vec
+    return vec
+
+
+def normalise_basis(basis: dict) -> tuple[Vector, ...]:
+    """The canonical RREF rows of a basis {pivot: row}: each row divided by
+    its pivot, in pivot order. The RREF is unique, so every basis of one
+    span gives the same rows, the ones a Fraction elimination gives."""
+    return tuple(
+        tuple(Fraction(e, row[p]) if e else _ZERO for e in row)
+        for p, row in sorted(basis.items())
+    )
+
+
+def _int_basis(rows: Iterable[Sequence]) -> dict:
+    basis: dict = {}
+    for row in rows:
+        insert_row(basis, clear_denominators(row)[0])
+    return basis
 
 
 def rank(m: Mat) -> int:
-    rows = [list(r) for r in m.data]
-    _, pivots = _rref_inplace(rows)
-    return len(pivots)
+    return len(_int_basis(m.data))
 
 
 def kernel_basis(m: Mat) -> tuple[Vector, ...]:
     """Basis of {x : m @ x = 0}, as tuples of length m.cols."""
     n = m.cols
-    rows = [list(r) for r in m.data]
-    reduced, pivots = _rref_inplace(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    pivot_rows = _int_basis(m.data)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][f]
+    for f in (c for c in range(n) if c not in pivot_rows):
+        vec = [_ZERO] * n
+        vec[f] = _ONE
+        for p, row in pivot_rows.items():
+            vec[p] = -Fraction(row[f], row[p])
         basis.append(tuple(vec))
     return tuple(basis)
 
@@ -264,13 +286,12 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     if a.rows != b.rows:
         raise ValueError("row count mismatch in solve")
     n, k = a.cols, b.cols
-    aug = [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)]
-    reduced, pivots = _rref_inplace(aug)
+    basis = _int_basis(list(ra) + list(rb) for ra, rb in zip(a.data, b.data))
+    if any(p >= n for p in basis):
+        return None  # a pivot on the right-hand side: inconsistent
     sol = [(_ZERO,) * k] * n
-    for r, p in enumerate(pivots):
-        if p >= n:
-            return None  # a pivot on the right-hand side: inconsistent
-        sol[p] = tuple(reduced[r][n:])
+    for p, row in zip(sorted(basis), normalise_basis(basis)):
+        sol[p] = row[n:]
     return Mat._exact(tuple(sol), k)
 
 
@@ -290,8 +311,7 @@ def charpoly(m: Mat) -> tuple[Fraction, ...]:
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    flat, s = clear_denominators([e for row in m.data for e in row])
-    b = [flat[i * n : (i + 1) * n] for i in range(n)]
+    b, s = clear_matrix(m.data)
     coeffs = [_ONE]
     mk_cols = [[int(i == j) for i in range(n)] for j in range(n)]
     for k in range(1, n + 1):
@@ -321,18 +341,23 @@ def left_kernel_basis(m: Mat) -> tuple[Vector, ...]:
 # Subspaces of Q^n, stored as canonical RREF row bases (tuples of tuples).
 # The zero subspace is the empty tuple.
 
-def reduce_span(vectors: Iterable[Sequence], dim: int) -> tuple[Vector, ...]:
+def _checked_rows(vectors: Iterable[Sequence], dim: int) -> list[list[Fraction]]:
     rows = [[frac(x) for x in v] for v in vectors]
     for v in rows:
         if len(v) != dim:
             raise ValueError("vector of wrong length in span")
-    reduced, _ = _rref_inplace(rows)
-    return tuple(map(tuple, reduced))
+    return rows
+
+
+def reduce_span(vectors: Iterable[Sequence], dim: int) -> tuple[Vector, ...]:
+    return normalise_basis(_int_basis(_checked_rows(vectors, dim)))
 
 
 def in_span(vec: Sequence, basis: tuple[Vector, ...], dim: int) -> bool:
-    joined = reduce_span(list(basis) + [tuple(vec)], dim)
-    return len(joined) == len(basis)
+    """Whether vec lies in the span of basis, which need not be canonical
+    or even independent."""
+    *rows, last = _checked_rows([*basis, vec], dim)
+    return not any(_reduce(_int_basis(rows), clear_denominators(last)[0]))
 
 
 def span_sum(b1, b2, dim: int) -> tuple[Vector, ...]:

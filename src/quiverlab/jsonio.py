@@ -107,6 +107,13 @@ def quiver_to_json(
     return doc
 
 
+def _object(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})  # an absent key reads as an empty object
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} needs a JSON object, got {value!r}")
+    return value
+
+
 def quiver_from_json(doc: dict):
     """(quiver, split, dims, action, sigma); optional parts may be None.
 
@@ -133,27 +140,25 @@ def quiver_from_json(doc: dict):
 
     dims = None
     if "v" in doc:
-        v = {keys[k]: x for k, x in doc["v"].items()}
-        d = {keys[k]: x for k, x in doc.get("d", {}).items()}
+        v = {keys[k]: x for k, x in _object(doc, "v").items()}
+        d = {keys[k]: x for k, x in _object(doc, "d").items()}
         for n in q.nodes:
             d.setdefault(n, 0)
-        theta = {
-            keys[k]: frac(x) for k, x in doc.get("theta", {}).items()
-        }
+        theta = {keys[k]: frac(x) for k, x in _object(doc, "theta").items()}
         dims = DimData(v, d, theta)
 
     action = None
     if "action" in doc:
-        adoc = doc["action"]
+        adoc = _object(doc, "action")
         arrow_chars = {}
-        for aid_str, ch in adoc.get("arrow_chars", {}).items():
+        for aid_str, ch in _object(adoc, "arrow_chars").items():
             matches = [a.id for a in q.arrows if str(a.id) == aid_str]
             if not matches:
                 raise ValueError(f"action references unknown arrow {aid_str!r}")
             arrow_chars[matches[0]] = tuple(ch)
         framing_chars = {
             keys[k]: tuple(tuple(c) for c in chars)
-            for k, chars in adoc.get("framing_chars", {}).items()
+            for k, chars in _object(adoc, "framing_chars").items()
         }
         action = TorusAction(adoc["rank"], arrow_chars, framing_chars)
 

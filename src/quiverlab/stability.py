@@ -17,16 +17,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .exactlinalg import (
     Mat,
-    _rref_inplace,
     clear_denominators,
+    clear_matrix,
     frac,
     in_span,
+    insert_row,
     kernel_basis,
+    normalise_basis,
     reduce_span,
 )
 from .quiver import Arrow, DimData, Quiver
@@ -48,47 +49,6 @@ class SubrepWitness:
     includes_framing: bool  # True when the extra framing node is inside
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    """The rows times the lcm of all their entries' denominators.
-
-    One common scale for all rows, so a matrix keeps its map up to a scalar;
-    scaling its rows separately would change the map.
-    """
-    ints, _ = clear_denominators([e for row in rows for e in row])
-    n = len(rows[0]) if rows else 0
-    return [ints[i * n : (i + 1) * n] for i in range(len(rows))]
-
-
-def _insert(basis: dict, vec: list) -> list | None:
-    """Add an integer vector to a Gauss-Jordan basis {pivot: row}.
-
-    Every row is zero at the other rows' pivots, so the vector is reduced
-    row by row in any order. A nonzero remainder, divided by its gcd, is
-    cleared from the other rows at its first nonzero column, stored and
-    returned; a vector already in the span returns None.
-    """
-    for p, row in basis.items():
-        c = vec[p]
-        if c:
-            d = row[p]
-            vec = [d * a - c * b for a, b in zip(vec, row)]
-    g = gcd(*vec)
-    if not g:
-        return None
-    if g > 1:
-        vec = [a // g for a in vec]
-    pivot = next(i for i, a in enumerate(vec) if a)
-    d = vec[pivot]
-    for p, row in basis.items():
-        c = row[pivot]
-        if c:
-            row = [d * a - c * b for a, b in zip(row, vec)]
-            g = gcd(*row)
-            basis[p] = [a // g for a in row] if g > 1 else row
-    basis[pivot] = vec
-    return vec
-
-
 def generated_closure(
     q: Quiver,
     dims: DimData,
@@ -101,20 +61,19 @@ def generated_closure(
     With include_framing the columns of every A block are added to the
     seeds, matching subspaces that contain the framing node.
 
-    A worklist closure over integer rows. Each arrow matrix is scaled to
-    integers by one common denominator, and each node keeps a Gauss-Jordan
-    basis of integer rows (see _insert). A seed or image vector that
-    enlarges its node's basis is queued; popping it applies only the arrows
-    out of that node, skipping a head whose basis is already full. Each
-    node's rows then go through the RREF kernel once, so the spans are the
-    canonical bases reduce_span gives.
+    A worklist closure over integer rows. Each arrow matrix is cleared by
+    one common scale, and each node keeps a Gauss-Jordan basis grown by
+    insert_row. A seed or image vector that enlarges its node's basis is
+    queued; popping it applies only the arrows out of that node, skipping a
+    head whose basis is already full. normalise_basis then gives each node
+    the canonical basis reduce_span gives.
     """
     arrows_out = {n: [] for n in q.nodes}
     for ar in q.arrows:
         m = rep.x[ar.id]
         if (m.rows, m.cols) != (dims.v[ar.head], dims.v[ar.tail]):
             raise ValueError(f"arrow {ar.id!r} has wrong shape")
-        arrows_out[ar.tail].append((ar.head, _integer_rows(m.data)))
+        arrows_out[ar.tail].append((ar.head, clear_matrix(m.data)[0]))
     bases = {n: {} for n in q.nodes}
     work = []
     for n in q.nodes:
@@ -124,17 +83,17 @@ def generated_closure(
         if any(len(v) != dims.v[n] for v in vecs):
             raise ValueError(f"vector of wrong length at node {n!r}")
         for v in vecs:
-            row = _insert(bases[n], clear_denominators(v)[0])
+            row = insert_row(bases[n], clear_denominators(v)[0])
             if row is not None:
                 work.append((n, row))
     while work:
         n, vec = work.pop()
         for head, m in arrows_out[n]:
             if len(bases[head]) < dims.v[head]:
-                row = _insert(bases[head], [sum(map(mul, r, vec)) for r in m])
+                row = insert_row(bases[head], [sum(map(mul, r, vec)) for r in m])
                 if row is not None:
                     work.append((head, row))
-    return {n: tuple(map(tuple, _rref_inplace(list(bases[n].values()))[0])) for n in q.nodes}
+    return {n: normalise_basis(bases[n]) for n in q.nodes}
 
 
 def cogenerated_core(q: Quiver, dims: DimData, rep: Representation) -> dict:
@@ -190,7 +149,9 @@ def verify_witness(
     it was produced: arrow invariance, the framing condition for its side
     of the completion, and the recorded pairing value."""
     for n in q.nodes:
-        if len(w.basis[n]) != w.dims[n]:
+        # a basis of the recorded size that spans fewer dimensions is no basis
+        basis = w.basis[n]
+        if not len(basis) == len(reduce_span(basis, dims.v[n])) == w.dims[n]:
             return False
     for ar in q.arrows:
         for vec in w.basis[ar.tail]:

@@ -52,6 +52,9 @@ class TorusAction:
     framing_chars: dict    # node -> tuple of Chars, one per framing slot
 
     def validate(self, q: Quiver, split: ArrowSplit, dims: DimData):
+        if not (type(self.rank) is int and self.rank >= 0):
+            raise ValueError(f"action rank needs a nonnegative integer, got {self.rank!r}")
+
         def check(ch, where: str):
             if len(ch) != self.rank:
                 raise ValueError(f"{where} has wrong rank")
@@ -295,20 +298,23 @@ def fixed_components(
     components are normalized by shifting their smallest occupied character
     to zero, merging gradings that induce the same action; candidates whose
     graded representation space and framing both vanish are dropped. An
-    action whose paired arrows do not carry opposite characters, and a
-    window with more than MAX_FIXED_GRADINGS gradings, are refused up front.
+    invalid or non-self-dual action, paired arrows without opposite
+    characters at a nonzero cocharacter, and a window with more than
+    MAX_FIXED_GRADINGS gradings are refused up front.
     """
-    if not self_dual_check(q, split, dims, act):
-        raise ValueError("action is not self-dual")
+    act.validate(q, split, dims)
     sigma = tuple(sigma)
     if len(sigma) != act.rank:
         raise ValueError("cocharacter has wrong rank")
     if act.rank == 0 or not any(sigma):
+        # the zero cocharacter pairs no arrow copies, so swapped pairs pass
+        if not self_dual_check(q, split, dims, act):
+            raise ValueError("action is not self-dual")
         zero = zero_char(act.rank)
         grading = {n: {zero: dims.v[n]} for n in q.nodes}
         return [_candidate(q, split, dims, act, sigma, grading, trivial=True)]
-    # self-duality alone admits a pair whose partners carry the characters
-    # of another pair; the derived quiver could not pair their copies
+    # the derived quiver pairs the copies of a and a* only when their
+    # characters are opposite; loops carry zero, so the action is self-dual
     for a_id, astar_id in split.pairs:
         ch, ch_star = act.char(a_id, split), act.char(astar_id, split)
         if ch_star != char_neg(ch):

@@ -424,6 +424,11 @@ def test_closed_stdout_exits_quietly(argv):
         # an empty --roots is still --roots, not a missing input file
         ("--roots", ["chambers", "--roots", ""]),
         ("--roots", ["export", "--what", "chambers", "--roots", ""]),
+        # an empty value is still its flag's value, not an absent flag
+        ("--sigma", ["fixed", "inputs/a2sym.json", "--sigma", ""]),
+        ("--window", ["fixed", "inputs/a2sym.json", "--window", ""]),
+        ("--xi", ["stab-table", "inputs/framed2.json", "--xi", ""]),
+        ("--theta", ["stability", "inputs/jordan2_rep.json", "--theta", ""]),
         ("--samples", ["verify", "moment", "--samples", "-3"]),
         ("--samples", ["verify", "flag", "--samples", "0"]),
         ("--samples", ["moment-check", "inputs/loop2.json", "--samples", "-2"]),
@@ -526,6 +531,29 @@ def test_stability_refuses_malformed_representation(theta, tmp_path, capsys):
 def test_non_integer_characters_are_input_errors(command, action, needle, tmp_path, capsys):
     path = _write(tmp_path, "chars.json", _input_doc("a2sym", action=action))
     _assert_one_error_line([command, path], capsys, needle)
+
+
+@pytest.mark.parametrize(
+    "key", ["v", "d", "theta", "action", "action.arrow_chars", "action.framing_chars"]
+)
+@pytest.mark.parametrize("command", ["analyze", "fixed"])
+def test_json_array_in_place_of_object_is_input_error(command, key, tmp_path, capsys):
+    doc = _input_doc("a2sym")
+    *outer, last = key.split(".")
+    target = doc
+    for k in outer:
+        target = target[k]
+    target[last] = [1, 0]
+    path = _write(tmp_path, "array.json", doc)
+    _assert_one_error_line([command, path], capsys, f"{last!r} needs a JSON object")
+
+
+@pytest.mark.parametrize("rank", [1.0, True, -1], ids=["float", "bool", "negative"])
+@pytest.mark.parametrize("command", ["fixed", "chambers", "stab-table", "triangle"])
+def test_action_rank_must_be_a_nonnegative_integer(command, rank, tmp_path, capsys):
+    action = {**_input_doc("a2sym")["action"], "rank": rank}
+    path = _write(tmp_path, "rank.json", _input_doc("a2sym", action=action))
+    _assert_one_error_line([command, path], capsys, "action rank needs a nonnegative integer")
 
 
 @pytest.mark.parametrize("command", ["fixed", "chambers", "stab-table", "triangle"])

@@ -271,6 +271,26 @@ def test_integer_kernel_matches_fraction_elimination():
     assert kernel_basis(Mat([], cols=2)) == ((1, 0), (0, 1))
 
 
+def test_in_span_matches_rank_oracle():
+    # the basis is the raw row list, with zero, repeated and scaled rows,
+    # and the canonical RREF of it; the oracle compares reference ranks
+    rng = random.Random(49)
+    verdicts, dependent = {True: 0, False: 0}, 0
+    for rows, c in _kernel_cases(49, 300):
+        span_rank = len(_reference_span(rows))
+        dependent += span_rank < len(rows)
+        combo = [sum((rng.randint(-3, 3) * row[j] for row in rows), Fraction(0)) for j in range(c)]
+        free = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(c)]
+        for vec in (combo, free, *rows[:2]):
+            expected = len(_reference_span([*rows, vec])) == span_rank
+            assert in_span(vec, tuple(rows), c) == expected
+            assert in_span(vec, reduce_span(rows, c), c) == expected
+            verdicts[expected] += 1
+    assert min(verdicts.values()) > 100 and dependent > 50
+    with pytest.raises(ValueError, match="wrong length"):
+        in_span((1,), ((1, 0),), 2)
+
+
 def _fraction_matmul(a, b, m):
     """Product of row lists a (n x k) and b (k x m), one Fraction product
     and sum at a time."""

@@ -10,6 +10,7 @@ from quiverlab.reps import Representation, leg_moment_scalars, leg_stable, zero_
 from quiverlab.sampling import random_fraction, random_leg_stable_aux, random_matrix, random_representation
 from quiverlab.stability import (
     MixedSignTheta,
+    SubrepWitness,
     check_stability_transfer,
     cogenerated_core,
     destabilizer_search,
@@ -324,6 +325,26 @@ def test_verify_witness_rejects_tampered_witnesses():
     _, _, _, x_zero = jordan_rep([[0, 0], [0, 0]], [[1], [0]], [[1, 0]])
     assert verify_witness(q, dims, x_zero, theta_pos, line2)
     assert not verify_witness(q, dims, x_zero, theta_pos, dataclasses.replace(w, basis={"0": (e1,)}))
+
+
+def test_verify_witness_rejects_a_repeated_basis_vector():
+    # X e1 = e2 and B kills e1 but not e2: span(e1) is not invariant, so
+    # the representation is stable at theta = 1
+    theta_pos = {"0": Fraction(1)}
+    q, _, dims, rep = jordan_rep([[0, 0], [1, 0]], [[1], [0]], [[0, 1]])
+    assert stability_report(q, dims, rep, theta_pos) == (True, None)
+    e1 = (Fraction(1), Fraction(0))
+    # two copies of e1 claim the whole plane, which B does not kill
+    forged = SubrepWitness(dims={"0": 2}, basis={"0": (e1, e1)}, pairing=Fraction(2),
+                           includes_framing=False)
+    assert not in_span((0, 1), (e1, e1), 2)
+    assert not verify_witness(q, dims, rep, theta_pos, forged)
+    # with X = 0 the line span(e1) is invariant and killed by B, but the two
+    # copies still span only that line
+    _, _, _, x_zero = jordan_rep([[0, 0], [0, 0]], [[1], [0]], [[0, 1]])
+    line = dataclasses.replace(forged, dims={"0": 1}, basis={"0": (e1,)}, pairing=Fraction(1))
+    assert verify_witness(q, dims, x_zero, theta_pos, line)
+    assert not verify_witness(q, dims, x_zero, theta_pos, forged)
 
 
 def test_verify_witness_rejects_tampered_framing_witnesses():

@@ -127,6 +127,31 @@ def test_self_dual_check_matches_labelled_multiset_reference():
     assert framed >= 200
 
 
+def test_fixed_components_refuses_what_both_duality_rules_refused():
+    # the old sequence: self-duality at every cocharacter, then opposite
+    # pairs at a nonzero one; the window (0, 0) keeps one grading
+    rng = random.Random(20261019)
+    refused = {True: 0, False: 0}
+    for _ in range(600):
+        q, split, dims, act, _ = _random_symmetric_problem(rng)
+        sigma = tuple(rng.choice((0, 0, 1, -1)) for _ in range(act.rank))
+        zero = not any(sigma)
+        opposite = all(
+            act.char(b, split) == tuple(-c for c in act.char(a, split)) for a, b in split.pairs
+        )
+        old_refuses = not self_dual_check(q, split, dims, act) or not (zero or opposite)
+        try:
+            fixed_components(q, split, dims, act, sigma, (0, 0))
+        except ValueError as e:
+            assert old_refuses
+            # at a nonzero cocharacter only the opposite-pair rule runs
+            assert ("not self-dual" if zero else "need opposite characters") in str(e)
+            refused[zero] += 1
+        else:
+            assert not old_refuses
+    assert min(refused.values()) >= 20
+
+
 def test_fixed_components_sigma_zero():
     # loop2 has a loop and an arrow with a nonzero character
     for name in ("jordan2", "a2sym", "framed2", "loop2"):
