@@ -211,6 +211,8 @@ def _candidates_for(args):
         raise InputError("dimension data required")
     if action is None:
         raise InputError("no torus action in the input file")
+    # --sigma and --xi are parsed against action.rank, so it is checked first
+    action.validate(q, split, dims)
     sigma = _parse_vector(args.sigma, "--sigma", action.rank) if args.sigma is not None else sigma_doc
     if sigma is None:
         raise InputError("no cocharacter: give --sigma or a 'sigma' entry")

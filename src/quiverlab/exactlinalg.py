@@ -267,18 +267,33 @@ def rank(m: Mat) -> int:
     return len(_int_basis(m.data))
 
 
+def kernel_rows(basis: dict, n: int) -> dict:
+    """{f: row} over the free columns f of a Gauss-Jordan basis {pivot: row}
+    of integer rows of length n; the rows span the vectors that every basis
+    row annihilates. Row f is L at f, where L is the lcm of the pivots of
+    the basis rows nonzero at f, -row[f] * L / row[p] at each such pivot p,
+    and zero elsewhere."""
+    out = {}
+    for f in range(n):
+        if f in basis:
+            continue
+        seen = [(p, row) for p, row in basis.items() if row[f]]
+        scale = lcm(*(row[p] for p, row in seen))
+        vec = [0] * n
+        vec[f] = scale
+        for p, row in seen:
+            vec[p] = -row[f] * (scale // row[p])
+        out[f] = vec
+    return out
+
+
 def kernel_basis(m: Mat) -> tuple[Vector, ...]:
-    """Basis of {x : m @ x = 0}, as tuples of length m.cols."""
-    n = m.cols
-    pivot_rows = _int_basis(m.data)
-    basis = []
-    for f in (c for c in range(n) if c not in pivot_rows):
-        vec = [_ZERO] * n
-        vec[f] = _ONE
-        for p, row in pivot_rows.items():
-            vec[p] = -Fraction(row[f], row[p])
-        basis.append(tuple(vec))
-    return tuple(basis)
+    """Basis of {x : m @ x = 0}, as tuples of length m.cols: one vector per
+    free column f, with 1 at f."""
+    return tuple(
+        tuple(Fraction(e, row[f]) if e else _ZERO for e in row)
+        for f, row in kernel_rows(_int_basis(m.data), m.cols).items()
+    )
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:

@@ -131,6 +131,12 @@ def quiver_from_json(doc: dict):
     if not q.is_symmetric():
         split = None  # no doubled-pair structure exists
     elif "pairs" in doc:
+        ids = [a.id for a in q.arrows]
+        pairs = doc["pairs"]
+        if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(a in ids for a in p) for p in pairs
+        )):
+            raise ValueError(f"'pairs' needs a list of two-arrow-id lists, got {pairs!r}")
         paired = {a for p in doc["pairs"] for a in p}
         loops = tuple(a.id for a in q.arrows if a.id not in paired)
         split = ArrowSplit(tuple(tuple(p) for p in doc["pairs"]), loops)
@@ -141,6 +147,9 @@ def quiver_from_json(doc: dict):
     dims = None
     if "v" in doc:
         v = {keys[k]: x for k, x in _object(doc, "v").items()}
+        missing = [k for k, n in keys.items() if n not in v]
+        if missing:
+            raise ValueError(f"'v' needs an entry for every node, missing {missing}")
         d = {keys[k]: x for k, x in _object(doc, "d").items()}
         for n in q.nodes:
             d.setdefault(n, 0)
@@ -155,11 +164,14 @@ def quiver_from_json(doc: dict):
             matches = [a.id for a in q.arrows if str(a.id) == aid_str]
             if not matches:
                 raise ValueError(f"action references unknown arrow {aid_str!r}")
+            if not isinstance(ch, list):
+                raise ValueError(f"'arrow_chars' entry {aid_str!r} needs a list, got {ch!r}")
             arrow_chars[matches[0]] = tuple(ch)
-        framing_chars = {
-            keys[k]: tuple(tuple(c) for c in chars)
-            for k, chars in _object(adoc, "framing_chars").items()
-        }
+        framing_chars = {}
+        for k, chars in _object(adoc, "framing_chars").items():
+            if not (isinstance(chars, list) and all(isinstance(c, list) for c in chars)):
+                raise ValueError(f"'framing_chars' entry {k!r} needs a list of lists, got {chars!r}")
+            framing_chars[keys[k]] = tuple(map(tuple, chars))
         action = TorusAction(adoc["rank"], arrow_chars, framing_chars)
 
     sigma = None

@@ -10,6 +10,18 @@ Witnesses carry explicit bases so invariance can be rechecked from
 scratch; pairings are evaluated in the completed sense where the framing
 is absorbed into an extra dimension-1 node whose stability value is
 -sum(theta_i * v_i).
+
+Each check (stability_report, destabilizer_search) clears the
+representation into one integer form, _IntegerRep: every arrow matrix
+scaled by one common denominator, and its transpose for the core; the A
+columns and B rows, each cleared on its own. The closure, the core (a dual
+closure and the kernel read off its basis) and the side rule all run on
+integer Gauss-Jordan bases grown by exactlinalg.insert_row. Fractions are
+made only at the edges: the public generated_closure clears its seeds on
+entry, normalise_basis makes the canonical bases that generated_closure
+and cogenerated_core return and that a witness carries (the search
+normalises only the witness it returns), pairings are Fractions of theta,
+and verify_witness rechecks a witness on Fractions, apart from the form.
 """
 
 from __future__ import annotations
@@ -18,19 +30,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .exactlinalg import (
-    Mat,
     clear_denominators,
     clear_matrix,
     frac,
     in_span,
     insert_row,
-    kernel_basis,
+    kernel_rows,
     normalise_basis,
     reduce_span,
 )
-from .quiver import Arrow, DimData, Quiver
+from .quiver import DimData, Quiver
 from .reps import Representation, leg_moment_scalars, leg_stable, p_map, validate_shapes
 from .surgery import AuxResult, lift_stability
 
@@ -49,6 +61,78 @@ class SubrepWitness:
     includes_framing: bool  # True when the extra framing node is inside
 
 
+class _IntegerRep(NamedTuple):
+    """A representation on integer rows, built once per stability check.
+
+    Each arrow matrix is cleared by one common scale, so it keeps its map up
+    to a scalar and sends spans to the same spans; per-row scales would not.
+    The A columns and B rows only span, so each is cleared on its own.
+    """
+
+    arrows_out: dict  # node -> [(head, M)] for each arrow out of it
+    arrows_in: dict   # node -> [(tail, M^T)] for each arrow into it
+    a_cols: dict      # node -> the columns of its A block
+    b_rows: dict      # node -> the rows of its B block
+
+
+def _integer_rep(q: Quiver, rep: Representation) -> _IntegerRep:
+    """The integer form of a representation whose shapes are validated."""
+    arrows_out = {n: [] for n in q.nodes}
+    arrows_in = {n: [] for n in q.nodes}
+    for ar in q.arrows:
+        m = clear_matrix(rep.x[ar.id].data)[0]
+        arrows_out[ar.tail].append((ar.head, m))
+        arrows_in[ar.head].append((ar.tail, list(zip(*m))))
+    a_cols = {n: [clear_denominators(c)[0] for c in zip(*rep.a[n].data)] for n in q.nodes}
+    b_rows = {n: [clear_denominators(r)[0] for r in rep.b[n].data] for n in q.nodes}
+    return _IntegerRep(arrows_out, arrows_in, a_cols, b_rows)
+
+
+def _closure(maps: dict, dims: DimData, *seed_rows: dict) -> dict:
+    """Smallest graded subspace containing the integer seed rows and closed
+    under maps (node -> [(target, M)]), as a Gauss-Jordan basis per node.
+
+    A worklist closure: a seed or image vector that enlarges its node's
+    basis is queued; popping it applies only the maps out of that node,
+    skipping a target whose basis is already full.
+    """
+    bases = {n: {} for n in maps}
+    work = []
+    for seeds in seed_rows:
+        for n, rows in seeds.items():
+            for v in rows:
+                row = insert_row(bases[n], v)
+                if row is not None:
+                    work.append((n, row))
+    while work:
+        n, vec = work.pop()
+        for head, m in maps[n]:
+            if len(bases[head]) < dims.v[head]:
+                row = insert_row(bases[head], [sum(map(mul, r, vec)) for r in m])
+                if row is not None:
+                    work.append((head, row))
+    return bases
+
+
+def _generate(form: _IntegerRep, dims: DimData, seeds: dict, include_framing: bool) -> dict:
+    return _closure(form.arrows_out, dims, seeds, form.a_cols if include_framing else {})
+
+
+def _core(form: _IntegerRep, dims: DimData) -> dict:
+    """The cogenerated core as a Gauss-Jordan basis per node.
+
+    The covectors vanishing on the core form the smallest graded subspace
+    of the dual containing the B rows and closed under the transposed
+    arrows; the core at a node is the kernel of that span's basis.
+    """
+    core = {}
+    for n, basis in _closure(form.arrows_in, dims, form.b_rows).items():
+        core[n] = {}
+        for row in kernel_rows(basis, dims.v[n]).values():
+            insert_row(core[n], row)
+    return core
+
+
 def generated_closure(
     q: Quiver,
     dims: DimData,
@@ -59,40 +143,18 @@ def generated_closure(
     """Smallest graded subspace containing the seeds, closed under all arrows.
 
     With include_framing the columns of every A block are added to the
-    seeds, matching subspaces that contain the framing node.
-
-    A worklist closure over integer rows. Each arrow matrix is cleared by
-    one common scale, and each node keeps a Gauss-Jordan basis grown by
-    insert_row. A seed or image vector that enlarges its node's basis is
-    queued; popping it applies only the arrows out of that node, skipping a
-    head whose basis is already full. normalise_basis then gives each node
+    seeds, matching subspaces that contain the framing node. The closure
+    runs on the integer form of rep; normalise_basis then gives each node
     the canonical basis reduce_span gives.
     """
-    arrows_out = {n: [] for n in q.nodes}
-    for ar in q.arrows:
-        m = rep.x[ar.id]
-        if (m.rows, m.cols) != (dims.v[ar.head], dims.v[ar.tail]):
-            raise ValueError(f"arrow {ar.id!r} has wrong shape")
-        arrows_out[ar.tail].append((ar.head, clear_matrix(m.data)[0]))
-    bases = {n: {} for n in q.nodes}
-    work = []
+    validate_shapes(q, dims, rep)
+    rows = {}
     for n in q.nodes:
         vecs = [tuple(map(frac, v)) for v in seeds.get(n, ())]
-        if include_framing:
-            vecs += [rep.a[n].col_tuple(j) for j in range(rep.a[n].cols)]
         if any(len(v) != dims.v[n] for v in vecs):
             raise ValueError(f"vector of wrong length at node {n!r}")
-        for v in vecs:
-            row = insert_row(bases[n], clear_denominators(v)[0])
-            if row is not None:
-                work.append((n, row))
-    while work:
-        n, vec = work.pop()
-        for head, m in arrows_out[n]:
-            if len(bases[head]) < dims.v[head]:
-                row = insert_row(bases[head], [sum(map(mul, r, vec)) for r in m])
-                if row is not None:
-                    work.append((head, row))
+        rows[n] = [clear_denominators(v)[0] for v in vecs]
+    bases = _generate(_integer_rep(q, rep), dims, rows, include_framing)
     return {n: normalise_basis(bases[n]) for n in q.nodes}
 
 
@@ -101,17 +163,11 @@ def cogenerated_core(q: Quiver, dims: DimData, rep: Representation) -> dict:
 
     Computed as an annihilator: the covectors vanishing on the core form
     the smallest graded subspace of the dual containing the rows of every
-    B block and closed under the transposed arrows, which is
-    generated_closure on the opposite quiver.
+    B block and closed under the transposed arrows.
     """
-    opposite = Quiver(q.nodes, tuple(Arrow(a.id, a.head, a.tail) for a in q.arrows))
-    # no framing blocks: the closure below never includes the framing node
-    dual = Representation({a.id: rep.x[a.id].transpose() for a in q.arrows}, {}, {})
-    rows = generated_closure(opposite, dims, dual, {n: rep.b[n].data for n in q.nodes})
-    return {
-        n: reduce_span(kernel_basis(Mat(rows[n], cols=dims.v[n])), dims.v[n])
-        for n in q.nodes
-    }
+    validate_shapes(q, dims, rep)
+    core = _core(_integer_rep(q, rep), dims)
+    return {n: normalise_basis(core[n]) for n in q.nodes}
 
 
 def _completed_pairing(q: Quiver, dims: DimData, theta, sub_dims, includes_framing: bool) -> Fraction:
@@ -121,24 +177,30 @@ def _completed_pairing(q: Quiver, dims: DimData, theta, sub_dims, includes_frami
     return total
 
 
-def _witness_from_spans(q, dims, theta, spans, includes_framing) -> SubrepWitness:
-    sub_dims = {n: len(spans[n]) for n in q.nodes}
+def _witness(q, dims, theta, bases, includes_framing) -> SubrepWitness:
+    """The witness of an integer basis per node; each is normalised here."""
+    sub_dims = {n: len(bases[n]) for n in q.nodes}
     return SubrepWitness(
         dims=sub_dims,
-        basis={n: spans[n] for n in q.nodes},
+        basis={n: normalise_basis(bases[n]) for n in q.nodes},
         pairing=_completed_pairing(q, dims, theta, sub_dims, includes_framing),
         includes_framing=includes_framing,
     )
 
 
-def _side_rule_holds(q, dims, rep, spans, includes_framing) -> bool:
+def _side_rule_holds(q, dims, b_rows, spans, includes_framing) -> bool:
     """The completion's side condition on an invariant graded subspace: one
     holding the framing node must be proper, one missing it must be nonzero
-    and killed by every B map."""
+    and killed by every B map.
+
+    b_rows and spans hold rows of ints or Fractions at each node. The rule
+    only sees spans, so an integer basis row decides it as well as the row
+    divided by its pivot, and a B row as well as any multiple of it.
+    """
     if includes_framing:
         return any(len(spans[n]) < dims.v[n] for n in q.nodes)
     return any(spans[n] for n in q.nodes) and not any(
-        any(rep.b[n].apply(vec)) for n in q.nodes for vec in spans[n]
+        sum(map(mul, r, vec)) for n in q.nodes for vec in spans[n] for r in b_rows[n]
     )
 
 
@@ -162,7 +224,8 @@ def verify_witness(
             for j in range(rep.a[n].cols):
                 if not in_span(rep.a[n].col_tuple(j), w.basis[n], dims.v[n]):
                     return False
-    if not _side_rule_holds(q, dims, rep, w.basis, w.includes_framing):
+    b_rows = {n: rep.b[n].data for n in q.nodes}
+    if not _side_rule_holds(q, dims, b_rows, w.basis, w.includes_framing):
         return False
     return w.pairing == _completed_pairing(q, dims, theta, w.dims, w.includes_framing)
 
@@ -195,13 +258,12 @@ def stability_report(q: Quiver, dims: DimData, rep: Representation, theta):
             "use destabilizer_search for a semidecision"
         )
     includes_framing = sign < 0
-    if includes_framing:
-        spans = generated_closure(q, dims, rep, {}, include_framing=True)
-    else:
-        spans = cogenerated_core(q, dims, rep)
-    if not _side_rule_holds(q, dims, rep, spans, includes_framing):
+    form = _integer_rep(q, rep)
+    bases = _generate(form, dims, {}, True) if includes_framing else _core(form, dims)
+    spans = {n: bases[n].values() for n in q.nodes}
+    if not _side_rule_holds(q, dims, form.b_rows, spans, includes_framing):
         return True, None
-    return False, _witness_from_spans(q, dims, theta, spans, includes_framing)
+    return False, _witness(q, dims, theta, bases, includes_framing)
 
 
 def destabilizer_search(
@@ -234,7 +296,7 @@ def destabilizer_search(
         return None
 
     def unit(vn, j):
-        return tuple(Fraction(1 if i == j else 0) for i in range(vn))
+        return [int(i == j) for i in range(vn)]
 
     # systematic phase: every single coordinate line (and the bare framing
     # span), then random coordinate subsets / vector seeds
@@ -244,6 +306,7 @@ def destabilizer_search(
             for j in range(dims.v[n]):
                 systematic.append((m, {n: [unit(dims.v[n], j)]}))
 
+    form = _integer_rep(q, rep)
     for trial in range(trials):
         if trial < len(systematic):
             include_framing, seeds = systematic[trial]
@@ -259,16 +322,14 @@ def destabilizer_search(
                     seeds[n] = [unit(vn, j) for j in chosen]
                 else:
                     count = rng.randint(0, max(0, vn - 1))
-                    seeds[n] = [
-                        tuple(Fraction(rng.randint(-3, 3)) for _ in range(vn))
-                        for _ in range(count)
-                    ]
-        spans = generated_closure(q, dims, rep, seeds, include_framing=include_framing)
-        if not _side_rule_holds(q, dims, rep, spans, include_framing):
+                    seeds[n] = [[rng.randint(-3, 3) for _ in range(vn)] for _ in range(count)]
+        bases = _generate(form, dims, seeds, include_framing)
+        spans = {n: bases[n].values() for n in q.nodes}
+        if not _side_rule_holds(q, dims, form.b_rows, spans, include_framing):
             continue
-        witness = _witness_from_spans(q, dims, theta, spans, include_framing)
-        if witness.pairing > 0:
-            return witness
+        sub_dims = {n: len(bases[n]) for n in q.nodes}
+        if _completed_pairing(q, dims, theta, sub_dims, include_framing) > 0:
+            return _witness(q, dims, theta, bases, include_framing)
     return None
 
 

@@ -335,6 +335,15 @@ def test_stability_cli_mixed_sign_search(tmp_path, capsys):
         ["fixed", "inputs/loop2.json", "--window=-20..20"],
         ["analyze", "inputs"],
         ["export", "inputs/jordan2.json", "--what", "aux", "--out", "no_such_dir/aux.json"],
+        # entries of a quiver file that cannot be read as their key's kind
+        ["fixed", "tests/data/a2sym_v_partial.json"],
+        ["analyze", "tests/data/a2sym_v_partial.json"],
+        ["fixed", "tests/data/a2sym_pairs_short.json"],
+        ["analyze", "tests/data/a2sym_pairs_short.json"],
+        ["fixed", "tests/data/a2sym_arrow_chars_int.json"],
+        ["analyze", "tests/data/a2sym_arrow_chars_int.json"],
+        ["fixed", "tests/data/a2sym_framing_chars_flat.json"],
+        ["analyze", "tests/data/a2sym_framing_chars_flat.json"],
     ],
     ids=" ".join,
 )
@@ -554,6 +563,30 @@ def test_action_rank_must_be_a_nonnegative_integer(command, rank, tmp_path, caps
     action = {**_input_doc("a2sym")["action"], "rank": rank}
     path = _write(tmp_path, "rank.json", _input_doc("a2sym", action=action))
     _assert_one_error_line([command, path], capsys, "action rank needs a nonnegative integer")
+
+
+@pytest.mark.parametrize(
+    "name, needle",
+    [
+        ("v_partial", "'v' needs an entry for every node, missing ['1']"),
+        ("pairs_short", "'pairs' needs a list of two-arrow-id lists"),
+        ("arrow_chars_int", "'arrow_chars' entry 'a' needs a list"),
+        ("framing_chars_flat", "'framing_chars' entry '0' needs a list of lists"),
+    ],
+)
+def test_malformed_quiver_entry_names_its_key(name, needle, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    _assert_one_error_line(["fixed", f"tests/data/a2sym_{name}.json"], capsys, needle)
+
+
+@pytest.mark.parametrize("command", ["fixed", "chambers", "stab-table", "triangle"])
+def test_action_rank_is_checked_before_sigma(command, capsys, monkeypatch):
+    # --sigma is parsed against the rank, so a bad rank is reported first
+    monkeypatch.chdir(ROOT)
+    _assert_one_error_line(
+        [command, "tests/data/a2sym_rank_true.json", "--sigma", "1,2"], capsys,
+        "action rank needs a nonnegative integer, got True",
+    )
 
 
 @pytest.mark.parametrize("command", ["fixed", "chambers", "stab-table", "triangle"])

@@ -22,6 +22,7 @@ from quiverlab.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 QUIVER_FILES = ("a2sym", "framed2", "jordan2", "jordan3", "loop2")
 EXPORT_TARGETS = ("add", "rem", "aux", "cb", "fixed", "chambers")
+SEARCH_REP = "tests/data/a2sym_search_rep.json"
 FILE_COMMANDS = ("analyze", "aux", "cb", "fixed", "chambers", "stab-table", "triangle", "moment-check")
 
 
@@ -37,6 +38,8 @@ def _cases() -> list[tuple[str, ...]]:
                 cases.append(("--format", fmt, cmd, f"inputs/{name}.json") + extra)
         for cmd in ("stability", "tau"):
             cases.append(("--format", fmt, cmd, "inputs/jordan2_rep.json"))
+        # a mixed theta runs the randomized search on a two-node representation
+        cases.append(("--format", fmt, "stability", SEARCH_REP, "--theta=1,-2", "--seed", "3"))
     for name in QUIVER_FILES:
         sigma = "0,0" if name == "framed2" else "0"
         cases.append(("--format", "json", "fixed", f"inputs/{name}.json", "--sigma", sigma))
@@ -136,6 +139,7 @@ GOLDEN = {
     '--format json triangle inputs/loop2.json': '652a00e9647e5ed4d74a5526769acad04060a4a5891e75eea4ab944c092a5339',
     '--format json moment-check inputs/loop2.json --samples 5 --seed 7': 'e328d15d6a026c62dbc8fda0b261f9e9283720ceb3a755cbc185ad4aa3503134',
     '--format json stability inputs/jordan2_rep.json': 'd1d6e12f2a1291de8aae8ec657b786d37f9e15ee281a66c2e6f675cfdfb96575',
+    '--format json stability tests/data/a2sym_search_rep.json --theta=1,-2 --seed 3': '07455395d33be0384959e9eafce43043f12478924370135da9af38f3a0744aeb',
     '--format json tau inputs/jordan2_rep.json': '482b00a2f3b585060540db26b03da04b08d0a6cecc654e6c448fdc0368865d2d',
     '--format table analyze inputs/a2sym.json': '1504311456dba4afd185327b82233b3f4f24108e44a61dc3455cfdbf877d081e',
     '--format table aux inputs/a2sym.json': '69f1664ce0c06c5ecb8420dc658bb90734d78caf6d4817e4c6f53d0e37faabc7',
@@ -178,6 +182,7 @@ GOLDEN = {
     '--format table triangle inputs/loop2.json': '8a7d44b052ac895fc59447405410b101c0627949164d89b7b784ad99bd43525f',
     '--format table moment-check inputs/loop2.json --samples 5 --seed 7': '95160d44d36e5b881089abca79bcd27411f287b0678080823e6049b9250de733',
     '--format table stability inputs/jordan2_rep.json': '9c8b0fb6b34e19a8c1c344442bbdaacbb26f8f6b299e8103ede7700baddef2e4',
+    '--format table stability tests/data/a2sym_search_rep.json --theta=1,-2 --seed 3': '2e3ad17bf671238b4f50dd7cce5a4be8149cba4fdaac1b0dd56cb9b8fe9d2430',
     '--format table tau inputs/jordan2_rep.json': 'c2f9eb1755b1fcabd4cffbf49f7866a221070e7fe4c0c0baf5c4b9fbcc1294d3',
     '--format json fixed inputs/a2sym.json --sigma 0': 'aca058bace24ad352636f1642d9331eef690c2da958123ad392bae4e1daf1d45',
     '--format json fixed inputs/framed2.json --sigma 0,0': '89a92dea41f8e4db0eaa91bfba89d48a64b1f8ed39d6c58a123a8e87b26e33e0',

@@ -255,6 +255,111 @@ def test_search_never_contradicts_exact_checker():
                 assert verify_witness(e.quiver, e.dims, rep, theta, found)
 
 
+def _search_reference(q, dims, rep, theta, trials, seed):
+    """The search on Fractions: the same seed draws made as Fractions, a
+    sweep closure per trial and the side rule through B.apply. Returns the
+    witness or None, and whether a random trial found it."""
+    rng = random.Random(seed)
+    modes = [m for m, sign in ((False, 1), (True, -1)) if any(sign * theta[n] > 0 for n in q.nodes)]
+    if not modes:
+        return None, False
+
+    def unit(vn, j):
+        return tuple(Fraction(int(i == j)) for i in range(vn))
+
+    systematic = [(m, {}) for m in modes if m]
+    for m in modes:
+        for n in q.nodes:
+            for j in range(dims.v[n]):
+                systematic.append((m, {n: [unit(dims.v[n], j)]}))
+    for trial in range(trials):
+        if trial < len(systematic):
+            include_framing, seeds = systematic[trial]
+        else:
+            include_framing = modes[trial % len(modes)]
+            seeds = {}
+            for n in q.nodes:
+                vn = dims.v[n]
+                if vn == 0:
+                    continue
+                if rng.random() < 0.5:
+                    seeds[n] = [unit(vn, j) for j in [j for j in range(vn) if rng.random() < 0.4]]
+                else:
+                    count = rng.randint(0, max(0, vn - 1))
+                    seeds[n] = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(vn)) for _ in range(count)]
+        spans = _closure_reference(q, dims, rep, seeds, include_framing)
+        if include_framing:
+            side = any(len(spans[n]) < dims.v[n] for n in q.nodes)
+        else:
+            side = any(spans[n] for n in q.nodes) and not any(
+                any(rep.b[n].apply(vec)) for n in q.nodes for vec in spans[n]
+            )
+        if not side:
+            continue
+        sub = {n: len(spans[n]) for n in q.nodes}
+        pairing = sum(theta[n] * (sub[n] - include_framing * dims.v[n]) for n in q.nodes)
+        if pairing > 0:
+            return SubrepWitness(sub, spans, pairing, include_framing), trial >= len(systematic)
+    return None, False
+
+
+def _search_problems():
+    """320 seeded problems over every corpus entry: positive, negative and
+    (on two nodes) mixed theta; plain, zeroed A, zeroed B and rank-one
+    arrow blocks, and blocks that kill a non-coordinate line; and every
+    seventh problem with one node of dimension 0."""
+    rng = random.Random(1515)
+    entries = list(corpus().values())
+    for k in range(320):
+        e = entries[k % len(entries)]
+        q = e.quiver
+        v = dict(e.dims.v)
+        if k % 7 == 3:
+            v[rng.choice(q.nodes)] = 0
+        dims = DimData(v, e.dims.d)
+        rep = random_representation(rng, q, dims)
+        variant = k // len(entries) % 5
+        if variant == 1:
+            rep.a.update({n: Mat.zero(dims.v[n], dims.d[n]) for n in q.nodes})
+        elif variant == 2:
+            rep.b.update({n: Mat.zero(dims.d[n], dims.v[n]) for n in q.nodes})
+        elif variant == 3:
+            for a in q.arrows:
+                col = random_matrix(rng, dims.v[a.head], 1)
+                rep.x[a.id] = col.matmul(random_matrix(rng, 1, dims.v[a.tail]))
+        elif variant == 4 and 2 in v.values():
+            # B and every arrow out of a node of dimension 2 kill the line
+            # of w = (1, +-1), so only a random vector seed finds that line
+            n = next(n for n in q.nodes if v[n] == 2)
+            s = rng.choice((1, -1))
+            kill = Mat([[Fraction(1, 2), Fraction(-s, 2)], [Fraction(-s, 2), Fraction(1, 2)]])
+            rep.b[n] = rep.b[n].matmul(kill)
+            rep.x.update({a.id: rep.x[a.id].matmul(kill) for a in q.arrows if a.tail == n})
+        signs = (1, -1, 0) if len(q.nodes) > 1 else (1, -1)
+        sign = signs[k // (5 * len(entries)) % len(signs)]
+        if sign:
+            theta = {n: Fraction(sign * rng.randint(1, 3)) for n in q.nodes}
+        else:
+            theta = {n: Fraction(s * rng.randint(1, 3)) for n, s in zip(q.nodes, rng.choice([(1, -1), (-1, 1)]))}
+        yield q, dims, rep, theta, k
+
+
+def test_destabilizer_search_matches_fraction_search():
+    # a per-row scale of the arrow matrices changes the maps of the random
+    # and rank-one arrow blocks, and with them some closures and witnesses
+    found = late = 0
+    signs = set()
+    for q, dims, rep, theta, seed in _search_problems():
+        want, random_trial = _search_reference(q, dims, rep, theta, 30, seed)
+        assert destabilizer_search(q, dims, rep, theta, trials=30, seed=seed) == want, seed
+        found += want is not None
+        late += random_trial
+        signs.add(frozenset(theta[n] > 0 for n in q.nodes))
+    assert len(signs) == 3
+    assert 80 <= found <= 240
+    assert late > 0
+
+
 def test_transfer_basic():
     e = corpus()["jordan2"]
     aux = build_aux(e.quiver, e.split, e.dims)
