@@ -283,7 +283,8 @@ def _search_reference(q, dims, rep, theta, trials, seed):
                 if vn == 0:
                     continue
                 if rng.random() < 0.5:
-                    seeds[n] = [unit(vn, j) for j in [j for j in range(vn) if rng.random() < 0.4]]
+                    chosen = [j for j in range(vn) if rng.random() < 0.4]
+                    seeds[n] = [unit(vn, j) for j in chosen]
                 else:
                     count = rng.randint(0, max(0, vn - 1))
                     seeds[n] = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(vn)) for _ in range(count)]
