@@ -1,27 +1,32 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices and vectors hold Fractions, but the kernels run on Python ints.
-clear_denominators turns a row into integers and one scale, clear_matrix a
-matrix. Elimination has one step, insert_row, which adds an integer row to
-a Gauss-Jordan basis {pivot: row} by cross multiplication and gcd division
-(integer rows, in the style of Bareiss); normalise_basis divides each row
-by its pivot once, at the end. Mat.matmul and Mat.apply clear each row of
-the left factor and each column (or the vector) on the right, so an entry
-is one integer dot product made into one Fraction. charpoly runs its
-recurrence on the integer matrix. That is fine at the matrix sizes this
-package works with (dimensions rarely above 10).
+A Mat stores integer numerators over one denominator, num / den, always in
+lowest terms: den > 0, gcd(den, every numerator) = 1, and a zero matrix
+has den 1. So equal matrices have equal num and den, and num is the
+matrix cleared by the lcm of its entries' denominators. Products,
+sums and scalings are integer arithmetic with one gcd pass at the end;
+Fractions are made only where entries are read (Mat.data, col_tuple,
+apply, the scalars and the returned bases). Mat(...) coerces and checks
+outside data.
+
+Vectors and span bases hold Fractions. clear_denominators turns a row
+into integers and one scale, clear_matrix a matrix. Elimination has one
+step, insert_row, which adds an integer row to a Gauss-Jordan basis
+{pivot: row} by cross multiplication and gcd division (integer rows, in
+the style of Bareiss); normalise_basis divides each row by its pivot once,
+at the end. rank, kernel_basis, solve and charpoly read num directly;
+charpoly runs its recurrence on the integer matrix. That is fine at the
+matrix sizes this package works with (dimensions rarely above 10).
 Subspaces are represented by canonical reduced-row-echelon bases, so two
 equal subspaces always carry identical basis tuples.
-
-Mat(...) coerces and checks outside data. Mat._exact wraps entries that are
-already Fractions without either step; it is internal to this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 Vector = tuple  # tuple of Fractions
@@ -56,9 +61,10 @@ def clear_denominators(entries: Sequence) -> tuple[list[int], int]:
 
 
 class Mat:
-    """Immutable rational matrix."""
+    """Immutable rational matrix: a tuple of integer rows `num` over one
+    denominator `den > 0`, in lowest terms."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
         rows = tuple(tuple(frac(e) for e in row) for row in data)
@@ -68,32 +74,44 @@ class Mat:
                 raise ValueError("ragged matrix data")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        object.__setattr__(self, "data", rows)
-        object.__setattr__(self, "rows", len(rows))
+        num, den = clear_matrix(rows)
+        self._fill(tuple(map(tuple, num)), den, cols)
+
+    def _fill(self, num: tuple, den: int, cols: int):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", len(num))
         object.__setattr__(self, "cols", cols)
 
     @staticmethod
-    def _exact(rows: tuple, cols: int) -> "Mat":
-        """A Mat over a tuple of equal-length tuples of Fractions, taken as
-        is: no coercion, no ragged check. Internal to this module."""
+    def _from_ints(num: tuple, den: int, cols: int) -> "Mat":
+        """The Mat num / den, for a tuple of equal-length tuples of ints and
+        den > 0, brought to lowest terms. Internal to this module."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple(a // g for a in row) for row in num)
+                den //= g
         m = object.__new__(Mat)
-        object.__setattr__(m, "data", rows)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", cols)
+        m._fill(num, den, cols)
         return m
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
 
+    @property
+    def data(self) -> tuple:
+        """The entries as a tuple of tuples of Fractions, built on each call."""
+        den = self.den
+        return tuple(tuple(Fraction(a, den) for a in row) for row in self.num)
+
     @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
-        return Mat._exact(((_ZERO,) * cols,) * rows, cols)
+        return Mat._from_ints(((0,) * cols,) * rows, 1, cols)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat._exact(
-            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n
-        )
+        return Mat._from_ints(tuple(_unit(i, n) for i in range(n)), 1, n)
 
     @staticmethod
     def column(entries: Sequence) -> "Mat":
@@ -104,11 +122,12 @@ class Mat:
             isinstance(other, Mat)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.num, self.den))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -117,22 +136,35 @@ class Mat:
         return f"Mat[{body}]"
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat._exact(
-            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.data, other.data)), self.cols
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
+        return self._combine(other, sub)
+
+    def _combine(self, other: "Mat", op) -> "Mat":
+        """self op other for op add or sub, over the lcm of the denominators."""
+        self._same_shape(other)
+        den = lcm(self.den, other.den)
+        s, o = den // self.den, den // other.den
+        if s == o == 1:
+            num = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.num, other.num))
+        else:
+            num = tuple(
+                tuple(op(s * a, o * b) for a, b in zip(r1, r2))
+                for r1, r2 in zip(self.num, other.num)
+            )
+        return Mat._from_ints(num, den, self.cols)
 
     def __neg__(self) -> "Mat":
-        return Mat._exact(tuple(tuple(map(neg, row)) for row in self.data), self.cols)
+        return Mat._from_ints(tuple(tuple(map(neg, row)) for row in self.num), self.den, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             return self.matmul(other)
-        s = frac(other)
-        return Mat._exact(tuple(tuple(a * s for a in row) for row in self.data), self.cols)
+        p, q = frac(other).as_integer_ratio()
+        return Mat._from_ints(
+            tuple(tuple(p * a for a in row) for row in self.num), q * self.den, self.cols
+        )
 
     __rmul__ = __mul__
 
@@ -142,49 +174,42 @@ class Mat:
                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         # columns of other; with no rows it still has other.cols empty ones
-        ot = zip(*other.data) if other.rows else ((),) * other.cols
-        cols = [clear_denominators(col) for col in ot]
-        return Mat._exact(
-            tuple(
-                tuple(Fraction(sum(map(mul, row, col)), rs * cs) for col, cs in cols)
-                for row, rs in map(clear_denominators, self.data)
-            ),
+        cols = list(zip(*other.num)) if other.rows else ((),) * other.cols
+        return Mat._from_ints(
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num),
+            self.den * other.den,
             other.cols,
         )
 
     def transpose(self) -> "Mat":
-        if self.rows == 0:
-            return Mat._exact(((),) * self.cols, 0)
-        return Mat._exact(tuple(zip(*self.data)), self.rows)
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return Mat._from_ints(num, self.den, self.rows)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.data for e in row)
+        return not any(map(any, self.num))
 
     def scaled_identity_value(self) -> Fraction | None:
         """The scalar s with self == s*Id, or None if self is not scalar."""
-        if self.rows != self.cols:
+        n = self.rows
+        if n != self.cols:
             return None
-        if self.rows == 0:
-            return Fraction(0)
-        s = self.data[0][0]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self.data[i][j] != (s if i == j else 0):
-                    return None
-        return s
+        if n == 0:
+            return _ZERO
+        s = self.num[0][0]
+        if any(row != _unit(i, n, s) for i, row in enumerate(self.num)):
+            return None
+        return Fraction(s, self.den)
 
     def col_tuple(self, j: int) -> Vector:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(Fraction(row[j], self.den) for row in self.num)
 
     def apply(self, vec: Sequence) -> Vector:
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         ints, scale = clear_denominators([frac(x) for x in vec])
-        return tuple(
-            Fraction(sum(map(mul, row, ints)), rs * scale)
-            for row, rs in map(clear_denominators, self.data)
-        )
+        scale *= self.den
+        return tuple(Fraction(sum(map(mul, row, ints)), scale) for row in self.num)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -199,6 +224,11 @@ class Mat:
             raise ValueError(
                 f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+
+
+def _unit(i: int, n: int, s: int = 1) -> tuple:
+    """The length-n integer row with s at i and zeros elsewhere."""
+    return (0,) * i + (s,) + (0,) * (n - i - 1)
 
 
 def clear_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -256,15 +286,16 @@ def normalise_basis(basis: dict) -> tuple[Vector, ...]:
     )
 
 
-def _int_basis(rows: Iterable[Sequence]) -> dict:
+def _int_basis(rows: Iterable[Sequence[int]]) -> dict:
+    """The Gauss-Jordan basis {pivot: row} of the span of integer rows."""
     basis: dict = {}
     for row in rows:
-        insert_row(basis, clear_denominators(row)[0])
+        insert_row(basis, row)
     return basis
 
 
 def rank(m: Mat) -> int:
-    return len(_int_basis(m.data))
+    return len(_int_basis(m.num))
 
 
 def kernel_rows(basis: dict, n: int) -> dict:
@@ -292,7 +323,7 @@ def kernel_basis(m: Mat) -> tuple[Vector, ...]:
     free column f, with 1 at f."""
     return tuple(
         tuple(Fraction(e, row[f]) if e else _ZERO for e in row)
-        for f, row in kernel_rows(_int_basis(m.data), m.cols).items()
+        for f, row in kernel_rows(_int_basis(m.num), m.cols).items()
     )
 
 
@@ -301,13 +332,21 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     if a.rows != b.rows:
         raise ValueError("row count mismatch in solve")
     n, k = a.cols, b.cols
-    basis = _int_basis(list(ra) + list(rb) for ra, rb in zip(a.data, b.data))
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    basis = _int_basis(
+        [sa * x for x in ra] + [sb * x for x in rb] for ra, rb in zip(a.num, b.num)
+    )
     if any(p >= n for p in basis):
         return None  # a pivot on the right-hand side: inconsistent
-    sol = [(_ZERO,) * k] * n
-    for p, row in zip(sorted(basis), normalise_basis(basis)):
-        sol[p] = row[n:]
-    return Mat._exact(tuple(sol), k)
+    # row p of X is the right-hand part of the basis row at pivot p over
+    # its pivot entry, zero where column p is free
+    den = lcm(*(row[p] for p, row in basis.items()))
+    num = [(0,) * k] * n
+    for p, row in basis.items():
+        c = den // row[p]
+        num[p] = tuple(c * x for x in row[n:])
+    return Mat._from_ints(tuple(num), den, k)
 
 
 def charpoly(m: Mat) -> tuple[Fraction, ...]:
@@ -326,7 +365,7 @@ def charpoly(m: Mat) -> tuple[Fraction, ...]:
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    b, s = clear_matrix(m.data)
+    b, s = m.num, m.den
     coeffs = [_ONE]
     mk_cols = [[int(i == j) for i in range(n)] for j in range(n)]
     for k in range(1, n + 1):
@@ -364,15 +403,19 @@ def _checked_rows(vectors: Iterable[Sequence], dim: int) -> list[list[Fraction]]
     return rows
 
 
+def _cleared_basis(rows: Iterable[Sequence]) -> dict:
+    return _int_basis(clear_denominators(row)[0] for row in rows)
+
+
 def reduce_span(vectors: Iterable[Sequence], dim: int) -> tuple[Vector, ...]:
-    return normalise_basis(_int_basis(_checked_rows(vectors, dim)))
+    return normalise_basis(_cleared_basis(_checked_rows(vectors, dim)))
 
 
 def in_span(vec: Sequence, basis: tuple[Vector, ...], dim: int) -> bool:
     """Whether vec lies in the span of basis, which need not be canonical
     or even independent."""
     *rows, last = _checked_rows([*basis, vec], dim)
-    return not any(_reduce(_int_basis(rows), clear_denominators(last)[0]))
+    return not any(_reduce(_cleared_basis(rows), clear_denominators(last)[0]))
 
 
 def span_sum(b1, b2, dim: int) -> tuple[Vector, ...]:
@@ -409,9 +452,9 @@ def preimage_span(x: Mat, target: tuple[Vector, ...]) -> tuple[Vector, ...]:
     if k == 0:
         return reduce_span(kernel_basis(x), n)
     # x v = target^T y  <=>  [x | -target^T] (v; y) = 0
-    rows = []
-    for i in range(x.rows):
-        rows.append(tuple(x.data[i]) + tuple(-target[j][i] for j in range(k)))
+    rows = [
+        row + tuple(-target[j][i] for j in range(k)) for i, row in enumerate(x.data)
+    ]
     stacked = Mat(rows, cols=n + k)
     vecs = [kv[:n] for kv in kernel_basis(stacked)]
     return reduce_span(vecs, n)

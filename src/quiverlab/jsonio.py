@@ -107,6 +107,14 @@ def quiver_to_json(
     return doc
 
 
+def _named(table: dict, field: str, key, kind: str = "node"):
+    """table[key], with an unknown key refused by field and key."""
+    try:
+        return table[key]
+    except KeyError:
+        raise ValueError(f"{field!r} names unknown {kind} {key!r}") from None
+
+
 def _object(doc: dict, key: str) -> dict:
     value = doc.get(key, {})  # an absent key reads as an empty object
     if not isinstance(value, dict):
@@ -146,14 +154,14 @@ def quiver_from_json(doc: dict):
 
     dims = None
     if "v" in doc:
-        v = {keys[k]: x for k, x in _object(doc, "v").items()}
+        v = {_named(keys, "v", k): x for k, x in _object(doc, "v").items()}
         missing = [k for k, n in keys.items() if n not in v]
         if missing:
             raise ValueError(f"'v' needs an entry for every node, missing {missing}")
-        d = {keys[k]: x for k, x in _object(doc, "d").items()}
+        d = {_named(keys, "d", k): x for k, x in _object(doc, "d").items()}
         for n in q.nodes:
             d.setdefault(n, 0)
-        theta = {keys[k]: frac(x) for k, x in _object(doc, "theta").items()}
+        theta = {_named(keys, "theta", k): frac(x) for k, x in _object(doc, "theta").items()}
         dims = DimData(v, d, theta)
 
     action = None
@@ -171,7 +179,7 @@ def quiver_from_json(doc: dict):
         for k, chars in _object(adoc, "framing_chars").items():
             if not (isinstance(chars, list) and all(isinstance(c, list) for c in chars)):
                 raise ValueError(f"'framing_chars' entry {k!r} needs a list of lists, got {chars!r}")
-            framing_chars[keys[k]] = tuple(map(tuple, chars))
+            framing_chars[_named(keys, "framing_chars", k)] = tuple(map(tuple, chars))
         action = TorusAction(adoc["rank"], arrow_chars, framing_chars)
 
     sigma = None
@@ -196,12 +204,14 @@ def rep_to_json(q: Quiver, rep: Representation, t: dict | None = None) -> dict:
 def rep_from_json(q: Quiver, doc: dict):
     keys = _key_map(q)
     by_str = {str(a.id): a.id for a in q.arrows}
-    x = {by_str[s]: mat_from_json(m) for s, m in doc["arrows"].items()}
-    a = {keys[k]: mat_from_json(m) for k, m in doc["A"].items()}
-    b = {keys[k]: mat_from_json(m) for k, m in doc["B"].items()}
+    x = {
+        _named(by_str, "arrows", s, "arrow"): mat_from_json(m) for s, m in doc["arrows"].items()
+    }
+    a = {_named(keys, "A", k): mat_from_json(m) for k, m in doc["A"].items()}
+    b = {_named(keys, "B", k): mat_from_json(m) for k, m in doc["B"].items()}
     t = None
     if "t" in doc:
-        t = {by_str[s]: frac(v) for s, v in doc["t"].items()}
+        t = {_named(by_str, "t", s, "arrow"): frac(v) for s, v in doc["t"].items()}
     return Representation(x, a, b), t
 
 

@@ -11,13 +11,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exactlinalg import (
     Mat,
+    _int_basis,
+    _reduce,
     charpoly,
     frac,
+    normalise_basis,
     rank,
-    reduce_span,
 )
 from .quiver import ArrowSplit, DimData, Quiver
 from .surgery import (
@@ -196,20 +199,6 @@ class FlagReport:
     violations: tuple = ()  # (k, witness vector) pairs
 
 
-def _in_rref_span(vec, basis) -> bool:
-    """Whether vec lies in the span of basis, given in reduced row echelon
-    form. The one candidate combination takes vec's entry at each row's
-    pivot as that row's coefficient, which matches vec on every pivot
-    column, so only the other columns are compared."""
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-    coeffs = [vec[p] for p in pivots]
-    return all(
-        vec[j] == sum(c * row[j] for c, row in zip(coeffs, basis))
-        for j in range(len(vec))
-        if j not in pivots
-    )
-
-
 def flag_check(n: int, cs: list[Mat], ds: list[Mat], t) -> FlagReport:
     """Verify the flag shape of X = C_{n-1} D_{n-1} + t*id.
 
@@ -236,33 +225,37 @@ def flag_check(n: int, cs: list[Mat], ds: list[Mat], t) -> FlagReport:
             nonscalar_depths=tuple(nonscalar),
         )
 
-    x = t * Mat.identity(n)
+    ident = Mat.identity(n)
+    x = t * ident
     if n >= 2:
         x = cs[-1].matmul(ds[-1]) + x
 
-    flags = [tuple(Mat.identity(n).data)]
+    # each V_k as an integer Gauss-Jordan basis {pivot: row}; its
+    # normalised rows are the canonical RREF basis the report carries
+    bases = [dict(enumerate(ident.num))]
     comp = None
     for k in range(1, n):
         comp = cs[n - 2] if comp is None else comp.matmul(cs[n - 1 - k])
-        flags.append(reduce_span([comp.col_tuple(j) for j in range(comp.cols)], n))
+        bases.append(_int_basis(zip(*comp.num)))
+    flags = [normalise_basis(b) for b in bases]
 
-    # each flag is a canonical RREF basis (the identity, then reduce_span's).
-    # V_{k+1} lies in V_k, so a vector whose shifted image lies in V_{k+1}
-    # has its image in V_k; only a vector failing that needs the V_k test
+    # a vector v of V_k passes when (X - e_k) v lies in V_{k+1}. V_{k+1}
+    # lies in V_k, so X v lies in V_k exactly when (X - e_k) v does, and
+    # only a failing vector needs that test. Both run on integer rows: a
+    # basis row of V_k is a multiple of its RREF vector
     preserved = True
     violations = []
     scalars = []
     for k in range(n):
-        vk = flags[k]
-        vnext = flags[k + 1] if k + 1 < n else ()
         expected = t + sum(lambdas[:k], Fraction(0))
         scalars.append(expected)
-        for vec in vk:
-            img = x.apply(vec)
-            shifted = tuple(iv - expected * xv for iv, xv in zip(img, vec))
-            if _in_rref_span(shifted, vnext):
+        shifted = (x - expected * ident).num
+        vnext = bases[k + 1] if k + 1 < n else {}
+        for (_, row), vec in zip(sorted(bases[k].items()), flags[k]):
+            image = [sum(map(mul, r, row)) for r in shifted]
+            if not any(_reduce(vnext, image)):
                 continue
-            if k >= 1 and not _in_rref_span(img, vk):
+            if k >= 1 and any(_reduce(bases[k], image)):
                 preserved = False
             violations.append((k, vec))
     ok = preserved and not violations

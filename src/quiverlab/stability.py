@@ -29,12 +29,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
 from .exactlinalg import (
     clear_denominators,
-    clear_matrix,
     frac,
     in_span,
     insert_row,
@@ -64,9 +64,10 @@ class SubrepWitness:
 class _IntegerRep(NamedTuple):
     """A representation on integer rows, built once per stability check.
 
-    Each arrow matrix is cleared by one common scale, so it keeps its map up
-    to a scalar and sends spans to the same spans; per-row scales would not.
-    The A columns and B rows only span, so each is cleared on its own.
+    Each arrow matrix is its Mat numerator, cleared by one common scale, so
+    it keeps its map up to a scalar and sends spans to the same spans;
+    per-row scales would not. The A columns and B rows only span, so each
+    is cleared on its own.
     """
 
     arrows_out: dict  # node -> [(head, M)] for each arrow out of it
@@ -80,12 +81,19 @@ def _integer_rep(q: Quiver, rep: Representation) -> _IntegerRep:
     arrows_out = {n: [] for n in q.nodes}
     arrows_in = {n: [] for n in q.nodes}
     for ar in q.arrows:
-        m = clear_matrix(rep.x[ar.id].data)[0]
+        m = rep.x[ar.id].num
         arrows_out[ar.tail].append((ar.head, m))
         arrows_in[ar.head].append((ar.tail, list(zip(*m))))
-    a_cols = {n: [clear_denominators(c)[0] for c in zip(*rep.a[n].data)] for n in q.nodes}
-    b_rows = {n: [clear_denominators(r)[0] for r in rep.b[n].data] for n in q.nodes}
+    a_cols = {n: [_primitive(c, rep.a[n].den) for c in zip(*rep.a[n].num)] for n in q.nodes}
+    b_rows = {n: [_primitive(r, rep.b[n].den) for r in rep.b[n].num] for n in q.nodes}
     return _IntegerRep(arrows_out, arrows_in, a_cols, b_rows)
+
+
+def _primitive(nums, den: int) -> list:
+    """The entries nums / den cleared on their own: the ints that
+    clear_denominators gives for them."""
+    g = gcd(den, *nums)
+    return [a // g for a in nums]
 
 
 def _closure(maps: dict, dims: DimData, *seed_rows: dict) -> dict:
@@ -224,7 +232,7 @@ def verify_witness(
             for j in range(rep.a[n].cols):
                 if not in_span(rep.a[n].col_tuple(j), w.basis[n], dims.v[n]):
                     return False
-    b_rows = {n: rep.b[n].data for n in q.nodes}
+    b_rows = {n: rep.b[n].num for n in q.nodes}
     if not _side_rule_holds(q, dims, b_rows, w.basis, w.includes_framing):
         return False
     return w.pairing == _completed_pairing(q, dims, theta, w.dims, w.includes_framing)

@@ -557,6 +557,31 @@ def test_json_array_in_place_of_object_is_input_error(command, key, tmp_path, ca
     _assert_one_error_line([command, path], capsys, f"{last!r} needs a JSON object")
 
 
+@pytest.mark.parametrize("key", ["v", "d", "theta", "action.framing_chars"])
+def test_unknown_node_in_quiver_file_is_named(key, tmp_path, capsys):
+    doc = _input_doc("a2sym")
+    *outer, last = key.split(".")
+    target = doc
+    for k in outer:
+        target = target[k]
+    extra = {"v": 1, "d": 0, "theta": "1", "framing_chars": [[0]]}[last]
+    target[last] = {**target.get(last, {}), "9": extra}
+    path = _write(tmp_path, "unknown.json", doc)
+    _assert_one_error_line(["fixed", path], capsys, f"{last!r} names unknown node '9'")
+
+
+@pytest.mark.parametrize(
+    "field, kind", [("arrows", "arrow"), ("A", "node"), ("B", "node"), ("t", "arrow")]
+)
+def test_unknown_key_in_representation_is_named(field, kind, tmp_path, capsys):
+    doc = _rep_doc()
+    rep = doc["representation"]
+    extra = "1" if field == "t" else {"rows": 1, "cols": 1, "entries": ["0"]}
+    rep[field] = {**rep.get(field, {}), "9": extra}
+    path = _write(tmp_path, "unknown.json", doc)
+    _assert_one_error_line(["stability", path], capsys, f"{field!r} names unknown {kind} '9'")
+
+
 @pytest.mark.parametrize("rank", [1.0, True, -1], ids=["float", "bool", "negative"])
 @pytest.mark.parametrize("command", ["fixed", "chambers", "stab-table", "triangle"])
 def test_action_rank_must_be_a_nonnegative_integer(command, rank, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -347,14 +348,29 @@ def test_integer_products_match_fraction_products():
     assert empty == {"n", "k", "m"}
 
 
+def _assert_lowest_terms(m):
+    """num is a tuple of int tuples of m's shape over an int den > 0, with
+    gcd(den, every numerator) = 1."""
+    assert type(m.den) is int and m.den > 0
+    assert type(m.num) is tuple and len(m.num) == m.rows
+    assert all(type(row) is tuple and len(row) == m.cols for row in m.num)
+    assert all(type(a) is int for row in m.num for a in row)
+    assert gcd(m.den, *(a for row in m.num for a in row)) == 1
+
+
 def test_exact_constructor_matches_checked_constructor():
+    rng = random.Random(48)
     for rows, c in _kernel_cases(48, 200):
         checked = Mat(rows, cols=c)
-        exact = Mat._exact(tuple(map(tuple, rows)), c)
+        # the same entries over a common denominator times a spare factor,
+        # which the integer constructor must cancel
+        den = lcm(*(e.denominator for row in rows for e in row)) * rng.randint(1, 6)
+        nums = tuple(tuple(int(e * den) for e in row) for row in rows)
+        exact = Mat._from_ints(nums, den, c)
         assert exact == checked and hash(exact) == hash(checked)
         n = min(len(rows), c)
         results = [
-            checked + checked, -checked, Fraction(-3, 4) * checked, checked - checked,
+            exact, checked + checked, -checked, Fraction(-3, 4) * checked, checked - checked,
             checked.transpose(), checked.matmul(checked.transpose()),
             Mat.identity(n), Mat.zero(len(rows), c), Mat.zero(0, c), Mat.zero(c, 0),
         ]
@@ -367,6 +383,85 @@ def test_exact_constructor_matches_checked_constructor():
             assert (r.rows, r.cols) == (rebuilt.rows, rebuilt.cols)
             assert all(len(row) == r.cols for row in r.data)
             assert _all_fractions(e for row in r.data for e in row)
+            _assert_lowest_terms(r)
+
+
+def _fraction_inverse(rows):
+    """The inverse of a square Fraction row list, or None if singular."""
+    n = len(rows)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced, pivots = _fraction_rref([list(r) + e for r, e in zip(rows, ident)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def _fraction_scalar(rows):
+    n = len(rows)
+    if n == 0:
+        return Fraction(0)
+    s = rows[0][0]
+    same = all(rows[i][j] == (s if i == j else 0) for i in range(n) for j in range(n))
+    return s if same else None
+
+
+def test_integer_mat_matches_fraction_reference():
+    rng = random.Random(50)
+    seen = set()
+    for (rows, c), (right, m) in zip(_kernel_cases(50, 300), _kernel_cases(51, 300)):
+        r = len(rows)
+        seen.update(axis for axis, size in (("rows", r), ("cols", c)) if size == 0)
+        a = Mat(rows, cols=c)
+        other = [[Fraction(rng.randint(-6, 6), rng.randint(1, 8)) for _ in range(c)] for _ in range(r)]
+        b = Mat(other, cols=c)
+        right = [list(row[:m]) + [Fraction(0)] * (m - len(row)) for row in right[:c]]
+        right += [[Fraction(rng.randint(-4, 4), 5)] * m for _ in range(c - len(right))]
+        scalar = rng.choice((0, 1, -1, rng.randint(-7, 7), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+        cases = [
+            (a + b, [[x + y for x, y in zip(u, v)] for u, v in zip(rows, other)], c),
+            (a - b, [[x - y for x, y in zip(u, v)] for u, v in zip(rows, other)], c),
+            (-a, [[-x for x in u] for u in rows], c),
+            (scalar * a, [[scalar * x for x in u] for u in rows], c),
+            (a * scalar, [[x * scalar for x in u] for u in rows], c),
+            (a.transpose(), [[u[j] for u in rows] for j in range(c)], r),
+            (a.matmul(Mat(right, cols=m)), _fraction_matmul(rows, right, m), m),
+        ]
+        for got, expected, cols in cases:
+            _assert_lowest_terms(got)
+            assert (got.rows, got.cols) == (len(expected), cols)
+            assert got.data == tuple(map(tuple, expected))
+            assert _all_fractions(e for row in got.data for e in row)
+        vec = [rng.choice((0, rng.randint(-6, 6), Fraction(rng.randint(-6, 6), rng.randint(1, 9))))
+               for _ in range(c)]
+        image = a.apply(vec)
+        assert image == _fraction_apply(rows, vec) and _all_fractions(image)
+        for j in range(c):
+            column = a.col_tuple(j)
+            assert column == tuple(u[j] for u in rows) and _all_fractions(column)
+        assert a.is_zero() == all(x == 0 for u in rows for x in u)
+        n = min(r, c)
+        square = [u[:n] for u in rows[:n]]
+        diagonal = [[Fraction(int(i == j)) * scalar for j in range(n)] for i in range(n)]
+        for sq in (square, diagonal):
+            assert Mat(sq, cols=n).scaled_identity_value() == _fraction_scalar(sq)
+        inverse = _fraction_inverse(square)
+        if inverse is None:
+            with pytest.raises(ValueError, match="singular"):
+                Mat(square, cols=n).inverse()
+        else:
+            got = Mat(square, cols=n).inverse()
+            _assert_lowest_terms(got)
+            assert got.data == inverse
+        # equal matrices reached by different routes compare and hash equal
+        for route in (
+            (3 * a) * Fraction(1, 3), a.transpose().transpose(), a + Mat.zero(r, c),
+            (a - b) + b, -(-a), Fraction(7, 2) * (Fraction(2, 7) * a),
+        ):
+            _assert_lowest_terms(route)
+            assert route == a and hash(route) == hash(a)
+        assert a - a == Mat.zero(r, c) and (a - a).den == 1
+        assert 0 * a == Mat.zero(r, c) and hash(0 * a) == hash(Mat.zero(r, c))
+    assert seen == {"rows", "cols"}
 
 
 def test_integer_kernel_matches_sympy():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverlab.exactlinalg import Mat, charpoly
+from quiverlab.exactlinalg import Mat, charpoly, reduce_span
 from quiverlab.quiver import Arrow, ArrowSplit, DimData, Quiver
 from quiverlab.reps import (
     Representation,
@@ -326,3 +326,92 @@ def test_flag_reports_violation_under_wrong_scalars(monkeypatch):
     rpt = flag_check(2, [Mat([[1], [0]])], [Mat([[3, 5]])], Fraction(1))
     assert not rpt.ok and rpt.preserved
     assert rpt.violations == ((1, (Fraction(1), Fraction(0))),)
+
+
+def _in_rref_span_reference(vec, basis) -> bool:
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    coeffs = [vec[p] for p in pivots]
+    return all(
+        vec[j] == sum(c * row[j] for c, row in zip(coeffs, basis))
+        for j in range(len(vec))
+        if j not in pivots
+    )
+
+
+def _flag_check_reference(n, cs, ds, t):
+    """The flag check on Fraction vectors: each flag vector's image under
+    X, shifted by the expected scalar, tested against V_{k+1} one vector
+    at a time."""
+    import quiverlab.reps as reps
+
+    t = Fraction(t)
+    scalars = reps._leg_depth_scalars(n, cs, ds)
+    lambdas = [None if s is None else -s for s in scalars]
+    nonscalar = [depth for depth, s in enumerate(scalars, 1) if s is None]
+    if nonscalar:
+        return reps.FlagReport(False, (), False, (), tuple(lambdas), tuple(nonscalar))
+    x = t * Mat.identity(n)
+    if n >= 2:
+        x = cs[-1].matmul(ds[-1]) + x
+    flags = [tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))]
+    comp = None
+    for k in range(1, n):
+        comp = cs[n - 2] if comp is None else comp.matmul(cs[n - 1 - k])
+        flags.append(reduce_span([comp.col_tuple(j) for j in range(comp.cols)], n))
+    preserved, violations, scalars = True, [], []
+    for k in range(n):
+        vk, vnext = flags[k], flags[k + 1] if k + 1 < n else ()
+        expected = t + sum(lambdas[:k], Fraction(0))
+        scalars.append(expected)
+        for vec in vk:
+            img = x.apply(vec)
+            shifted = tuple(iv - expected * xv for iv, xv in zip(img, vec))
+            if _in_rref_span_reference(shifted, vnext):
+                continue
+            if k >= 1 and not _in_rref_span_reference(img, vk):
+                preserved = False
+            violations.append((k, vec))
+    return reps.FlagReport(
+        preserved and not violations, tuple(flags), preserved, tuple(scalars),
+        tuple(lambdas), (), tuple(violations),
+    )
+
+
+def test_flag_check_matches_fraction_reference(monkeypatch):
+    # a third of the legs are plain; a third keep their chains but read
+    # shifted depth scalars, which moves the expected quotient scalar above
+    # level 0 as a wrong t would; a third add noise to the top D map and
+    # read the unperturbed leg's scalars, so X need not preserve the flag
+    import quiverlab.reps as reps
+
+    depth_scalars = reps._leg_depth_scalars
+    rng = random.Random(61)
+    outcomes = {"ok": 0, "violations": 0, "not preserved": 0, "nonscalar": 0}
+    for trial in range(240):
+        n = 2 + trial % 4
+        cs, ds = random_scalar_moment_leg(rng, n)
+        t = Fraction(rng.randint(-10, 10), rng.randint(1, 5))
+        scalars = depth_scalars(n, cs, ds)
+        kind = trial // 4 % 3
+        if kind == 1:
+            scalars = [s + Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for s in scalars]
+        elif kind == 2:
+            noise = Mat([[rng.randint(-2, 2) * rng.randint(0, 1) for _ in range(n)]
+                         for _ in range(n - 1)])
+            ds = ds[:-1] + [ds[-1] + noise]
+            if trial % 5 == 0:
+                scalars = None  # the perturbed leg's own, often not scalar
+        if scalars is not None:
+            monkeypatch.setattr(reps, "_leg_depth_scalars", lambda *a, s=scalars: list(s))
+        got, expected = flag_check(n, cs, ds, t), _flag_check_reference(n, cs, ds, t)
+        monkeypatch.setattr(reps, "_leg_depth_scalars", depth_scalars)
+        for field in ("ok", "flags", "preserved", "scalars", "lambdas", "nonscalar_depths",
+                      "violations"):
+            assert getattr(got, field) == getattr(expected, field), (trial, field)
+        if got.nonscalar_depths:
+            outcomes["nonscalar"] += 1
+        elif not got.preserved:
+            outcomes["not preserved"] += 1
+        else:
+            outcomes["violations" if got.violations else "ok"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
