@@ -33,6 +33,7 @@ from .torus import FixedCandidate
 
 MAX_CHAMBER_RANK = 4
 MAX_CHAMBER_REGIONS = 600
+MAX_DEGREE_PAIRS = 100_000
 
 
 class WallError(ValueError):
@@ -354,7 +355,18 @@ def stab_degree_table(
     candidates,
     xi,
 ) -> DegreeTable:
-    """Dimension and degree ledger imposed by the attracting-cycle axioms."""
+    """Dimension and degree ledger imposed by the attracting-cycle axioms.
+
+    One pair per two candidates; more than MAX_DEGREE_PAIRS is refused
+    before any row is built.
+    """
+    candidates = list(candidates)
+    count = comb(len(candidates), 2)
+    if count > MAX_DEGREE_PAIRS:
+        raise ValueError(
+            f"{len(candidates)} candidates give {count} degree pairs, over the "
+            f"budget of {MAX_DEGREE_PAIRS}"
+        )
     dim_x = dim_quiver_variety(q, dims)
     dim_base = hgamma_data(q, split, dims).dim_h
     rows = []

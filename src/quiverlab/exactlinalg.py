@@ -422,42 +422,21 @@ def span_sum(b1, b2, dim: int) -> tuple[Vector, ...]:
     return reduce_span(list(b1) + list(b2), dim)
 
 
+def _annihilator(basis, dim: int) -> tuple[Vector, ...]:
+    """The covectors vanishing on the row span of basis, inside Q^dim."""
+    return kernel_basis(Mat(basis, cols=dim))
+
+
 def span_intersect(b1, b2, dim: int) -> tuple[Vector, ...]:
-    """Intersection of two row-span subspaces of Q^dim."""
-    if not b1 or not b2:
-        return ()
-    # v in both spans: v = a.b1 = c.b2; kernel of [b1^T | -b2^T].
-    k1, k2 = len(b1), len(b2)
-    stacked = Mat(
-        (
-            tuple(b1[i][r] for i in range(k1)) + tuple(-b2[j][r] for j in range(k2))
-            for r in range(dim)
-        ),
-        cols=k1 + k2,
-    )
-    vecs = []
-    for kv in kernel_basis(stacked):
-        coeffs = kv[:k1]
-        v = tuple(
-            sum(coeffs[i] * b1[i][r] for i in range(k1)) for r in range(dim)
-        )
-        vecs.append(v)
-    return reduce_span(vecs, dim)
+    """Intersection of two row-span subspaces of Q^dim: ann(ann b1 + ann b2)."""
+    return reduce_span(_annihilator(_annihilator(b1, dim) + _annihilator(b2, dim), dim), dim)
 
 
 def preimage_span(x: Mat, target: tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """{v : x @ v lies in the row-span `target`} as a subspace of Q^x.cols."""
-    n = x.cols
-    k = len(target)
-    if k == 0:
-        return reduce_span(kernel_basis(x), n)
-    # x v = target^T y  <=>  [x | -target^T] (v; y) = 0
-    rows = [
-        row + tuple(-target[j][i] for j in range(k)) for i, row in enumerate(x.data)
-    ]
-    stacked = Mat(rows, cols=n + k)
-    vecs = [kv[:n] for kv in kernel_basis(stacked)]
-    return reduce_span(vecs, n)
+    """{v : x @ v lies in the row-span `target`} as a subspace of Q^x.cols:
+    the kernel of ann(target) @ x."""
+    ann = Mat(_annihilator(target, x.rows), cols=x.rows)
+    return reduce_span(kernel_basis(ann.matmul(x)), x.cols)
 
 
 def image_span(x: Mat, source: tuple[Vector, ...]) -> tuple[Vector, ...]:

@@ -115,8 +115,9 @@ def _named(table: dict, field: str, key, kind: str = "node"):
         raise ValueError(f"{field!r} names unknown {kind} {key!r}") from None
 
 
-def _object(doc: dict, key: str) -> dict:
-    value = doc.get(key, {})  # an absent key reads as an empty object
+def _object(doc: dict, key: str, required: bool = False) -> dict:
+    # an absent optional key reads as an empty object
+    value = doc[key] if required else doc.get(key, {})
     if not isinstance(value, dict):
         raise ValueError(f"{key!r} needs a JSON object, got {value!r}")
     return value
@@ -205,13 +206,14 @@ def rep_from_json(q: Quiver, doc: dict):
     keys = _key_map(q)
     by_str = {str(a.id): a.id for a in q.arrows}
     x = {
-        _named(by_str, "arrows", s, "arrow"): mat_from_json(m) for s, m in doc["arrows"].items()
+        _named(by_str, "arrows", s, "arrow"): mat_from_json(m)
+        for s, m in _object(doc, "arrows", required=True).items()
     }
-    a = {_named(keys, "A", k): mat_from_json(m) for k, m in doc["A"].items()}
-    b = {_named(keys, "B", k): mat_from_json(m) for k, m in doc["B"].items()}
+    a = {_named(keys, "A", k): mat_from_json(m) for k, m in _object(doc, "A", required=True).items()}
+    b = {_named(keys, "B", k): mat_from_json(m) for k, m in _object(doc, "B", required=True).items()}
     t = None
     if "t" in doc:
-        t = {_named(by_str, "t", s, "arrow"): frac(v) for s, v in doc["t"].items()}
+        t = {_named(by_str, "t", s, "arrow"): frac(v) for s, v in _object(doc, "t").items()}
     return Representation(x, a, b), t
 
 

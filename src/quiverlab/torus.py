@@ -5,11 +5,14 @@ characters, loops carry zero, and every framing slot carries its own
 character acting with + on the A column and - on the B row.
 
 Fixed-component candidates are combinatorial: a grading of every gauge
-space by characters. The derived quiver keeps an arrow copy wherever a
-block of the representation space has character zero after twisting by the
-grading, so a cocharacter pairing recovers the integer-weight picture.
-Whether a candidate is actually nonempty as a moduli space is not decided
-here.
+space V_n by characters. The grading cuts the representation space and the
+gauge algebra into graded blocks Hom(V_{tail,w1}, V_{head,w2}) x ch of
+character ch + w1 - w2, with the framing space W a weight-0 node: arrow a
+gives ch(a), a framing slot's A column W -> V_n gives its character and its
+B row V_n -> W the negated one, and the adjoint V_n -> V_n gives zero. The
+tangent is the signed sum of all blocks; the derived quiver is their
+zero-character part. Whether a candidate is actually nonempty as a moduli
+space is not decided here.
 """
 
 from __future__ import annotations
@@ -164,35 +167,31 @@ class FixedCandidate:
     def tangent(self) -> Counter:
         """Virtual character multiset of the ambient tangent space.
 
-        Representation blocks count positively, adjoint blocks negatively;
-        the zero character survives with net multiplicity equal to the
+        One signed sum over the graded blocks (module docstring): arrow and
+        framing blocks count +1, the adjoint blocks V_n -> V_n count -1.
+        The zero character survives with net multiplicity equal to the
         dimension of the candidate itself.
         """
         if self._tangent is not None:
             return self._tangent
-        rank = self.action.rank
-        bag: Counter = Counter()
+        act, g, zero = self.action, self.grading, zero_char(self.action.rank)
         if self.trivial:
-            bag[zero_char(rank)] = dim_quiver_variety(self.base, self.base_dims)
-            self._tangent = bag
-            return bag
-        for ar in self.base.arrows:
-            ch = self.action.char(ar.id, self.base_split)
-            for w1, m1 in self.grading[ar.tail].items():
-                for w2, m2 in self.grading[ar.head].items():
-                    bag[char_add(ch, char_sub(w1, w2))] += m1 * m2
+            self._tangent = Counter({zero: dim_quiver_variety(self.base, self.base_dims)})
+            return self._tangent
+        frame = {zero: 1}  # the framing space W as a weight-0 node
+        blocks = [(act.char(ar.id, self.base_split), 1, g[ar.tail], g[ar.head])
+                  for ar in self.base.arrows]
         for n in self.base.nodes:
-            for ch in self.action.framing(n):
-                for w, m in self.grading[n].items():
-                    bag[char_sub(ch, w)] += m      # A column
-                    bag[char_sub(w, ch)] += m      # B row
-        for n in self.base.nodes:
-            for w1, m1 in self.grading[n].items():
-                for w2, m2 in self.grading[n].items():
-                    bag[char_sub(w1, w2)] -= m1 * m2
-        bag = Counter({ch: m for ch, m in bag.items() if m != 0})
-        self._tangent = bag
-        return bag
+            blocks.append((zero, -1, g[n], g[n]))
+            for ch in act.framing(n):
+                blocks += [(ch, 1, frame, g[n]), (char_neg(ch), 1, g[n], frame)]
+        bag: Counter = Counter()
+        for ch, sign, source, target in blocks:
+            for w1, m1 in source.items():
+                for w2, m2 in target.items():
+                    bag[char_add(ch, char_sub(w1, w2))] += sign * m1 * m2
+        self._tangent = Counter({ch: m for ch, m in bag.items() if m})
+        return self._tangent
 
     def nonzero_tangent(self) -> Counter:
         rank = self.action.rank
@@ -202,49 +201,26 @@ class FixedCandidate:
 
 
 def _derived_quiver(q, split, dims, act, grading):
-    nodes = []
-    v = {}
-    for n in q.nodes:
-        for ch, m in sorted(grading[n].items()):
-            nodes.append((n, ch))
-            v[(n, ch)] = m
-    node_set = set(nodes)
-    arrows = []
-    pairs = []
-    loops = []
-    arrow_of = {}
+    """The zero-character blocks of a grading, as a quiver on the occupied
+    (node, w): a copy (a, w) of each arrow whose head weight w + ch(a) is
+    occupied, and at each (n, w) the framing slots of character w."""
+    v = {(n, w): grading[n][w] for n in q.nodes for w in sorted(grading[n])}
+    copies = {}  # arrow id -> {tail weight: head weight} of its copies
     for ar in q.arrows:
-        ch = act.char(ar.id, split)
-        for w, _ in sorted(grading[ar.tail].items()):
-            src = (ar.tail, w)
-            dst = (ar.head, char_add(w, ch))
-            if src in node_set and dst in node_set:
-                copy = Arrow((ar.id, w), src, dst)
-                arrows.append(copy)
-                arrow_of[(ar.id, w)] = copy
-    for a_id, astar_id in split.pairs:
-        ar = q.arrow(a_id)
-        ch = act.char(a_id, split)
-        for w, _ in sorted(grading[ar.tail].items()):
-            if (a_id, w) in arrow_of:
-                partner = (astar_id, char_add(w, ch))
-                if partner in arrow_of:
-                    pairs.append(((a_id, w), partner))
-    for l_id in split.loops:
-        node = q.arrow(l_id).head
-        for w, _ in sorted(grading[node].items()):
-            if (l_id, w) in arrow_of:
-                loops.append((l_id, w))
-    d = {}
-    framing_slots = {}
-    for n in q.nodes:
-        for w, _ in grading[n].items():
-            aligned = tuple(
-                slot for slot, ch in enumerate(act.framing(n)) if tuple(ch) == w
-            )
-            d[(n, w)] = len(aligned)
-            framing_slots[(n, w)] = aligned
-    quiver = Quiver(tuple(nodes), tuple(arrows))
+        shifted = ((w, char_add(w, act.char(ar.id, split))) for w in sorted(grading[ar.tail]))
+        copies[ar.id] = {w: h for w, h in shifted if h in grading[ar.head]}
+    arrows = [Arrow((ar.id, w), (ar.tail, w), (ar.head, h))
+              for ar in q.arrows for w, h in copies[ar.id].items()]
+    # a* carries -ch(a) (fixed_components refuses anything else, and the
+    # trivial derive action is all zero), so every copy's partner exists;
+    # a loop carries zero, so it has a copy at every weight
+    pairs = [((a, w), (b, h)) for a, b in split.pairs for w, h in copies[a].items()]
+    loops = [(l, w) for l in split.loops for w in copies[l]]
+    framing_slots = {
+        (n, w): tuple(s for s, ch in enumerate(act.framing(n)) if ch == w) for n, w in v
+    }
+    d = {nd: len(slots) for nd, slots in framing_slots.items()}
+    quiver = Quiver(tuple(v), tuple(arrows))
     dsplit = ArrowSplit(tuple(pairs), tuple(loops))
     dsplit.validate(quiver)
     return quiver, dsplit, v, d, framing_slots
@@ -328,13 +304,18 @@ def fixed_components(
     lo, hi = window
     if lo > hi:
         raise ValueError("empty weight window")
-    chars = [tuple(c) for c in itertools.product(range(lo, hi + 1), repeat=act.rank)]
-    gradings = math.prod(math.comb(len(chars) + dims.v[n] - 1, dims.v[n]) for n in q.nodes)
+    # count before building: the window's characters grow as its width**rank
+    count = (hi - lo + 1) ** act.rank
+    gradings = math.prod(math.comb(count + dims.v[n] - 1, dims.v[n]) for n in q.nodes)
     if gradings > MAX_FIXED_GRADINGS:
         raise ValueError(
             f"the weight window gives {gradings} gradings, over the "
             f"enumeration budget of {MAX_FIXED_GRADINGS}"
         )
+    # with every v_n zero any window is in budget, and no grading reads it
+    chars = []
+    if any(dims.v[n] for n in q.nodes):
+        chars = list(itertools.product(range(lo, hi + 1), repeat=act.rank))
 
     components = _components_of(q)
     framed = [any(dims.d[n] > 0 for n in comp) for comp in components]

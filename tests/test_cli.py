@@ -14,6 +14,7 @@ import pytest
 from quiverlab import verify
 from quiverlab.cli import build_parser, main
 from quiverlab.corpus import corpus
+from quiverlab.envelopes import MAX_DEGREE_PAIRS
 from quiverlab.jsonio import (
     dumps_canonical,
     mat_from_json,
@@ -580,6 +581,34 @@ def test_unknown_key_in_representation_is_named(field, kind, tmp_path, capsys):
     rep[field] = {**rep.get(field, {}), "9": extra}
     path = _write(tmp_path, "unknown.json", doc)
     _assert_one_error_line(["stability", path], capsys, f"{field!r} names unknown {kind} '9'")
+
+
+def test_stab_table_over_the_pair_budget_is_input_error(capsys, monkeypatch):
+    # loop2 at -6..6 has 1183 candidates; the default window's 75 stay in budget
+    monkeypatch.chdir(ROOT)
+    _assert_one_error_line(
+        ["stab-table", "inputs/loop2.json", "--window=-6..6"], capsys,
+        f"1183 candidates give 699153 degree pairs, over the budget of {MAX_DEGREE_PAIRS}",
+    )
+
+
+@pytest.mark.parametrize("field", ["arrows", "A", "B", "t"])
+@pytest.mark.parametrize("command", ["tau", "stability"])
+def test_json_array_in_place_of_representation_object_is_input_error(
+    command, field, tmp_path, capsys
+):
+    doc = _rep_doc()
+    doc["representation"][field] = [1]
+    path = _write(tmp_path, "array.json", doc)
+    _assert_one_error_line([command, path], capsys, f"{field!r} needs a JSON object, got [1]")
+
+
+@pytest.mark.parametrize("field", ["arrows", "A", "B"])
+def test_missing_representation_object_is_named(field, tmp_path, capsys):
+    doc = _rep_doc()
+    del doc["representation"][field]
+    path = _write(tmp_path, "missing.json", doc)
+    _assert_one_error_line(["tau", path], capsys, f"error: {path}: {field!r}\n")
 
 
 @pytest.mark.parametrize("rank", [1.0, True, -1], ids=["float", "bool", "negative"])

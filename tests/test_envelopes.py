@@ -8,6 +8,7 @@ import pytest
 
 from quiverlab.envelopes import (
     MAX_CHAMBER_REGIONS,
+    MAX_DEGREE_PAIRS,
     Chamber,
     Face,
     WallError,
@@ -400,6 +401,17 @@ def test_stab_degree_table_sigma_zero():
     table = stab_degree_table(e.quiver, e.split, e.dims, cands, (1,))
     (row,) = table.rows
     assert row.dim_fixed == 4 and row.attracting_dim == 4 and row.rank_minus == 0
+
+
+def test_stab_degree_table_refuses_pairs_before_any_row():
+    e = corpus()["a2sym"]
+    # C(448, 2) = 100128 pairs: refused before a row reads a candidate, so
+    # placeholders stand in for them
+    with pytest.raises(ValueError, match=f"448 candidates give 100128 degree pairs.*{MAX_DEGREE_PAIRS}"):
+        stab_degree_table(e.quiver, e.split, e.dims, [None] * 448, (1,))
+    # C(447, 2) = 99681 pairs pass the check and reach the first row
+    with pytest.raises(AttributeError):
+        stab_degree_table(e.quiver, e.split, e.dims, [None] * 447, (1,))
 
 
 def test_triangle_degenerate_faces():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -283,6 +284,22 @@ def test_window_validation_and_budget():
         fixed_components(e.quiver, e.split, e.dims, e.action, (1,), (-20, 20))
 
 
+def test_window_budget_is_checked_before_the_window_is_built():
+    # rank 2 over -10**6..10**6: (2*10**6 + 1)**2 characters, never listed
+    q, split = Quiver(("0",), (Arrow("eps", "0", "0"),)), ArrowSplit((), ("eps",))
+    act, window = TorusAction(2, {}, {"0": ()}), (-10**6, 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"gradings, over the enumeration budget of {MAX_FIXED_GRADINGS}"):
+            fixed_components(q, split, DimData({"0": 1}, {"0": 0}), act, (1, 0), window)
+        # v = 0 has one grading, the empty one, at any window
+        assert fixed_components(q, split, DimData({"0": 0}, {"0": 0}), act, (1, 0), window) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_fixed_components_jordan1_window_enumeration():
     # dimension-1 gauge space over window {0, 1}: the grading sitting at the
     # framing character keeps the framing, the other one loses it
@@ -297,3 +314,87 @@ def test_fixed_components_jordan1_window_enumeration():
     assert aligned.d[("0", (1,))] == 1
     other = next(c for c in cands if (0,) in c.grading["0"])
     assert other.d[("0", (0,))] == 0
+
+
+def _reference_derived_quiver(q, split, act, grading):
+    """The four-pass derived quiver the block view replaced."""
+    nodes, v = [], {}
+    for n in q.nodes:
+        for ch, m in sorted(grading[n].items()):
+            nodes.append((n, ch))
+            v[(n, ch)] = m
+    node_set = set(nodes)
+    arrows, pairs, loops, arrow_of = [], [], [], {}
+    for ar in q.arrows:
+        ch = act.char(ar.id, split)
+        for w, _ in sorted(grading[ar.tail].items()):
+            src, dst = (ar.tail, w), (ar.head, tuple(x + y for x, y in zip(w, ch)))
+            if src in node_set and dst in node_set:
+                arrow_of[(ar.id, w)] = Arrow((ar.id, w), src, dst)
+                arrows.append(arrow_of[(ar.id, w)])
+    for a_id, astar_id in split.pairs:
+        ch = act.char(a_id, split)
+        for w, _ in sorted(grading[q.arrow(a_id).tail].items()):
+            partner = (astar_id, tuple(x + y for x, y in zip(w, ch)))
+            if (a_id, w) in arrow_of and partner in arrow_of:
+                pairs.append(((a_id, w), partner))
+    for l_id in split.loops:
+        for w, _ in sorted(grading[q.arrow(l_id).head].items()):
+            if (l_id, w) in arrow_of:
+                loops.append((l_id, w))
+    d, framing_slots = {}, {}
+    for n in q.nodes:
+        for w in grading[n]:
+            aligned = tuple(slot for slot, ch in enumerate(act.framing(n)) if tuple(ch) == w)
+            d[(n, w)], framing_slots[(n, w)] = len(aligned), aligned
+    return Quiver(tuple(nodes), tuple(arrows)), ArrowSplit(tuple(pairs), tuple(loops)), v, d, framing_slots
+
+
+def _reference_tangent(cand):
+    """The three-loop tangent the block view replaced."""
+    rank, g = cand.action.rank, cand.grading
+    if cand.trivial:
+        return Counter({(0,) * rank: dim_quiver_variety(cand.base, cand.base_dims)})
+    bag = Counter()
+    for ar in cand.base.arrows:
+        ch = cand.action.char(ar.id, cand.base_split)
+        for w1, m1 in g[ar.tail].items():
+            for w2, m2 in g[ar.head].items():
+                bag[tuple(c + x - y for c, x, y in zip(ch, w1, w2))] += m1 * m2
+    for n in cand.base.nodes:
+        for ch in cand.action.framing(n):
+            for w, m in g[n].items():
+                bag[tuple(c - x for c, x in zip(ch, w))] += m   # A column
+                bag[tuple(x - c for c, x in zip(ch, w))] += m   # B row
+        for w1, m1 in g[n].items():
+            for w2, m2 in g[n].items():
+                bag[tuple(x - y for x, y in zip(w1, w2))] -= m1 * m2
+    return Counter({ch: m for ch, m in bag.items() if m != 0})
+
+
+def test_block_view_matches_reference_derived_quiver_and_tangent():
+    rng = random.Random(20261019)
+    problems = trivial = aligned = paired = looped = 0
+    while problems < 320:
+        q, split, dims, act, broken = _random_symmetric_problem(rng)
+        if broken:
+            continue
+        problems += 1
+        sigma = tuple(rng.choice((0, 1, -1, 2)) for _ in range(act.rank))
+        window = (-1, 1) if act.rank == 1 else (0, 1)
+        cands = fixed_components(q, split, dims, act, sigma, window)
+        for cand in rng.sample(cands, min(len(cands), 6)):
+            derive = act
+            if cand.trivial:
+                zero = (0,) * act.rank
+                derive = TorusAction(act.rank, {}, {n: (zero,) * dims.d[n] for n in q.nodes})
+            quiver, dsplit, v, d, slots = _reference_derived_quiver(q, split, derive, cand.grading)
+            assert (cand.quiver, cand.split, cand.v, cand.d, cand.framing_slots) == (
+                quiver, dsplit, v, d, slots
+            )
+            assert cand.tangent() == _reference_tangent(cand)
+            trivial += cand.trivial
+            aligned += any(d.values()) and not cand.trivial
+            paired += bool(dsplit.pairs) and not cand.trivial
+            looped += bool(dsplit.loops) and not cand.trivial
+    assert trivial >= 40 and min(aligned, paired, looped) >= 150, (trivial, aligned, paired, looped)
