@@ -53,7 +53,6 @@ from .stability import (
 from .torus import (
     FixedCandidate,
     TorusAction,
-    action_weights,
     fixed_components,
     fixed_self_dual_check,
     self_dual_check,

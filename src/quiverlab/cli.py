@@ -18,6 +18,7 @@ from .corpus import TRANSFER_QUIVERS, corpus
 from .envelopes import chambers, stab_degree_table, torus_roots
 from .exactlinalg import frac
 from .jsonio import (
+    _object,
     dumps_canonical,
     frac_to_json,
     quiver_from_json,
@@ -333,11 +334,16 @@ def _load_rep(path: str, symmetric: bool = True):
     doc = _load_doc(path)
     if not (isinstance(doc, dict) and "quiver" in doc and "representation" in doc):
         raise InputError("representation file needs 'quiver' and 'representation'")
-    q, split, dims, _, _ = _parse_problem(doc["quiver"], path, symmetric)
+    try:
+        qdoc = _object(doc, "quiver", required=True)
+        rdoc = _object(doc, "representation", required=True)
+    except ValueError as e:
+        raise InputError(f"{path}: {e}")
+    q, split, dims, _, _ = _parse_problem(qdoc, path, symmetric)
     if dims is None:
         raise InputError("dimension data required")
     try:
-        rep, t = rep_from_json(q, doc["representation"])
+        rep, t = rep_from_json(q, rdoc)
         return q, split, dims, rep, t
     except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"{path}: {e}")

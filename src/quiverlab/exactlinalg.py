@@ -320,11 +320,10 @@ def kernel_rows(basis: dict, n: int) -> dict:
 
 def kernel_basis(m: Mat) -> tuple[Vector, ...]:
     """Basis of {x : m @ x = 0}, as tuples of length m.cols: one vector per
-    free column f, with 1 at f."""
-    return tuple(
-        tuple(Fraction(e, row[f]) if e else _ZERO for e in row)
-        for f, row in kernel_rows(_int_basis(m.num), m.cols).items()
-    )
+    free column f, with 1 at f. kernel_rows keys each row by its free
+    column, the row's own nonzero entry there, so normalise_basis divides
+    by exactly that entry."""
+    return normalise_basis(kernel_rows(_int_basis(m.num), m.cols))
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:

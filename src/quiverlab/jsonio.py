@@ -25,12 +25,12 @@ def node_to_json(node):
     return node
 
 
-def node_from_json(doc):
-    if isinstance(doc, list):
-        if len(doc) != 2:
-            raise ValueError(f"bad node entry {doc!r}")
-        return (node_from_json(doc[0]), doc[1])
-    return doc
+def node_from_json(doc, field: str = "nodes"):
+    if isinstance(doc, str):
+        return doc
+    if isinstance(doc, list) and len(doc) == 2 and isinstance(doc[0], str) and type(doc[1]) is int:
+        return tuple(doc)
+    raise ValueError(f"{field!r} needs a node id string or [loop_id, depth] pair, got {doc!r}")
 
 
 def _key_map(q: Quiver) -> dict:
@@ -123,19 +123,35 @@ def _object(doc: dict, key: str, required: bool = False) -> dict:
     return value
 
 
+def _list(doc: dict, key: str) -> list:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} needs a JSON list, got {value!r}")
+    return value
+
+
+def _arrow_from_json(doc) -> Arrow:
+    if not isinstance(doc, dict):
+        raise ValueError(f"'arrows' entry needs a JSON object, got {doc!r}")
+    aid = doc["id"]
+    if not isinstance(aid, str):
+        raise ValueError(f"'id' needs an arrow id string, got {aid!r}")
+    return Arrow(aid, node_from_json(doc["tail"], "tail"), node_from_json(doc["head"], "head"))
+
+
 def quiver_from_json(doc: dict):
     """(quiver, split, dims, action, sigma); optional parts may be None.
 
     When no pair list is present but the quiver is symmetric, the canonical
     split is derived.
     """
-    nodes = tuple(node_from_json(n) for n in doc["nodes"])
-    arrows = tuple(
-        Arrow(a["id"], node_from_json(a["tail"]), node_from_json(a["head"]))
-        for a in doc["arrows"]
-    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"a quiver needs a JSON object, got {doc!r}")
+    nodes = tuple(node_from_json(n) for n in _list(doc, "nodes"))
+    arrows = tuple(map(_arrow_from_json, _list(doc, "arrows")))
     q = Quiver(nodes, arrows)
     keys = _key_map(q)
+    by_str = {str(a.id): a.id for a in q.arrows}
 
     if not q.is_symmetric():
         split = None  # no doubled-pair structure exists
@@ -170,12 +186,10 @@ def quiver_from_json(doc: dict):
         adoc = _object(doc, "action")
         arrow_chars = {}
         for aid_str, ch in _object(adoc, "arrow_chars").items():
-            matches = [a.id for a in q.arrows if str(a.id) == aid_str]
-            if not matches:
-                raise ValueError(f"action references unknown arrow {aid_str!r}")
+            aid = _named(by_str, "arrow_chars", aid_str, "arrow")
             if not isinstance(ch, list):
                 raise ValueError(f"'arrow_chars' entry {aid_str!r} needs a list, got {ch!r}")
-            arrow_chars[matches[0]] = tuple(ch)
+            arrow_chars[aid] = tuple(ch)
         framing_chars = {}
         for k, chars in _object(adoc, "framing_chars").items():
             if not (isinstance(chars, list) and all(isinstance(c, list) for c in chars)):
@@ -185,7 +199,7 @@ def quiver_from_json(doc: dict):
 
     sigma = None
     if "sigma" in doc:
-        sigma = tuple(doc["sigma"])
+        sigma = tuple(_list(doc, "sigma"))
         if not all(type(s) is int for s in sigma):
             raise ValueError(f"sigma needs integer entries, got {doc['sigma']!r}")
     return q, split, dims, action, sigma

@@ -92,12 +92,13 @@ class ArrowSplit:
         listed = [a for p in self.pairs for a in p] + list(self.loops)
         if sorted(map(repr, listed)) != sorted(repr(a.id) for a in q.arrows):
             raise ValueError("split does not partition the arrow set")
+        by_id = {a.id: a for a in q.arrows}
         for a_id, astar_id in self.pairs:
-            a, astar = q.arrow(a_id), q.arrow(astar_id)
+            a, astar = by_id[a_id], by_id[astar_id]
             if a.tail != astar.head or a.head != astar.tail:
                 raise ValueError(f"pair ({a_id!r}, {astar_id!r}) is not orientation-reversed")
         for l_id in self.loops:
-            l = q.arrow(l_id)
+            l = by_id[l_id]
             if l.tail != l.head:
                 raise ValueError(f"loop {l_id!r} has distinct endpoints")
 

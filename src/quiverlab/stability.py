@@ -14,14 +14,15 @@ is absorbed into an extra dimension-1 node whose stability value is
 Each check (stability_report, destabilizer_search) clears the
 representation into one integer form, _IntegerRep: every arrow matrix
 scaled by one common denominator, and its transpose for the core; the A
-columns and B rows, each cleared on its own. The closure, the core (a dual
-closure and the kernel read off its basis) and the side rule all run on
-integer Gauss-Jordan bases grown by exactlinalg.insert_row. Fractions are
-made only at the edges: the public generated_closure clears its seeds on
-entry, normalise_basis makes the canonical bases that generated_closure
-and cogenerated_core return and that a witness carries (the search
-normalises only the witness it returns), pairings are Fractions of theta,
-and verify_witness rechecks a witness on Fractions, apart from the form.
+columns and B rows, read as numerators like the arrows. The closure, the
+core (a dual closure and the kernel read off its basis) and the side rule
+all run on integer Gauss-Jordan bases grown by exactlinalg.insert_row.
+Fractions are made only at the edges: the public generated_closure clears
+its seeds on entry, normalise_basis makes the canonical bases that
+generated_closure and cogenerated_core return and that a witness carries
+(the search normalises only the witness it returns), pairings are
+Fractions of theta, and verify_witness rechecks a witness on Fractions,
+apart from the form.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -66,8 +66,10 @@ class _IntegerRep(NamedTuple):
 
     Each arrow matrix is its Mat numerator, cleared by one common scale, so
     it keeps its map up to a scalar and sends spans to the same spans;
-    per-row scales would not. The A columns and B rows only span, so each
-    is cleared on its own.
+    per-row scales would not. The A columns and B rows only span, so their
+    numerators serve as well: insert_row stores any positive multiple of a
+    seed row as the same row, and the side rule only tests pairings for
+    zero.
     """
 
     arrows_out: dict  # node -> [(head, M)] for each arrow out of it
@@ -84,16 +86,9 @@ def _integer_rep(q: Quiver, rep: Representation) -> _IntegerRep:
         m = rep.x[ar.id].num
         arrows_out[ar.tail].append((ar.head, m))
         arrows_in[ar.head].append((ar.tail, list(zip(*m))))
-    a_cols = {n: [_primitive(c, rep.a[n].den) for c in zip(*rep.a[n].num)] for n in q.nodes}
-    b_rows = {n: [_primitive(r, rep.b[n].den) for r in rep.b[n].num] for n in q.nodes}
+    a_cols = {n: list(zip(*rep.a[n].num)) for n in q.nodes}
+    b_rows = {n: rep.b[n].num for n in q.nodes}
     return _IntegerRep(arrows_out, arrows_in, a_cols, b_rows)
-
-
-def _primitive(nums, den: int) -> list:
-    """The entries nums / den cleared on their own: the ints that
-    clear_denominators gives for them."""
-    g = gcd(den, *nums)
-    return [a // g for a in nums]
 
 
 def _closure(maps: dict, dims: DimData, *seed_rows: dict) -> dict:

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from .quiver import Arrow, ArrowSplit, DimData, NodeId, Quiver, node_key
 
+MAX_LEG_NODES = 10_000
+
 
 def added_loop_id(node: NodeId, q: Quiver) -> str:
     """Fresh loop identifier for a node.
@@ -90,7 +92,8 @@ def build_aux(q: Quiver, split: ArrowSplit, dims: DimData) -> AuxResult:
     """Replace each loop of Q^add by a doubled A_{n-1} leg.
 
     Nodes with gauge dimension 1 get an empty leg (the loop disappears and
-    no nodes are added). Framing extends by zero on the new nodes.
+    no nodes are added). Framing extends by zero on the new nodes. Legs that
+    would add more than MAX_LEG_NODES nodes are refused up front.
     """
     dims.validate(q)
     for node in q.nodes:
@@ -99,9 +102,16 @@ def build_aux(q: Quiver, split: ArrowSplit, dims: DimData) -> AuxResult:
                 f"gauge dimension 0 at node {node!r}; drop the node before building legs"
             )
     add_q, add_split = build_add(q, split)
+    by_id = {a.id: a for a in add_q.arrows}
+    loop_nodes = {loop_id: by_id[loop_id].head for loop_id in add_split.loops}
+    count = sum(dims.v[base] - 1 for base in loop_nodes.values())
+    if count > MAX_LEG_NODES:
+        raise ValueError(
+            f"the legs would add {count} nodes, over the budget of {MAX_LEG_NODES}"
+        )
 
     nodes = list(q.nodes)
-    arrows = [add_q.arrow(a) for p in add_split.pairs for a in p]
+    arrows = [by_id[a] for p in add_split.pairs for a in p]
     pairs = list(add_split.pairs)
     v = dict(dims.v)
     d = dict(dims.d)
@@ -109,8 +119,7 @@ def build_aux(q: Quiver, split: ArrowSplit, dims: DimData) -> AuxResult:
     total_new = 0
 
     taken = set(nodes)
-    for loop_id in add_split.loops:
-        base = add_q.arrow(loop_id).head
+    for loop_id, base in loop_nodes.items():
         n = dims.v[base]
         chain = []
         for depth in range(1, n):

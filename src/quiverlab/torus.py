@@ -18,7 +18,6 @@ space is not decided here.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -90,43 +89,22 @@ class TorusAction:
         return tuple(tuple(c) for c in self.framing_chars.get(node, ()))
 
 
-@dataclass(frozen=True)
-class WeightEntry:
-    char: Char
-    kind: str       # "arrow", "A", "B"
-    where: tuple    # arrow: (id, tail, head); framing: (node, slot)
-    mult: int
-
-
-def action_weights(q: Quiver, split: ArrowSplit, dims: DimData, act: TorusAction) -> list:
-    """Character multiset of the representation space, block by block."""
-    act.validate(q, split, dims)
-    entries = []
-    for ar in q.arrows:
-        ch = act.char(ar.id, split)
-        m = dims.v[ar.tail] * dims.v[ar.head]
-        if m:
-            entries.append(WeightEntry(ch, "arrow", (ar.id, ar.tail, ar.head), m))
-    for n in q.nodes:
-        for slot, ch in enumerate(act.framing(n)):
-            if dims.v[n]:
-                entries.append(WeightEntry(ch, "A", (n, slot), dims.v[n]))
-                entries.append(WeightEntry(char_neg(ch), "B", (n, slot), dims.v[n]))
-    return entries
-
-
 def self_dual_check(q: Quiver, split: ArrowSplit, dims: DimData, act: TorusAction) -> bool:
     """Arrow characters closed under negation plus block transpose.
 
-    Only the arrow blocks carry a condition: every framing slot's A column
-    carries its character and its B row the negated one at the same node,
-    so the framing part Hom(W,V) + Hom(V,W) is self-dual by construction.
+    Each arrow block with v_tail * v_head > 0 counts (character, tail, head)
+    that many times; the count must equal its image under
+    (ch, t, h) -> (-ch, h, t). Only the arrow blocks carry a condition:
+    every framing slot's A column carries its character and its B row the
+    negated one at the same node, so the framing part Hom(W,V) + Hom(V,W)
+    is self-dual by construction.
     """
+    act.validate(q, split, dims)
     bag = Counter()
-    for e in action_weights(q, split, dims, act):
-        if e.kind == "arrow":
-            _, t, h = e.where
-            bag[(e.char, t, h)] += e.mult
+    for ar in q.arrows:
+        m = dims.v[ar.tail] * dims.v[ar.head]
+        if m:
+            bag[(act.char(ar.id, split), ar.tail, ar.head)] += m
     return bag == Counter({(char_neg(ch), h, t): m for (ch, t, h), m in bag.items()})
 
 
@@ -304,14 +282,21 @@ def fixed_components(
     lo, hi = window
     if lo > hi:
         raise ValueError("empty weight window")
-    # count before building: the window's characters grow as its width**rank
+    # count before building: the window's characters grow as its width**rank.
+    # Node n has C(count + v_n - 1, v_n) gradings; the product grows one
+    # binomial factor at a time, at least doubling, so a partial product
+    # over the budget stops a huge v or window after a few steps
     count = (hi - lo + 1) ** act.rank
-    gradings = math.prod(math.comb(count + dims.v[n] - 1, dims.v[n]) for n in q.nodes)
-    if gradings > MAX_FIXED_GRADINGS:
-        raise ValueError(
-            f"the weight window gives {gradings} gradings, over the "
-            f"enumeration budget of {MAX_FIXED_GRADINGS}"
-        )
+    gradings = 1
+    for n in q.nodes:
+        k = min(dims.v[n], count - 1)
+        for i in range(1, k + 1):
+            gradings = gradings * (count + dims.v[n] - 1 - k + i) // i
+            if gradings > MAX_FIXED_GRADINGS:
+                raise ValueError(
+                    f"the weight window gives at least {gradings} gradings, over the "
+                    f"enumeration budget of {MAX_FIXED_GRADINGS}"
+                )
     # with every v_n zero any window is in budget, and no grading reads it
     chars = []
     if any(dims.v[n] for n in q.nodes):

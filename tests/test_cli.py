@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from quiverlab.jsonio import (
 from quiverlab.exactlinalg import Mat
 from quiverlab.quiver import DimData
 from quiverlab.sampling import random_representation
-from quiverlab.surgery import build_aux
+from quiverlab.surgery import MAX_LEG_NODES, build_aux
 
 ROOT = Path(__file__).resolve().parent.parent
 THETA_ZERO_DEN = "perfbench/data/theta_zero_den.json"
@@ -571,6 +572,13 @@ def test_unknown_node_in_quiver_file_is_named(key, tmp_path, capsys):
     _assert_one_error_line(["fixed", path], capsys, f"{last!r} names unknown node '9'")
 
 
+def test_unknown_arrow_in_arrow_chars_is_named(tmp_path, capsys):
+    action = _input_doc("a2sym")["action"]
+    action["arrow_chars"]["x"] = [1]
+    path = _write(tmp_path, "unknown.json", _input_doc("a2sym", action=action))
+    _assert_one_error_line(["fixed", path], capsys, "'arrow_chars' names unknown arrow 'x'")
+
+
 @pytest.mark.parametrize(
     "field, kind", [("arrows", "arrow"), ("A", "node"), ("B", "node"), ("t", "arrow")]
 )
@@ -631,6 +639,69 @@ def test_action_rank_must_be_a_nonnegative_integer(command, rank, tmp_path, caps
 def test_malformed_quiver_entry_names_its_key(name, needle, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     _assert_one_error_line(["fixed", f"tests/data/a2sym_{name}.json"], capsys, needle)
+
+
+ARROW_A = {"id": "a", "tail": "0", "head": "1"}
+
+
+@pytest.mark.parametrize(
+    "changes, needle",
+    [
+        ({"nodes": "ab"}, "'nodes' needs a JSON list, got 'ab'"),
+        ({"nodes": None}, "'nodes' needs a JSON list, got None"),
+        ({"nodes": [None]}, "'nodes' needs a node id string or [loop_id, depth] pair, got None"),
+        ({"nodes": [{"x": 1}, "1"]}, "'nodes' needs a node id string"),
+        ({"nodes": [["0"], "1"]}, "'nodes' needs a node id string"),
+        ({"arrows": None}, "'arrows' needs a JSON list, got None"),
+        ({"arrows": ["e"]}, "'arrows' entry needs a JSON object, got 'e'"),
+        ({"arrows": [{**ARROW_A, "id": {"x": 1}}]}, "'id' needs an arrow id string"),
+        ({"arrows": [{**ARROW_A, "id": ["a"]}]}, "'id' needs an arrow id string"),
+        ({"arrows": [{**ARROW_A, "tail": {"x": 1}}]}, "'tail' needs a node id string"),
+        ({"sigma": 5}, "'sigma' needs a JSON list, got 5"),
+    ],
+    ids=lambda x: json.dumps(x) if isinstance(x, dict) else "needle",
+)
+@pytest.mark.parametrize("command", ["analyze", "fixed"])
+def test_wrong_json_type_in_quiver_file_is_named(command, changes, needle, tmp_path, capsys):
+    path = _write(tmp_path, "types.json", {**_input_doc("a2sym"), **changes})
+    _assert_one_error_line([command, path], capsys, needle)
+
+
+@pytest.mark.parametrize("command", ["analyze", "fixed"])
+def test_quiver_document_that_is_not_an_object_is_input_error(command, tmp_path, capsys):
+    path = _write(tmp_path, "list.json", [1])
+    _assert_one_error_line([command, path], capsys, "a quiver needs a JSON object, got [1]")
+
+
+@pytest.mark.parametrize("entry", ["quiver", "representation"])
+@pytest.mark.parametrize("command", ["tau", "stability"])
+def test_representation_file_entry_that_is_not_an_object_is_named(
+    command, entry, tmp_path, capsys
+):
+    doc = _rep_doc()
+    doc[entry] = [1]
+    path = _write(tmp_path, "array.json", doc)
+    _assert_one_error_line([command, path], capsys, f"{entry!r} needs a JSON object, got [1]")
+
+
+def test_long_legs_are_refused_up_front(tmp_path, capsys):
+    # jordan2 at v = 20000 would add 2 * 19999 leg nodes
+    path = _write(tmp_path, "long.json", _input_doc("jordan2", v={"0": 20000}))
+    start = time.perf_counter()
+    _assert_one_error_line(
+        ["analyze", path], capsys,
+        f"the legs would add 39998 nodes, over the budget of {MAX_LEG_NODES}",
+    )
+    assert time.perf_counter() - start < 1
+    path = _write(tmp_path, "short.json", _input_doc("jordan2", v={"0": 1000}))
+    assert main(["analyze", path]) == 0
+    assert "consistency: 2000 = 1999 + 1 (ok)" in capsys.readouterr().out
+    # v = 5001 adds exactly the budget; the split check reads the 20,002
+    # arrows through one id map, so this takes a fraction of a second
+    path = _write(tmp_path, "edge.json", _input_doc("jordan2", v={"0": 5001}))
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 0
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("command", ["fixed", "chambers", "stab-table", "triangle"])

@@ -1,0 +1,53 @@
+"""Property tests over malformed quiver files: whatever JSON value replaces
+one field of inputs/a2sym.json, the CLI exits 0, 1 or 2, never with a
+traceback, and an input error is one 'error:' line in the project's words,
+not the text of a Python TypeError."""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from quiverlab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+BASE = json.loads((ROOT / "inputs" / "a2sym.json").read_text())
+# None stands for the whole document
+FIELDS = [None, "nodes", "arrows", "pairs", "v", "d", "theta", "action", "sigma"]
+# keys and strings the document uses, so some values reach past the type checks
+NAMES = st.sampled_from(["0", "1", "a", "a*", "id", "tail", "head", "rank",
+                         "arrow_chars", "framing_chars", "1/2", "1/0"])
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+           | NAMES | st.text(max_size=3))
+# messages of TypeErrors raised by indexing or iterating the wrong JSON type
+PYTHON_TEXTS = ("not iterable", "indices must be", "unhashable type", "not subscriptable",
+                "has no attribute")
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(NAMES | st.text(max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def test_fuzzed_quiver_field_exits_cleanly(tmp_path):
+    path = tmp_path / "fuzz.json"
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(field=st.sampled_from(FIELDS), value=JSON_VALUES,
+           command=st.sampled_from(["analyze", "fixed"]))
+    def run(field, value, command):
+        path.write_text(json.dumps(value if field is None else {**BASE, field: value}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+        stderr = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr
+        if code == 2:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            assert not any(text in stderr for text in PYTHON_TEXTS), stderr
+
+    run()

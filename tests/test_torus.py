@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -9,7 +10,6 @@ from quiverlab.surgery import dim_quiver_variety
 from quiverlab.torus import (
     MAX_FIXED_GRADINGS,
     TorusAction,
-    action_weights,
     fixed_components,
     fixed_self_dual_check,
     induced_action,
@@ -18,35 +18,11 @@ from quiverlab.torus import (
 from quiverlab.corpus import corpus
 
 
-def test_action_weights_a2sym():
-    e = corpus()["a2sym"]
-    entries = action_weights(e.quiver, e.split, e.dims, e.action)
-    bag = Counter((en.char, en.kind) for en in entries for _ in range(en.mult))
-    assert bag == Counter({((1,), "arrow"): 1, ((-1,), "arrow"): 1,
-                           ((0,), "A"): 1, ((0,), "B"): 1})
-
-
-def test_action_weights_rank0():
-    e = corpus()["a2sym"]
-    act = TorusAction(0, {}, {"0": ((),), "1": ()})
-    entries = action_weights(e.quiver, e.split, e.dims, act)
-    assert all(en.char == () for en in entries)
-
-
-def test_action_weights_jordan_framing():
-    e = corpus()["jordan2"]
-    entries = action_weights(e.quiver, e.split, e.dims, e.action)
-    bag = Counter()
-    for en in entries:
-        bag[(en.char, en.kind)] += en.mult
-    assert bag == Counter({((0,), "arrow"): 4, ((1,), "A"): 2, ((-1,), "B"): 2})
-
-
 def test_loop_must_carry_zero_character():
     e = corpus()["jordan2"]
     bad = TorusAction(1, {"eps": (1,)}, {"0": ((1,),)})
-    with pytest.raises(ValueError):
-        action_weights(e.quiver, e.split, e.dims, bad)
+    with pytest.raises(ValueError, match="must carry the zero character"):
+        self_dual_check(e.quiver, e.split, e.dims, bad)
 
 
 def test_self_dual_check_positive_and_negative():
@@ -65,17 +41,23 @@ def test_self_dual_check_positive_and_negative():
 def _labelled_multiset_self_dual(q, split, dims, act):
     """Reference check over every block: each labelled weight, arrow or
     framing, must meet its negation on the transposed block."""
+    act.validate(q, split, dims)
+    blocks = []  # (char, kind, where, mult) for every nonzero block
+    for ar in q.arrows:
+        m = dims.v[ar.tail] * dims.v[ar.head]
+        if m:
+            blocks.append((act.char(ar.id, split), "arrow", (ar.tail, ar.head), m))
+    for n in q.nodes:
+        for ch in act.framing(n):
+            if dims.v[n]:
+                blocks.append((ch, "A", n, dims.v[n]))
+                blocks.append((tuple(-c for c in ch), "B", n, dims.v[n]))
+    dual_kind = {"arrow": "arrow", "A": "B", "B": "A"}
     bag, dual = Counter(), Counter()
-    for e in action_weights(q, split, dims, act):
-        neg = tuple(-c for c in e.char)
-        if e.kind == "arrow":
-            _, t, h = e.where
-            bag[(e.char, "arrow", (t, h))] += e.mult
-            dual[(neg, "arrow", (h, t))] += e.mult
-        else:
-            node, _ = e.where
-            bag[(e.char, e.kind, node)] += e.mult
-            dual[(neg, "B" if e.kind == "A" else "A", node)] += e.mult
+    for ch, kind, where, m in blocks:
+        bag[(ch, kind, where)] += m
+        flipped = where[::-1] if kind == "arrow" else where
+        dual[(tuple(-c for c in ch), dual_kind[kind], flipped)] += m
     return bag == dual
 
 
@@ -298,6 +280,17 @@ def test_window_budget_is_checked_before_the_window_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_huge_gauge_dimension_is_refused_without_the_full_count():
+    # a2sym at v = (10**6, 1) over the default window: C(3 * 10**6, 10**6)
+    # gradings at node 0, a number of about 800,000 digits
+    e = corpus()["a2sym"]
+    dims = DimData({"0": 10**6, "1": 1}, e.dims.d)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"at least [0-9]+ gradings, over the enumeration budget of {MAX_FIXED_GRADINGS}"):
+        fixed_components(e.quiver, e.split, dims, e.action, (1,))
+    assert time.perf_counter() - start < 1
 
 
 def test_fixed_components_jordan1_window_enumeration():
