@@ -4,7 +4,12 @@ A chamber is a feasible all-strict sign assignment over the root list,
 certified by an exact interior point from Fourier-Motzkin elimination on
 primitive integer rows. Chambers are found by extending feasible sign
 prefixes one root at a time, so the work follows the chamber count rather
-than the 2^n sign vectors.
+than the 2^n sign vectors. Each elimination level is kept as a set, and a
+level is a union over the rows of the level above, so a prefix's levels
+grow by the rows its new root generates and still equal the levels of an
+elimination from scratch. Back-substitution reads only each level's extreme
+bounds, so a chamber's point depends on its sign rows alone, not on the
+order in which they were added.
 A face fixes a closed subset of roots to zero and keeps the chamber signs
 on the rest; its span is the common kernel of the vanishing roots, which
 is also the Lie algebra of the associated subtorus. These closed subsets
@@ -79,54 +84,81 @@ def torus_roots(candidates) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # Exact strict feasibility (Fourier-Motzkin)
 
-def feasible_interior(rows, nvars: int):
-    """A rational x with r . x > 0 for every row, or None.
+def _extend(levels, rows):
+    """The elimination levels of a feasible system with primitive rows
+    added, or None when the larger system is infeasible.
 
-    Homogeneous strict systems stay strict under Fourier-Motzkin: a
-    positive-coefficient row gives a lower bound on the eliminated
-    variable, a negative one an upper bound, and each bound pair combines
-    to a strict row on the remaining variables. A row with no variables
-    reads 0 > 0 and kills the system.
-
-    Scaling a row by a positive rational changes neither its half-space
-    nor any bound -r.x/c it gives, so elimination runs on primitive
-    integer rows, each level reduced by gcds and cleared of duplicates,
-    and back-substitution keeps an integer numerator vector over one common
-    denominator.
+    levels[L] is a pair (pos, neg) of frozensets: the rows left after L
+    eliminations whose last coordinate is positive or negative. A row whose
+    last coordinate is 0 is not kept; its truncation, still primitive, sits
+    one level down. Each level is a union over the rows of the level above
+    (their truncations, and one combination per positive-negative pair), so
+    only the rows that involve a new row are formed, and the levels equal
+    those of an elimination from scratch as sets. A zero row reads 0 > 0
+    and makes the system infeasible. The input levels are not changed.
     """
-    levels = [list(dict.fromkeys(map(_primitive_row, rows)))]
-    for k in range(nvars, 0, -1):
-        cur = levels[-1]
-        if any(not any(r) for r in cur):
+    out = []
+    new = set(rows)
+    for i, (pos, neg) in enumerate(levels):
+        if not new:
+            return (*out, *levels[i:])
+        width = len(levels) - i  # coordinates of this level's rows
+        if (0,) * width in new:
             return None
-        pos = [r for r in cur if r[k - 1] > 0]
-        neg = [r for r in cur if r[k - 1] < 0]
-        zero = [r[: k - 1] for r in cur if r[k - 1] == 0]
-        combos = [
-            tuple(p[k - 1] * n[j] - n[k - 1] * p[j] for j in range(k - 1))
-            for p in pos
-            for n in neg
-        ]
-        levels.append(list(dict.fromkeys(zero + list(map(_coprime, combos)))))
-    if levels[-1]:
-        return None  # leftover variable-free strict rows
+        add_pos, add_neg, down = [], [], set()
+        for r in new:
+            c = r[-1]
+            if c > 0:
+                if r not in pos:
+                    add_pos.append(r)
+            elif c < 0:
+                if r not in neg:
+                    add_neg.append(r)
+            else:
+                down.add(r[:-1])
+        all_neg = neg.union(add_neg)
+        # p[-1] > 0 > n[-1], so p[-1] * n - n[-1] * p is a positive
+        # combination free of the last coordinate
+        pairs = itertools.chain(itertools.product(add_pos, all_neg), itertools.product(pos, add_neg))
+        if width == 2:
+            # a one-coordinate row is primitive as its sign, and two
+            # distinct ones (a zero row, or both signs) are infeasible
+            for p, n in pairs:
+                c = p[1] * n[0] - n[1] * p[0]
+                down.add((1,) if c > 0 else (-1,) if c else (0,))
+                if len(down) > 1:
+                    return None
+        else:
+            for p, n in pairs:
+                a, b = p[-1], n[-1]
+                down.add(_coprime(tuple(a * y - b * x for x, y in zip(p[:-1], n))))
+        out.append((pos.union(add_pos), all_neg))
+        new = down
+    return None if new else tuple(out)
 
+
+def _back(levels) -> tuple:
+    """The interior point of a feasible system by back-substitution.
+
+    x_j lies strictly between the largest lower and the smallest upper bound
+    of the level whose rows end at x_j, so only those extreme values are
+    read and the point does not depend on the order of any level's rows.
+    """
     # x = xs / denom with integer xs, so a row r with c = r[j - 1] != 0
     # bounds x_j by -(r . xs) / (c * denom); the extreme bounds are picked
     # as integer pairs (-(r . xs), c) before any Fraction is made.
     x: list[Fraction] = []
     xs: list[int] = []
     denom = 1
-    for j in range(1, nvars + 1):
+    for pos, neg in reversed(levels):
         lower = upper = None
-        for r in levels[nvars - j]:
-            c = r[j - 1]
-            if c == 0:
-                continue
-            num = -sum(map(mul, r, xs))
-            if c > 0 and (lower is None or num * lower[1] > lower[0] * c):
+        for r in pos:
+            num, c = -sum(map(mul, r, xs)), r[-1]
+            if lower is None or num * lower[1] > lower[0] * c:
                 lower = (num, c)
-            elif c < 0 and (upper is None or num * upper[1] < upper[0] * c):
+        for r in neg:
+            num, c = -sum(map(mul, r, xs)), r[-1]
+            if upper is None or num * upper[1] < upper[0] * c:
                 upper = (num, c)
         if lower and upper:
             xj = (Fraction(*lower) + Fraction(*upper)) / (2 * denom)
@@ -143,11 +175,42 @@ def feasible_interior(rows, nvars: int):
     return tuple(x)
 
 
+def feasible_interior(rows, nvars: int):
+    """A rational x with r . x > 0 for every row, or None.
+
+    Homogeneous strict systems stay strict under Fourier-Motzkin: a
+    positive-coefficient row gives a lower bound on the eliminated
+    variable, a negative one an upper bound, and each bound pair combines
+    to a strict row on the remaining variables. A row with no variables
+    reads 0 > 0 and kills the system.
+
+    Scaling a row by a positive rational changes neither its half-space
+    nor any bound -r.x/c it gives, so elimination runs on primitive
+    integer rows, each level a set reduced by gcds, and back-substitution
+    keeps an integer numerator vector over one common denominator. The
+    levels are sets and back-substitution reads only their extreme bounds,
+    so the point depends on the set of rows alone, not on their order or
+    repeats.
+    """
+    levels = _extend(((frozenset(), frozenset()),) * nvars, map(_primitive_row, rows))
+    return None if levels is None else _back(levels)
+
+
+def _point_nums(point) -> tuple[int, ...]:
+    """A rational point's integer numerators over one positive denominator,
+    so every pairing with them has the point's sign; a bool is refused."""
+    return tuple(clear_denominators([frac(x) for x in point])[0])
+
+
 @dataclass
 class Chamber:
     roots: tuple            # shared root list
     signs: tuple            # +1 / -1 per root
     point: tuple            # certified interior point
+
+    @functools.cached_property
+    def nums(self) -> tuple[int, ...]:
+        return _point_nums(self.point)
 
 
 def region_bound(n: int, rank: int) -> int:
@@ -162,10 +225,11 @@ def chambers(roots, rank: int) -> list[Chamber]:
 
     Sign prefixes are extended one root at a time and only feasible ones
     kept, since every chamber restricts to a region of each sub-arrangement.
-    A prefix carries an interior point; when that point pairs nonzero with
-    the next root, the agreeing side is feasible without elimination. Each
-    chamber's point is `feasible_interior` of its full sign rows, so it does
-    not depend on the order of the search.
+    A prefix carries the elimination levels of its sign rows, so a child
+    forms only the rows its one new root generates. Those levels equal the
+    ones `feasible_interior` builds from the full sign rows, so each
+    chamber's point is `feasible_interior` of its sign rows and does not
+    depend on the order of the search.
     """
     roots = tuple(tuple(r) for r in roots)
     if any(len(r) != rank for r in roots):
@@ -181,28 +245,19 @@ def chambers(roots, rank: int) -> list[Chamber]:
             f"over the enumeration budget of {MAX_CHAMBER_REGIONS}"
         )
     out = []
-    # (signs, sign rows, an interior point of the rows, the point's integer
-    # numerators); a full-length entry's point is always feasible_interior
-    # of its rows
-    origin = feasible_interior((), rank)
-    stack = [((), (), origin, clear_denominators(origin)[0])]
+    # (signs, the elimination levels of their sign rows)
+    stack = [((), ((frozenset(), frozenset()),) * rank)]
     while stack:
-        signs, rows, point, nums = stack.pop()
+        signs, levels = stack.pop()
         if len(signs) == len(roots):
-            out.append(Chamber(roots=roots, signs=signs, point=point))
+            out.append(Chamber(roots=roots, signs=signs, point=_back(levels)))
             continue
-        root = roots[len(signs)]
-        # the numerators are the point times a positive scale: same sign
-        pairing = sum(map(mul, root, nums))
+        row = _primitive_row(roots[len(signs)])
         children = []
         for s in (1, -1):
-            ext = rows + (tuple(s * c for c in root),)
-            if s * pairing > 0 and len(ext) < len(roots):
-                children.append((signs + (s,), ext, point, nums))
-            else:
-                p = feasible_interior(ext, rank)
-                if p is not None:
-                    children.append((signs + (s,), ext, p, clear_denominators(p)[0]))
+            ext = _extend(levels, (tuple(s * c for c in row),))
+            if ext is not None:
+                children.append((signs + (s,), ext))
         stack.extend(reversed(children))
     return out
 
@@ -213,6 +268,10 @@ class Face:
     point: tuple            # relative-interior point
     span_basis: tuple       # primitive integer basis of the face span
     improper: bool
+
+    @functools.cached_property
+    def nums(self) -> tuple[int, ...]:
+        return _point_nums(self.point)
 
 
 @functools.lru_cache(maxsize=1)
@@ -300,20 +359,25 @@ class NormalSplit:
     rank_minus: int
 
 
-def split_N(candidate: FixedCandidate, xi) -> NormalSplit:
-    """Partition the nonzero tangent characters by the sign of their pairing."""
-    xi = tuple(map(frac, xi))
-    rank = candidate.action.rank
-    if len(xi) != rank:
-        raise ValueError(f"xi has {len(xi)} coordinates, the action has rank {rank}")
-    # xi times a positive scale: every pairing keeps its sign
-    nums, _ = clear_denominators(xi)
+def _sign_split(candidate: FixedCandidate, nums) -> tuple[Counter, Counter]:
+    """(N^+, N^-): the nonzero tangent characters by the sign of their
+    pairing with a point's numerators; a zero pairing is a WallError."""
     plus, minus = Counter(), Counter()
     for ch, m in candidate.nonzero_tangent().items():
         p = sum(map(mul, ch, nums))
         if p == 0:
             raise WallError(ch)
         (plus if p > 0 else minus)[ch] += m
+    return plus, minus
+
+
+def split_N(candidate: FixedCandidate, xi) -> NormalSplit:
+    """Partition the nonzero tangent characters by the sign of their pairing."""
+    nums = _point_nums(xi)
+    rank = candidate.action.rank
+    if len(nums) != rank:
+        raise ValueError(f"xi has {len(nums)} coordinates, the action has rank {rank}")
+    plus, minus = _sign_split(candidate, nums)
     return NormalSplit(
         n_plus=plus,
         n_minus=minus,
@@ -417,20 +481,23 @@ def triangle_split_check(
 ) -> TriangleReport:
     """Two-step split of the attracting weights along a face.
 
-    The downward weights for the chamber, read from `split_N` at the
-    chamber point, must equal the disjoint union of the downward weights
-    seen by the face subtorus and the downward weights of the residual
-    direction among characters the subtorus kills. A character is killed
-    exactly when it vanishes on the face span; any disagreement with the
-    sign at the face point flags incompatible input data, as does a
-    face-negative character that is not chamber-negative (face outside the
-    chamber closure).
+    The downward weights for the chamber, split by the sign rule of
+    `split_N` at the chamber point, must equal the disjoint union of the
+    downward weights seen by the face subtorus and the downward weights of
+    the residual direction among characters the subtorus kills. A character
+    is killed exactly when it vanishes on the face span; any disagreement
+    with the sign at the face point flags incompatible input data, as does
+    a face-negative character that is not chamber-negative (face outside
+    the chamber closure).
     """
     rank = candidate.action.rank
-    if len(face.point) != rank:
-        raise ValueError(f"face point has {len(face.point)} coordinates, the action has rank {rank}")
-    n_minus_full = split_N(candidate, chamber.point).n_minus
-    face_nums, _ = clear_denominators(face.point)
+    face_nums = face.nums
+    if len(face_nums) != rank:
+        raise ValueError(f"face point has {len(face_nums)} coordinates, the action has rank {rank}")
+    chamber_nums = chamber.nums
+    if len(chamber_nums) != rank:
+        raise ValueError(f"chamber point has {len(chamber_nums)} coordinates, the action has rank {rank}")
+    n_minus_full = _sign_split(candidate, chamber_nums)[1]
     problems = []
     side_face: Counter = Counter()
     side_quot: Counter = Counter()

@@ -115,6 +115,15 @@ def _named(table: dict, field: str, key, kind: str = "node"):
         raise ValueError(f"{field!r} names unknown {kind} {key!r}") from None
 
 
+def _rational(field: str, key, x):
+    """frac(x), with a value that is not an exact rational refused by field
+    and key."""
+    try:
+        return frac(x)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field!r} entry {key!r} needs an exact rational, got {x!r}") from None
+
+
 def _object(doc: dict, key: str, required: bool = False) -> dict:
     # an absent optional key reads as an empty object
     value = doc[key] if required else doc.get(key, {})
@@ -178,7 +187,10 @@ def quiver_from_json(doc: dict):
         d = {_named(keys, "d", k): x for k, x in _object(doc, "d").items()}
         for n in q.nodes:
             d.setdefault(n, 0)
-        theta = {_named(keys, "theta", k): frac(x) for k, x in _object(doc, "theta").items()}
+        theta = {
+            _named(keys, "theta", k): _rational("theta", k, x)
+            for k, x in _object(doc, "theta").items()
+        }
         dims = DimData(v, d, theta)
 
     action = None
@@ -227,7 +239,7 @@ def rep_from_json(q: Quiver, doc: dict):
     b = {_named(keys, "B", k): mat_from_json(m) for k, m in _object(doc, "B", required=True).items()}
     t = None
     if "t" in doc:
-        t = {_named(by_str, "t", s, "arrow"): frac(v) for s, v in _object(doc, "t").items()}
+        t = {_named(by_str, "t", s, "arrow"): _rational("t", s, v) for s, v in _object(doc, "t").items()}
     return Representation(x, a, b), t
 
 

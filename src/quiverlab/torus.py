@@ -128,6 +128,7 @@ class FixedCandidate:
     framing_slots: dict    # (node, char) -> tuple of aligned slot indices
     trivial: bool = False
     _tangent: Counter | None = field(default=None, repr=False)
+    _nonzero: Counter | None = field(default=None, repr=False)
 
     def name(self) -> str:
         parts = []
@@ -172,10 +173,12 @@ class FixedCandidate:
         return self._tangent
 
     def nonzero_tangent(self) -> Counter:
-        rank = self.action.rank
-        return Counter(
-            {ch: m for ch, m in self.tangent().items() if ch != zero_char(rank)}
-        )
+        """The tangent characters other than zero, built once; callers only
+        read it."""
+        if self._nonzero is None:
+            zero = zero_char(self.action.rank)
+            self._nonzero = Counter({ch: m for ch, m in self.tangent().items() if ch != zero})
+        return self._nonzero
 
 
 def _derived_quiver(q, split, dims, act, grading):

@@ -591,6 +591,28 @@ def test_unknown_key_in_representation_is_named(field, kind, tmp_path, capsys):
     _assert_one_error_line(["stability", path], capsys, f"{field!r} names unknown {kind} '9'")
 
 
+NON_RATIONALS = [[], 1.5, "abc", "1/0", True, {"0": 1}]
+
+
+@pytest.mark.parametrize("value", NON_RATIONALS, ids=repr)
+@pytest.mark.parametrize("command", ["analyze", "fixed"])
+def test_non_rational_theta_entry_is_named(command, value, tmp_path, capsys):
+    path = _write(tmp_path, "theta.json", _input_doc("a2sym", theta={"0": value, "1": "-1"}))
+    _assert_one_error_line(
+        [command, path], capsys, f"'theta' entry '0' needs an exact rational, got {value!r}"
+    )
+
+
+@pytest.mark.parametrize("value", NON_RATIONALS, ids=repr)
+def test_non_rational_t_entry_is_named(value, tmp_path, capsys):
+    doc = _rep_doc()
+    doc["representation"]["t"] = {"eps": value}
+    path = _write(tmp_path, "t.json", doc)
+    _assert_one_error_line(
+        ["stability", path], capsys, f"'t' entry 'eps' needs an exact rational, got {value!r}"
+    )
+
+
 def test_stab_table_over_the_pair_budget_is_input_error(capsys, monkeypatch):
     # loop2 at -6..6 has 1183 candidates; the default window's 75 stay in budget
     monkeypatch.chdir(ROOT)

@@ -1,8 +1,11 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +14,11 @@ from quiverlab.envelopes import (
     MAX_DEGREE_PAIRS,
     Chamber,
     Face,
+    TriangleReport,
     WallError,
+    _coprime,
     _flats,
+    _primitive_row,
     chambers,
     faces,
     feasible_interior,
@@ -23,10 +29,12 @@ from quiverlab.envelopes import (
     torus_roots,
     triangle_split_check,
 )
-from quiverlab.exactlinalg import Mat, dot, kernel_basis
+from quiverlab.exactlinalg import Mat, clear_denominators, dot, kernel_basis
+from quiverlab.jsonio import quiver_from_json
 from quiverlab.torus import fixed_components
 from quiverlab.corpus import ACTION_ENTRIES, corpus
 
+ROOT = Path(__file__).resolve().parent.parent
 RANK2_ROOTS = ((1, 0), (0, 1), (1, -1))
 
 
@@ -210,6 +218,132 @@ def test_chambers_match_product_enumeration():
     for roots, rank in seeded_arrangements():
         got = [(c.signs, c.point) for c in chambers(roots, rank)]
         assert got == product_chambers(roots, rank), (roots, rank)
+
+
+def list_feasible_interior(rows, nvars):
+    """feasible_interior as it was before its levels were built
+    incrementally: each level eliminated from scratch over a list."""
+    levels = [list(dict.fromkeys(map(_primitive_row, rows)))]
+    for k in range(nvars, 0, -1):
+        cur = levels[-1]
+        if any(not any(r) for r in cur):
+            return None
+        pos = [r for r in cur if r[k - 1] > 0]
+        neg = [r for r in cur if r[k - 1] < 0]
+        zero = [r[: k - 1] for r in cur if r[k - 1] == 0]
+        combos = [
+            tuple(p[k - 1] * n[j] - n[k - 1] * p[j] for j in range(k - 1))
+            for p in pos
+            for n in neg
+        ]
+        levels.append(list(dict.fromkeys(zero + list(map(_coprime, combos)))))
+    if levels[-1]:
+        return None  # leftover variable-free strict rows
+
+    x: list[Fraction] = []
+    xs: list[int] = []
+    denom = 1
+    for j in range(1, nvars + 1):
+        lower = upper = None
+        for r in levels[nvars - j]:
+            c = r[j - 1]
+            if c == 0:
+                continue
+            num = -sum(map(mul, r, xs))
+            if c > 0 and (lower is None or num * lower[1] > lower[0] * c):
+                lower = (num, c)
+            elif c < 0 and (upper is None or num * upper[1] < upper[0] * c):
+                upper = (num, c)
+        if lower and upper:
+            xj = (Fraction(*lower) + Fraction(*upper)) / (2 * denom)
+        elif lower:
+            xj = Fraction(*lower) / denom + 1
+        elif upper:
+            xj = Fraction(*upper) / denom - 1
+        else:
+            xj = Fraction(0)
+        x.append(xj)
+        scale = xj.denominator // gcd(denom, xj.denominator)
+        denom *= scale
+        xs = [v * scale for v in xs] + [xj.numerator * (denom // xj.denominator)]
+    return tuple(x)
+
+
+def prefix_chambers(roots, rank):
+    """(signs, point) per chamber from the search as it was before it kept
+    elimination levels: a prefix carries only an interior point, a side
+    that point already lies on is feasible without elimination, and every
+    other side, and every full sign vector, is eliminated from scratch."""
+    roots = tuple(tuple(r) for r in roots)
+    out = []
+    origin = list_feasible_interior((), rank)
+    stack = [((), (), origin, clear_denominators(origin)[0])]
+    while stack:
+        signs, rows, point, nums = stack.pop()
+        if len(signs) == len(roots):
+            out.append((signs, point))
+            continue
+        root = roots[len(signs)]
+        pairing = sum(map(mul, root, nums))
+        children = []
+        for s in (1, -1):
+            ext = rows + (tuple(s * c for c in root),)
+            if s * pairing > 0 and len(ext) < len(roots):
+                children.append((signs + (s,), ext, point, nums))
+            else:
+                p = list_feasible_interior(ext, rank)
+                if p is not None:
+                    children.append((signs + (s,), ext, p, clear_denominators(p)[0]))
+        stack.extend(reversed(children))
+    return out
+
+
+def large_arrangements():
+    """Seeded rank-3 arrangements of 14-24 roots and rank-4 ones of 9-13,
+    past the reach of the 2^n reference but within MAX_CHAMBER_REGIONS,
+    with parallel and repeated roots among them."""
+    rng = random.Random(19)
+    out = []
+    for rank, sizes in ((3, (14, 19, 24)), (4, (9, 11, 13))):
+        box = [v for v in itertools.product(range(-2, 3), repeat=rank) if any(v)]
+        for n in sizes:
+            roots = rng.sample(box, n)
+            if n != sizes[1]:
+                roots[-2:] = [tuple(-2 * c for c in roots[0]), roots[1]]
+            out.append((tuple(roots), rank))
+    assert all(region_bound(len(r), k) <= MAX_CHAMBER_REGIONS for r, k in out)
+    return out
+
+
+def test_chambers_match_prefix_search_on_large_arrangements():
+    counts = []
+    for roots, rank in large_arrangements():
+        got = [(c.signs, c.point) for c in chambers(roots, rank)]
+        assert got == prefix_chambers(roots, rank), (roots, rank)
+        counts.append(len(got))
+    assert max(counts) > 300, counts
+
+
+def test_feasible_interior_ignores_row_order_and_repeats():
+    rng = random.Random(23)
+    outcomes = Counter()
+    for _ in range(400):
+        nvars = rng.randint(1, 4)
+        rows = [
+            tuple(rng.randint(-3, 3) for _ in range(nvars))
+            for _ in range(rng.randint(1, 9))
+        ]
+        want = feasible_interior(rows, nvars)
+        assert want == list_feasible_interior(rows, nvars), rows
+        shuffled = rng.sample(rows, len(rows))
+        # a repeat and a positive multiple of rows already present
+        scale = rng.randint(2, 4)
+        repeated = shuffled + [rng.choice(rows), tuple(scale * c for c in rng.choice(rows))]
+        rng.shuffle(repeated)
+        assert feasible_interior(shuffled, nvars) == want, rows
+        assert feasible_interior(repeated, nvars) == want, rows
+        outcomes[want is None] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
 
 
 def test_faces_match_fraction_elimination():
@@ -542,6 +676,62 @@ def test_triangle_matches_per_character_loop():
             kinds.update({kind for kind, _ in problems} | {label})
     assert kinds["incoherent-face-sign"] and kinds["face-not-in-chamber-closure"]
     assert kinds["framed2 -2..2"] > kinds["framed2"]
+
+
+def split_then_loop_triangle(candidate, chamber, face):
+    """triangle_split_check as it was when it read N^- from split_N at the
+    chamber point, and cleared both points, on every call."""
+    rank = candidate.action.rank
+    if len(face.point) != rank:
+        raise ValueError(f"face point has {len(face.point)} coordinates, the action has rank {rank}")
+    n_minus_full = split_N(candidate, chamber.point).n_minus
+    face_nums, _ = clear_denominators(face.point)
+    problems = []
+    side_face: Counter = Counter()
+    side_quot: Counter = Counter()
+    for ch, m in candidate.nonzero_tangent().items():
+        s_face = sum(map(mul, ch, face_nums))
+        dead = not any(sum(map(mul, ch, b)) for b in face.span_basis)
+        if dead != (s_face == 0):
+            problems.append(("incoherent-face-sign", ch))
+        elif dead:
+            if ch in n_minus_full:
+                side_quot[ch] += m
+        elif s_face < 0:
+            if ch in n_minus_full:
+                side_face[ch] += m
+            else:
+                problems.append(("face-not-in-chamber-closure", ch))
+    return TriangleReport(
+        ok=not problems and n_minus_full == side_face + side_quot,
+        n_minus_full=n_minus_full,
+        side_face=side_face,
+        side_quotient=side_quot,
+        problems=tuple(problems),
+    )
+
+
+def test_triangle_matches_split_then_loop_on_framed2_window3():
+    # every triple of `triangle inputs/framed2.json --window=-3..3`, then
+    # faces of another chamber and of the default window's arrangement
+    q, split, dims, action, sigma = quiver_from_json(
+        json.loads((ROOT / "inputs" / "framed2.json").read_text()))
+    cands = fixed_components(q, split, dims, action, sigma, (-3, 3))
+    chs = chambers(torus_roots(cands), action.rank)
+    face_lists = [faces(ch) for ch in chs]
+    triples = [(ch, f) for ch, fs in zip(chs, face_lists) for f in fs]
+    assert len(cands) * len(triples) == 18_624
+    narrow = chambers(torus_roots(fixed_components(q, split, dims, action, sigma)), action.rank)
+    for i in range(0, len(chs), 4):
+        triples += [(chs[i], f) for f in face_lists[(i + 1) % len(chs)] + faces(narrow[i % len(narrow)])]
+    kinds = Counter()
+    for ch, f in triples:
+        for cand in cands:
+            rpt = triangle_split_check(cand, ch, f)
+            assert rpt == split_then_loop_triangle(cand, ch, f), (cand.name(), ch.signs, f.point)
+            kinds.update(kind for kind, _ in rpt.problems)
+            kinds[rpt.ok] += 1
+    assert len(kinds) == 4, kinds  # ok, not ok and both problem kinds
 
 
 def fraction_split(candidate, xi):

@@ -1,11 +1,13 @@
 """Property tests over malformed quiver files: whatever JSON value replaces
 one field of inputs/a2sym.json, the CLI exits 0, 1 or 2, never with a
 traceback, and an input error is one 'error:' line in the project's words,
-not the text of a Python TypeError."""
+not the text of a Python TypeError. An input error in the replaced field
+names that field."""
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -49,5 +51,48 @@ def test_fuzzed_quiver_field_exits_cleanly(tmp_path):
         if code == 2:
             assert stderr.startswith("error: ") and stderr.count("\n") == 1
             assert not any(text in stderr for text in PYTHON_TEXTS), stderr
+            if field == "theta":
+                assert "'theta'" in stderr, stderr
 
     run()
+
+
+def test_fuzzed_theta_entry_names_the_field(tmp_path):
+    # theta objects over the quiver's own node keys, so only a value can be
+    # wrong, and the first wrong one is named with its key
+    path = tmp_path / "fuzz.json"
+    outcomes = []
+    values = st.integers() | st.fractions().map(str) | JSON_VALUES
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(theta=st.dictionaries(st.sampled_from(["0", "1"]), values, min_size=1, max_size=2))
+    def run(theta):
+        path.write_text(json.dumps({**BASE, "theta": theta}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(path)])
+        bad = [k for k, x in theta.items() if not _is_rational(x)]
+        outcomes.append(bool(bad))
+        if bad:
+            assert code == 2
+            assert err.getvalue() == (
+                f"error: {path}: 'theta' entry {bad[0]!r} needs an exact rational, "
+                f"got {theta[bad[0]]!r}\n"
+            )
+        else:
+            assert code == 0, err.getvalue()
+
+    run()
+    assert outcomes.count(True) > 10 and outcomes.count(False) > 2, outcomes
+
+
+def _is_rational(x) -> bool:
+    """Whether x is a JSON value read as an exact rational: an integer, or
+    a string Fraction parses."""
+    if isinstance(x, str):
+        try:
+            Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return type(x) is int

@@ -391,3 +391,26 @@ def test_block_view_matches_reference_derived_quiver_and_tangent():
             paired += bool(dsplit.pairs) and not cand.trivial
             looped += bool(dsplit.loops) and not cand.trivial
     assert trivial >= 40 and min(aligned, paired, looped) >= 150, (trivial, aligned, paired, looped)
+
+
+def test_nonzero_tangent_is_built_once_and_drops_only_zero():
+    rng = random.Random(19)
+    cands = []
+    for name in ("jordan2", "a2sym", "loop2", "framed2"):
+        e = corpus()[name]
+        cands += fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
+        cands += fixed_components(e.quiver, e.split, e.dims, e.action, (0,) * e.action.rank)
+    while len(cands) < 600:
+        q, split, dims, act, broken = _random_symmetric_problem(rng)
+        if not broken:
+            sigma = tuple(rng.choice((0, 1, -1, 2)) for _ in range(act.rank))
+            cands += fixed_components(q, split, dims, act, sigma, (-1, 1) if act.rank == 1 else (0, 1))
+    nonempty = 0
+    for cand in cands:
+        zero = (0,) * cand.action.rank
+        first = cand.nonzero_tangent()
+        assert cand.nonzero_tangent() is first
+        assert first == Counter({ch: m for ch, m in cand.tangent().items() if ch != zero})
+        assert zero not in first and all(first.values())
+        nonempty += bool(first)
+    assert nonempty > 100 and any(c.trivial for c in cands)
