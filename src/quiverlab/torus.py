@@ -128,7 +128,7 @@ class FixedCandidate:
     framing_slots: dict    # (node, char) -> tuple of aligned slot indices
     trivial: bool = False
     _tangent: Counter | None = field(default=None, repr=False)
-    _nonzero: Counter | None = field(default=None, repr=False)
+    _nonzero: Counter | None = field(default=None, repr=False, compare=False)
 
     def name(self) -> str:
         parts = []
