@@ -9,6 +9,7 @@ the seed it was produced from.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -554,9 +555,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parse_args keeps no state between
+    calls and returns a new Namespace each time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -448,17 +448,16 @@ def stab_degree_table(
                 consistent=(attracting - dim_f == ns.rank_minus),
             )
         )
-    pairs = []
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        half = Fraction(rows[i].dim_fixed + rows[j].dim_fixed, 2)
-        pairs.append(
-            DegreePair(
-                first=rows[i].name,
-                second=rows[j].name,
-                off_diagonal_bound=half - 1,
-                fiber_product_bound=half - dim_base,
-            )
-        )
+    # both bounds depend on dim F + dim F' alone
+    dims_f = {r.dim_fixed for r in rows}
+    bounds = {
+        s: (Fraction(s, 2) - 1, Fraction(s, 2) - dim_base)
+        for s in {a + b for a in dims_f for b in dims_f}
+    }
+    pairs = [
+        DegreePair(r.name, r2.name, *bounds[r.dim_fixed + r2.dim_fixed])
+        for r, r2 in itertools.combinations(rows, 2)
+    ]
     return DegreeTable(dim_ambient=dim_x, dim_base=dim_base, rows=rows, pairs=pairs)
 
 

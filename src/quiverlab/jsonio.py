@@ -8,6 +8,7 @@ object keys use the canonical string form from quiver.node_key.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _encode_str
 
 from .exactlinalg import Mat, frac
 from .quiver import Arrow, ArrowSplit, DimData, Quiver, check_symmetric, node_key
@@ -51,15 +52,20 @@ def mat_to_json(m: Mat) -> dict:
     }
 
 
-def mat_from_json(doc) -> Mat:
-    rows, cols = doc["rows"], doc["cols"]
+def mat_from_json(doc, field: str, key) -> Mat:
+    """The Mat of a {rows, cols, entries} object; a malformed one is refused
+    naming the representation field and key it sits under."""
+    where = f"{field!r} entry {key!r}"
+    if not (isinstance(doc, dict) and all(k in doc for k in ("rows", "cols", "entries"))):
+        raise ValueError(f"{where} needs a matrix object with rows, cols and entries, got {doc!r}")
+    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
     if not (type(rows) is int and type(cols) is int and rows >= 0 and cols >= 0):
-        raise ValueError(f"matrix shape needs nonnegative integers, got {rows!r}x{cols!r}")
-    if not isinstance(doc["entries"], list):
-        raise ValueError(f"matrix entries need a JSON list, got {doc['entries']!r}")
-    entries = [frac(e) for e in doc["entries"]]
+        raise ValueError(f"{where} needs a nonnegative integer shape, got {rows!r}x{cols!r}")
+    if not isinstance(entries, list):
+        raise ValueError(f"{where} needs a JSON list of entries, got {entries!r}")
     if len(entries) != rows * cols:
-        raise ValueError("matrix entry count does not match its shape")
+        raise ValueError(f"{where} has {len(entries)} entries for a {rows}x{cols} shape")
+    entries = [_rational(field, key, e) for e in entries]
     return Mat(
         (entries[i * cols : (i + 1) * cols] for i in range(rows)), cols=cols
     )
@@ -232,11 +238,11 @@ def rep_from_json(q: Quiver, doc: dict):
     keys = _key_map(q)
     by_str = {str(a.id): a.id for a in q.arrows}
     x = {
-        _named(by_str, "arrows", s, "arrow"): mat_from_json(m)
+        _named(by_str, "arrows", s, "arrow"): mat_from_json(m, "arrows", s)
         for s, m in _object(doc, "arrows", required=True).items()
     }
-    a = {_named(keys, "A", k): mat_from_json(m) for k, m in _object(doc, "A", required=True).items()}
-    b = {_named(keys, "B", k): mat_from_json(m) for k, m in _object(doc, "B", required=True).items()}
+    a = {_named(keys, "A", k): mat_from_json(m, "A", k) for k, m in _object(doc, "A", required=True).items()}
+    b = {_named(keys, "B", k): mat_from_json(m, "B", k) for k, m in _object(doc, "B", required=True).items()}
     t = None
     if "t" in doc:
         t = {_named(by_str, "t", s, "arrow"): _rational("t", s, v) for s, v in _object(doc, "t").items()}
@@ -244,5 +250,59 @@ def rep_from_json(q: Quiver, doc: dict):
 
 
 def dumps_canonical(obj) -> str:
-    """Byte-stable serialization: sorted keys, fixed separators."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Byte-stable serialization: sorted keys, fixed separators.
+
+    The result is exactly
+    ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``,
+    written directly: with an indent, json.dumps runs its pure-Python
+    encoder. Strings, None, booleans, exact ints, lists, tuples and dicts
+    with only str keys are written here; any other value (a float, a dict
+    with a non-str key, a subclass, an unserialisable object) is handed to
+    json.dumps and re-indented, so it encodes, or raises, as json.dumps
+    does.
+    """
+    out: list = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, nl: str, out: list) -> None:
+    """Append the indented JSON of x to out; nl is the newline plus the
+    indent of x's own line."""
+    t = type(x)
+    if t is str:
+        out.append(_encode_str(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict and all(type(k) is str for k in x):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, item in sorted(x.items()):
+            out.append(sep + _encode_str(k) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        # encoded JSON holds no raw newline, so every newline is an indent
+        out.append(json.dumps(x, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", nl))

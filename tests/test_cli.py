@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from quiverlab import verify
+from quiverlab import cli, verify
 from quiverlab.cli import build_parser, main
 from quiverlab.corpus import corpus
 from quiverlab.envelopes import MAX_DEGREE_PAIRS
@@ -73,7 +73,7 @@ def test_roundtrip_aux_quiver_with_tuple_nodes():
 
 def test_roundtrip_matrix_and_rep():
     m = Mat([[Fraction(1, 3), Fraction(-5)], [0, Fraction(7, 2)]])
-    assert mat_from_json(json.loads(json.dumps(mat_to_json(m)))) == m
+    assert mat_from_json(json.loads(json.dumps(mat_to_json(m))), "arrows", "a") == m
     e = corpus()["loop2"]
     rep = random_representation(random.Random(0), e.quiver, e.dims)
     doc = rep_to_json(e.quiver, rep, {"eps": Fraction(2, 7)})
@@ -753,3 +753,41 @@ def test_quiver_without_pairs_derives_the_corpus_split(name):
     _, split, *_ = quiver_from_json(_input_doc(name, pairs=None))
     e = corpus()[name]
     assert split.pairs == e.split.pairs and split.loops == e.split.loops
+
+
+# an output format, then the table default; --seed before and after the
+# subcommand, then neither; argparse errors, then a valid call
+REUSE_SEQUENCE = [
+    ["analyze", "inputs/loop2.json", "--format", "json"],
+    ["analyze", "inputs/loop2.json"],
+    ["--seed", "5", "moment-check", "inputs/jordan2.json", "--samples", "2", "--format", "json"],
+    ["moment-check", "inputs/jordan2.json", "--samples", "2", "--seed", "7", "--format", "json"],
+    ["moment-check", "inputs/jordan2.json", "--samples", "2", "--format", "json"],
+    ["no-such-command", "inputs/jordan2.json"],
+    ["export", "inputs/jordan2.json"],
+    ["export", "inputs/jordan2.json", "--what", "aux"],
+]
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_parser_reused_across_calls_matches_a_fresh_parser(capsys, monkeypatch):
+    # main keeps one parser per process; each call must read exactly as it
+    # would through a parser built for that call alone
+    monkeypatch.chdir(ROOT)
+    reused = [_outcome(argv, capsys) for argv in REUSE_SEQUENCE]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = [_outcome(argv, capsys) for argv in REUSE_SEQUENCE]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 2, 0]
+    assert reused[1][1].startswith("nodes: ")
+    seeds = [json.loads(reused[i][1])["seed"] for i in (2, 3, 4)]
+    assert seeds == [5, 7, 0]

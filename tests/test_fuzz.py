@@ -96,3 +96,44 @@ def _is_rational(x) -> bool:
             return False
         return True
     return type(x) is int
+
+
+REP_BASE = json.loads((ROOT / "inputs" / "jordan2_rep.json").read_text())
+REP = REP_BASE["representation"]
+# a whole field of the representation, or one field of one of its matrices
+REP_FIELDS = [(f,) for f in ("arrows", "A", "B", "t")] + [
+    (group, key, part)
+    for group in ("arrows", "A", "B")
+    for key in REP[group]
+    for part in ("rows", "cols", "entries")
+]
+
+
+def test_fuzzed_representation_field_exits_cleanly(tmp_path):
+    path = tmp_path / "fuzz.json"
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(field=st.sampled_from(REP_FIELDS), value=JSON_VALUES,
+           command=st.sampled_from(["stability", "tau"]))
+    def run(field, value, command):
+        rep = json.loads(json.dumps(REP))
+        *outer, last = field
+        target = rep
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        path.write_text(json.dumps({**REP_BASE, "representation": rep}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+        stderr = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr
+        if code == 2:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            assert not any(text in stderr for text in PYTHON_TEXTS), stderr
+            if len(field) == 3:
+                # a malformed matrix is named by its field and key
+                assert f"{field[0]!r} entry {field[1]!r}" in stderr, stderr
+
+    run()
