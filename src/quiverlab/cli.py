@@ -27,7 +27,7 @@ from .jsonio import (
     rep_from_json,
 )
 from .quiver import DimData, node_key
-from .reps import tau_charpoly
+from .reps import tau_charpoly, validate_shapes
 from .stability import (
     MixedSignTheta,
     destabilizer_search,
@@ -283,11 +283,8 @@ def cmd_chambers(args) -> int:
     return EXIT_OK
 
 
-def cmd_stab_table(args) -> int:
-    q, split, dims, action, sigma, cands = _candidates_for(args)
-    xi = _parse_vector(args.xi, "--xi", action.rank) if args.xi is not None else sigma
-    table = stab_degree_table(q, split, dims, cands, xi)
-    payload = {
+def _stab_table_payload(table, xi) -> dict:
+    return {
         "dim_ambient": table.dim_ambient,
         "dim_base": table.dim_base,
         "xi": list(xi),
@@ -305,11 +302,19 @@ def cmd_stab_table(args) -> int:
             for p in table.pairs
         ],
     }
+
+
+def cmd_stab_table(args) -> int:
+    q, split, dims, action, sigma, cands = _candidates_for(args)
+    xi = _parse_vector(args.xi, "--xi", action.rank) if args.xi is not None else sigma
+    table = stab_degree_table(q, split, dims, cands, xi)
     lines = [f"dim X = {table.dim_ambient}"] + [
         f"  {r.name}: dimF={r.dim_fixed} rankN-={r.rank_minus} "
         f"attr={frac_to_json(r.attracting_dim)} consistent={r.consistent}"
         for r in table.rows
     ]
+    # only JSON output prints the payload, and its pairs are most of it
+    payload = _stab_table_payload(table, xi) if args.format == "json" else None
     _emit(payload, args.format, lines)
     return EXIT_OK if all(r.consistent for r in table.rows) else EXIT_FAIL
 
@@ -345,6 +350,7 @@ def _load_rep(path: str, symmetric: bool = True):
         raise InputError("dimension data required")
     try:
         rep, t = rep_from_json(q, rdoc)
+        validate_shapes(q, dims, rep)
         return q, split, dims, rep, t
     except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"{path}: {e}")
@@ -562,9 +568,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _refuse_list_values(args):
+    """An option given as --flag=-- reaches its command as []: argparse
+    drops the '--' from the value and never calls type=. No option here
+    takes a list, so any list is that case."""
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            raise InputError(f"--{dest.replace('_', '-')} needs a value, got '--'")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _refuse_list_values(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -86,7 +86,9 @@ class Mat:
     @staticmethod
     def _from_ints(num: tuple, den: int, cols: int) -> "Mat":
         """The Mat num / den, for a tuple of equal-length tuples of ints and
-        den > 0, brought to lowest terms. Internal to this module."""
+        den > 0, brought to lowest terms. It checks nothing, so it serves
+        this module and the package's own integer builders
+        (sampling.random_matrix), never outside data."""
         if den != 1:
             g = gcd(den, *chain.from_iterable(num))
             if g != 1:

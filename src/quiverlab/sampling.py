@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .exactlinalg import Mat, left_inverse, left_kernel_basis, rank
 from .quiver import DimData, Quiver
@@ -24,10 +25,15 @@ def random_fraction(rng: random.Random) -> Fraction:
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int) -> Mat:
-    return Mat(
-        (tuple(random_fraction(rng) for _ in range(cols)) for _ in range(rows)),
-        cols=cols,
-    )
+    """A matrix of random_fraction entries, drawn row by row as the same
+    numerator, denominator pairs and cleared by the lcm of the drawn
+    denominators; Mat._from_ints brings it to lowest terms."""
+    pairs = [
+        [(rng.randint(-NUM_RANGE, NUM_RANGE), rng.randint(1, DEN_RANGE)) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    den = lcm(*(d for row in pairs for _, d in row))
+    return Mat._from_ints(tuple(tuple(n * (den // d) for n, d in row) for row in pairs), den, cols)
 
 
 def random_injective(rng: random.Random, rows: int, cols: int) -> Mat:

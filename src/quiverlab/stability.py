@@ -11,6 +11,16 @@ scratch; pairings are evaluated in the completed sense where the framing
 is absorbed into an extra dimension-1 node whose stability value is
 -sum(theta_i * v_i).
 
+The search skips, without a closure, every trial that cannot pass the
+side rule. A subspace missing the framing node that is invariant and
+killed by every B lies inside the B-killed core; the core is invariant,
+so a closure lies in it exactly when its seeds do. A subspace holding the
+framing node contains the closure of the framing images, so a trial of
+that mode grows from that closure, and none can be proper when it is
+full. Skipped trials still draw their seeds, so the random stream, the
+first trial that succeeds and its witness are those of an unpruned
+search.
+
 Each check (stability_report, destabilizer_search) clears the
 representation into one integer form, _IntegerRep: every arrow matrix
 scaled by one common denominator, and its transpose for the core; the A
@@ -34,6 +44,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .exactlinalg import (
+    _reduce,
     clear_denominators,
     frac,
     in_span,
@@ -91,15 +102,17 @@ def _integer_rep(q: Quiver, rep: Representation) -> _IntegerRep:
     return _IntegerRep(arrows_out, arrows_in, a_cols, b_rows)
 
 
-def _closure(maps: dict, dims: DimData, *seed_rows: dict) -> dict:
+def _closure(maps: dict, dims: DimData, *seed_rows: dict, start: dict | None = None) -> dict:
     """Smallest graded subspace containing the integer seed rows and closed
     under maps (node -> [(target, M)]), as a Gauss-Jordan basis per node.
 
     A worklist closure: a seed or image vector that enlarges its node's
     basis is queued; popping it applies only the maps out of that node,
-    skipping a target whose basis is already full.
+    skipping a target whose basis is already full. A start basis per node,
+    already closed under maps, is copied and grown; insert_row replaces
+    rows and never changes one in place, so copying each dict suffices.
     """
-    bases = {n: {} for n in maps}
+    bases = {n: dict(start[n]) for n in maps} if start else {n: {} for n in maps}
     work = []
     for seeds in seed_rows:
         for n, rows in seeds.items():
@@ -283,6 +296,20 @@ def destabilizer_search(
     under the arrow maps, and returns the first proper invariant subspace
     with positive completed pairing. Returning None only means the budget
     ran out, never stability.
+
+    Trials that cannot pass the side rule are skipped without a closure,
+    by two containments computed once per call:
+    - missing the framing: an invariant subspace killed by every B lies in
+      the B-killed core, and a closure lies in the core exactly when its
+      seeds do. A trial is skipped when its seeds are all zero or one of
+      them leaves the core; the closure of any other trial is nonzero and
+      killed by B.
+    - holding the framing: every closure contains the closure of the
+      framing images. When that is full at every node no trial of this
+      mode is proper; otherwise each trial grows from a copy of it.
+    Every trial draws its seeds, skipped or not, so later trials see the
+    same random stream and the first trial that succeeds is the one an
+    unpruned search finds; its witness basis is canonical.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -310,6 +337,9 @@ def destabilizer_search(
                 systematic.append((m, {n: [unit(dims.v[n], j)]}))
 
     form = _integer_rep(q, rep)
+    core = _core(form, dims) if False in modes else None
+    framing = _generate(form, dims, {}, True) if True in modes else None
+    framing_full = framing is not None and all(len(framing[n]) == dims.v[n] for n in q.nodes)
     for trial in range(trials):
         if trial < len(systematic):
             include_framing, seeds = systematic[trial]
@@ -326,10 +356,17 @@ def destabilizer_search(
                 else:
                     count = rng.randint(0, max(0, vn - 1))
                     seeds[n] = [[rng.randint(-3, 3) for _ in range(vn)] for _ in range(count)]
-        bases = _generate(form, dims, seeds, include_framing)
-        spans = {n: bases[n].values() for n in q.nodes}
-        if not _side_rule_holds(q, dims, form.b_rows, spans, include_framing):
-            continue
+        if include_framing:
+            if framing_full:
+                continue
+            bases = _closure(form.arrows_out, dims, seeds, start=framing)
+            if all(len(bases[n]) == dims.v[n] for n in q.nodes):
+                continue
+        else:
+            rows = [(n, v) for n, vs in seeds.items() for v in vs if any(v)]
+            if not rows or any(any(_reduce(core[n], v)) for n, v in rows):
+                continue
+            bases = _generate(form, dims, seeds, False)
         sub_dims = {n: len(bases[n]) for n in q.nodes}
         if _completed_pairing(q, dims, theta, sub_dims, include_framing) > 0:
             return _witness(q, dims, theta, bases, include_framing)

@@ -460,6 +460,23 @@ def test_flag_parse_error_names_flag(flag, argv, capsys, monkeypatch):
     assert flag in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--sigma", ["fixed", "inputs/a2sym.json", "--sigma=--"]),
+        ("--samples", ["moment-check", "inputs/jordan2.json", "--samples=--"]),
+        ("--samples", ["--samples=--", "verify", "moment"]),
+        ("--window", ["fixed", "inputs/a2sym.json", "--window=--"]),
+        ("--xi", ["stab-table", "inputs/framed2.json", "--xi=--"]),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else x,
+)
+def test_double_dash_flag_value_is_input_error(flag, argv, capsys, monkeypatch):
+    # argparse hands --flag=-- to the command as [], without calling type=
+    monkeypatch.chdir(ROOT)
+    _assert_one_error_line(argv, capsys, f"{flag} needs a value")
+
+
 def _input_doc(name, **changes):
     """The JSON document of inputs/<name>.json with top-level keys replaced
     (a value of None drops the key)."""
@@ -791,3 +808,19 @@ def test_parser_reused_across_calls_matches_a_fresh_parser(capsys, monkeypatch):
     assert reused[1][1].startswith("nodes: ")
     seeds = [json.loads(reused[i][1])["seed"] for i in (2, 3, 4)]
     assert seeds == [5, 7, 0]
+
+
+@pytest.mark.parametrize("command", ["stability", "tau"])
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("arrows", {}, "missing matrix for arrow 'eps'"),
+        ("A", {"0": {"rows": 1, "cols": 1, "entries": ["1"]}}, "A block at '0' has wrong shape"),
+        ("B", {"0": {"rows": 1, "cols": 1, "entries": ["1"]}}, "B block at '0' has wrong shape"),
+    ],
+)
+def test_representation_shape_error_names_the_file(command, field, value, needle, tmp_path, capsys):
+    doc = _rep_doc()
+    doc["representation"][field] = value
+    path = _write(tmp_path, "shape.json", doc)
+    _assert_one_error_line([command, path], capsys, f"{path}: {needle}")

@@ -21,8 +21,10 @@ from quiverlab.reps import (
     zero_representation,
 )
 from quiverlab.sampling import (
+    random_fraction,
     random_gauge,
     random_leg_stable_aux,
+    random_matrix,
     random_representation,
     random_scalar_moment_leg,
 )
@@ -415,3 +417,18 @@ def test_flag_check_matches_fraction_reference(monkeypatch):
         else:
             outcomes["violations" if got.violations else "ok"] += 1
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_random_matrix_matches_fraction_sampler():
+    # the sampler as it was: one Fraction per entry, through Mat(...)
+    def old_random_matrix(rng, rows, cols):
+        return Mat((tuple(random_fraction(rng) for _ in range(cols)) for _ in range(rows)), cols=cols)
+
+    for seed in range(50):
+        for rows in range(5):
+            for cols in range(5):
+                new_rng, old_rng = random.Random(seed), random.Random(seed)
+                m = random_matrix(new_rng, rows, cols)
+                want = old_random_matrix(old_rng, rows, cols)
+                assert (m, m.num, m.den, m.rows, m.cols) == (want, want.num, want.den, want.rows, want.cols)
+                assert new_rng.getstate() == old_rng.getstate()

@@ -8,6 +8,7 @@ from quiverlab.exactlinalg import Mat, in_span, preimage_span, reduce_span, span
 from quiverlab.quiver import Arrow, ArrowSplit, DimData, Quiver
 from quiverlab.reps import Representation, leg_moment_scalars, leg_stable, zero_representation
 from quiverlab.sampling import random_fraction, random_leg_stable_aux, random_matrix, random_representation
+from quiverlab import stability
 from quiverlab.stability import (
     MixedSignTheta,
     SubrepWitness,
@@ -347,18 +348,77 @@ def _search_problems():
 
 def test_destabilizer_search_matches_fraction_search():
     # a per-row scale of the arrow matrices changes the maps of the random
-    # and rank-one arrow blocks, and with them some closures and witnesses
-    found = late = 0
-    signs = set()
-    for q, dims, rep, theta, seed in _search_problems():
-        want, random_trial = _search_reference(q, dims, rep, theta, 30, seed)
-        assert destabilizer_search(q, dims, rep, theta, trials=30, seed=seed) == want, seed
-        found += want is not None
-        late += random_trial
-        signs.add(frozenset(theta[n] > 0 for n in q.nodes))
-    assert len(signs) == 3
-    assert 80 <= found <= 240
-    assert late > 0
+    # and rank-one arrow blocks, and with them some closures and witnesses;
+    # budgets 1 and 5 end inside the systematic phase or just past it, and
+    # a pruned trial that drew the wrong seeds would shift every later one
+    problems = list(_search_problems())
+    for trials in (1, 5, 30, 50):
+        found = late = 0
+        signs = set()
+        for q, dims, rep, theta, seed in problems:
+            want, random_trial = _search_reference(q, dims, rep, theta, trials, seed)
+            assert destabilizer_search(q, dims, rep, theta, trials=trials, seed=seed) == want, (trials, seed)
+            found += want is not None
+            late += random_trial
+            signs.add(frozenset(theta[n] > 0 for n in q.nodes))
+        assert len(signs) == 3
+        if trials == 30:
+            assert 80 <= found <= 240
+            assert late > 0
+
+
+def _disagreements():
+    return sum(
+        destabilizer_search(q, dims, rep, theta, trials=30, seed=seed)
+        != _search_reference(q, dims, rep, theta, 30, seed)[0]
+        for q, dims, rep, theta, seed in _search_problems()
+    )
+
+
+def test_fraction_search_catches_an_empty_core(monkeypatch):
+    # with no core every trial missing the framing is skipped, so the
+    # reference search must find destabilizers that the search then misses
+    monkeypatch.setattr(stability, "_core", lambda form, dims: {n: {} for n in form.arrows_out})
+    assert _disagreements() > 0
+
+
+def test_fraction_search_catches_a_full_framing_closure(monkeypatch):
+    # a framing closure read as full skips every trial holding the framing
+    generate = stability._generate
+
+    def full_framing(form, dims, seeds, include_framing):
+        if not include_framing:
+            return generate(form, dims, seeds, include_framing)
+        return {n: {j: [int(i == j) for i in range(dims.v[n])] for j in range(dims.v[n])} for n in form.arrows_out}
+
+    monkeypatch.setattr(stability, "_generate", full_framing)
+    assert _disagreements() > 0
+
+
+def test_search_on_a_stable_representation_makes_two_closures(monkeypatch):
+    # stable at +theta the core is zero, so no trial missing the framing
+    # survives; stable at -theta the framing closure is full, so no trial
+    # holding it is proper: only the core's and the framing's closures run
+    e = corpus()["loop2"]
+    q, dims = e.quiver, e.dims
+    rng = random.Random(2121)
+    for _ in range(20):
+        rep = random_representation(rng, q, dims)
+        if all(stability_report(q, dims, rep, {n: Fraction(s) for n in q.nodes})[0] for s in (1, -1)):
+            break
+    else:
+        pytest.fail("no representation stable at both signs")
+    calls = []
+    closure = stability._closure
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_closure", counted)
+    theta = {"0": Fraction(2), "1": Fraction(-1)}
+    assert destabilizer_search(q, dims, rep, theta, trials=50, seed=3) is None
+    assert len(calls) <= 2
 
 
 def test_transfer_basic():
