@@ -88,7 +88,7 @@ class Mat:
         """The Mat num / den, for a tuple of equal-length tuples of ints and
         den > 0, brought to lowest terms. It checks nothing, so it serves
         this module and the package's own integer builders
-        (sampling.random_matrix), never outside data."""
+        (the samplers in sampling), never outside data."""
         if den != 1:
             g = gcd(den, *chain.from_iterable(num))
             if g != 1:
@@ -114,10 +114,6 @@ class Mat:
     @staticmethod
     def identity(n: int) -> "Mat":
         return Mat._from_ints(tuple(_unit(i, n) for i in range(n)), 1, n)
-
-    @staticmethod
-    def column(entries: Sequence) -> "Mat":
-        return Mat(((e,) for e in entries), cols=1)
 
     def __eq__(self, other):
         return (
@@ -377,19 +373,6 @@ def charpoly(m: Mat) -> tuple[Fraction, ...]:
             am[i][i] += bk
         mk_cols = list(zip(*am))
     return tuple(coeffs)
-
-
-def left_inverse(c: Mat) -> Mat:
-    """L with L @ c = Id for an injective matrix c (full column rank)."""
-    sol = solve(c.transpose(), Mat.identity(c.cols))
-    if sol is None:
-        raise ValueError("matrix has no left inverse (not injective)")
-    return sol.transpose()
-
-
-def left_kernel_basis(m: Mat) -> tuple[Vector, ...]:
-    """Basis of {y : y @ m = 0} (row vectors)."""
-    return kernel_basis(m.transpose())
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 Entries are uniform over {-N..N}/{1..M} with N=10, M=5 unless stated;
 every sampler takes an explicit random.Random so batches are reproducible
 from a recorded root seed.
+
+Same-stream rule: a rewrite of a sampler makes the same randint draws in
+the same order and yields equal Mats, so seeded output never changes.
 """
 
 from __future__ import annotations
@@ -10,8 +13,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .exactlinalg import Mat, left_inverse, left_kernel_basis, rank
+from .exactlinalg import Mat, _int_basis, _unit, kernel_rows, rank
 from .quiver import DimData, Quiver
 from .reps import Representation
 from .surgery import AuxResult, leg_arrow_c, leg_arrow_d
@@ -61,24 +65,36 @@ def random_gauge(rng: random.Random, q: Quiver, dims: DimData) -> dict:
 def random_scalar_moment_leg(rng: random.Random, n: int) -> tuple[list[Mat], list[Mat]]:
     """Leg-stable chains whose leg moment values are scalars.
 
-    C maps are sampled injective; the D maps are then solved bottom-up from
-    prescribed scalars: at dimension m the constraint reads
-    D_m C_m = C_{m-1} D_{m-1} - s_m, whose solution set is a particular
-    solution plus (column vector) x (left kernel of C_m).
+    The C maps are sampled injective; bottom-up from random scalars s_m,
+    D_m = [C_{m-1} D_{m-1} - s_m | noise] @ [L; z] solves D_m C_m =
+    C_{m-1} D_{m-1} - s_m, for the left inverse L of C_m that solve(C_m^T, I)
+    gives and the row z spanning its left kernel. One integer Gauss-Jordan
+    elimination of the rows of [C_m^T | den*I] gives both: kernel_rows of
+    its left block, and its right block over the pivots. The draws are the
+    C's, then per level the column [s_m; noise] as one random_matrix.
     """
     cs = [random_injective(rng, k + 1, k) for k in range(1, n)]
     ds: list[Mat] = []
-    for m in range(1, n):
-        c = cs[m - 1]
-        rhs = -random_fraction(rng) * Mat.identity(m)
-        if m >= 2:
-            rhs = cs[m - 2].matmul(ds[m - 2]) + rhs
-        d = rhs.matmul(left_inverse(c))
-        (z,) = left_kernel_basis(c)
-        noise = Mat.column([random_fraction(rng) for _ in range(m)]).matmul(
-            Mat([z], cols=m + 1)
-        )
-        ds.append(d + noise)
+    for m, c in enumerate(cs, 1):
+        basis = _int_basis([*col, *_unit(i, m, c.den)] for i, col in enumerate(zip(*c.num)))
+        if any(p > m for p in basis):
+            raise ValueError("matrix has no left inverse (not injective)")
+        ((f, z),) = kernel_rows(basis, m + 1).items()
+        # the columns of [L; z] over k_den; L is zero at the free column f
+        k_den = lcm(z[f], *(row[p] for p, row in basis.items()))
+        k_cols = [[0] * m + [k_den // z[f] * x] for x in z]
+        for p, row in basis.items():
+            k_cols[p][:m] = [k_den // row[p] * x for x in row[m + 1 :]]
+        drawn = random_matrix(rng, m + 1, 1)
+        (s,), *noise = drawn.num
+        prod = cs[m - 2].matmul(ds[m - 2]) if m >= 2 else Mat.zero(1, 1)
+        den = lcm(prod.den, drawn.den)
+        a, b = den // prod.den, den // drawn.den
+        left = [[a * x for x in row] + [b * y] for row, (y,) in zip(prod.num, noise)]
+        for i in range(m):
+            left[i][i] -= b * s
+        num = tuple(tuple(sum(map(mul, row, col)) for col in k_cols) for row in left)
+        ds.append(Mat._from_ints(num, den * k_den, m + 1))
     return cs, ds
 
 

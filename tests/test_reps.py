@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverlab.exactlinalg import Mat, charpoly, reduce_span
+from quiverlab.exactlinalg import Mat, charpoly, kernel_basis, reduce_span, solve
 from quiverlab.quiver import Arrow, ArrowSplit, DimData, Quiver
 from quiverlab.reps import (
     Representation,
@@ -20,16 +20,18 @@ from quiverlab.reps import (
     tau_charpoly,
     zero_representation,
 )
+from quiverlab import sampling
 from quiverlab.sampling import (
     random_fraction,
     random_gauge,
+    random_injective,
     random_leg_stable_aux,
     random_matrix,
     random_representation,
     random_scalar_moment_leg,
 )
 from quiverlab.surgery import build_aux
-from quiverlab.corpus import corpus
+from quiverlab.corpus import _jordan, corpus
 
 
 @pytest.fixture
@@ -202,13 +204,21 @@ def test_flag_reports_nonscalar_moment():
 
 
 def test_flag_sampled(jordan2):
+    # the leg sizes the moment and stability workloads draw
     rng = random.Random(9)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         for _ in range(30):
             cs, ds = random_scalar_moment_leg(rng, n)
             t = Fraction(rng.randint(-10, 10), rng.randint(1, 5))
             rpt = flag_check(n, cs, ds, t)
             assert rpt.ok, (n, rpt)
+    for v in (2, 3, 4, 5, 6):
+        e = _jordan(v)
+        aux = build_aux(e.quiver, e.split, e.dims)
+        for _ in range(10):
+            rep, t = random_leg_stable_aux(rng, aux)
+            for loop in aux.add_split.loops:
+                assert leg_moment_scalars(aux, rep, loop) is not None, (v, loop)
 
 
 def test_leg_moment_scalars_match_flag(jordan2):
@@ -432,3 +442,48 @@ def test_random_matrix_matches_fraction_sampler():
                 want = old_random_matrix(old_rng, rows, cols)
                 assert (m, m.num, m.den, m.rows, m.cols) == (want, want.num, want.den, want.rows, want.cols)
                 assert new_rng.getstate() == old_rng.getstate()
+
+
+def _old_scalar_moment_leg(rng, n):
+    # the sampler as it was: Mat arithmetic, a left inverse from
+    # solve(C^T, I) and the left kernel from kernel_basis(C^T)
+    cs = [random_injective(rng, k + 1, k) for k in range(1, n)]
+    ds = []
+    for m in range(1, n):
+        c = cs[m - 1]
+        rhs = -random_fraction(rng) * Mat.identity(m)
+        if m >= 2:
+            rhs = cs[m - 2].matmul(ds[m - 2]) + rhs
+        d = rhs.matmul(solve(c.transpose(), Mat.identity(m)).transpose())
+        (z,) = kernel_basis(c.transpose())
+        noise = Mat([[random_fraction(rng)] for _ in range(m)], cols=1)
+        ds.append(d + noise.matmul(Mat([z], cols=m + 1)))
+    return cs, ds
+
+
+def test_scalar_moment_leg_matches_mat_sampler(monkeypatch):
+    def key(ms):
+        return [(m.num, m.den, m.rows, m.cols) for m in ms]
+
+    for seed in range(400):
+        for n in range(1, 7):
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            cs, ds = random_scalar_moment_leg(new_rng, n)
+            old_cs, old_ds = _old_scalar_moment_leg(old_rng, n)
+            assert key(cs) == key(old_cs) and key(ds) == key(old_ds), (seed, n)
+            assert new_rng.getstate() == old_rng.getstate(), (seed, n)
+
+    entries = [_jordan(v) for v in range(2, 7)] + [corpus()["loop2"]]
+    auxes = [build_aux(e.quiver, e.split, e.dims) for e in entries]
+
+    def aux_draws():
+        out = []
+        for aux in auxes:
+            for seed in range(20):
+                rng = random.Random(seed)
+                out.append((random_leg_stable_aux(rng, aux), rng.getstate()))
+        return out
+
+    new = aux_draws()
+    monkeypatch.setattr(sampling, "random_scalar_moment_leg", _old_scalar_moment_leg)
+    assert aux_draws() == new
