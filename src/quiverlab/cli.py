@@ -284,6 +284,18 @@ def cmd_chambers(args) -> int:
 
 
 def _stab_table_payload(table, xi) -> dict:
+    # stab_degree_table makes one pair of bound objects per distinct
+    # dim F + dim F', so each pair of bounds is rendered once, looked up by
+    # the objects' ids (the table keeps them alive)
+    bounds = {}
+    pairs = []
+    for p in table.pairs:
+        key = (id(p.off_diagonal_bound), id(p.fiber_product_bound))
+        text = bounds.get(key)
+        if text is None:
+            text = bounds[key] = (frac_to_json(p.off_diagonal_bound), frac_to_json(p.fiber_product_bound))
+        pairs.append({"first": p.first, "second": p.second,
+                      "off_diagonal_bound": text[0], "fiber_product_bound": text[1]})
     return {
         "dim_ambient": table.dim_ambient,
         "dim_base": table.dim_base,
@@ -293,14 +305,7 @@ def _stab_table_payload(table, xi) -> dict:
             {**vars(r), "attracting_dim": frac_to_json(r.attracting_dim)}
             for r in table.rows
         ],
-        "pairs": [
-            {
-                **vars(p),
-                "off_diagonal_bound": frac_to_json(p.off_diagonal_bound),
-                "fiber_product_bound": frac_to_json(p.fiber_product_bound),
-            }
-            for p in table.pairs
-        ],
+        "pairs": pairs,
     }
 
 

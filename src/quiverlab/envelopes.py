@@ -371,13 +371,18 @@ def _sign_split(candidate: FixedCandidate, nums) -> tuple[Counter, Counter]:
     return plus, minus
 
 
-def split_N(candidate: FixedCandidate, xi) -> NormalSplit:
-    """Partition the nonzero tangent characters by the sign of their pairing."""
-    nums = _point_nums(xi)
+def _xi_split(candidate: FixedCandidate, nums) -> tuple[Counter, Counter]:
+    """_sign_split at xi's numerators, after checking their count against
+    the candidate's rank."""
     rank = candidate.action.rank
     if len(nums) != rank:
         raise ValueError(f"xi has {len(nums)} coordinates, the action has rank {rank}")
-    plus, minus = _sign_split(candidate, nums)
+    return _sign_split(candidate, nums)
+
+
+def split_N(candidate: FixedCandidate, xi) -> NormalSplit:
+    """Partition the nonzero tangent characters by the sign of their pairing."""
+    plus, minus = _xi_split(candidate, _point_nums(xi))
     return NormalSplit(
         n_plus=plus,
         n_minus=minus,
@@ -434,18 +439,21 @@ def stab_degree_table(
     dim_x = dim_quiver_variety(q, dims)
     dim_base = hgamma_data(q, split, dims).dim_h
     rows = []
+    # xi's denominators are cleared once, and only when a row reads them
+    nums = _point_nums(xi) if candidates else ()
     for cand in candidates:
         dim_f = cand.dim_fixed()
-        ns = split_N(cand, xi)
+        plus, minus = _xi_split(cand, nums)
+        rank_minus = sum(minus.values())
         attracting = Fraction(dim_x + dim_f, 2)
         rows.append(
             DegreeRow(
                 name=cand.name(),
                 dim_fixed=dim_f,
-                rank_minus=ns.rank_minus,
-                rank_plus=ns.rank_plus,
+                rank_minus=rank_minus,
+                rank_plus=sum(plus.values()),
                 attracting_dim=attracting,
-                consistent=(attracting - dim_f == ns.rank_minus),
+                consistent=(attracting - dim_f == rank_minus),
             )
         )
     # both bounds depend on dim F + dim F' alone

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring as _encode_str
+from operator import itemgetter
 
 from .exactlinalg import Mat, frac
 from .quiver import Arrow, ArrowSplit, DimData, Quiver, check_symmetric, node_key
@@ -259,7 +260,8 @@ def dumps_canonical(obj) -> str:
     with only str keys are written here; any other value (a float, a dict
     with a non-str key, a subclass, an unserialisable object) is handed to
     json.dumps and re-indented, so it encodes, or raises, as json.dumps
-    does.
+    does. A list of flat records (see _records) is written from one
+    template per list, one string per record.
     """
     out: list = []
     _write(obj, "\n", out)
@@ -267,42 +269,103 @@ def dumps_canonical(obj) -> str:
     return "".join(out)
 
 
+def _null(_) -> str:
+    return "null"
+
+
+# the JSON text of a scalar, by its exact type
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): _null,
+}
+_SCALARS = frozenset(_SCALAR_TEXT)
+_STR = frozenset((str,))
+
+
+def _scalar_text(x) -> str:
+    return _SCALAR_TEXT[type(x)](x)
+
+
 def _write(x, nl: str, out: list) -> None:
     """Append the indented JSON of x to out; nl is the newline plus the
-    indent of x's own line."""
+    indent of x's own line. Scalar members are written inline."""
     t = type(x)
-    if t is str:
-        out.append(_encode_str(x))
-    elif x is None:
-        out.append("null")
-    elif x is True:
-        out.append("true")
-    elif x is False:
-        out.append("false")
-    elif t is int:
-        out.append(int.__repr__(x))
-    elif t is list or t is tuple:
+    if t is list or t is tuple:
         if not x:
             out.append("[]")
             return
         inner = nl + "  "
+        records = _records(x, inner) if type(x[0]) is dict else None
+        if records is not None:
+            out.append("[" + inner + ("," + inner).join(records) + nl + "]")
+            return
         sep = "[" + inner
         for item in x:
-            out.append(sep)
-            _write(item, inner, out)
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is not None:
+                out.append(sep + scalar(item))
+            else:
+                out.append(sep)
+                _write(item, inner, out)
             sep = "," + inner
         out.append(nl + "]")
-    elif t is dict and all(type(k) is str for k in x):
+    elif t is dict and _STR.issuperset(map(type, x)):
         if not x:
             out.append("{}")
             return
         inner = nl + "  "
         sep = "{" + inner
         for k, item in sorted(x.items()):
-            out.append(sep + _encode_str(k) + ": ")
-            _write(item, inner, out)
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is not None:
+                out.append(sep + _encode_str(k) + ": " + scalar(item))
+            else:
+                out.append(sep + _encode_str(k) + ": ")
+                _write(item, inner, out)
             sep = "," + inner
         out.append(nl + "}")
+    elif t in _SCALARS:
+        out.append(_scalar_text(x))
     else:
         # encoded JSON holds no raw newline, so every newline is an indent
         out.append(json.dumps(x, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", nl))
+
+
+def _records(x, nl: str) -> list | None:
+    """The JSON texts of the members of a nonempty list x whose first member
+    is a dict, when every member is a flat record, each on a line indented
+    by nl; None otherwise.
+
+    A flat record is a nonempty dict with the same str keys as every other
+    member and only str, int, bool or None values. Each column of values is
+    encoded by one map and each record filled into one %-template, so a
+    record costs one string, not one per value. A list whose first member
+    is not a flat record is turned down after one look at that member.
+    """
+    first = x[0]
+    if not (
+        first
+        and _SCALARS.issuperset(map(type, first.values()))
+        and _STR.issuperset(map(type, first))
+    ):
+        return None
+    keys = first.keys()
+    if set(map(type, x)) != {dict} or not all(map(keys.__eq__, map(dict.keys, x))):
+        return None
+    keys = sorted(keys)
+    columns = []
+    for k in keys:
+        column = list(map(itemgetter(k), x))
+        kinds = set(map(type, column))
+        if not _SCALARS.issuperset(kinds):
+            return None
+        text = _SCALAR_TEXT[kinds.pop()] if len(kinds) == 1 else _scalar_text
+        columns.append(map(text, column))
+    inner = nl + "  "
+    # %-escaped keys: a key may hold any character, braces and % included
+    template = "{" + inner + ("," + inner).join(
+        _encode_str(k).replace("%", "%%") + ": %s" for k in keys
+    ) + nl + "}"
+    return list(map(template.__mod__, zip(*columns)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from .quiver import Arrow, ArrowSplit, DimData, Quiver, node_key
 from .surgery import dim_quiver_variety
@@ -27,14 +28,6 @@ from .surgery import dim_quiver_variety
 Char = tuple  # tuple of ints, length = rank
 
 MAX_FIXED_GRADINGS = 20_000
-
-
-def char_add(a: Char, b: Char) -> Char:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def char_sub(a: Char, b: Char) -> Char:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def char_neg(a: Char) -> Char:
@@ -100,12 +93,27 @@ def self_dual_check(q: Quiver, split: ArrowSplit, dims: DimData, act: TorusActio
     is self-dual by construction.
     """
     act.validate(q, split, dims)
+    return _arrows_self_dual(q, dims.v, _resolved(q, split, act)[0])
+
+
+def _arrows_self_dual(q: Quiver, v: dict, chars: dict) -> bool:
+    """The arrow-block count of self_dual_check, with each arrow's character
+    read from chars."""
     bag = Counter()
     for ar in q.arrows:
-        m = dims.v[ar.tail] * dims.v[ar.head]
+        m = v[ar.tail] * v[ar.head]
         if m:
-            bag[(act.char(ar.id, split), ar.tail, ar.head)] += m
+            bag[(chars[ar.id], ar.tail, ar.head)] += m
     return bag == Counter({(char_neg(ch), h, t): m for (ch, t, h), m in bag.items()})
+
+
+def _resolved(q: Quiver, split: ArrowSplit, act: TorusAction) -> tuple[dict, dict]:
+    """Each arrow's character and each node's framing characters, resolved
+    once: arrow id -> Char and node -> tuple of Chars."""
+    return (
+        {ar.id: act.char(ar.id, split) for ar in q.arrows},
+        {n: act.framing(n) for n in q.nodes},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +134,9 @@ class FixedCandidate:
     v: dict
     d: dict
     framing_slots: dict    # (node, char) -> tuple of aligned slot indices
+    # the action's arrow and framing characters, resolved once per
+    # enumeration (_resolved); read by the tangent and the induced action
+    resolved: tuple = field(repr=False, compare=False)
     trivial: bool = False
     _tangent: Counter | None = field(default=None, repr=False)
     _nonzero: Counter | None = field(default=None, repr=False, compare=False)
@@ -153,22 +164,25 @@ class FixedCandidate:
         """
         if self._tangent is not None:
             return self._tangent
-        act, g, zero = self.action, self.grading, zero_char(self.action.rank)
+        g, zero = self.grading, zero_char(self.action.rank)
         if self.trivial:
             self._tangent = Counter({zero: dim_quiver_variety(self.base, self.base_dims)})
             return self._tangent
+        chars, framing = self.resolved
         frame = {zero: 1}  # the framing space W as a weight-0 node
-        blocks = [(act.char(ar.id, self.base_split), 1, g[ar.tail], g[ar.head])
-                  for ar in self.base.arrows]
+        blocks = [(chars[ar.id], 1, g[ar.tail], g[ar.head]) for ar in self.base.arrows]
         for n in self.base.nodes:
             blocks.append((zero, -1, g[n], g[n]))
-            for ch in act.framing(n):
+            for ch in framing[n]:
                 blocks += [(ch, 1, frame, g[n]), (char_neg(ch), 1, g[n], frame)]
-        bag: Counter = Counter()
+        bag: dict = {}  # a dict, not a Counter: no __missing__ call per new key
         for ch, sign, source, target in blocks:
             for w1, m1 in source.items():
+                # ch + w1 - w2, with ch + w1 formed once per source weight
+                shifted, m1 = tuple(map(add, ch, w1)), sign * m1
                 for w2, m2 in target.items():
-                    bag[char_add(ch, char_sub(w1, w2))] += sign * m1 * m2
+                    key = tuple(map(sub, shifted, w2))
+                    bag[key] = bag.get(key, 0) + m1 * m2
         self._tangent = Counter({ch: m for ch, m in bag.items() if m})
         return self._tangent
 
@@ -181,15 +195,18 @@ class FixedCandidate:
         return self._nonzero
 
 
-def _derived_quiver(q, split, dims, act, grading):
+def _derived_quiver(q, split, grading, chars, framing):
     """The zero-character blocks of a grading, as a quiver on the occupied
     (node, w): a copy (a, w) of each arrow whose head weight w + ch(a) is
-    occupied, and at each (n, w) the framing slots of character w."""
-    v = {(n, w): grading[n][w] for n in q.nodes for w in sorted(grading[n])}
+    occupied, and at each (n, w) the framing slots of character w. chars
+    and framing are the action's, resolved (_resolved)."""
+    weights = {n: sorted(grading[n]) for n in q.nodes}
+    v = {(n, w): grading[n][w] for n in q.nodes for w in weights[n]}
     copies = {}  # arrow id -> {tail weight: head weight} of its copies
     for ar in q.arrows:
-        shifted = ((w, char_add(w, act.char(ar.id, split))) for w in sorted(grading[ar.tail]))
-        copies[ar.id] = {w: h for w, h in shifted if h in grading[ar.head]}
+        ch, head = chars[ar.id], grading[ar.head]
+        shifted = ((w, tuple(map(add, w, ch))) for w in weights[ar.tail])
+        copies[ar.id] = {w: h for w, h in shifted if h in head}
     arrows = [Arrow((ar.id, w), (ar.tail, w), (ar.head, h))
               for ar in q.arrows for w, h in copies[ar.id].items()]
     # a* carries -ch(a) (fixed_components refuses anything else, and the
@@ -198,7 +215,7 @@ def _derived_quiver(q, split, dims, act, grading):
     pairs = [((a, w), (b, h)) for a, b in split.pairs for w, h in copies[a].items()]
     loops = [(l, w) for l in split.loops for w in copies[l]]
     framing_slots = {
-        (n, w): tuple(s for s, ch in enumerate(act.framing(n)) if ch == w) for n, w in v
+        (n, w): tuple(s for s, ch in enumerate(framing[n]) if ch == w) for n, w in v
     }
     d = {nd: len(slots) for nd, slots in framing_slots.items()}
     quiver = Quiver(tuple(v), tuple(arrows))
@@ -207,16 +224,17 @@ def _derived_quiver(q, split, dims, act, grading):
     return quiver, dsplit, v, d, framing_slots
 
 
-def _candidate(q, split, dims, act, sigma, grading, trivial=False) -> FixedCandidate:
-    # the trivial candidate derives its quiver with every character zero,
-    # which relabels the input, but keeps the real action for its tangent
-    derive = act
+def _candidate(q, split, dims, act, sigma, grading, resolved, trivial=False) -> FixedCandidate:
+    derive = resolved
     if trivial:
+        # the trivial candidate derives its quiver with every character
+        # zero, which relabels the input, but keeps the real action for
+        # its tangent and its induced action
         zero = zero_char(act.rank)
-        derive = TorusAction(act.rank, {}, {n: (zero,) * dims.d[n] for n in q.nodes})
+        derive = ({ar.id: zero for ar in q.arrows}, {n: (zero,) * dims.d[n] for n in q.nodes})
     # _derived_quiver returns the fields quiver, split, v, d, framing_slots in order
-    derived = _derived_quiver(q, split, dims, derive, grading)
-    return FixedCandidate(q, split, dims, act, sigma, grading, *derived, trivial=trivial)
+    derived = _derived_quiver(q, split, grading, *derive)
+    return FixedCandidate(q, split, dims, act, sigma, grading, *derived, resolved, trivial=trivial)
 
 
 def _components_of(q: Quiver) -> list[set]:
@@ -253,8 +271,9 @@ def fixed_components(
     Otherwise gradings run over characters with each coordinate inside the
     window (default: max gauge dimension on both sides). Unframed connected
     components are normalized by shifting their smallest occupied character
-    to zero, merging gradings that induce the same action; candidates whose
-    graded representation space and framing both vanish are dropped. An
+    to zero, merging gradings that induce the same action; a grading whose
+    graded representation space and framing both vanish is dropped before
+    its candidate is built. An
     invalid or non-self-dual action, paired arrows without opposite
     characters at a nonzero cocharacter, and a window with more than
     MAX_FIXED_GRADINGS gradings are refused up front.
@@ -269,7 +288,7 @@ def fixed_components(
             raise ValueError("action is not self-dual")
         zero = zero_char(act.rank)
         grading = {n: {zero: dims.v[n]} for n in q.nodes}
-        return [_candidate(q, split, dims, act, sigma, grading, trivial=True)]
+        return [_candidate(q, split, dims, act, sigma, grading, _resolved(q, split, act), trivial=True)]
     # the derived quiver pairs the copies of a and a* only when their
     # characters are opposite; loops carry zero, so the action is self-dual
     for a_id, astar_id in split.pairs:
@@ -301,9 +320,9 @@ def fixed_components(
                     f"enumeration budget of {MAX_FIXED_GRADINGS}"
                 )
     # with every v_n zero any window is in budget, and no grading reads it
-    chars = []
+    window_chars = []
     if any(dims.v[n] for n in q.nodes):
-        chars = list(itertools.product(range(lo, hi + 1), repeat=act.rank))
+        window_chars = list(itertools.product(range(lo, hi + 1), repeat=act.rank))
 
     components = _components_of(q)
     framed = [any(dims.d[n] > 0 for n in comp) for comp in components]
@@ -312,9 +331,13 @@ def fixed_components(
         return (sum(s * c for s, c in zip(sigma, ch)), ch)
 
     per_node_options = [
-        [Counter(c) for c in itertools.combinations_with_replacement(chars, dims.v[n])]
+        [Counter(c) for c in itertools.combinations_with_replacement(window_chars, dims.v[n])]
         for n in q.nodes
     ]
+    resolved = chars, framing = _resolved(q, split, act)
+    arrow_ends = [(ar.tail, ar.head, chars[ar.id]) for ar in q.arrows]
+    framed_at = [(n, set(framing[n])) for n in q.nodes if framing[n]]
+    keys = [node_key(n) for n in q.nodes]
 
     seen = set()
     out = []
@@ -331,41 +354,45 @@ def fixed_components(
             if any(base):
                 for n in comp:
                     grading[n] = {
-                        char_sub(ch, base): m for ch, m in grading[n].items()
+                        tuple(map(sub, ch, base)): m for ch, m in grading[n].items()
                     }
-        key = tuple(
-            (node_key(n), tuple(sorted(grading[n].items()))) for n in q.nodes
-        )
+        key = tuple((k, tuple(sorted(grading[n].items()))) for k, n in zip(keys, q.nodes))
         if key in seen:
             continue
         seen.add(key)
-        cand = _candidate(q, split, dims, act, sigma, grading)
         # every derived node has positive dimension, so the graded space
-        # vanishes exactly when no arrow copy and no framing slot survives
-        if cand.quiver.arrows or any(cand.d.values()):
-            out.append(cand)
+        # vanishes exactly when no framing slot and no arrow copy survives;
+        # such a grading is dropped before its candidate is built
+        if any(not slots.isdisjoint(grading[n]) for n, slots in framed_at) or any(
+            tuple(map(add, w, ch)) in grading[head]
+            for tail, head, ch in arrow_ends
+            for w in grading[tail]
+        ):
+            out.append(_candidate(q, split, dims, act, sigma, grading, resolved))
     return out
 
 
 def fixed_self_dual_check(cand: FixedCandidate) -> bool:
-    """Self-duality of the induced action on the derived quiver."""
-    act = induced_action(cand)
-    dims = DimData(cand.v, cand.d)
-    return self_dual_check(cand.quiver, cand.split, dims, act)
+    """Self-duality of the induced action on the derived quiver.
+
+    The induced action is not validated again: every arrow copy and
+    aligned slot carries a character of the base action, which
+    fixed_components validated, and a loop's copies carry its zero.
+    """
+    return _arrows_self_dual(cand.quiver, cand.v, _copy_chars(cand))
+
+
+def _copy_chars(cand: FixedCandidate) -> dict:
+    """Each arrow copy's character: that of the base arrow it copies."""
+    chars = cand.resolved[0]
+    return {copy.id: chars[copy.id[0]] for copy in cand.quiver.arrows}
 
 
 def induced_action(cand: FixedCandidate) -> TorusAction:
     """Action on the derived quiver: arrow copies inherit their characters,
     aligned framing slots keep theirs."""
-    arrow_chars = {}
-    for copy in cand.quiver.arrows:
-        base_aid = copy.id[0]
-        arrow_chars[copy.id] = cand.action.char(base_aid, cand.base_split)
-    framing_chars = {}
-    for nd in cand.quiver.nodes:
-        base_node = nd[0]
-        slots = cand.framing_slots[nd]
-        framing_chars[nd] = tuple(
-            tuple(cand.action.framing(base_node)[s]) for s in slots
-        )
-    return TorusAction(cand.action.rank, arrow_chars, framing_chars)
+    framing = cand.resolved[1]
+    framing_chars = {
+        nd: tuple(framing[nd[0]][s] for s in cand.framing_slots[nd]) for nd in cand.quiver.nodes
+    }
+    return TorusAction(cand.action.rank, _copy_chars(cand), framing_chars)

@@ -9,10 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from quiverlab.cli import _stab_table_payload
 from quiverlab.envelopes import (
     MAX_CHAMBER_REGIONS,
     MAX_DEGREE_PAIRS,
     Chamber,
+    DegreePair,
+    DegreeRow,
+    DegreeTable,
     Face,
     TriangleReport,
     WallError,
@@ -30,7 +34,8 @@ from quiverlab.envelopes import (
     triangle_split_check,
 )
 from quiverlab.exactlinalg import Mat, clear_denominators, dot, kernel_basis
-from quiverlab.jsonio import quiver_from_json
+from quiverlab.jsonio import dumps_canonical, frac_to_json, quiver_from_json
+from quiverlab.surgery import dim_quiver_variety, hgamma_data
 from quiverlab.torus import fixed_components
 from quiverlab.corpus import ACTION_ENTRIES, corpus
 
@@ -535,6 +540,86 @@ def test_stab_degree_table_sigma_zero():
     table = stab_degree_table(e.quiver, e.split, e.dims, cands, (1,))
     (row,) = table.rows
     assert row.dim_fixed == 4 and row.attracting_dim == 4 and row.rank_minus == 0
+
+
+def _reference_degree_table(q, split, dims, candidates, xi):
+    """stab_degree_table as it was built before xi was cleared once per
+    table: split_N per candidate, and each pair's bounds from its own sum."""
+    dim_x = dim_quiver_variety(q, dims)
+    dim_base = hgamma_data(q, split, dims).dim_h
+    rows = []
+    for cand in candidates:
+        dim_f = cand.dim_fixed()
+        ns = split_N(cand, xi)
+        attracting = Fraction(dim_x + dim_f, 2)
+        rows.append(DegreeRow(cand.name(), dim_f, ns.rank_minus, ns.rank_plus, attracting,
+                              attracting - dim_f == ns.rank_minus))
+    pairs = [
+        DegreePair(r.name, r2.name, Fraction(r.dim_fixed + r2.dim_fixed, 2) - 1,
+                   Fraction(r.dim_fixed + r2.dim_fixed, 2) - dim_base)
+        for r, r2 in itertools.combinations(rows, 2)
+    ]
+    return DegreeTable(dim_x, dim_base, rows, pairs)
+
+
+def _reference_stab_table_payload(table, xi):
+    """The stab-table JSON payload as it was built from vars() per pair,
+    rendering both bounds of every pair."""
+    return {
+        "dim_ambient": table.dim_ambient,
+        "dim_base": table.dim_base,
+        "xi": list(xi),
+        "rows": [{**vars(r), "attracting_dim": frac_to_json(r.attracting_dim)} for r in table.rows],
+        "pairs": [
+            {
+                **vars(p),
+                "off_diagonal_bound": frac_to_json(p.off_diagonal_bound),
+                "fiber_product_bound": frac_to_json(p.fiber_product_bound),
+            }
+            for p in table.pairs
+        ],
+    }
+
+
+def test_degree_ledger_matches_per_candidate_reference():
+    problems = [(e, e.window, xi) for e in corpus().values()
+                for xi in (e.sigma, tuple(-s for s in e.sigma), (Fraction(1, 3),) * len(e.sigma))]
+    loop2 = corpus()["loop2"]
+    problems.append((loop2, (-3, 3), loop2.sigma))
+    sizes = []
+    for e, window, xi in problems:
+        args = (e.quiver, e.split, e.dims)
+        cands = fixed_components(*args, e.action, e.sigma, window)
+        try:
+            expected = _reference_degree_table(*args, cands, xi)
+        except WallError:
+            with pytest.raises(WallError):
+                stab_degree_table(*args, cands, xi)
+            continue
+        table = stab_degree_table(*args, cands, xi)
+        assert table == expected, e.name
+        payload = _stab_table_payload(table, xi)
+        reference = _reference_stab_table_payload(expected, xi)
+        assert payload == reference, e.name
+        if all(type(x) is int for x in xi):
+            # the record-list writer against the json.dumps oracle, on the
+            # rows and pairs the cli prints (its xi is an integer vector)
+            assert dumps_canonical(payload) == json.dumps(
+                reference, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        sizes.append(len(cands))
+    assert 196 in sizes and len(sizes) >= 10, sizes
+
+
+def test_stab_degree_table_refuses_a_bad_xi_as_split_N_does():
+    e, cands = corpus_candidates("loop2")
+    for xi in ((1, 2), (True,), ()):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            split_N(cands[0], xi)
+        with pytest.raises((ValueError, TypeError)) as got:
+            stab_degree_table(e.quiver, e.split, e.dims, cands, xi)
+        assert (got.type, str(got.value)) == (expected.type, str(expected.value))
+    # with no candidate no row reads xi, so nothing refuses it
+    assert stab_degree_table(e.quiver, e.split, e.dims, [], (True,)).rows == []
 
 
 def test_stab_degree_table_refuses_pairs_before_any_row():

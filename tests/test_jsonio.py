@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverlab.jsonio import dumps_canonical
+from quiverlab.jsonio import _records, dumps_canonical
 
 # quotes, backslashes, control characters, non-ASCII and line separators
 SPECIAL = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "→", " ", "𝔽", "'"])
@@ -59,3 +59,66 @@ def test_unserialisable_values_raise_as_json_dumps_does(value):
 def test_fallback_values_are_reindented_in_place():
     value = {"x": [{"k": 1.5}, {2: [3, 4]}, float("inf")], "y": ()}
     assert dumps_canonical(value) == _oracle(value)
+
+
+# keys that would break a %- or {}-template, quotes, control characters and
+# non-ASCII, beside arbitrary text
+RECORD_KEYS = st.lists(
+    TEXT | st.sampled_from(["%", "%s", "%%", "%(k)s", "{", "}", "{0}", '"', "\\", "\x01", "é", "𝔽"]),
+    max_size=4,
+    unique=True,
+)
+FLAT_VALUES = st.none() | st.booleans() | INTS | TEXT
+NEAR_MISSES = (
+    "list value", "float value", "missing key", "extra key", "renamed key", "empty record",
+    "non-dict member", "tuple",
+)
+
+
+@st.composite
+def record_lists(draw):
+    """(value, flat, records): a list of records with one key set, possibly
+    turned into a near miss, and nested at a drawn depth in value; flat
+    tells whether records is a list of flat records."""
+    keys = draw(RECORD_KEYS)
+    records = [{k: draw(FLAT_VALUES) for k in keys} for _ in range(draw(st.sampled_from((3, 1, 2, 5))))]
+    miss = draw(st.none() | st.sampled_from(NEAR_MISSES))
+    victim = records[draw(st.integers(0, len(records) - 1))]
+    if miss in ("list value", "float value", "missing key") and keys:
+        k = draw(st.sampled_from(keys))
+        if miss == "missing key":
+            del victim[k]
+        else:
+            victim[k] = draw(st.lists(FLAT_VALUES, max_size=2) if miss == "list value" else st.floats())
+    elif miss in ("extra key", "renamed key"):
+        if miss == "renamed key" and keys:
+            victim.pop(draw(st.sampled_from(keys)))
+        victim[draw(TEXT.filter(lambda k: k not in keys))] = draw(FLAT_VALUES)
+    elif miss == "empty record":
+        victim.clear()
+    elif miss == "non-dict member":
+        records.insert(draw(st.integers(0, len(records))), draw(FLAT_VALUES | st.lists(FLAT_VALUES, max_size=2)))
+    first = records[0]
+    flat = (
+        all(type(r) is dict and r and r.keys() == first.keys() for r in records)
+        and all(type(v) in (str, int, bool, type(None)) for r in records for v in r.values())
+    )
+    if miss == "tuple":
+        records = tuple(records)
+    value = records
+    for _ in range(draw(st.integers(0, 2))):
+        value = {"k": value} if draw(st.booleans()) else [value]
+    return value, flat, records
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(drawn=record_lists())
+def test_record_lists_match_json_dumps(drawn):
+    value, flat, records = drawn
+    assert _outcome(dumps_canonical, value) == _outcome(_oracle, value)
+    # the one-template path takes exactly the lists of flat records; the
+    # writer asks it only about a list whose first member is a dict
+    if type(records[0]) is dict:
+        assert (_records(records, "\n  ") is not None) == flat
+    else:
+        assert not flat

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import tracemalloc
@@ -5,8 +6,9 @@ from collections import Counter
 
 import pytest
 
-from quiverlab.quiver import Arrow, ArrowSplit, DimData, Quiver
+from quiverlab.quiver import Arrow, ArrowSplit, DimData, Quiver, node_key
 from quiverlab.surgery import dim_quiver_variety
+from quiverlab import torus
 from quiverlab.torus import (
     MAX_FIXED_GRADINGS,
     TorusAction,
@@ -222,10 +224,24 @@ def test_tangent_negation_symmetric_and_zero_part():
 
 
 def test_fixed_self_dual_check():
+    # the induced action is valid by construction, so fixed_self_dual_check
+    # skips its validate; both are checked here against the validated path
+    cands = []
     for name in ("jordan2", "a2sym", "loop2", "framed2"):
         e = corpus()[name]
-        cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
-        for c in cands:
+        cands += fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
+    corpus_count = len(cands)
+    rng = random.Random(23)
+    while len(cands) < 600:
+        q, split, dims, act, broken = _random_symmetric_problem(rng)
+        if not broken:
+            sigma = tuple(rng.choice((0, 1, -1, 2)) for _ in range(act.rank))
+            cands += fixed_components(q, split, dims, act, sigma, (-1, 1) if act.rank == 1 else (0, 1))
+    for i, c in enumerate(cands):
+        act, dims = induced_action(c), DimData(c.v, c.d)
+        act.validate(c.quiver, c.split, dims)
+        assert fixed_self_dual_check(c) == self_dual_check(c.quiver, c.split, dims, act)
+        if i < corpus_count:
             assert fixed_self_dual_check(c)
 
 
@@ -365,9 +381,12 @@ def _reference_tangent(cand):
     return Counter({ch: m for ch, m in bag.items() if m != 0})
 
 
-def test_block_view_matches_reference_derived_quiver_and_tangent():
+def _block_view_problems():
+    """The 320 seeded problems of the block-view test: each problem's
+    fixed_components arguments, its candidates, and the at most 6 of them
+    the test samples (the sample is drawn from the same stream)."""
     rng = random.Random(20261019)
-    problems = trivial = aligned = paired = looped = 0
+    problems = 0
     while problems < 320:
         q, split, dims, act, broken = _random_symmetric_problem(rng)
         if broken:
@@ -376,7 +395,13 @@ def test_block_view_matches_reference_derived_quiver_and_tangent():
         sigma = tuple(rng.choice((0, 1, -1, 2)) for _ in range(act.rank))
         window = (-1, 1) if act.rank == 1 else (0, 1)
         cands = fixed_components(q, split, dims, act, sigma, window)
-        for cand in rng.sample(cands, min(len(cands), 6)):
+        yield (q, split, dims, act, sigma, window), cands, rng.sample(cands, min(len(cands), 6))
+
+
+def test_block_view_matches_reference_derived_quiver_and_tangent():
+    trivial = aligned = paired = looped = 0
+    for (q, split, dims, act, _, _), _, sample in _block_view_problems():
+        for cand in sample:
             derive = act
             if cand.trivial:
                 zero = (0,) * act.rank
@@ -414,3 +439,62 @@ def test_nonzero_tangent_is_built_once_and_drops_only_zero():
         assert zero not in first and all(first.values())
         nonempty += bool(first)
     assert nonempty > 100 and any(c.trivial for c in cands)
+
+
+def _reference_fixed_components(q, split, dims, act, sigma, window):
+    """fixed_components as it was before the early drop, with its count of
+    drops: every distinct grading is built into a candidate, and one whose
+    derived quiver has no arrow and no framing is dropped afterwards. The
+    zero cocharacter drops nothing and is handed to fixed_components."""
+    if act.rank == 0 or not any(sigma):
+        return fixed_components(q, split, dims, act, sigma, window), 0
+    lo, hi = window
+    chars = list(itertools.product(range(lo, hi + 1), repeat=act.rank))
+    components = torus._components_of(q)
+    framed = [any(dims.d[n] > 0 for n in comp) for comp in components]
+
+    def sort_key(ch):
+        return (sum(s * c for s, c in zip(sigma, ch)), ch)
+
+    options = [
+        [Counter(c) for c in itertools.combinations_with_replacement(chars, dims.v[n])]
+        for n in q.nodes
+    ]
+    resolved = torus._resolved(q, split, act)
+    seen, out, dropped = set(), [], 0
+    for assignment in itertools.product(*options):
+        grading = {n: dict(c) for n, c in zip(q.nodes, assignment)}
+        for comp, has_framing in zip(components, framed):
+            occupied = [ch for n in comp for ch in grading[n]]
+            if has_framing or not occupied:
+                continue
+            base = min(occupied, key=sort_key)
+            for n in comp:
+                grading[n] = {tuple(c - b for c, b in zip(ch, base)): m for ch, m in grading[n].items()}
+        key = tuple((node_key(n), tuple(sorted(grading[n].items()))) for n in q.nodes)
+        if key in seen:
+            continue
+        seen.add(key)
+        cand = torus._candidate(q, split, dims, act, sigma, grading, resolved)
+        if cand.quiver.arrows or any(cand.d.values()):
+            out.append(cand)
+        else:
+            dropped += 1
+    return out, dropped
+
+
+def test_early_drop_matches_build_then_drop():
+    dropped = 0
+    for problem, cands, _ in _block_view_problems():
+        expected, n = _reference_fixed_components(*problem)
+        assert cands == expected
+        dropped += n
+    assert dropped >= 100, dropped
+    e = corpus()["framed2"]
+    for width in (1, 2, 3):
+        args = (e.quiver, e.split, e.dims, e.action, e.sigma, (-width, width))
+        expected, n = _reference_fixed_components(*args)
+        assert fixed_components(*args) == expected
+        if width == 1:
+            # the default window: 81 candidates built to keep 17
+            assert (len(expected), n) == (17, 64)
