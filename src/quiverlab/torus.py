@@ -199,7 +199,8 @@ def _derived_quiver(q, split, grading, chars, framing):
     """The zero-character blocks of a grading, as a quiver on the occupied
     (node, w): a copy (a, w) of each arrow whose head weight w + ch(a) is
     occupied, and at each (n, w) the framing slots of character w. chars
-    and framing are the action's, resolved (_resolved)."""
+    and framing map each arrow and node to its characters, as _resolved
+    gives them."""
     weights = {n: sorted(grading[n]) for n in q.nodes}
     v = {(n, w): grading[n][w] for n in q.nodes for w in weights[n]}
     copies = {}  # arrow id -> {tail weight: head weight} of its copies
