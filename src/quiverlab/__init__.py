@@ -17,10 +17,8 @@ from .surgery import (
     default_delta,
     dim_quiver_variety,
     dim_universal_nakajima,
-    generic_locus_hyperplanes,
     half_quiver,
     hgamma_data,
-    is_generic_level,
     lift_stability,
 )
 from .reps import (
@@ -31,7 +29,6 @@ from .reps import (
     flag_check,
     flag_check_leg,
     gauge_transform,
-    in_H_circ,
     leg_stable,
     moment_map,
     p_map,

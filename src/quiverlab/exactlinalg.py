@@ -167,17 +167,7 @@ class Mat:
     __rmul__ = __mul__
 
     def matmul(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        # columns of other; with no rows it still has other.cols empty ones
-        cols = list(zip(*other.num)) if other.rows else ((),) * other.cols
-        return Mat._from_ints(
-            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num),
-            self.den * other.den,
-            other.cols,
-        )
+        return Mat._from_ints(_num_product(self, other), self.den * other.den, other.cols)
 
     def transpose(self) -> "Mat":
         num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
@@ -222,6 +212,17 @@ class Mat:
             raise ValueError(
                 f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+
+
+def _num_product(a: Mat, b: Mat) -> tuple:
+    """The integer rows of a.num @ b.num, so a @ b is this over a.den * b.den,
+    not yet in lowest terms. Callers that sum several products bring the sum
+    to lowest terms once (Mat._from_ints)."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    # columns of b; with no rows it still has b.cols empty ones
+    cols = list(zip(*b.num)) if b.rows else ((),) * b.cols
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a.num)
 
 
 def _unit(i: int, n: int, s: int = 1) -> tuple:

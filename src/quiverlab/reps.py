@@ -8,28 +8,24 @@ trace pairing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import lcm
+from operator import add, mul, neg, sub
 
 from .exactlinalg import (
     Mat,
     _int_basis,
+    _num_product,
     _reduce,
+    _unit,
     charpoly,
     frac,
     normalise_basis,
     rank,
 )
 from .quiver import ArrowSplit, DimData, Quiver
-from .surgery import (
-    AuxResult,
-    generic_locus_hyperplanes,
-    is_generic_level,
-    leg_arrow_c,
-    leg_arrow_d,
-)
+from .surgery import AuxResult, leg_arrow_c, leg_arrow_d
 
 
 @dataclass
@@ -66,6 +62,53 @@ def validate_shapes(q: Quiver, dims: DimData, rep: Representation):
             raise ValueError(f"B block at {n!r} has wrong shape")
 
 
+def _product_term(sign: int, a: Mat, b: Mat) -> tuple:
+    """sign * a @ b as a block-sum term (sign, integer rows, denominator)."""
+    return sign, _num_product(a, b), a.den * b.den
+
+
+def _scalar_term(s: Fraction, n: int) -> tuple:
+    """s * id_n as a block-sum term."""
+    p, q = s.as_integer_ratio()
+    return 1, tuple(_unit(i, n, p) for i in range(n)), q
+
+
+def _block_sum(terms: list, n: int) -> Mat:
+    """The n x n Mat sum of sign * rows / den over the terms (sign, rows,
+    den): integer rows over the lcm of the dens, in lowest terms once."""
+    den = lcm(*(d for _, _, d in terms))
+    acc = None
+    for sign, rows, d in terms:
+        f = den // d
+        if f != 1:
+            rows = [tuple(map(f.__mul__, row)) for row in rows]
+        if acc is None:
+            acc = rows if sign > 0 else [tuple(map(neg, row)) for row in rows]
+        else:
+            op = add if sign > 0 else sub
+            acc = [tuple(map(op, r, s)) for r, s in zip(acc, rows)]
+    return Mat._from_ints(tuple(acc), den, n)
+
+
+def _moment_blocks(q: Quiver, split: ArrowSplit, v: dict, rep: Representation, nodes) -> dict:
+    """The moment values at the given nodes only, in their order; each one
+    block sum of integer products."""
+    terms = {n: [_product_term(1, rep.a[n], rep.b[n])] for n in nodes}
+    for a_id, astar_id in split.pairs:
+        ar = q.arrow(a_id)
+        x, x_star = rep.x[a_id], rep.x[astar_id]
+        if ar.head in terms:
+            terms[ar.head].append(_product_term(1, x, x_star))
+        if ar.tail in terms:
+            terms[ar.tail].append(_product_term(-1, x_star, x))
+    for l_id in split.loops:
+        node = q.arrow(l_id).head
+        if node in terms:
+            m = rep.x[l_id]
+            terms[node].append((1, m.num, m.den))
+    return {n: _block_sum(ts, v[n]) for n, ts in terms.items()}
+
+
 def moment_map(q: Quiver, split: ArrowSplit, dims: DimData, rep: Representation) -> dict:
     """Per-node moment value.
 
@@ -73,15 +116,7 @@ def moment_map(q: Quiver, split: ArrowSplit, dims: DimData, rep: Representation)
     tail, framing contributes A_i B_i, and loop arrows enter linearly.
     """
     validate_shapes(q, dims, rep)
-    mu = {n: rep.a[n].matmul(rep.b[n]) for n in q.nodes}
-    for a_id, astar_id in split.pairs:
-        ar = q.arrow(a_id)
-        mu[ar.head] = mu[ar.head] + rep.x[a_id].matmul(rep.x[astar_id])
-        mu[ar.tail] = mu[ar.tail] - rep.x[astar_id].matmul(rep.x[a_id])
-    for l_id in split.loops:
-        node = q.arrow(l_id).head
-        mu[node] = mu[node] + rep.x[l_id]
-    return mu
+    return _moment_blocks(q, split, dims.v, rep, q.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -95,29 +130,47 @@ def leg_chains(aux: AuxResult, rep: Representation, loop_id) -> tuple[list[Mat],
     return cs, ds
 
 
-def _injective_chain(cs: list[Mat]) -> bool:
-    """Every C map of a leg chain has full column rank."""
-    return all(rank(c) == c.cols for c in cs)
-
-
 def leg_stable(aux: AuxResult, rep: Representation) -> bool:
     """Every map pointing toward the original nodes has full column rank."""
-    return all(_injective_chain(leg_chains(aux, rep, l)[0]) for l in aux.leg_index)
+    return all(
+        rank(c) == c.cols for l in aux.leg_index for c in leg_chains(aux, rep, l)[0]
+    )
+
+
+def _check_chain(n: int, cs: list[Mat], ds: list[Mat]):
+    """Refuse a leg chain unless C_k is (k+1) x k and D_k is k x (k+1), k < n."""
+    if len(cs) != n - 1 or len(ds) != n - 1:
+        raise ValueError("chain length must be n-1")
+    for k, (c, d) in enumerate(zip(cs, ds), 1):
+        if (c.rows, c.cols, d.rows, d.cols) != (k + 1, k, k, k + 1):
+            raise ValueError(
+                f"C_{k} must be {k + 1}x{k} and D_{k} {k}x{k + 1}, "
+                f"got {c.rows}x{c.cols} and {d.rows}x{d.cols}"
+            )
 
 
 def _leg_depth_scalars(n: int, cs: list[Mat], ds: list[Mat]) -> list:
     """Moment scalar at each leg depth 1..n-1, None where the block is not scalar.
 
     Depth j has dimension n-j; its moment value is C_{m-1} D_{m-1} - D_m C_m
-    at m = n-j.
+    at m = n-j. With C_{m-1} D_{m-1} = P / p and D_m C_m = Q / q as integer
+    products, the block is (q*P - p*Q) / (p*q), decided on those integers.
+    The chain must be well shaped (_check_chain).
     """
     out = []
     for depth in range(1, n):
         m = n - depth
-        block = -ds[m - 1].matmul(cs[m - 1])
+        c, d = cs[m - 1], ds[m - 1]
+        dc, q = _num_product(d, c), d.den * c.den
         if m >= 2:
-            block = block + cs[m - 2].matmul(ds[m - 2])
-        out.append(block.scaled_identity_value())
+            c, d = cs[m - 2], ds[m - 2]
+            cd, p = _num_product(c, d), c.den * d.den
+        else:
+            cd, p = ((0,) * m,) * m, 1
+        rows = [tuple(q * a - p * b for a, b in zip(r1, r2)) for r1, r2 in zip(cd, dc)]
+        s = rows[0][0]
+        scalar = all(row == _unit(i, m, s) for i, row in enumerate(rows))
+        out.append(Fraction(s, p * q) if scalar else None)
     return out
 
 
@@ -127,7 +180,9 @@ def leg_moment_scalars(aux: AuxResult, rep: Representation, loop_id):
     Returns None if some leg-node moment block is not scalar.
     """
     cs, ds = leg_chains(aux, rep, loop_id)
-    scalars = _leg_depth_scalars(aux.v[aux.loop_node(loop_id)], cs, ds)
+    n = aux.v[aux.loop_node(loop_id)]
+    _check_chain(n, cs, ds)
+    scalars = _leg_depth_scalars(n, cs, ds)
     if any(s is None for s in scalars):
         return None
     return tuple(scalars)
@@ -147,22 +202,21 @@ def p_map(aux: AuxResult, rep: Representation, t: dict) -> Representation:
     for loop_id in aux.add_split.loops:
         node = aux.loop_node(loop_id)
         n = aux.v[node]
-        t_eps = frac(t[loop_id])
-        value = t_eps * Mat.identity(n)
+        terms = [_scalar_term(frac(t[loop_id]), n)]
         if aux.leg_length(loop_id) > 0:
             cs, ds = leg_chains(aux, rep, loop_id)
-            value = cs[-1].matmul(ds[-1]) + value
-        x[loop_id] = value
+            terms.append(_product_term(1, cs[-1], ds[-1]))
+        x[loop_id] = _block_sum(terms, n)
     a = {nd: rep.a[nd] for nd in aux.base_quiver.nodes}
     b = {nd: rep.b[nd] for nd in aux.base_quiver.nodes}
     return Representation(x, a, b)
 
 
 def moment_resolved(aux: AuxResult, rep: Representation) -> dict:
-    """Moment values of an auxiliary representation at the base nodes only."""
-    dims_aux = DimData(aux.v, aux.d)
-    mu = moment_map(aux.quiver, aux.split, dims_aux, rep)
-    return {n: mu[n] for n in aux.base_quiver.nodes}
+    """Moment values of an auxiliary representation at the base nodes only;
+    the leg nodes' blocks are never formed."""
+    validate_shapes(aux.quiver, DimData(aux.v, aux.d), rep)
+    return _moment_blocks(aux.quiver, aux.split, aux.v, rep, aux.base_quiver.nodes)
 
 
 def check_compare_moment(aux: AuxResult, rep: Representation, t: dict) -> bool:
@@ -179,7 +233,8 @@ def check_compare_moment(aux: AuxResult, rep: Representation, t: dict) -> bool:
             (frac(t[l]) for l in aux.add_split.loops if aux.loop_node(l) == node),
             Fraction(0),
         )
-        expected = mu_res[node] + t_sum * Mat.identity(aux.v[node])
+        mu = mu_res[node]
+        expected = _block_sum([(1, mu.num, mu.den), _scalar_term(t_sum, mu.rows)], mu.rows)
         if mu_add[node] != expected:
             return False
     return True
@@ -207,14 +262,23 @@ def flag_check(n: int, cs: list[Mat], ds: list[Mat], t) -> FlagReport:
     is read off the moment scalar at leg depth j.
     """
     t = frac(t)
-    if len(cs) != n - 1 or len(ds) != n - 1:
-        raise ValueError("chain length must be n-1")
-    if not _injective_chain(cs):
-        raise ValueError("leg is not leg-stable: some C has a kernel")
+    _check_chain(n, cs, ds)
 
-    scalars = _leg_depth_scalars(n, cs, ds)
-    lambdas = [None if s is None else -s for s in scalars]
-    nonscalar = [depth for depth, s in enumerate(scalars, 1) if s is None]
+    # each V_k as an integer Gauss-Jordan basis {pivot: row}; its
+    # normalised rows are the canonical RREF basis the report carries.
+    # Every C is injective exactly when every composite C_{n-1} ... C_{n-k}
+    # is, that is when each V_k has n-k basis rows
+    bases = [{i: _unit(i, n) for i in range(n)}]
+    comp = None
+    for k in range(1, n):
+        comp = cs[n - 2] if comp is None else comp.matmul(cs[n - 1 - k])
+        bases.append(_int_basis(zip(*comp.num)))
+        if len(bases[k]) != n - k:
+            raise ValueError("leg is not leg-stable: some C has a kernel")
+
+    depth_scalars = _leg_depth_scalars(n, cs, ds)
+    lambdas = [None if s is None else -s for s in depth_scalars]
+    nonscalar = [depth for depth, s in enumerate(depth_scalars, 1) if s is None]
     if nonscalar:
         return FlagReport(
             ok=False,
@@ -224,32 +288,32 @@ def flag_check(n: int, cs: list[Mat], ds: list[Mat], t) -> FlagReport:
             lambdas=tuple(lambdas),
             nonscalar_depths=tuple(nonscalar),
         )
-
-    ident = Mat.identity(n)
-    x = t * ident
-    if n >= 2:
-        x = cs[-1].matmul(ds[-1]) + x
-
-    # each V_k as an integer Gauss-Jordan basis {pivot: row}; its
-    # normalised rows are the canonical RREF basis the report carries
-    bases = [dict(enumerate(ident.num))]
-    comp = None
-    for k in range(1, n):
-        comp = cs[n - 2] if comp is None else comp.matmul(cs[n - 1 - k])
-        bases.append(_int_basis(zip(*comp.num)))
     flags = [normalise_basis(b) for b in bases]
 
-    # a vector v of V_k passes when (X - e_k) v lies in V_{k+1}. V_{k+1}
+    # e_k = t + lambda_1 + ... + lambda_k is the scalar X must induce on
+    # V_k / V_{k+1}, and X - e_k = C_{n-1} D_{n-1} + (t - e_k) id. With
+    # C_{n-1} D_{n-1} = P / den and t - e_k = p / q, the integer rows
+    # q*P + p*den*id are (q*den) * (X - e_k), built once per level.
+    # A vector v of V_k passes when (X - e_k) v lies in V_{k+1}. V_{k+1}
     # lies in V_k, so X v lies in V_k exactly when (X - e_k) v does, and
     # only a failing vector needs that test. Both run on integer rows: a
     # basis row of V_k is a multiple of its RREF vector
+    if n >= 2:
+        prod, den = _num_product(cs[-1], ds[-1]), cs[-1].den * ds[-1].den
+    else:
+        prod, den = ((0,),), 1
     preserved = True
     violations = []
     scalars = []
+    shift = Fraction(0)  # t - e_k = -(lambda_1 + ... + lambda_k)
     for k in range(n):
-        expected = t + sum(lambdas[:k], Fraction(0))
-        scalars.append(expected)
-        shifted = (x - expected * ident).num
+        if k:
+            shift -= lambdas[k - 1]
+        scalars.append(t - shift)
+        p, q = shift.as_integer_ratio()
+        shifted = [[q * a for a in row] for row in prod]
+        for i, row in enumerate(shifted):
+            row[i] += p * den
         vnext = bases[k + 1] if k + 1 < n else {}
         for (_, row), vec in zip(sorted(bases[k].items()), flags[k]):
             image = [sum(map(mul, r, row)) for r in shifted]
@@ -307,50 +371,3 @@ def gauge_transform(q: Quiver, dims: DimData, rep: Representation, g: dict) -> R
     a = {n: g[n].matmul(rep.a[n]) for n in q.nodes}
     b = {n: rep.b[n].matmul(ginv[n]) for n in q.nodes}
     return Representation(x, a, b)
-
-
-# ---------------------------------------------------------------------------
-# Generic locus membership for deformation-base points
-
-def leg_coordinates(r_tuple) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """(t, lambdas) from the eigenvalue tuple of one leg: r_i = t + sum(lambda_j, j<i)."""
-    rs = [frac(x) for x in r_tuple]
-    t = rs[0]
-    lambdas = tuple(rs[i + 1] - rs[i] for i in range(len(rs) - 1))
-    return t, lambdas
-
-
-def in_H_circ(aux: AuxResult, h: dict) -> bool:
-    """Membership of a per-leg eigenvalue point in the generic locus.
-
-    For every tuple of per-leg coordinate permutations, the induced level
-    vector over the auxiliary nodes (base node: minus the sum of incoming
-    leg offsets; leg node at depth j: minus lambda_j) must avoid every
-    hyperplane indexed by the dimension-bounded box.
-    """
-    loops = list(aux.add_split.loops)
-    for l in loops:
-        expected = aux.v[aux.loop_node(l)]
-        if len(h[l]) != expected:
-            raise ValueError(f"leg {l!r} expects {expected} coordinates")
-    normals = generic_locus_hyperplanes(aux.quiver, aux.v)
-    for combo in itertools.product(*(itertools.permutations(h[l]) for l in loops)):
-        t_of = {}
-        lam_of = {}
-        for l, rs in zip(loops, combo):
-            t_of[l], lam_of[l] = leg_coordinates(rs)
-        level = []
-        for node in aux.quiver.nodes:
-            if node in aux.base_quiver.nodes:
-                level.append(
-                    -sum(
-                        (t_of[l] for l in loops if aux.loop_node(l) == node),
-                        Fraction(0),
-                    )
-                )
-            else:
-                loop_id, depth = node
-                level.append(-lam_of[loop_id][depth - 1])
-        if not is_generic_level(level, normals):
-            return False
-    return True

@@ -70,15 +70,24 @@ def random_scalar_moment_leg(rng: random.Random, n: int) -> tuple[list[Mat], lis
     C_{m-1} D_{m-1} - s_m, for the left inverse L of C_m that solve(C_m^T, I)
     gives and the row z spanning its left kernel. One integer Gauss-Jordan
     elimination of the rows of [C_m^T | den*I] gives both: kernel_rows of
-    its left block, and its right block over the pivots. The draws are the
-    C's, then per level the column [s_m; noise] as one random_matrix.
+    its left block, and its right block over the pivots. The same
+    elimination accepts the draw: C_m is injective exactly when no pivot
+    falls in the right block, and a rejected C_m is drawn again, the
+    random_matrix calls random_injective makes. The draws are the C's, then
+    per level the column [s_m; noise] as one random_matrix.
     """
-    cs = [random_injective(rng, k + 1, k) for k in range(1, n)]
+    cs: list[Mat] = []
+    bases = []
+    for m in range(1, n):
+        while True:
+            c = random_matrix(rng, m + 1, m)
+            basis = _int_basis([*col, *_unit(i, m, c.den)] for i, col in enumerate(zip(*c.num)))
+            if all(p <= m for p in basis):
+                break
+        cs.append(c)
+        bases.append(basis)
     ds: list[Mat] = []
-    for m, c in enumerate(cs, 1):
-        basis = _int_basis([*col, *_unit(i, m, c.den)] for i, col in enumerate(zip(*c.num)))
-        if any(p > m for p in basis):
-            raise ValueError("matrix has no left inverse (not injective)")
+    for m, basis in enumerate(bases, 1):
         ((f, z),) = kernel_rows(basis, m + 1).items()
         # the columns of [L; z] over k_den; L is zero at the free column f
         k_den = lcm(z[f], *(row[p] for p, row in basis.items()))

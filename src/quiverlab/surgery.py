@@ -7,7 +7,6 @@ serializations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -284,17 +283,3 @@ def hgamma_data(q: Quiver, split: ArrowSplit, dims: DimData) -> HGammaData:
         gamma_factors=tuple(factors),
         dim_l=len(split.loops),
     )
-
-
-def generic_locus_hyperplanes(q: Quiver, v) -> tuple[tuple[int, ...], ...]:
-    """All nonzero integer normals u with 0 <= u_i <= v_i, in node order."""
-    return tuple(u for u in itertools.product(*(range(v[n] + 1) for n in q.nodes)) if any(u))
-
-
-def is_generic_level(lam, normals) -> bool:
-    """True when the level avoids every hyperplane sum(u_i * lam_i) = 0."""
-    lam = [Fraction(x) for x in lam]
-    for u in normals:
-        if sum(x * ui for x, ui in zip(lam, u)) == 0:
-            return False
-    return True

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,8 @@ from quiverlab.surgery import (
     default_delta,
     dim_quiver_variety,
     dim_universal_nakajima,
-    generic_locus_hyperplanes,
     half_quiver,
     hgamma_data,
-    is_generic_level,
     lift_stability,
 )
 
@@ -296,6 +295,20 @@ def test_hgamma_examples():
     q3, split3 = arrowless(1)
     hg3 = hgamma_data(q3, split3, DimData({"0": 1}, {"0": 0}))
     assert hg3.dim_h == 1 and hg3.gamma_factors == (1,) and hg3.dim_l == 0
+
+
+def generic_locus_hyperplanes(q: Quiver, v) -> tuple[tuple[int, ...], ...]:
+    """All nonzero integer normals u with 0 <= u_i <= v_i, in node order."""
+    return tuple(u for u in itertools.product(*(range(v[n] + 1) for n in q.nodes)) if any(u))
+
+
+def is_generic_level(lam, normals) -> bool:
+    """True when the level avoids every hyperplane sum(u_i * lam_i) = 0."""
+    lam = [Fraction(x) for x in lam]
+    for u in normals:
+        if sum(x * ui for x, ui in zip(lam, u)) == 0:
+            return False
+    return True
 
 
 def test_generic_locus_hyperplanes():

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from quiverlab.exactlinalg import Mat, charpoly, kernel_basis, reduce_span, solve
+from quiverlab.exactlinalg import Mat, charpoly, kernel_basis, rank, reduce_span, solve
 from quiverlab.quiver import Arrow, ArrowSplit, DimData, Quiver
 from quiverlab.reps import (
     Representation,
@@ -11,11 +12,10 @@ from quiverlab.reps import (
     flag_check,
     flag_check_leg,
     gauge_transform,
-    in_H_circ,
-    leg_coordinates,
     leg_moment_scalars,
     leg_stable,
     moment_map,
+    moment_resolved,
     p_map,
     tau_charpoly,
     zero_representation,
@@ -32,6 +32,8 @@ from quiverlab.sampling import (
 )
 from quiverlab.surgery import build_aux
 from quiverlab.corpus import _jordan, corpus
+from quiverlab.exactlinalg import frac
+from test_quiver import generic_locus_hyperplanes, is_generic_level
 
 
 @pytest.fixture
@@ -265,6 +267,53 @@ def test_tau_gauge_invariance():
                 assert tau_charpoly(e.quiver, e.split, e.dims, moved) == base
 
 
+# Generic-locus membership for deformation-base points. No command needs
+# it; it lives here with the checks of its definition.
+
+def leg_coordinates(r_tuple) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(t, lambdas) from the eigenvalue tuple of one leg: r_i = t + sum(lambda_j, j<i)."""
+    rs = [frac(x) for x in r_tuple]
+    t = rs[0]
+    lambdas = tuple(rs[i + 1] - rs[i] for i in range(len(rs) - 1))
+    return t, lambdas
+
+
+def in_H_circ(aux, h: dict) -> bool:
+    """Membership of a per-leg eigenvalue point in the generic locus.
+
+    For every tuple of per-leg coordinate permutations, the induced level
+    vector over the auxiliary nodes (base node: minus the sum of incoming
+    leg offsets; leg node at depth j: minus lambda_j) must avoid every
+    hyperplane indexed by the dimension-bounded box.
+    """
+    loops = list(aux.add_split.loops)
+    for l in loops:
+        expected = aux.v[aux.loop_node(l)]
+        if len(h[l]) != expected:
+            raise ValueError(f"leg {l!r} expects {expected} coordinates")
+    normals = generic_locus_hyperplanes(aux.quiver, aux.v)
+    for combo in itertools.product(*(itertools.permutations(h[l]) for l in loops)):
+        t_of = {}
+        lam_of = {}
+        for l, rs in zip(loops, combo):
+            t_of[l], lam_of[l] = leg_coordinates(rs)
+        level = []
+        for node in aux.quiver.nodes:
+            if node in aux.base_quiver.nodes:
+                level.append(
+                    -sum(
+                        (t_of[l] for l in loops if aux.loop_node(l) == node),
+                        Fraction(0),
+                    )
+                )
+            else:
+                loop_id, depth = node
+                level.append(-lam_of[loop_id][depth - 1])
+        if not is_generic_level(level, normals):
+            return False
+    return True
+
+
 def test_leg_coordinates_roundtrip():
     t, lam = leg_coordinates((1, 2, 5))
     assert t == 1 and lam == (Fraction(1), Fraction(3))
@@ -487,3 +536,178 @@ def test_scalar_moment_leg_matches_mat_sampler(monkeypatch):
     new = aux_draws()
     monkeypatch.setattr(sampling, "random_scalar_moment_leg", _old_scalar_moment_leg)
     assert aux_draws() == new
+
+
+# ---------------------------------------------------------------------------
+# The integer moment blocks against term-by-term Mat arithmetic
+
+def _mat_moment_map(q, split, dims, rep):
+    # moment_map as it was: one normalised Mat per product, sum and difference
+    mu = {n: rep.a[n].matmul(rep.b[n]) for n in q.nodes}
+    for a_id, astar_id in split.pairs:
+        ar = q.arrow(a_id)
+        mu[ar.head] = mu[ar.head] + rep.x[a_id].matmul(rep.x[astar_id])
+        mu[ar.tail] = mu[ar.tail] - rep.x[astar_id].matmul(rep.x[a_id])
+    for l_id in split.loops:
+        node = q.arrow(l_id).head
+        mu[node] = mu[node] + rep.x[l_id]
+    return mu
+
+
+def _mat_moment_resolved(aux, rep):
+    # moment_resolved as it was: the whole auxiliary moment, leg nodes dropped
+    mu = _mat_moment_map(aux.quiver, aux.split, DimData(aux.v, aux.d), rep)
+    return {n: mu[n] for n in aux.base_quiver.nodes}
+
+
+def _mat_leg_depth_scalars(n, cs, ds):
+    # _leg_depth_scalars as it was: the block as a normalised Mat per depth
+    out = []
+    for depth in range(1, n):
+        m = n - depth
+        block = -ds[m - 1].matmul(cs[m - 1])
+        if m >= 2:
+            block = block + cs[m - 2].matmul(ds[m - 2])
+        out.append(block.scaled_identity_value())
+    return out
+
+
+def _blocks_key(mu):
+    return [(n, m.num, m.den, m.rows, m.cols) for n, m in mu.items()]
+
+
+def _moment_entries():
+    from quiverlab.surgery import build_add
+
+    entries = [_jordan(v) for v in range(1, 7)]
+    entries += [corpus()[name] for name in ("loop2", "a2sym", "framed2")]
+    for e in entries:
+        add_q, add_split = build_add(e.quiver, e.split)
+        yield e, (add_q, add_split), build_aux(e.quiver, e.split, e.dims)
+
+
+def test_moment_blocks_match_mat_reference():
+    # the base, loop-augmented and auxiliary quiver of every entry; the leg
+    # nodes and a2sym's node 1 have d = 0, so their framing term is an
+    # empty product
+    rng = random.Random(71)
+    zero_framing = 0
+    for e, (add_q, add_split), aux in _moment_entries():
+        aux_dims = DimData(aux.v, aux.d)
+        zero_framing += sum(1 for n in aux.quiver.nodes if aux.d[n] == 0)
+        for trial in range(12):
+            for q, split, dims in (
+                (e.quiver, e.split, e.dims),
+                (add_q, add_split, e.dims),
+                (aux.quiver, aux.split, aux_dims),
+            ):
+                rep = random_representation(rng, q, dims)
+                if trial == 0:
+                    rep = zero_representation(q, dims)
+                got = moment_map(q, split, dims, rep)
+                assert list(got) == list(q.nodes)
+                assert _blocks_key(got) == _blocks_key(_mat_moment_map(q, split, dims, rep))
+            rep = random_representation(rng, aux.quiver, aux_dims)
+            got = moment_resolved(aux, rep)
+            assert _blocks_key(got) == _blocks_key(_mat_moment_resolved(aux, rep)), e.name
+    assert zero_framing >= 20
+
+
+def test_moment_resolved_refuses_a_misshaped_leg_arrow():
+    e = _jordan(3)
+    aux = build_aux(e.quiver, e.split, e.dims)
+    rep = random_representation(random.Random(72), aux.quiver, DimData(aux.v, aux.d))
+    rep.x["eps:C1"] = Mat.zero(1, 1)  # a leg arrow away from the base node
+    with pytest.raises(ValueError, match="eps:C1"):
+        moment_resolved(aux, rep)
+
+
+def test_leg_depth_scalars_match_mat_reference():
+    import quiverlab.reps as reps
+
+    rng = random.Random(73)
+    nonscalar = 0
+    for n in range(1, 7):
+        for _ in range(40):
+            cs, ds = random_scalar_moment_leg(rng, n)
+            got = reps._leg_depth_scalars(n, cs, ds)
+            assert got == _mat_leg_depth_scalars(n, cs, ds)
+            assert None not in got and len(got) == n - 1
+            assert all(type(s) is Fraction for s in got)
+            if n == 1:
+                continue
+            # one D perturbed in one entry: the depths it enters stop being
+            # scalar unless the change happens to cancel
+            m = rng.randint(1, n - 1)
+            d = ds[m - 1]
+            rows = [list(row) for row in d.data]
+            rows[rng.randrange(m)][rng.randrange(m + 1)] += Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            bent = ds[: m - 1] + [Mat(rows)] + ds[m:]
+            got = reps._leg_depth_scalars(n, cs, bent)
+            assert got == _mat_leg_depth_scalars(n, cs, bent)
+            nonscalar += None in got
+    assert nonscalar >= 150
+
+
+# ---------------------------------------------------------------------------
+# Refusals: leg-stability read off the flag bases, and chain shapes
+
+def _with_kernel(rng, c):
+    # c with one column replaced by a multiple of another (or zero)
+    rows = [list(row) for row in c.data]
+    j = rng.randrange(c.cols)
+    factor = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    for row in rows:
+        row[j] = factor * row[j - 1] if c.cols > 1 else Fraction(0)
+    return Mat(rows)
+
+
+def test_flag_check_refuses_a_kernel_in_any_single_C():
+    rng = random.Random(74)
+    for n in (3, 4, 5):
+        for k in range(1, n):  # C_1, the middle C's and C_{n-1}
+            for _ in range(5):
+                cs, ds = random_scalar_moment_leg(rng, n)
+                t = random_fraction(rng)
+                assert flag_check(n, cs, ds, t).ok
+                bad = cs[: k - 1] + [_with_kernel(rng, cs[k - 1])] + cs[k:]
+                assert [rank(c) < c.cols for c in bad] == [j == k for j in range(1, n)]
+                with pytest.raises(ValueError, match="leg is not leg-stable: some C has a kernel"):
+                    flag_check(n, bad, ds, t)
+
+
+def test_flag_check_refuses_misshaped_chains():
+    rng = random.Random(75)
+    cs, ds = random_scalar_moment_leg(rng, 4)
+    t = Fraction(1, 2)
+    bad_chains = [
+        (cs[:2] + [cs[2].transpose()], ds),            # C_3 as 3x4
+        (cs, [ds[0].transpose()] + ds[1:]),            # D_1 as 2x1
+        (cs, ds[:1] + [Mat.zero(2, 4)] + ds[2:]),      # D_2 one column too many
+        ([Mat.zero(3, 2)] + cs[1:], ds),               # C_1 with C_2's shape
+        (cs[:2], ds),                                  # one C short
+    ]
+    for bad_cs, bad_ds in bad_chains:
+        with pytest.raises(ValueError):
+            flag_check(4, bad_cs, bad_ds, t)
+    # a 2x2 C_1 and D_1 on n = 2 make every product square
+    with pytest.raises(ValueError, match="C_1 must be 2x1"):
+        flag_check(2, [Mat.identity(2)], [Mat.identity(2)], t)
+
+
+def test_transfer_refuses_a_kernel_in_any_single_C():
+    from quiverlab.stability import check_stability_transfer
+
+    rng = random.Random(76)
+    for v in (3, 4):
+        e = _jordan(v)
+        aux = build_aux(e.quiver, e.split, e.dims)
+        xi = {"0": Fraction(1)}
+        for k in range(1, v):
+            rep, t = random_leg_stable_aux(rng, aux)
+            check_stability_transfer(aux, rep, t, xi)
+            arrow = f"eps:C{k}"
+            rep.x[arrow] = _with_kernel(rng, rep.x[arrow])
+            assert not leg_stable(aux, rep)
+            with pytest.raises(ValueError, match="not leg-stable"):
+                check_stability_transfer(aux, rep, t, xi)
