@@ -4,6 +4,15 @@ A representation stores one matrix per arrow plus framing blocks A (d -> v)
 and B (v -> d) per node. Moment values live in one v x v block per node,
 identifying the dual of the gauge Lie algebra with matrices through the
 trace pairing.
+
+Blocks are summed on integer numerators: each term of a node's moment
+value (A B, X_a X_a* at heads, -X_a* X_a at tails, loop values) is an
+integer product over its own denominator, and the terms are added over
+the lcm of those denominators and brought to lowest terms once per node.
+The resolved moment forms the base nodes' blocks only. A leg depth's
+scalar is decided on the two integer products of its block, and a flag
+check reads leg stability off the flag bases it builds: every C is
+injective exactly when V_k has n-k basis rows for every k.
 """
 
 from __future__ import annotations
