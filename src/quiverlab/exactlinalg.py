@@ -9,6 +9,14 @@ Fractions are made only where entries are read (Mat.data, col_tuple,
 apply, the scalars and the returned bases). Mat(...) coerces and checks
 outside data.
 
+Every sum of rational matrices in the package is one _num_sum: terms
+(integer coefficient, integer rows or the identity, denominator) added
+over the lcm of their denominators, identity terms on the diagonal.
+Mat + and -, the moment blocks, the leg-depth scalars, the flag check's
+shifted maps and the scalar-moment leg sampler all use it, with
+_num_product for the product terms; _scalar_entry is the one test of
+whether an integer block is a scalar.
+
 Vectors and span bases hold Fractions. clear_denominators turns a row
 into integers and one scale, clear_matrix a matrix. Elimination has one
 step, insert_row, which adds an integer row to a Gauss-Jordan basis
@@ -26,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 Vector = tuple  # tuple of Fractions
@@ -134,24 +142,14 @@ class Mat:
         return f"Mat[{body}]"
 
     def __add__(self, other: "Mat") -> "Mat":
-        return self._combine(other, add)
+        self._same_shape(other)
+        terms = [(1, self.num, self.den), (1, other.num, other.den)]
+        return Mat._from_ints(*_num_sum(terms, self.rows), self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self._combine(other, sub)
-
-    def _combine(self, other: "Mat", op) -> "Mat":
-        """self op other for op add or sub, over the lcm of the denominators."""
         self._same_shape(other)
-        den = lcm(self.den, other.den)
-        s, o = den // self.den, den // other.den
-        if s == o == 1:
-            num = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.num, other.num))
-        else:
-            num = tuple(
-                tuple(op(s * a, o * b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.num, other.num)
-            )
-        return Mat._from_ints(num, den, self.cols)
+        terms = [(1, self.num, self.den), (-1, other.num, other.den)]
+        return Mat._from_ints(*_num_sum(terms, self.rows), self.cols)
 
     def __neg__(self) -> "Mat":
         return Mat._from_ints(tuple(tuple(map(neg, row)) for row in self.num), self.den, self.cols)
@@ -178,15 +176,8 @@ class Mat:
 
     def scaled_identity_value(self) -> Fraction | None:
         """The scalar s with self == s*Id, or None if self is not scalar."""
-        n = self.rows
-        if n != self.cols:
-            return None
-        if n == 0:
-            return _ZERO
-        s = self.num[0][0]
-        if any(row != _unit(i, n, s) for i, row in enumerate(self.num)):
-            return None
-        return Fraction(s, self.den)
+        s = _scalar_entry(self.num) if self.rows == self.cols else None
+        return None if s is None else Fraction(s, self.den)
 
     def col_tuple(self, j: int) -> Vector:
         return tuple(Fraction(row[j], self.den) for row in self.num)
@@ -228,6 +219,48 @@ def _num_product(a: Mat, b: Mat) -> tuple:
 def _unit(i: int, n: int, s: int = 1) -> tuple:
     """The length-n integer row with s at i and zeros elsewhere."""
     return (0,) * i + (s,) + (0,) * (n - i - 1)
+
+
+def _product_term(c: int, a: Mat, b: Mat) -> tuple:
+    """c * a @ b as a _num_sum term."""
+    return c, _num_product(a, b), a.den * b.den
+
+
+def _num_sum(terms, n: int) -> tuple[tuple, int]:
+    """(rows, den) with rows / den the sum of c * rows / d over the terms
+    (c, rows, d): integer c, a tuple of equal-length tuples of ints or None
+    for the n x n identity, and d > 0. den is the lcm of the d's and the
+    sum is not yet in lowest terms (Mat._from_ints). The first rows term's
+    factor is applied in the pass that adds the second; identity terms are
+    added on the diagonal; with no rows term the sum is n x n."""
+    den = lcm(*(d for _, _, d in terms))
+    acc, g, diag = None, 1, 0
+    for c, rows, d in terms:
+        f = c * (den // d)
+        if rows is None:
+            diag += f
+        elif acc is None:
+            acc, g = rows, f
+        else:
+            acc = [tuple(g * a + f * b for a, b in zip(r, s)) for r, s in zip(acc, rows)]
+            g = 1
+    if acc is None:
+        return tuple(_unit(i, n, diag) for i in range(n)), den
+    if g != 1:
+        acc = [tuple(g * a for a in row) for row in acc]
+    if diag:
+        acc = [(*row[:i], row[i] + diag, *row[i + 1 :]) for i, row in enumerate(acc)]
+    return tuple(acc), den
+
+
+def _scalar_entry(rows) -> int | None:
+    """s when the square integer rows (tuples) are s times the identity,
+    else None; 0 for the empty block."""
+    n = len(rows)
+    if not n:
+        return 0
+    s = rows[0][0]
+    return s if all(row == _unit(i, n, s) for i, row in enumerate(rows)) else None
 
 
 def clear_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -365,7 +398,7 @@ def charpoly(m: Mat) -> tuple[Fraction, ...]:
     n = m.rows
     b, s = m.num, m.den
     coeffs = [_ONE]
-    mk_cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    mk_cols = [_unit(j, n) for j in range(n)]
     for k in range(1, n + 1):
         am = [[sum(map(mul, row, col)) for col in mk_cols] for row in b]
         bk = -sum(am[i][i] for i in range(n)) // k

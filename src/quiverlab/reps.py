@@ -5,28 +5,30 @@ and B (v -> d) per node. Moment values live in one v x v block per node,
 identifying the dual of the gauge Lie algebra with matrices through the
 trace pairing.
 
-Blocks are summed on integer numerators: each term of a node's moment
-value (A B, X_a X_a* at heads, -X_a* X_a at tails, loop values) is an
-integer product over its own denominator, and the terms are added over
-the lcm of those denominators and brought to lowest terms once per node.
-The resolved moment forms the base nodes' blocks only. A leg depth's
-scalar is decided on the two integer products of its block, and a flag
-check reads leg stability off the flag bases it builds: every C is
-injective exactly when V_k has n-k basis rows for every k.
+Blocks are summed on integer numerators by exactlinalg._num_sum: each
+term of a node's moment value (A B, X_a X_a* at heads, -X_a* X_a at
+tails, loop values, t*id) is an integer product or block over its own
+denominator, and the sum is brought to lowest terms once per node. The
+resolved moment forms the base nodes' blocks only. A leg depth's scalar
+is decided on the integer sum of its two products, and a flag check
+builds each level's shifted map the same way and reads leg stability
+off the flag bases it builds: every C is injective exactly when V_k has
+n-k basis rows for every k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add, mul, neg, sub
+from operator import mul
 
 from .exactlinalg import (
     Mat,
     _int_basis,
-    _num_product,
+    _num_sum,
+    _product_term,
     _reduce,
+    _scalar_entry,
     _unit,
     charpoly,
     frac,
@@ -71,37 +73,9 @@ def validate_shapes(q: Quiver, dims: DimData, rep: Representation):
             raise ValueError(f"B block at {n!r} has wrong shape")
 
 
-def _product_term(sign: int, a: Mat, b: Mat) -> tuple:
-    """sign * a @ b as a block-sum term (sign, integer rows, denominator)."""
-    return sign, _num_product(a, b), a.den * b.den
-
-
-def _scalar_term(s: Fraction, n: int) -> tuple:
-    """s * id_n as a block-sum term."""
-    p, q = s.as_integer_ratio()
-    return 1, tuple(_unit(i, n, p) for i in range(n)), q
-
-
-def _block_sum(terms: list, n: int) -> Mat:
-    """The n x n Mat sum of sign * rows / den over the terms (sign, rows,
-    den): integer rows over the lcm of the dens, in lowest terms once."""
-    den = lcm(*(d for _, _, d in terms))
-    acc = None
-    for sign, rows, d in terms:
-        f = den // d
-        if f != 1:
-            rows = [tuple(map(f.__mul__, row)) for row in rows]
-        if acc is None:
-            acc = rows if sign > 0 else [tuple(map(neg, row)) for row in rows]
-        else:
-            op = add if sign > 0 else sub
-            acc = [tuple(map(op, r, s)) for r, s in zip(acc, rows)]
-    return Mat._from_ints(tuple(acc), den, n)
-
-
 def _moment_blocks(q: Quiver, split: ArrowSplit, v: dict, rep: Representation, nodes) -> dict:
     """The moment values at the given nodes only, in their order; each one
-    block sum of integer products."""
+    _num_sum of integer products."""
     terms = {n: [_product_term(1, rep.a[n], rep.b[n])] for n in nodes}
     for a_id, astar_id in split.pairs:
         ar = q.arrow(a_id)
@@ -115,7 +89,7 @@ def _moment_blocks(q: Quiver, split: ArrowSplit, v: dict, rep: Representation, n
         if node in terms:
             m = rep.x[l_id]
             terms[node].append((1, m.num, m.den))
-    return {n: _block_sum(ts, v[n]) for n, ts in terms.items()}
+    return {n: Mat._from_ints(*_num_sum(ts, v[n]), v[n]) for n, ts in terms.items()}
 
 
 def moment_map(q: Quiver, split: ArrowSplit, dims: DimData, rep: Representation) -> dict:
@@ -162,24 +136,17 @@ def _leg_depth_scalars(n: int, cs: list[Mat], ds: list[Mat]) -> list:
     """Moment scalar at each leg depth 1..n-1, None where the block is not scalar.
 
     Depth j has dimension n-j; its moment value is C_{m-1} D_{m-1} - D_m C_m
-    at m = n-j. With C_{m-1} D_{m-1} = P / p and D_m C_m = Q / q as integer
-    products, the block is (q*P - p*Q) / (p*q), decided on those integers.
-    The chain must be well shaped (_check_chain).
+    at m = n-j, one _num_sum of the two integer products, whose scalar test
+    runs on integers. The chain must be well shaped (_check_chain).
     """
     out = []
     for depth in range(1, n):
         m = n - depth
-        c, d = cs[m - 1], ds[m - 1]
-        dc, q = _num_product(d, c), d.den * c.den
-        if m >= 2:
-            c, d = cs[m - 2], ds[m - 2]
-            cd, p = _num_product(c, d), c.den * d.den
-        else:
-            cd, p = ((0,) * m,) * m, 1
-        rows = [tuple(q * a - p * b for a, b in zip(r1, r2)) for r1, r2 in zip(cd, dc)]
-        s = rows[0][0]
-        scalar = all(row == _unit(i, m, s) for i, row in enumerate(rows))
-        out.append(Fraction(s, p * q) if scalar else None)
+        terms = [_product_term(1, cs[m - 2], ds[m - 2])] if m >= 2 else []
+        terms.append(_product_term(-1, ds[m - 1], cs[m - 1]))
+        rows, den = _num_sum(terms, m)
+        s = _scalar_entry(rows)
+        out.append(None if s is None else Fraction(s, den))
     return out
 
 
@@ -211,11 +178,12 @@ def p_map(aux: AuxResult, rep: Representation, t: dict) -> Representation:
     for loop_id in aux.add_split.loops:
         node = aux.loop_node(loop_id)
         n = aux.v[node]
-        terms = [_scalar_term(frac(t[loop_id]), n)]
+        p, q = frac(t[loop_id]).as_integer_ratio()
+        terms = [(p, None, q)]
         if aux.leg_length(loop_id) > 0:
             cs, ds = leg_chains(aux, rep, loop_id)
             terms.append(_product_term(1, cs[-1], ds[-1]))
-        x[loop_id] = _block_sum(terms, n)
+        x[loop_id] = Mat._from_ints(*_num_sum(terms, n), n)
     a = {nd: rep.a[nd] for nd in aux.base_quiver.nodes}
     b = {nd: rep.b[nd] for nd in aux.base_quiver.nodes}
     return Representation(x, a, b)
@@ -243,8 +211,9 @@ def check_compare_moment(aux: AuxResult, rep: Representation, t: dict) -> bool:
             Fraction(0),
         )
         mu = mu_res[node]
-        expected = _block_sum([(1, mu.num, mu.den), _scalar_term(t_sum, mu.rows)], mu.rows)
-        if mu_add[node] != expected:
+        p, q = t_sum.as_integer_ratio()
+        expected = _num_sum([(1, mu.num, mu.den), (p, None, q)], mu.rows)
+        if mu_add[node] != Mat._from_ints(*expected, mu.cols):
             return False
     return True
 
@@ -300,17 +269,13 @@ def flag_check(n: int, cs: list[Mat], ds: list[Mat], t) -> FlagReport:
     flags = [normalise_basis(b) for b in bases]
 
     # e_k = t + lambda_1 + ... + lambda_k is the scalar X must induce on
-    # V_k / V_{k+1}, and X - e_k = C_{n-1} D_{n-1} + (t - e_k) id. With
-    # C_{n-1} D_{n-1} = P / den and t - e_k = p / q, the integer rows
-    # q*P + p*den*id are (q*den) * (X - e_k), built once per level.
+    # V_k / V_{k+1}, and X - e_k = C_{n-1} D_{n-1} + (t - e_k) id, one
+    # _num_sum per level: integer rows, a positive multiple of X - e_k.
     # A vector v of V_k passes when (X - e_k) v lies in V_{k+1}. V_{k+1}
     # lies in V_k, so X v lies in V_k exactly when (X - e_k) v does, and
     # only a failing vector needs that test. Both run on integer rows: a
     # basis row of V_k is a multiple of its RREF vector
-    if n >= 2:
-        prod, den = _num_product(cs[-1], ds[-1]), cs[-1].den * ds[-1].den
-    else:
-        prod, den = ((0,),), 1
+    prod = [_product_term(1, cs[-1], ds[-1])] if n >= 2 else []
     preserved = True
     violations = []
     scalars = []
@@ -320,9 +285,7 @@ def flag_check(n: int, cs: list[Mat], ds: list[Mat], t) -> FlagReport:
             shift -= lambdas[k - 1]
         scalars.append(t - shift)
         p, q = shift.as_integer_ratio()
-        shifted = [[q * a for a in row] for row in prod]
-        for i, row in enumerate(shifted):
-            row[i] += p * den
+        shifted, _ = _num_sum([*prod, (p, None, q)], n)
         vnext = bases[k + 1] if k + 1 < n else {}
         for (_, row), vec in zip(sorted(bases[k].items()), flags[k]):
             image = [sum(map(mul, r, row)) for r in shifted]

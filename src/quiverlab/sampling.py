@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .exactlinalg import Mat, _int_basis, _unit, kernel_rows, rank
+from .exactlinalg import Mat, _int_basis, _num_sum, _product_term, _unit, kernel_rows, rank
 from .quiver import DimData, Quiver
 from .reps import Representation
 from .surgery import AuxResult, leg_arrow_c, leg_arrow_d
@@ -96,12 +96,10 @@ def random_scalar_moment_leg(rng: random.Random, n: int) -> tuple[list[Mat], lis
             k_cols[p][:m] = [k_den // row[p] * x for x in row[m + 1 :]]
         drawn = random_matrix(rng, m + 1, 1)
         (s,), *noise = drawn.num
-        prod = cs[m - 2].matmul(ds[m - 2]) if m >= 2 else Mat.zero(1, 1)
-        den = lcm(prod.den, drawn.den)
-        a, b = den // prod.den, den // drawn.den
-        left = [[a * x for x in row] + [b * y] for row, (y,) in zip(prod.num, noise)]
-        for i in range(m):
-            left[i][i] -= b * s
+        terms = [_product_term(1, cs[m - 2], ds[m - 2])] if m >= 2 else []
+        rows, den = _num_sum([*terms, (-s, None, drawn.den)], m)
+        b = den // drawn.den
+        left = [(*row, b * y) for row, (y,) in zip(rows, noise)]
         num = tuple(tuple(sum(map(mul, row, col)) for col in k_cols) for row in left)
         ds.append(Mat._from_ints(num, den * k_den, m + 1))
     return cs, ds

@@ -45,6 +45,7 @@ from typing import NamedTuple
 
 from .exactlinalg import (
     _reduce,
+    _unit,
     clear_denominators,
     frac,
     in_span,
@@ -325,16 +326,13 @@ def destabilizer_search(
     if not modes:
         return None
 
-    def unit(vn, j):
-        return [int(i == j) for i in range(vn)]
-
     # systematic phase: every single coordinate line (and the bare framing
     # span), then random coordinate subsets / vector seeds
     systematic = [(m, {}) for m in modes if m]
     for m in modes:
         for n in q.nodes:
             for j in range(dims.v[n]):
-                systematic.append((m, {n: [unit(dims.v[n], j)]}))
+                systematic.append((m, {n: [_unit(j, dims.v[n])]}))
 
     form = _integer_rep(q, rep)
     core = _core(form, dims) if False in modes else None
@@ -352,7 +350,7 @@ def destabilizer_search(
                     continue
                 if rng.random() < 0.5:
                     chosen = [j for j in range(vn) if rng.random() < 0.4]
-                    seeds[n] = [unit(vn, j) for j in chosen]
+                    seeds[n] = [_unit(j, vn) for j in chosen]
                 else:
                     count = rng.randint(0, max(0, vn - 1))
                     seeds[n] = [[rng.randint(-3, 3) for _ in range(vn)] for _ in range(count)]

@@ -160,13 +160,15 @@ class FixedCandidate:
         One signed sum over the graded blocks (module docstring): arrow and
         framing blocks count +1, the adjoint blocks V_n -> V_n count -1.
         The zero character survives with net multiplicity equal to the
-        dimension of the candidate itself.
+        dimension of the candidate itself, when that is nonzero; no
+        character is kept with multiplicity zero.
         """
         if self._tangent is not None:
             return self._tangent
         g, zero = self.grading, zero_char(self.action.rank)
         if self.trivial:
-            self._tangent = Counter({zero: dim_quiver_variety(self.base, self.base_dims)})
+            dim = dim_quiver_variety(self.base, self.base_dims)
+            self._tangent = Counter({zero: dim} if dim else {})
             return self._tangent
         chars, framing = self.resolved
         frame = {zero: 1}  # the framing space W as a weight-0 node
@@ -220,9 +222,7 @@ def _derived_quiver(q, split, grading, chars, framing):
     }
     d = {nd: len(slots) for nd, slots in framing_slots.items()}
     quiver = Quiver(tuple(v), tuple(arrows))
-    dsplit = ArrowSplit(tuple(pairs), tuple(loops))
-    dsplit.validate(quiver)
-    return quiver, dsplit, v, d, framing_slots
+    return quiver, ArrowSplit(tuple(pairs), tuple(loops)), v, d, framing_slots
 
 
 def _candidate(q, split, dims, act, sigma, grading, resolved, trivial=False) -> FixedCandidate:
@@ -285,11 +285,12 @@ def fixed_components(
         raise ValueError("cocharacter has wrong rank")
     if act.rank == 0 or not any(sigma):
         # the zero cocharacter pairs no arrow copies, so swapped pairs pass
-        if not self_dual_check(q, split, dims, act):
+        resolved = _resolved(q, split, act)
+        if not _arrows_self_dual(q, dims.v, resolved[0]):
             raise ValueError("action is not self-dual")
         zero = zero_char(act.rank)
         grading = {n: {zero: dims.v[n]} for n in q.nodes}
-        return [_candidate(q, split, dims, act, sigma, grading, _resolved(q, split, act), trivial=True)]
+        return [_candidate(q, split, dims, act, sigma, grading, resolved, trivial=True)]
     # the derived quiver pairs the copies of a and a* only when their
     # characters are opposite; loops carry zero, so the action is self-dual
     for a_id, astar_id in split.pairs:

@@ -127,6 +127,21 @@ def test_fixed_cli(corpus_files, capsys):
     assert all(c["self_dual"] for c in doc["candidates"])
 
 
+def test_fixed_cli_zero_sigma_drops_zero_multiplicity(tmp_path, capsys):
+    e = corpus()["jordan2"]
+    dims = DimData({"0": 1}, {"0": 0})
+    action = dataclasses.replace(e.action, framing_chars={"0": ()})
+    p = tmp_path / "jordan1.json"
+    p.write_text(dumps_canonical(quiver_to_json(e.quiver, e.split, dims, action, (1,))))
+    tangents = []
+    for sigma in ("0", "1"):
+        assert main(["--format", "json", "fixed", str(p), "--sigma", sigma]) == 0
+        (cand,) = json.loads(capsys.readouterr().out)["candidates"]
+        assert (cand["name"], cand["dim_fixed"]) == ("0[0x1]", 0)
+        tangents.append(cand["tangent"])
+    assert tangents == [[], []]
+
+
 def test_stab_table_cli(corpus_files, capsys):
     assert main(["--format", "json", "stab-table", corpus_files["a2sym"], "--xi", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)

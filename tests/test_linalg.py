@@ -6,6 +6,8 @@ import pytest
 
 from quiverlab.exactlinalg import (
     Mat,
+    _num_sum,
+    _scalar_entry,
     charpoly,
     frac,
     in_span,
@@ -477,6 +479,88 @@ def test_integer_mat_matches_fraction_reference():
         assert a - a == Mat.zero(r, c) and (a - a).den == 1
         assert 0 * a == Mat.zero(r, c) and hash(0 * a) == hash(Mat.zero(r, c))
     assert seen == {"rows", "cols"}
+
+
+def test_num_sum_matches_fraction_sums():
+    rng = random.Random(60)
+    seen = set()
+    for _ in range(600):
+        n = rng.choice((0, 1, 1, 2, 3, 4))
+        square = rng.random() < 0.7
+        cols = n if square else rng.randint(0, 4)
+        kind = rng.choice(("equal", "coprime", "any"))
+        count = rng.randint(1, 4)
+        if kind == "equal":
+            dens = [rng.randint(1, 12)] * count
+        elif kind == "coprime":
+            dens = rng.sample((1, 2, 3, 5, 7, 11, 13), count)
+        else:
+            dens = [rng.randint(1, 12) for _ in range(count)]
+        terms, expected = [], [[Fraction(0)] * cols for _ in range(n)]
+        for d in dens:
+            c = rng.choice((0, 1, -1, rng.randint(-50, 50)))
+            if square and rng.random() < 0.3:
+                rows = None
+                entries = [[int(i == j) for j in range(n)] for i in range(n)]
+            else:
+                rows = tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(n))
+                entries = rows
+            terms.append((c, rows, d))
+            for i in range(n):
+                for j in range(cols):
+                    expected[i][j] += Fraction(c * entries[i][j], d)
+            seen.add({0: "zero", 1: "one", -1: "minus one"}.get(c, "other"))
+            seen.add("identity" if rows is None else "rows")
+        got, den = _num_sum(terms, n)
+        assert den == lcm(*dens)
+        assert isinstance(got, tuple) and len(got) == n
+        assert all(type(row) is tuple and len(row) == cols for row in got)
+        assert all(type(a) is int for row in got for a in row)
+        assert [[Fraction(a, den) for a in row] for row in got] == expected
+        seen.update({f"{n}x{cols}", kind})
+        seen.add("identity only" if all(rows is None for _, rows, _ in terms) else "mixed")
+    assert {"zero", "one", "minus one", "other", "identity", "rows", "identity only",
+            "equal", "coprime", "0x0", "1x1"} <= seen, seen
+
+
+def test_scalar_entry_matches_fraction_reference():
+    rng = random.Random(61)
+    counts = {"scalar": 0, "not scalar": 0}
+    for _ in range(400):
+        n = rng.randint(0, 4)
+        s = rng.choice((0, 1, -1, rng.randint(-9, 9)))
+        rows = [[s * (i == j) for j in range(n)] for i in range(n)]
+        if n and rng.random() < 0.5:
+            # near-scalar: one entry moved by one
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] += rng.choice((-1, 1))
+        ints = tuple(map(tuple, rows))
+        expected = _fraction_scalar(rows)
+        assert _scalar_entry(ints) == expected
+        counts["scalar" if expected is not None else "not scalar"] += 1
+        den = rng.randint(1, 9)
+        got = Mat._from_ints(ints, den, n).scaled_identity_value()
+        assert got == (None if expected is None else Fraction(expected, den))
+    assert _scalar_entry(()) == 0 and min(counts.values()) >= 100, counts
+    assert Mat.zero(0, 0).scaled_identity_value() == 0
+    assert Mat.zero(2, 3).scaled_identity_value() is None
+    assert Mat([[2, 0, 0], [0, 2, 0]]).scaled_identity_value() is None
+
+
+def test_mat_sum_refuses_mismatched_shapes():
+    pairs = [
+        (Mat.zero(2, 3), Mat.zero(3, 2)),
+        (Mat.zero(2, 2), Mat.zero(2, 3)),
+        (Mat.zero(0, 2), Mat.zero(2, 0)),
+        (Mat.zero(0, 1), Mat.zero(0, 2)),
+        (Mat.identity(1), Mat.zero(0, 0)),
+    ]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                x + y
+            with pytest.raises(ValueError, match="shape mismatch"):
+                x - y
 
 
 def test_integer_kernel_matches_sympy():

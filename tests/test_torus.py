@@ -411,11 +411,37 @@ def test_block_view_matches_reference_derived_quiver_and_tangent():
                 quiver, dsplit, v, d, slots
             )
             assert cand.tangent() == _reference_tangent(cand)
+            assert all(cand.tangent().values())
+            # _derived_quiver builds a valid split without checking it
+            cand.split.validate(cand.quiver)
             trivial += cand.trivial
             aligned += any(d.values()) and not cand.trivial
             paired += bool(dsplit.pairs) and not cand.trivial
             looped += bool(dsplit.loops) and not cand.trivial
     assert trivial >= 40 and min(aligned, paired, looped) >= 150, (trivial, aligned, paired, looped)
+
+
+def test_framed2_derived_splits_are_valid():
+    e = corpus()["framed2"]
+    steps = (1, 2, 3, -1, -2, -3)
+    count = 0
+    for sigma in itertools.product(steps, repeat=e.action.rank):
+        for cand in fixed_components(e.quiver, e.split, e.dims, e.action, sigma, e.window):
+            cand.split.validate(cand.quiver)
+            count += 1
+    assert count >= 36, count
+
+
+def test_trivial_candidate_keeps_no_zero_multiplicity():
+    # a Jordan quiver with v = 1, d = 0 has dim X = 0: its one candidate
+    # has an empty tangent at the zero cocharacter and at a nonzero one
+    q = Quiver(("0",), (Arrow("eps", "0", "0"),))
+    split, dims = ArrowSplit((), ("eps",)), DimData({"0": 1}, {"0": 0})
+    act = TorusAction(1, {}, {"0": ()})
+    for sigma, trivial in (((0,), True), ((1,), False)):
+        (cand,) = fixed_components(q, split, dims, act, sigma)
+        assert (cand.trivial, cand.name(), cand.dim_fixed()) == (trivial, "0[0x1]", 0)
+        assert dict(cand.tangent()) == {}
 
 
 def test_nonzero_tangent_is_built_once_and_drops_only_zero():
