@@ -231,9 +231,10 @@ def _num_sum(terms, n: int) -> tuple[tuple, int]:
     (c, rows, d): integer c, a tuple of equal-length tuples of ints or None
     for the n x n identity, and d > 0. den is the lcm of the d's and the
     sum is not yet in lowest terms (Mat._from_ints). The first rows term's
-    factor is applied in the pass that adds the second; identity terms are
-    added on the diagonal; with no rows term the sum is n x n."""
-    den = lcm(*(d for _, _, d in terms))
+    factor is applied in the pass that adds the second, so a two-term sum
+    is one pass; identity terms are added on the diagonal; with no rows
+    term the sum is n x n."""
+    den = lcm(*[d for _, _, d in terms])
     acc, g, diag = None, 1, 0
     for c, rows, d in terms:
         f = c * (den // d)
@@ -242,12 +243,12 @@ def _num_sum(terms, n: int) -> tuple[tuple, int]:
         elif acc is None:
             acc, g = rows, f
         else:
-            acc = [tuple(g * a + f * b for a, b in zip(r, s)) for r, s in zip(acc, rows)]
+            acc = [tuple([g * a + f * b for a, b in zip(r, s)]) for r, s in zip(acc, rows)]
             g = 1
     if acc is None:
         return tuple(_unit(i, n, diag) for i in range(n)), den
     if g != 1:
-        acc = [tuple(g * a for a in row) for row in acc]
+        acc = [tuple([g * a for a in row]) for row in acc]
     if diag:
         acc = [(*row[:i], row[i] + diag, *row[i + 1 :]) for i, row in enumerate(acc)]
     return tuple(acc), den
