@@ -432,18 +432,6 @@ def test_framed2_derived_splits_are_valid():
     assert count >= 36, count
 
 
-def test_trivial_candidate_keeps_no_zero_multiplicity():
-    # a Jordan quiver with v = 1, d = 0 has dim X = 0: its one candidate
-    # has an empty tangent at the zero cocharacter and at a nonzero one
-    q = Quiver(("0",), (Arrow("eps", "0", "0"),))
-    split, dims = ArrowSplit((), ("eps",)), DimData({"0": 1}, {"0": 0})
-    act = TorusAction(1, {}, {"0": ()})
-    for sigma, trivial in (((0,), True), ((1,), False)):
-        (cand,) = fixed_components(q, split, dims, act, sigma)
-        assert (cand.trivial, cand.name(), cand.dim_fixed()) == (trivial, "0[0x1]", 0)
-        assert dict(cand.tangent()) == {}
-
-
 def test_nonzero_tangent_is_built_once_and_drops_only_zero():
     rng = random.Random(19)
     cands = []
