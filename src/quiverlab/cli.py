@@ -90,8 +90,7 @@ def _emit(payload: dict, fmt: str, lines=None):
     if fmt == "json":
         sys.stdout.write(dumps_canonical(payload))
     else:
-        for line in lines if lines is not None else [dumps_canonical(payload).rstrip()]:
-            print(line)
+        print(*lines, sep="\n")
 
 
 def _parse_vector(text: str, flag: str, size: int, entry=int) -> tuple:
@@ -346,8 +345,8 @@ def _load_rep(path: str, symmetric: bool = True):
     if not (isinstance(doc, dict) and "quiver" in doc and "representation" in doc):
         raise InputError("representation file needs 'quiver' and 'representation'")
     try:
-        qdoc = _object(doc, "quiver", required=True)
-        rdoc = _object(doc, "representation", required=True)
+        qdoc = _object(doc, "quiver", "a representation file")
+        rdoc = _object(doc, "representation", "a representation file")
     except ValueError as e:
         raise InputError(f"{path}: {e}")
     q, split, dims, _, _ = _parse_problem(qdoc, path, symmetric)
@@ -438,11 +437,14 @@ def cmd_verify(args) -> int:
     _check_positive(args.samples, "--samples")
     delta = None
     if args.delta is not None:
-        # validate the override on every transfer entry before any suite starts
+        try:
+            delta = frac(args.delta)
+        except ValueError:
+            raise InputError(f"--delta needs a rational, got {args.delta!r}")
+        # check the override on every transfer entry before any suite starts
         for e in map(corpus().get, TRANSFER_QUIVERS):
             aux = build_aux(e.quiver, e.split, e.dims)
             try:
-                delta = frac(args.delta)
                 lift_stability({n: 1 for n in e.quiver.nodes}, aux, delta)
             except ValueError as exc:
                 raise InputError(f"delta override rejected for {e.name}: {exc}")

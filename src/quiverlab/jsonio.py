@@ -131,16 +131,22 @@ def _rational(field: str, key, x):
         raise ValueError(f"{field!r} entry {key!r} needs an exact rational, got {x!r}") from None
 
 
-def _object(doc: dict, key: str, required: bool = False) -> dict:
-    # an absent optional key reads as an empty object
-    value = doc[key] if required else doc.get(key, {})
+def _object(doc: dict, key: str, owner: str | None = None) -> dict:
+    # owner, the name of doc, makes the key required; else an absent key reads as {}
+    try:
+        value = doc.get(key, {}) if owner is None else doc[key]
+    except KeyError:
+        raise ValueError(f"{owner} needs key {key!r}") from None
     if not isinstance(value, dict):
         raise ValueError(f"{key!r} needs a JSON object, got {value!r}")
     return value
 
 
 def _list(doc: dict, key: str) -> list:
-    value = doc[key]
+    try:
+        value = doc[key]
+    except KeyError:
+        raise ValueError(f"a quiver needs key {key!r}") from None
     if not isinstance(value, list):
         raise ValueError(f"{key!r} needs a JSON list, got {value!r}")
     return value
@@ -149,10 +155,13 @@ def _list(doc: dict, key: str) -> list:
 def _arrow_from_json(doc) -> Arrow:
     if not isinstance(doc, dict):
         raise ValueError(f"'arrows' entry needs a JSON object, got {doc!r}")
-    aid = doc["id"]
-    if not isinstance(aid, str):
-        raise ValueError(f"'id' needs an arrow id string, got {aid!r}")
-    return Arrow(aid, node_from_json(doc["tail"], "tail"), node_from_json(doc["head"], "head"))
+    try:
+        aid = doc["id"]
+        if not isinstance(aid, str):
+            raise ValueError(f"'id' needs an arrow id string, got {aid!r}")
+        return Arrow(aid, node_from_json(doc["tail"], "tail"), node_from_json(doc["head"], "head"))
+    except KeyError as e:
+        raise ValueError(f"'arrows' entry needs key {e.args[0]!r}") from None
 
 
 def quiver_from_json(doc: dict):
@@ -214,7 +223,10 @@ def quiver_from_json(doc: dict):
             if not (isinstance(chars, list) and all(isinstance(c, list) for c in chars)):
                 raise ValueError(f"'framing_chars' entry {k!r} needs a list of lists, got {chars!r}")
             framing_chars[_named(keys, "framing_chars", k)] = tuple(map(tuple, chars))
-        action = TorusAction(adoc["rank"], arrow_chars, framing_chars)
+        try:
+            action = TorusAction(adoc["rank"], arrow_chars, framing_chars)
+        except KeyError:
+            raise ValueError("'action' needs key 'rank'") from None
 
     sigma = None
     if "sigma" in doc:
@@ -240,10 +252,10 @@ def rep_from_json(q: Quiver, doc: dict):
     by_str = {str(a.id): a.id for a in q.arrows}
     x = {
         _named(by_str, "arrows", s, "arrow"): mat_from_json(m, "arrows", s)
-        for s, m in _object(doc, "arrows", required=True).items()
+        for s, m in _object(doc, "arrows", "a representation").items()
     }
-    a = {_named(keys, "A", k): mat_from_json(m, "A", k) for k, m in _object(doc, "A", required=True).items()}
-    b = {_named(keys, "B", k): mat_from_json(m, "B", k) for k, m in _object(doc, "B", required=True).items()}
+    a = {_named(keys, "A", k): mat_from_json(m, "A", k) for k, m in _object(doc, "A", "a representation").items()}
+    b = {_named(keys, "B", k): mat_from_json(m, "B", k) for k, m in _object(doc, "B", "a representation").items()}
     t = None
     if "t" in doc:
         t = {_named(by_str, "t", s, "arrow"): _rational("t", s, v) for s, v in _object(doc, "t").items()}

@@ -137,8 +137,7 @@ class FixedCandidate:
     # the action's arrow and framing characters, resolved once per
     # enumeration (_resolved); read by the tangent and the induced action
     resolved: tuple = field(repr=False, compare=False)
-    trivial: bool = False
-    _tangent: Counter | None = field(default=None, repr=False)
+    _tangent: Counter | None = field(default=None, repr=False, compare=False)
     _nonzero: Counter | None = field(default=None, repr=False, compare=False)
 
     def name(self) -> str:
@@ -152,7 +151,10 @@ class FixedCandidate:
         return " ".join(parts)
 
     def dim_fixed(self) -> int:
-        return dim_quiver_variety(self.quiver, DimData(self.v, self.d))
+        """dim F: the tangent's zero-character multiplicity. The
+        zero-character blocks are exactly the derived quiver (module
+        docstring), so this is its dim R - dim G."""
+        return self.tangent().get(zero_char(self.action.rank), 0)
 
     def tangent(self) -> Counter:
         """Virtual character multiset of the ambient tangent space.
@@ -161,15 +163,12 @@ class FixedCandidate:
         framing blocks count +1, the adjoint blocks V_n -> V_n count -1.
         The zero character survives with net multiplicity equal to the
         dimension of the candidate itself, when that is nonzero; no
-        character is kept with multiplicity zero.
+        character is kept with multiplicity zero. The zero cocharacter's
+        candidate is built with its tangent given (fixed_components).
         """
         if self._tangent is not None:
             return self._tangent
         g, zero = self.grading, zero_char(self.action.rank)
-        if self.trivial:
-            dim = dim_quiver_variety(self.base, self.base_dims)
-            self._tangent = Counter({zero: dim} if dim else {})
-            return self._tangent
         chars, framing = self.resolved
         frame = {zero: 1}  # the framing space W as a weight-0 node
         blocks = [(chars[ar.id], 1, g[ar.tail], g[ar.head]) for ar in self.base.arrows]
@@ -198,11 +197,11 @@ class FixedCandidate:
 
 
 def _derived_quiver(q, split, grading, chars, framing):
-    """The zero-character blocks of a grading, as a quiver on the occupied
-    (node, w): a copy (a, w) of each arrow whose head weight w + ch(a) is
-    occupied, and at each (n, w) the framing slots of character w. chars
-    and framing map each arrow and node to its characters, as _resolved
-    gives them."""
+    """The zero-character blocks of a grading, as FixedCandidate's fields
+    quiver, split, v, d, framing_slots in order: a copy (a, w) of each arrow
+    whose head weight w + ch(a) is occupied, and at each occupied (n, w) the
+    framing slots of character w. chars and framing map each arrow and node
+    to its characters, as _resolved gives them."""
     weights = {n: sorted(grading[n]) for n in q.nodes}
     v = {(n, w): grading[n][w] for n in q.nodes for w in weights[n]}
     copies = {}  # arrow id -> {tail weight: head weight} of its copies
@@ -212,9 +211,9 @@ def _derived_quiver(q, split, grading, chars, framing):
         copies[ar.id] = {w: h for w, h in shifted if h in head}
     arrows = [Arrow((ar.id, w), (ar.tail, w), (ar.head, h))
               for ar in q.arrows for w, h in copies[ar.id].items()]
-    # a* carries -ch(a) (fixed_components refuses anything else, and the
-    # trivial derive action is all zero), so every copy's partner exists;
-    # a loop carries zero, so it has a copy at every weight
+    # a* carries -ch(a) (fixed_components refuses anything else, and derives
+    # the zero cocharacter with every character zero), so every copy's
+    # partner exists; a loop carries zero, so it has a copy at every weight
     pairs = [((a, w), (b, h)) for a, b in split.pairs for w, h in copies[a].items()]
     loops = [(l, w) for l in split.loops for w in copies[l]]
     framing_slots = {
@@ -223,19 +222,6 @@ def _derived_quiver(q, split, grading, chars, framing):
     d = {nd: len(slots) for nd, slots in framing_slots.items()}
     quiver = Quiver(tuple(v), tuple(arrows))
     return quiver, ArrowSplit(tuple(pairs), tuple(loops)), v, d, framing_slots
-
-
-def _candidate(q, split, dims, act, sigma, grading, resolved, trivial=False) -> FixedCandidate:
-    derive = resolved
-    if trivial:
-        # the trivial candidate derives its quiver with every character
-        # zero, which relabels the input, but keeps the real action for
-        # its tangent and its induced action
-        zero = zero_char(act.rank)
-        derive = ({ar.id: zero for ar in q.arrows}, {n: (zero,) * dims.d[n] for n in q.nodes})
-    # _derived_quiver returns the fields quiver, split, v, d, framing_slots in order
-    derived = _derived_quiver(q, split, grading, *derive)
-    return FixedCandidate(q, split, dims, act, sigma, grading, *derived, resolved, trivial=trivial)
 
 
 def _components_of(q: Quiver) -> list[set]:
@@ -268,13 +254,14 @@ def fixed_components(
 ) -> list[FixedCandidate]:
     """Enumerate fixed-component candidates for a cocharacter.
 
-    The zero cocharacter yields exactly one candidate, the input itself.
-    Otherwise gradings run over characters with each coordinate inside the
-    window (default: max gauge dimension on both sides). Unframed connected
-    components are normalized by shifting their smallest occupied character
-    to zero, merging gradings that induce the same action; a grading whose
-    graded representation space and framing both vanish is dropped before
-    its candidate is built. An
+    The zero cocharacter yields exactly one candidate, the input itself,
+    derived with every character zero (a relabelling) and given its tangent:
+    dim X directions, all at character zero. Otherwise gradings run over
+    characters with each coordinate inside the window (default: max gauge
+    dimension on both sides). Unframed connected components are normalized
+    by shifting their smallest occupied character to zero, merging gradings
+    that induce the same action; a grading whose graded representation space
+    and framing both vanish is dropped before its candidate is built. An
     invalid or non-self-dual action, paired arrows without opposite
     characters at a nonzero cocharacter, and a window with more than
     MAX_FIXED_GRADINGS gradings are refused up front.
@@ -283,27 +270,29 @@ def fixed_components(
     sigma = tuple(sigma)
     if len(sigma) != act.rank:
         raise ValueError("cocharacter has wrong rank")
+    resolved = chars, framing = _resolved(q, split, act)
     if act.rank == 0 or not any(sigma):
         # the zero cocharacter pairs no arrow copies, so swapped pairs pass
-        resolved = _resolved(q, split, act)
-        if not _arrows_self_dual(q, dims.v, resolved[0]):
+        if not _arrows_self_dual(q, dims.v, chars):
             raise ValueError("action is not self-dual")
         zero = zero_char(act.rank)
         grading = {n: {zero: dims.v[n]} for n in q.nodes}
-        return [_candidate(q, split, dims, act, sigma, grading, resolved, trivial=True)]
+        zeros = {ar.id: zero for ar in q.arrows}, {n: (zero,) * dims.d[n] for n in q.nodes}
+        derived = _derived_quiver(q, split, grading, *zeros)
+        dim = dim_quiver_variety(q, dims)
+        tangent = Counter({zero: dim} if dim else {})
+        return [FixedCandidate(q, split, dims, act, sigma, grading, *derived, resolved, tangent)]
     # the derived quiver pairs the copies of a and a* only when their
     # characters are opposite; loops carry zero, so the action is self-dual
     for a_id, astar_id in split.pairs:
-        ch, ch_star = act.char(a_id, split), act.char(astar_id, split)
+        ch, ch_star = chars[a_id], chars[astar_id]
         if ch_star != char_neg(ch):
             raise ValueError(
                 f"paired arrows {a_id!r} and {astar_id!r} need opposite characters, "
                 f"got {list(ch)} and {list(ch_star)}"
             )
-    if window is None:
-        vmax = max(dims.v[n] for n in q.nodes) if q.nodes else 1
-        window = (-vmax, vmax)
-    lo, hi = window
+    vmax = max((dims.v[n] for n in q.nodes), default=1)
+    lo, hi = window if window is not None else (-vmax, vmax)
     if lo > hi:
         raise ValueError("empty weight window")
     # count before building: the window's characters grow as its width**rank.
@@ -326,8 +315,8 @@ def fixed_components(
     if any(dims.v[n] for n in q.nodes):
         window_chars = list(itertools.product(range(lo, hi + 1), repeat=act.rank))
 
-    components = _components_of(q)
-    framed = [any(dims.d[n] > 0 for n in comp) for comp in components]
+    # the unframed components, whose gradings are normalized by a shift
+    shiftable = [comp for comp in _components_of(q) if not any(dims.d[n] > 0 for n in comp)]
 
     def sort_key(ch: Char):
         return (sum(s * c for s, c in zip(sigma, ch)), ch)
@@ -336,7 +325,6 @@ def fixed_components(
         [Counter(c) for c in itertools.combinations_with_replacement(window_chars, dims.v[n])]
         for n in q.nodes
     ]
-    resolved = chars, framing = _resolved(q, split, act)
     arrow_ends = [(ar.tail, ar.head, chars[ar.id]) for ar in q.arrows]
     framed_at = [(n, set(framing[n])) for n in q.nodes if framing[n]]
     keys = [node_key(n) for n in q.nodes]
@@ -345,10 +333,7 @@ def fixed_components(
     out = []
     for assignment in itertools.product(*per_node_options):
         grading = {n: dict(c) for n, c in zip(q.nodes, assignment)}
-        # normalize shiftable (unframed) components
-        for comp, has_framing in zip(components, framed):
-            if has_framing:
-                continue
+        for comp in shiftable:
             occupied = [ch for n in comp for ch in grading[n]]
             if not occupied:
                 continue
@@ -370,7 +355,8 @@ def fixed_components(
             for tail, head, ch in arrow_ends
             for w in grading[tail]
         ):
-            out.append(_candidate(q, split, dims, act, sigma, grading, resolved))
+            derived = _derived_quiver(q, split, grading, chars, framing)
+            out.append(FixedCandidate(q, split, dims, act, sigma, grading, *derived, resolved))
     return out
 
 

@@ -39,6 +39,17 @@ RANK4_ROOTS_16 = ";".join(
 )
 
 
+# argv on a file missing a required key -> the key and container its error names
+MISSING_KEY = {
+    "analyze inputs/jordan2_rep.json": "a quiver needs key 'nodes'",
+    "analyze tests/data/a2sym_no_arrows.json": "a quiver needs key 'arrows'",
+    "fixed tests/data/a2sym_arrow_no_tail.json": "'arrows' entry needs key 'tail'",
+    "analyze tests/data/a2sym_arrow_no_id.json": "'arrows' entry needs key 'id'",
+    "fixed tests/data/a2sym_action_no_rank.json": "'action' needs key 'rank'",
+    "tau tests/data/jordan2_rep_no_A.json": "a representation needs key 'A'",
+}
+
+
 @pytest.fixture
 def corpus_files(tmp_path):
     paths = {}
@@ -48,6 +59,13 @@ def corpus_files(tmp_path):
         p.write_text(dumps_canonical(doc))
         paths[name] = str(p)
     return paths
+
+
+@pytest.mark.parametrize("name", list(corpus()))
+def test_input_files_are_the_corpus_entries(name):
+    e = corpus()[name]
+    doc = quiver_to_json(e.quiver, e.split, e.dims, e.action, e.sigma, name=name)
+    assert (ROOT / "inputs" / f"{name}.json").read_text() == dumps_canonical(doc)
 
 
 def test_roundtrip_quiver():
@@ -225,8 +243,13 @@ def test_verify_deterministic(capsys):
 
 
 def test_verify_bad_delta_is_input_error(capsys):
-    assert main(["verify", "transfer", "--delta", "1/3", "--samples", "2"]) == 2
-    assert "rejected" in capsys.readouterr().err
+    # a delta over an entry's bound is refused naming the entry
+    _assert_one_error_line(["verify", "transfer", "--delta", "1/3", "--samples", "2"], capsys,
+                           "delta override rejected for jordan2: delta=1/3 violates the bound")
+    # one that is not a rational is refused naming the flag, before any entry
+    for value in ("abc", "1/0"):
+        _assert_one_error_line(["verify", "all", "--delta", value], capsys,
+                               f"error: --delta needs a rational, got {value!r}\n")
 
 
 def test_verify_failure_path(capsys, monkeypatch):
@@ -302,6 +325,34 @@ def test_cb_cli(corpus_files, capsys):
     assert doc["v"]["inf"] == 1 and doc["theta"]["inf"] == "-2"
 
 
+def test_cb_without_theta_is_input_error(tmp_path, capsys):
+    path = _write(tmp_path, "notheta.json", _input_doc("a2sym", theta=None))
+    _assert_one_error_line(["cb", path], capsys, "theta required for the framing absorption")
+
+
+def test_representation_file_without_v_or_theta_is_input_error(tmp_path, capsys):
+    doc = _rep_doc()
+    del doc["quiver"]["v"]
+    path = _write(tmp_path, "nov.json", doc)
+    _assert_one_error_line(["stability", path], capsys, "dimension data required")
+    doc = _rep_doc()
+    del doc["quiver"]["theta"]
+    path = _write(tmp_path, "notheta.json", doc)
+    _assert_one_error_line(["stability", path], capsys,
+                           "no stability condition: give --theta or a 'theta' entry")
+
+
+def test_stability_at_zero_theta_reports_no_verdict(capsys, monkeypatch):
+    # theta = 0 has no sign to search with: no verdict, and a note saying so
+    monkeypatch.chdir(ROOT)
+    assert main(["--format", "json", "stability", "inputs/jordan2_rep.json", "--theta", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["mode"], doc["stable"], "witness" in doc) == ("search", None, False)
+    assert doc["note"] == "no destabilizer found within budget; not a stability proof"
+    assert main(["stability", "inputs/jordan2_rep.json", "--theta", "0"]) == 0
+    assert capsys.readouterr().out == "mode: search\nstable: None\n"
+
+
 def test_stability_cli_mixed_sign_search(tmp_path, capsys):
     e = corpus()["a2sym"]
     zero = {"rows": 1, "cols": 1, "entries": ["0"]}
@@ -361,6 +412,8 @@ def test_stability_cli_mixed_sign_search(tmp_path, capsys):
         ["analyze", "tests/data/a2sym_arrow_chars_int.json"],
         ["fixed", "tests/data/a2sym_framing_chars_flat.json"],
         ["analyze", "tests/data/a2sym_framing_chars_flat.json"],
+        # a required key that is missing
+        *[argv.split() for argv in MISSING_KEY],
     ],
     ids=" ".join,
 )
@@ -370,6 +423,7 @@ def test_malformed_input_is_input_error(argv, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert MISSING_KEY.get(" ".join(argv), "") in captured.err
 
 
 NONSYMMETRIC = ("tests/data/nonsymmetric.json", "tests/data/nonsymmetric_rep.json")
@@ -659,7 +713,7 @@ def test_missing_representation_object_is_named(field, tmp_path, capsys):
     doc = _rep_doc()
     del doc["representation"][field]
     path = _write(tmp_path, "missing.json", doc)
-    _assert_one_error_line(["tau", path], capsys, f"error: {path}: {field!r}\n")
+    _assert_one_error_line(["tau", path], capsys, f"error: {path}: a representation needs key {field!r}\n")
 
 
 @pytest.mark.parametrize("rank", [1.0, True, -1], ids=["float", "bool", "negative"])

@@ -92,12 +92,12 @@ GOLDEN = {
     'export inputs/loop2.json --what cb': '9aadb9af5da9fe68881e071507a9fdb13e219384712d01061de2bd28916b771e',
     'export inputs/loop2.json --what fixed': 'f05726eacade42e682c055758e55a40f56341c92d25205cd4d56ce2b163a8527',
     'export inputs/loop2.json --what chambers': '47bd48aef753d74c7d6fd1e0bff9423d782e9c28ee8e4ddd85f4e4a11cb89f79',
-    'export inputs/jordan2_rep.json --what add': 'ba05454a1a5f8cd597df73b606bdd9748cb6e5fc685bca005d1fa776891843e4',
-    'export inputs/jordan2_rep.json --what rem': 'ba05454a1a5f8cd597df73b606bdd9748cb6e5fc685bca005d1fa776891843e4',
-    'export inputs/jordan2_rep.json --what aux': 'ba05454a1a5f8cd597df73b606bdd9748cb6e5fc685bca005d1fa776891843e4',
-    'export inputs/jordan2_rep.json --what cb': 'ba05454a1a5f8cd597df73b606bdd9748cb6e5fc685bca005d1fa776891843e4',
-    'export inputs/jordan2_rep.json --what fixed': 'ba05454a1a5f8cd597df73b606bdd9748cb6e5fc685bca005d1fa776891843e4',
-    'export inputs/jordan2_rep.json --what chambers': 'ba05454a1a5f8cd597df73b606bdd9748cb6e5fc685bca005d1fa776891843e4',
+    'export inputs/jordan2_rep.json --what add': 'a4c276a1a56fa87162213e8e25e6edc4c160ac1868aebc7d61557c3bfe483395',
+    'export inputs/jordan2_rep.json --what rem': 'a4c276a1a56fa87162213e8e25e6edc4c160ac1868aebc7d61557c3bfe483395',
+    'export inputs/jordan2_rep.json --what aux': 'a4c276a1a56fa87162213e8e25e6edc4c160ac1868aebc7d61557c3bfe483395',
+    'export inputs/jordan2_rep.json --what cb': 'a4c276a1a56fa87162213e8e25e6edc4c160ac1868aebc7d61557c3bfe483395',
+    'export inputs/jordan2_rep.json --what fixed': 'a4c276a1a56fa87162213e8e25e6edc4c160ac1868aebc7d61557c3bfe483395',
+    'export inputs/jordan2_rep.json --what chambers': 'a4c276a1a56fa87162213e8e25e6edc4c160ac1868aebc7d61557c3bfe483395',
     '--format json analyze inputs/a2sym.json': '36b2082b5f9b37a03114c8415c9895e8ab1dcfe6b0f9a014382263fcf0153a1e',
     '--format json aux inputs/a2sym.json': '69f1664ce0c06c5ecb8420dc658bb90734d78caf6d4817e4c6f53d0e37faabc7',
     '--format json cb inputs/a2sym.json': '98a58d44a4427635c5af0a81e646eb35aa2c495569bd74352aadb9c802b3db7d',
