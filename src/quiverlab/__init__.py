@@ -27,7 +27,6 @@ from .reps import (
     TauPoint,
     check_compare_moment,
     flag_check,
-    flag_check_leg,
     gauge_transform,
     leg_stable,
     moment_map,
@@ -43,7 +42,6 @@ from .stability import (
     cogenerated_core,
     destabilizer_search,
     generated_closure,
-    is_stable_signdef,
     stability_report,
     verify_witness,
 )

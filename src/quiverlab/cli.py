@@ -342,8 +342,8 @@ def cmd_triangle(args) -> int:
 
 def _load_rep(path: str, symmetric: bool = True):
     doc = _load_doc(path)
-    if not (isinstance(doc, dict) and "quiver" in doc and "representation" in doc):
-        raise InputError("representation file needs 'quiver' and 'representation'")
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: a representation file needs a JSON object, got {doc!r}")
     try:
         qdoc = _object(doc, "quiver", "a representation file")
         rdoc = _object(doc, "representation", "a representation file")
@@ -368,6 +368,9 @@ def cmd_stability(args) -> int:
         theta = dict(zip(q.nodes, _parse_vector(args.theta, "--theta", len(q.nodes), frac)))
     if not theta:
         raise InputError("no stability condition: give --theta or a 'theta' entry")
+    missing = [node_key(n) for n in q.nodes if n not in theta]
+    if missing:
+        raise InputError(f"{args.file}: 'theta' needs an entry for every node, missing {missing}")
     payload: dict = {"theta": {node_key(n): frac_to_json(theta[n]) for n in q.nodes}}
     try:
         stable, witness = stability_report(q, dims, rep, theta)

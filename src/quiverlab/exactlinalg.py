@@ -171,14 +171,6 @@ class Mat:
         num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
         return Mat._from_ints(num, self.den, self.rows)
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self.num))
-
-    def scaled_identity_value(self) -> Fraction | None:
-        """The scalar s with self == s*Id, or None if self is not scalar."""
-        s = _scalar_entry(self.num) if self.rows == self.cols else None
-        return None if s is None else Fraction(s, self.den)
-
     def col_tuple(self, j: int) -> Vector:
         return tuple(Fraction(row[j], self.den) for row in self.num)
 

@@ -180,7 +180,7 @@ def p_map(aux: AuxResult, rep: Representation, t: dict) -> Representation:
         n = aux.v[node]
         p, q = frac(t[loop_id]).as_integer_ratio()
         terms = [(p, None, q)]
-        if aux.leg_length(loop_id) > 0:
+        if aux.leg_index[loop_id]:
             cs, ds = leg_chains(aux, rep, loop_id)
             terms.append(_product_term(1, cs[-1], ds[-1]))
         x[loop_id] = Mat._from_ints(*_num_sum(terms, n), n)
@@ -202,10 +202,11 @@ def check_compare_moment(aux: AuxResult, rep: Representation, t: dict) -> bool:
     Checks mu^add(assembled rep) = mu^res(aux rep) + (sum of t over loops at
     the node) * id.
     """
-    img = p_map(aux, rep, t)
-    mu_add = moment_map(aux.add_quiver, aux.add_split, aux.base_dims(), img)
-    mu_res = moment_resolved(aux, rep)
-    for node in aux.base_quiver.nodes:
+    img = p_map(aux, rep, t)  # validates rep's shapes; img's follow from them
+    nodes = aux.base_quiver.nodes
+    mu_add = _moment_blocks(aux.add_quiver, aux.add_split, aux.v, img, nodes)
+    mu_res = _moment_blocks(aux.quiver, aux.split, aux.v, rep, nodes)
+    for node in nodes:
         t_sum = sum(
             (frac(t[l]) for l in aux.add_split.loops if aux.loop_node(l) == node),
             Fraction(0),
@@ -303,11 +304,6 @@ def flag_check(n: int, cs: list[Mat], ds: list[Mat], t) -> FlagReport:
         lambdas=tuple(lambdas),
         violations=tuple(violations),
     )
-
-
-def flag_check_leg(aux: AuxResult, rep: Representation, loop_id, t) -> FlagReport:
-    cs, ds = leg_chains(aux, rep, loop_id)
-    return flag_check(aux.v[aux.loop_node(loop_id)], cs, ds, t)
 
 
 # ---------------------------------------------------------------------------

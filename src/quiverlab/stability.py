@@ -90,8 +90,10 @@ class _IntegerRep(NamedTuple):
     b_rows: dict      # node -> the rows of its B block
 
 
-def _integer_rep(q: Quiver, rep: Representation) -> _IntegerRep:
-    """The integer form of a representation whose shapes are validated."""
+def _integer_rep(q: Quiver, dims: DimData, rep: Representation) -> _IntegerRep:
+    """The integer form of a representation whose shapes validate_shapes
+    accepts. Each entry point builds it first, before any other check."""
+    validate_shapes(q, dims, rep)
     arrows_out = {n: [] for n in q.nodes}
     arrows_in = {n: [] for n in q.nodes}
     for ar in q.arrows:
@@ -164,14 +166,14 @@ def generated_closure(
     runs on the integer form of rep; normalise_basis then gives each node
     the canonical basis reduce_span gives.
     """
-    validate_shapes(q, dims, rep)
+    form = _integer_rep(q, dims, rep)
     rows = {}
     for n in q.nodes:
         vecs = [tuple(map(frac, v)) for v in seeds.get(n, ())]
         if any(len(v) != dims.v[n] for v in vecs):
             raise ValueError(f"vector of wrong length at node {n!r}")
         rows[n] = [clear_denominators(v)[0] for v in vecs]
-    bases = _generate(_integer_rep(q, rep), dims, rows, include_framing)
+    bases = _generate(form, dims, rows, include_framing)
     return {n: normalise_basis(bases[n]) for n in q.nodes}
 
 
@@ -182,8 +184,7 @@ def cogenerated_core(q: Quiver, dims: DimData, rep: Representation) -> dict:
     the smallest graded subspace of the dual containing the rows of every
     B block and closed under the transposed arrows.
     """
-    validate_shapes(q, dims, rep)
-    core = _core(_integer_rep(q, rep), dims)
+    core = _core(_integer_rep(q, dims, rep), dims)
     return {n: normalise_basis(core[n]) for n in q.nodes}
 
 
@@ -227,6 +228,7 @@ def verify_witness(
     """Recheck a witness by direct matrix containment, independently of how
     it was produced: arrow invariance, the framing condition for its side
     of the completion, and the recorded pairing value."""
+    validate_shapes(q, dims, rep)
     for n in q.nodes:
         # a basis of the recorded size that spans fewer dimensions is no basis
         basis = w.basis[n]
@@ -256,18 +258,13 @@ def _theta_sign(q: Quiver, theta) -> int:
     return 0
 
 
-def is_stable_signdef(q: Quiver, dims: DimData, rep: Representation, theta) -> bool:
-    """Exact stability for strictly positive or strictly negative theta."""
-    return stability_report(q, dims, rep, theta)[0]
-
-
 def stability_report(q: Quiver, dims: DimData, rep: Representation, theta):
     """(stable, witness) for sign-definite theta; witness is None when stable.
 
     The B-killed core (positive theta) or the closure of the framing images
     (negative theta) destabilizes exactly when it obeys the side rule.
     """
-    validate_shapes(q, dims, rep)
+    form = _integer_rep(q, dims, rep)
     sign = _theta_sign(q, theta)
     if sign == 0:
         raise MixedSignTheta(
@@ -275,7 +272,6 @@ def stability_report(q: Quiver, dims: DimData, rep: Representation, theta):
             "use destabilizer_search for a semidecision"
         )
     includes_framing = sign < 0
-    form = _integer_rep(q, rep)
     bases = _generate(form, dims, {}, True) if includes_framing else _core(form, dims)
     spans = {n: bases[n].values() for n in q.nodes}
     if not _side_rule_holds(q, dims, form.b_rows, spans, includes_framing):
@@ -314,7 +310,7 @@ def destabilizer_search(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    validate_shapes(q, dims, rep)
+    form = _integer_rep(q, dims, rep)
     rng = random.Random(seed)
     # a subspace missing the framing node can only destabilize where theta
     # is positive somewhere; one containing it only where negative somewhere
@@ -334,7 +330,6 @@ def destabilizer_search(
             for j in range(dims.v[n]):
                 systematic.append((m, {n: [_unit(j, dims.v[n])]}))
 
-    form = _integer_rep(q, rep)
     core = _core(form, dims) if False in modes else None
     framing = _generate(form, dims, {}, True) if True in modes else None
     framing_full = framing is not None and all(len(framing[n]) == dims.v[n] for n in q.nodes)

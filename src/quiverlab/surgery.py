@@ -30,11 +30,6 @@ def added_loop_id(node: NodeId, q: Quiver) -> str:
     return candidate
 
 
-def leg_node(loop_id, depth: int) -> tuple:
-    # depth k carries gauge dimension n - k
-    return (loop_id, depth)
-
-
 def leg_arrow_c(loop_id, k: int) -> str:
     # C_k maps the dimension-k space one step toward the original node
     return f"{loop_id}:C{k}"
@@ -75,9 +70,6 @@ class AuxResult:
     base_split: ArrowSplit
     add_quiver: Quiver
     add_split: ArrowSplit
-
-    def leg_length(self, loop_id) -> int:
-        return len(self.leg_index[loop_id])
 
     def loop_node(self, loop_id) -> NodeId:
         return self.add_quiver.arrow(loop_id).head
@@ -122,7 +114,7 @@ def build_aux(q: Quiver, split: ArrowSplit, dims: DimData) -> AuxResult:
         n = dims.v[base]
         chain = []
         for depth in range(1, n):
-            ln = leg_node(loop_id, depth)
+            ln = (loop_id, depth)  # gauge dimension n - depth
             if ln in taken:
                 raise ValueError(f"leg node {ln!r} collides with an existing node")
             taken.add(ln)

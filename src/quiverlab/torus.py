@@ -256,10 +256,13 @@ def fixed_components(
 
     The zero cocharacter yields exactly one candidate, the input itself,
     derived with every character zero (a relabelling) and given its tangent:
-    dim X directions, all at character zero. Otherwise gradings run over
-    characters with each coordinate inside the window (default: max gauge
-    dimension on both sides). Unframed connected components are normalized
-    by shifting their smallest occupied character to zero, merging gradings
+    dim X directions, all at character zero. Any nonzero sigma gives the
+    same T-fixed candidates, graded by characters of the whole torus; they
+    are the components of X^sigma only when sigma lies off every wall.
+    Gradings run over characters with each coordinate inside the window
+    (default: max gauge dimension on both sides). Unframed connected
+    components are normalized by shifting their smallest occupied character
+    in sigma's order, sigma's only other use, to zero, merging gradings
     that induce the same action; a grading whose graded representation space
     and framing both vanish is dropped before its candidate is built. An
     invalid or non-self-dual action, paired arrows without opposite

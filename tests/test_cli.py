@@ -342,6 +342,16 @@ def test_representation_file_without_v_or_theta_is_input_error(tmp_path, capsys)
                            "no stability condition: give --theta or a 'theta' entry")
 
 
+def test_stability_file_theta_missing_a_node_is_input_error(tmp_path, capsys):
+    doc = json.loads((ROOT / "tests" / "data" / "a2sym_search_rep.json").read_text())
+    doc["quiver"]["theta"] = {"0": "1"}
+    path = _write(tmp_path, "partial.json", doc)
+    _assert_one_error_line(["stability", path], capsys,
+                           f"error: {path}: 'theta' needs an entry for every node, missing ['1']\n")
+    # --theta replaces the file's theta, so it is not refused
+    assert main(["stability", path, "--theta", "1,1"]) == 0
+
+
 def test_stability_at_zero_theta_reports_no_verdict(capsys, monkeypatch):
     # theta = 0 has no sign to search with: no verdict, and a note saying so
     monkeypatch.chdir(ROOT)
@@ -578,11 +588,20 @@ def _rep_doc():
     return json.loads((ROOT / "inputs" / "jordan2_rep.json").read_text())
 
 
-def test_representation_file_without_quiver_is_input_error(tmp_path, capsys):
-    doc = _rep_doc()
-    del doc["quiver"]
-    path = _write(tmp_path, "rep.json", doc)
-    _assert_one_error_line(["stability", path], capsys, "needs 'quiver' and 'representation'")
+def test_representation_file_without_quiver_is_input_error(tmp_path, capsys, monkeypatch):
+    # the file and the missing entry are named, also for a quiver file
+    for key in ("quiver", "representation"):
+        doc = _rep_doc()
+        del doc[key]
+        path = _write(tmp_path, "rep.json", doc)
+        _assert_one_error_line(["stability", path], capsys,
+                               f"error: {path}: a representation file needs key {key!r}\n")
+    monkeypatch.chdir(ROOT)
+    _assert_one_error_line(["tau", "inputs/jordan2.json"], capsys,
+                           "error: inputs/jordan2.json: a representation file needs key 'quiver'\n")
+    path = _write(tmp_path, "list.json", [1])
+    _assert_one_error_line(["tau", path], capsys,
+                           f"error: {path}: a representation file needs a JSON object, got [1]\n")
 
 
 @pytest.mark.parametrize("theta", ["--theta=1", "--theta=-1"])

@@ -16,7 +16,6 @@ from quiverlab.stability import (
     cogenerated_core,
     destabilizer_search,
     generated_closure,
-    is_stable_signdef,
     stability_report,
     verify_witness,
 )
@@ -202,23 +201,22 @@ def test_is_stable_signdef_examples():
     theta_pos = {"0": Fraction(1)}
     theta_neg = {"0": Fraction(-1)}
     q, _, dims, r1 = jordan_rep([[0, 1], [0, 0]], [[1], [0]], [[1, 0]])
-    assert is_stable_signdef(q, dims, r1, theta_pos)
+    assert stability_report(q, dims, r1, theta_pos)[0]
 
     _, _, _, r2 = jordan_rep([[0, 1], [0, 0]], [[1], [0]], [[0, 1]])
-    assert not is_stable_signdef(q, dims, r2, theta_pos)
     stable, w = stability_report(q, dims, r2, theta_pos)
     assert not stable and w.dims == {"0": 1}
     assert verify_witness(q, dims, r2, theta_pos, w)
 
     _, _, _, r3 = jordan_rep([[0, 0], [1, 0]], [[1], [0]], [[0, 0]])
-    assert is_stable_signdef(q, dims, r3, theta_neg)
+    assert stability_report(q, dims, r3, theta_neg)[0]
 
 
 def test_mixed_sign_rejected():
     e = corpus()["a2sym"]
     rep = zero_representation(e.quiver, e.dims)
     with pytest.raises(MixedSignTheta):
-        is_stable_signdef(e.quiver, e.dims, rep, {"0": Fraction(1), "1": Fraction(-1)})
+        stability_report(e.quiver, e.dims, rep, {"0": Fraction(1), "1": Fraction(-1)})
 
 
 def test_destabilizer_search_examples():
@@ -529,16 +527,26 @@ def test_verify_witness_rejects_tampered_framing_witnesses():
     assert not verify_witness(q, dims, rep, theta_neg, whole)
 
 
-@pytest.mark.parametrize("theta", [1, -1])
+@pytest.mark.parametrize("theta", [1, -1, 0])
 def test_stability_entry_points_refuse_wrong_shapes(theta):
-    # a 2x1 A block at a node of dimension 1
-    q, _, dims, rep = jordan_rep([[0]], [[1], [0]], [[0]], v=1)
+    # a 2x1 A block at a node of dimension 1, and a 1x3 B block at a node of
+    # dimension 2, where the witness e1 passes every other check at theta = 1
+    e1 = SubrepWitness({"0": 1}, {"0": ((Fraction(1), Fraction(0)),)}, Fraction(theta), False)
+    cases = [
+        (jordan_rep([[0]], [[1], [0]], [[0]], v=1), "A block at '0'"),
+        (jordan_rep([[0, 0], [0, 0]], [[1], [0]], [[0, 1, 5]]), "B block at '0'"),
+    ]
     theta = {"0": Fraction(theta)}
-    for decide in (stability_report, is_stable_signdef):
-        with pytest.raises(ValueError, match="A block at '0'"):
-            decide(q, dims, rep, theta)
-    with pytest.raises(ValueError, match="A block at '0'"):
-        destabilizer_search(q, dims, rep, theta)
+    for (q, _, dims, rep), needle in cases:
+        for call in (
+            lambda: stability_report(q, dims, rep, theta),
+            lambda: destabilizer_search(q, dims, rep, theta),
+            lambda: generated_closure(q, dims, rep, {}),
+            lambda: cogenerated_core(q, dims, rep),
+            lambda: verify_witness(q, dims, rep, theta, e1),
+        ):
+            with pytest.raises(ValueError, match=needle):
+                call()
 
 
 def test_transfer_rejects_non_scalar_leg():
