@@ -530,7 +530,7 @@ def test_verify_witness_rejects_tampered_framing_witnesses():
 @pytest.mark.parametrize("theta", [1, -1, 0])
 def test_stability_entry_points_refuse_wrong_shapes(theta):
     # a 2x1 A block at a node of dimension 1, and a 1x3 B block at a node of
-    # dimension 2, where the witness e1 passes every other check at theta = 1
+    # dimension 2, on which the witness e1 passes every check but the shape
     e1 = SubrepWitness({"0": 1}, {"0": ((Fraction(1), Fraction(0)),)}, Fraction(theta), False)
     cases = [
         (jordan_rep([[0]], [[1], [0]], [[0]], v=1), "A block at '0'"),
