@@ -169,6 +169,12 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if payload.get("consistency_ok", True) else EXIT_FAIL
 
 
+def _check_theta_nodes(path: str, q, theta: dict):
+    missing = [node_key(n) for n in q.nodes if n not in theta]
+    if missing:
+        raise InputError(f"{path}: 'theta' needs an entry for every node, missing {missing}")
+
+
 def _surgery_payload(args, what: str) -> dict:
     q, split, dims, _, _ = _load_problem(args.file)
     if what in ("aux", "cb") and dims is None:
@@ -191,6 +197,7 @@ def _surgery_payload(args, what: str) -> dict:
     # argparse choices leave "cb" as the last artifact
     if not dims.theta:
         raise InputError("theta required for the framing absorption")
+    _check_theta_nodes(args.file, q, dims.theta)
     cb = crawley_boevey(q, split, dims)
     doc = quiver_to_json(cb.quiver, cb.split)
     doc["v"] = {node_key(n): cb.v[n] for n in cb.quiver.nodes}
@@ -368,9 +375,7 @@ def cmd_stability(args) -> int:
         theta = dict(zip(q.nodes, _parse_vector(args.theta, "--theta", len(q.nodes), frac)))
     if not theta:
         raise InputError("no stability condition: give --theta or a 'theta' entry")
-    missing = [node_key(n) for n in q.nodes if n not in theta]
-    if missing:
-        raise InputError(f"{args.file}: 'theta' needs an entry for every node, missing {missing}")
+    _check_theta_nodes(args.file, q, theta)
     payload: dict = {"theta": {node_key(n): frac_to_json(theta[n]) for n in q.nodes}}
     try:
         stable, witness = stability_report(q, dims, rep, theta)

@@ -15,10 +15,17 @@ on the rest; its span is the common kernel of the vanishing roots, which
 is also the Lie algebra of the associated subtorus. These closed subsets
 are the flats of the arrangement, found by walking up from the whole space
 through covers: a flat is covered by one flat per hyperplane the remaining
-roots cut out of its kernel, so the lattice costs one kernel basis per flat.
+roots cut out of its kernel, so the lattice costs one kernel per flat, taken
+as integer rows of an integer elimination with no Fraction matrix between.
 Every pairing of a root or character with a rational point is an integer
 dot product with the point's numerators over a common positive
-denominator, which keeps its sign.
+denominator, which keeps its sign. Pairings are kept per point: a candidate
+keeps its (N^+, N^-) split at each point it has been split at, and a face
+keeps each character's pairing with its point and whether the character
+vanishes on its span, for every candidate. So the triangle check over all
+(candidate, chamber, face) triples pairs a character with a chamber point
+once per candidate and with a face point once per face, and hands out
+copies of what it keeps.
 """
 
 from __future__ import annotations
@@ -26,12 +33,12 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mul
 
-from .exactlinalg import Mat, clear_denominators, clear_matrix, frac, kernel_basis
+from .exactlinalg import _int_basis, clear_denominators, frac, kernel_rows, normalise_basis
 from .quiver import ArrowSplit, DimData, Quiver
 from .surgery import dim_quiver_variety, hgamma_data
 from .torus import FixedCandidate
@@ -67,10 +74,12 @@ def primitive_up_to_sign(vec) -> tuple[int, ...] | None:
     """Scale a rational vector to a primitive integer one, positive leading
     entry; None for the zero vector."""
     ints = _primitive_row(vec)
-    lead = next((x for x in ints if x), 0)
-    if lead == 0:
-        return None
-    return ints if lead > 0 else tuple(-x for x in ints)
+    return _lead_positive(ints) if any(ints) else None
+
+
+def _lead_positive(row: tuple[int, ...]) -> tuple[int, ...]:
+    """A nonzero integer row or its negative, whichever leads positive."""
+    return row if next(x for x in row if x) > 0 else tuple(-x for x in row)
 
 
 def torus_roots(candidates) -> tuple[tuple[int, ...], ...]:
@@ -146,7 +155,8 @@ def _back(levels) -> tuple:
     """
     # x = xs / denom with integer xs, so a row r with c = r[j - 1] != 0
     # bounds x_j by -(r . xs) / (c * denom); the extreme bounds are picked
-    # as integer pairs (-(r . xs), c) before any Fraction is made.
+    # as integer pairs (-(r . xs), c), and x_j, their midpoint or one past
+    # the only bound, is made as one Fraction of integers.
     x: list[Fraction] = []
     xs: list[int] = []
     denom = 1
@@ -161,11 +171,14 @@ def _back(levels) -> tuple:
             if upper is None or num * upper[1] < upper[0] * c:
                 upper = (num, c)
         if lower and upper:
-            xj = (Fraction(*lower) + Fraction(*upper)) / (2 * denom)
+            (a, c), (a2, c2) = lower, upper
+            xj = Fraction(a * c2 + a2 * c, 2 * c * c2 * denom)
         elif lower:
-            xj = Fraction(*lower) / denom + 1
+            a, c = lower
+            xj = Fraction(a + c * denom, c * denom)
         elif upper:
-            xj = Fraction(*upper) / denom - 1
+            a, c = upper
+            xj = Fraction(a - c * denom, c * denom)
         else:
             xj = Fraction(0)
         x.append(xj)
@@ -245,6 +258,11 @@ def chambers(roots, rank: int) -> list[Chamber]:
             f"over the enumeration budget of {MAX_CHAMBER_REGIONS}"
         )
     out = []
+    # each root's sign rows, +1 then -1, formed once for the whole search
+    signed = []
+    for r in roots:
+        row = _primitive_row(r)
+        signed.append(((1, (row,)), (-1, (tuple(-c for c in row),))))
     # (signs, the elimination levels of their sign rows)
     stack = [((), ((frozenset(), frozenset()),) * rank)]
     while stack:
@@ -252,10 +270,9 @@ def chambers(roots, rank: int) -> list[Chamber]:
         if len(signs) == len(roots):
             out.append(Chamber(roots=roots, signs=signs, point=_back(levels)))
             continue
-        row = _primitive_row(roots[len(signs)])
         children = []
-        for s in (1, -1):
-            ext = _extend(levels, (tuple(s * c for c in row),))
+        for s, rows in signed[len(signs)]:
+            ext = _extend(levels, rows)
             if ext is not None:
                 children.append((signs + (s,), ext))
         stack.extend(reversed(children))
@@ -268,10 +285,24 @@ class Face:
     point: tuple            # relative-interior point
     span_basis: tuple       # primitive integer basis of the face span
     improper: bool
+    # character -> (pairing with nums, whether it vanishes on span_basis),
+    # shared by every candidate checked against this face
+    _pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def nums(self) -> tuple[int, ...]:
         return _point_nums(self.point)
+
+    def _pairing(self, ch) -> tuple[int, bool]:
+        """(ch against the point's numerators, whether ch is dead on the
+        span), each taken once per character."""
+        got = self._pairings.get(ch)
+        if got is None:
+            got = self._pairings[ch] = (
+                sum(map(mul, ch, self.nums)),
+                not any(sum(map(mul, ch, b)) for b in self.span_basis),
+            )
+        return got
 
 
 @functools.lru_cache(maxsize=1)
@@ -287,8 +318,10 @@ def _flats(roots, rank: int):
     the pairings rows; two roots cut the same hyperplane of the kernel
     exactly when their rows agree up to sign. So each sign class C of rows
     gives one flat covering this one, with zero set Z | C, and every flat
-    is reached along a chain of covers. The kernel basis is taken once per
-    flat, from the canonical RREF of its zero set's roots; a flat with a
+    is reached along a chain of covers. The kernel is taken once per flat,
+    as integer rows from an integer elimination of its zero set's roots;
+    the kernel basis is each row divided by its free-column entry, and the
+    span basis and pairings are read off the integer rows. A flat with a
     zero kernel has no pairings and so no covers.
     """
     flats = {}
@@ -297,20 +330,25 @@ def _flats(roots, rank: int):
         zero = todo.pop()
         if zero in flats:
             continue
-        kb = kernel_basis(Mat([roots[i] for i in sorted(zero)], cols=rank))
-        # the basis times the common denominator of its entries
-        cols, _ = clear_matrix(kb)
+        krows = kernel_rows(_int_basis(roots[i] for i in sorted(zero)), rank)
+        kb = normalise_basis(krows)
+        free = sorted(krows)
+        # row f is kb's vector with 1 at f times row[f] > 0, so scaling
+        # each row to one common multiple gives kb's columns up to a scalar
+        scale = lcm(*(krows[f][f] for f in free))
+        cols = [[x * (scale // krows[f][f]) for x in krows[f]] for f in free]
         pairings = tuple(
             (i, _coprime(tuple(sum(map(mul, r, c)) for c in cols)))
             for i, r in enumerate(roots)
             if i not in zero
         )
-        # kernel basis vectors are nonzero, so each has a primitive form
-        basis = tuple(primitive_up_to_sign(v) for v in kb)
+        # kernel rows are nonzero, so each has a primitive form
+        basis = tuple(primitive_up_to_sign(krows[f]) for f in free)
         flats[zero] = (zero, kb, basis, pairings)
         covers: dict = {}
         for i, row in pairings:
-            covers.setdefault(primitive_up_to_sign(row), []).append(i)
+            # off the closed zero set, so the coprime row is nonzero
+            covers.setdefault(_lead_positive(row), []).append(i)
         # built in increasing order, as a frozenset of a scan over the roots
         # would be, so even its iteration order is the same
         todo.extend(frozenset(sorted(zero.union(c))) for c in covers.values())
@@ -361,14 +399,22 @@ class NormalSplit:
 
 def _sign_split(candidate: FixedCandidate, nums) -> tuple[Counter, Counter]:
     """(N^+, N^-): the nonzero tangent characters by the sign of their
-    pairing with a point's numerators; a zero pairing is a WallError."""
-    plus, minus = Counter(), Counter()
-    for ch, m in candidate.nonzero_tangent().items():
-        p = sum(map(mul, ch, nums))
-        if p == 0:
-            raise WallError(ch)
-        (plus if p > 0 else minus)[ch] += m
-    return plus, minus
+    pairing with a point's numerators; a zero pairing is a WallError.
+
+    The split is made once per point and kept on the candidate, so callers
+    only read it and copy what they hand out. A WallError is not kept, and
+    is raised again on every call at that point.
+    """
+    got = candidate._splits.get(nums)
+    if got is None:
+        plus, minus = Counter(), Counter()
+        for ch, m in candidate.nonzero_tangent().items():
+            p = sum(map(mul, ch, nums))
+            if p == 0:
+                raise WallError(ch)
+            (plus if p > 0 else minus)[ch] += m
+        got = candidate._splits[nums] = (plus, minus)
+    return got
 
 
 def _xi_split(candidate: FixedCandidate, nums) -> tuple[Counter, Counter]:
@@ -384,8 +430,8 @@ def split_N(candidate: FixedCandidate, xi) -> NormalSplit:
     """Partition the nonzero tangent characters by the sign of their pairing."""
     plus, minus = _xi_split(candidate, _point_nums(xi))
     return NormalSplit(
-        n_plus=plus,
-        n_minus=minus,
+        n_plus=Counter(plus),
+        n_minus=Counter(minus),
         rank_plus=sum(plus.values()),
         rank_minus=sum(minus.values()),
     )
@@ -508,9 +554,9 @@ def triangle_split_check(
     problems = []
     side_face: Counter = Counter()
     side_quot: Counter = Counter()
+    pairing = face._pairing
     for ch, m in candidate.nonzero_tangent().items():
-        s_face = sum(map(mul, ch, face_nums))
-        dead = not any(sum(map(mul, ch, b)) for b in face.span_basis)
+        s_face, dead = pairing(ch)
         if dead != (s_face == 0):
             problems.append(("incoherent-face-sign", ch))
         elif dead:
@@ -523,7 +569,7 @@ def triangle_split_check(
                 problems.append(("face-not-in-chamber-closure", ch))
     return TriangleReport(
         ok=not problems and n_minus_full == side_face + side_quot,
-        n_minus_full=n_minus_full,
+        n_minus_full=Counter(n_minus_full),
         side_face=side_face,
         side_quotient=side_quot,
         problems=tuple(problems),

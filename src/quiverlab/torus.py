@@ -139,6 +139,8 @@ class FixedCandidate:
     resolved: tuple = field(repr=False, compare=False)
     _tangent: Counter | None = field(default=None, repr=False, compare=False)
     _nonzero: Counter | None = field(default=None, repr=False, compare=False)
+    # point numerators -> (N^+, N^-), filled by envelopes._sign_split
+    _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def name(self) -> str:
         parts = []

@@ -330,6 +330,15 @@ def test_cb_without_theta_is_input_error(tmp_path, capsys):
     _assert_one_error_line(["cb", path], capsys, "theta required for the framing absorption")
 
 
+@pytest.mark.parametrize("name", ["a2sym", "framed2"])
+def test_cb_theta_missing_a_node_names_the_file_and_field(name, tmp_path, capsys):
+    doc = _input_doc(name)
+    del doc["theta"]["1"]
+    path = _write(tmp_path, "partial.json", doc)
+    _assert_one_error_line(["cb", path], capsys,
+                           f"error: {path}: 'theta' needs an entry for every node, missing ['1']\n")
+
+
 def test_representation_file_without_v_or_theta_is_input_error(tmp_path, capsys):
     doc = _rep_doc()
     del doc["quiver"]["v"]

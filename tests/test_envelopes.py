@@ -14,6 +14,7 @@ from quiverlab.envelopes import (
     MAX_CHAMBER_REGIONS,
     MAX_DEGREE_PAIRS,
     Chamber,
+    NormalSplit,
     DegreePair,
     DegreeRow,
     DegreeTable,
@@ -22,6 +23,7 @@ from quiverlab.envelopes import (
     WallError,
     _coprime,
     _flats,
+    _point_nums,
     _primitive_row,
     chambers,
     faces,
@@ -353,13 +355,18 @@ def test_feasible_interior_ignores_row_order_and_repeats():
 
 def test_faces_match_fraction_elimination():
     # each face point from Fraction rows over the flat's canonical kernel basis
+    # over ranks 1-4 with repeated, parallel and non-spanning roots too
     rng = random.Random(2)
     box = sorted({primitive_up_to_sign(v) for v in itertools.product((-1, 0, 1), repeat=3)} - {None})
     systems = [(RANK2_ROOTS, 2), (torus_roots(corpus_candidates("framed2")[1]), 2)]
     systems += [(tuple(rng.sample(box, k)), 3) for k in (5, 7)]
+    systems += seeded_arrangements()
+    checked = Counter()
     for roots, rank in systems:
-        for ch in chambers(roots, rank):
+        chs = chambers(roots, rank)
+        for ch in chs[:: max(1, len(chs) // 6)]:
             for f in faces(ch):
+                checked[rank] += 1
                 kb = kernel_basis(Mat([roots[i] for i in sorted(f.zero_set)], cols=rank))
                 rows = [
                     tuple(ch.signs[i] * dot(r, b) for b in kb)
@@ -370,6 +377,7 @@ def test_faces_match_fraction_elimination():
                 want = tuple(sum((c * b[j] for c, b in zip(coords, kb)), Fraction(0)) for j in range(rank))
                 assert f.point == want, (roots, ch.signs, sorted(f.zero_set))
                 assert f.span_basis == tuple(primitive_up_to_sign(b) for b in kb)
+    assert min(checked[rank] for rank in (1, 2, 3, 4)) > 10, checked
 
 
 def all_subsets_flats(roots, rank):
@@ -817,6 +825,168 @@ def test_triangle_matches_split_then_loop_on_framed2_window3():
             kinds.update(kind for kind, _ in rpt.problems)
             kinds[rpt.ok] += 1
     assert len(kinds) == 4, kinds  # ok, not ok and both problem kinds
+
+
+def reference_sign_split(candidate, nums):
+    """(N^+, N^-) as _sign_split made it before the split was kept per point."""
+    plus, minus = Counter(), Counter()
+    for ch, m in candidate.nonzero_tangent().items():
+        p = sum(map(mul, ch, nums))
+        if p == 0:
+            raise WallError(ch)
+        (plus if p > 0 else minus)[ch] += m
+    return plus, minus
+
+
+def reference_split_N(candidate, xi):
+    """split_N before its pairings were kept on the candidate."""
+    nums = _point_nums(xi)
+    rank = candidate.action.rank
+    if len(nums) != rank:
+        raise ValueError(f"xi has {len(nums)} coordinates, the action has rank {rank}")
+    plus, minus = reference_sign_split(candidate, nums)
+    return NormalSplit(plus, minus, sum(plus.values()), sum(minus.values()))
+
+
+def reference_triangle(candidate, chamber, face):
+    """triangle_split_check before the chamber split was kept on the
+    candidate and each character's face pairing on the face."""
+    rank = candidate.action.rank
+    face_nums = _point_nums(face.point)
+    if len(face_nums) != rank:
+        raise ValueError(f"face point has {len(face_nums)} coordinates, the action has rank {rank}")
+    chamber_nums = _point_nums(chamber.point)
+    if len(chamber_nums) != rank:
+        raise ValueError(f"chamber point has {len(chamber_nums)} coordinates, the action has rank {rank}")
+    n_minus_full = reference_sign_split(candidate, chamber_nums)[1]
+    problems = []
+    side_face: Counter = Counter()
+    side_quot: Counter = Counter()
+    for ch, m in candidate.nonzero_tangent().items():
+        s_face = sum(map(mul, ch, face_nums))
+        dead = not any(sum(map(mul, ch, b)) for b in face.span_basis)
+        if dead != (s_face == 0):
+            problems.append(("incoherent-face-sign", ch))
+        elif dead:
+            if ch in n_minus_full:
+                side_quot[ch] += m
+        elif s_face < 0:
+            if ch in n_minus_full:
+                side_face[ch] += m
+            else:
+                problems.append(("face-not-in-chamber-closure", ch))
+    return TriangleReport(
+        ok=not problems and n_minus_full == side_face + side_quot,
+        n_minus_full=n_minus_full,
+        side_face=side_face,
+        side_quotient=side_quot,
+        problems=tuple(problems),
+    )
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (WallError, ValueError) as err:
+        return type(err), str(err)
+
+
+def shared_memo_calls():
+    """Triangle and split_N calls over triangle_inputs() in a shuffled
+    order. The rank-1 corpus entries share one arrangement, so their faces
+    and chambers are crossed with every rank-1 entry's candidates: a face's
+    pairings filled for one action are read for another. Points on a wall
+    (face points as xi, and as chamber points) are mixed in, so WallErrors
+    recur at points whose other splits are kept."""
+    calls = []
+    by_rank: dict = {}
+    for label, cands, ch, f in triangle_inputs():
+        calls += [(triangle_split_check, reference_triangle, cand, ch, f) for cand in cands]
+        calls += [(split_N, reference_split_N, cand, f.point) for cand in cands]
+        rank = len(ch.point)
+        by_rank.setdefault(rank, ([], []))
+        by_rank[rank][0].extend(c for c in cands if c not in by_rank[rank][0])
+        by_rank[rank][1].append((ch, f))
+    cands1, pairs1 = by_rank[1]
+    calls += [(triangle_split_check, reference_triangle, c, ch, f) for c in cands1 for ch, f in pairs1]
+    for ch, f in pairs1[:8] + by_rank[2][1][:40:5]:
+        on_wall = Chamber(ch.roots, ch.signs, f.point)
+        for c in by_rank[len(ch.point)][0][:20]:
+            calls.append((triangle_split_check, reference_triangle, c, on_wall, f))
+            calls.append((split_N, reference_split_N, c, ch.point))
+    random.Random(28).shuffle(calls)
+    return calls
+
+
+def test_memoised_pairings_match_references_in_shuffled_order():
+    kinds = Counter()
+    for fn, ref, *args in shared_memo_calls():
+        want = _outcome(ref, *args)
+        assert _outcome(fn, *args) == want, (fn.__name__, args[0].name(), args[1:])
+        kinds[fn.__name__, type(want).__name__] += 1
+        if isinstance(want, TriangleReport):
+            kinds.update(kind for kind, _ in want.problems)
+    assert kinds["incoherent-face-sign"] and kinds["face-not-in-chamber-closure"]
+    # both functions returned reports and raised (a tuple outcome)
+    assert kinds["triangle_split_check", "TriangleReport"] and kinds["triangle_split_check", "tuple"]
+    assert kinds["split_N", "NormalSplit"] and kinds["split_N", "tuple"]
+
+
+def test_wall_errors_are_raised_again_and_not_kept():
+    e, cands = corpus_candidates("framed2")
+    ch = chambers(torus_roots(cands), 2)[0]
+    wall = next(f for f in faces(ch) if len(f.zero_set) == 1)
+    on_wall = Chamber(ch.roots, ch.signs, wall.point)
+    walled = [c for c in cands if any(dot(x, wall.point) == 0 for x in c.nonzero_tangent())]
+    assert walled
+    for cand in walled:
+        for _ in range(2):
+            with pytest.raises(WallError):
+                split_N(cand, wall.point)
+            with pytest.raises(WallError):
+                triangle_split_check(cand, on_wall, wall)
+        assert on_wall.nums not in cand._splits
+        assert split_N(cand, ch.point) == reference_split_N(cand, ch.point)
+
+
+def test_mutating_returned_counters_leaves_later_calls_alone():
+    e, cands = corpus_candidates("framed2")
+    chs = chambers(torus_roots(cands), 2)
+    mutated = 0
+    for cand in cands:
+        for ch in chs[:4]:
+            for f in faces(ch):
+                rpt = triangle_split_check(cand, ch, f)
+                for counter in (rpt.n_minus_full, rpt.side_face, rpt.side_quotient):
+                    counter[(9, 9)] += 3
+                    counter.clear()
+                rpt.n_minus_full.update(cand.nonzero_tangent())
+                assert triangle_split_check(cand, ch, f) == reference_triangle(cand, ch, f)
+                ns = split_N(cand, ch.point)
+                ns.n_plus.clear()
+                ns.n_minus.update(cand.nonzero_tangent())
+                assert split_N(cand, ch.point) == reference_split_N(cand, ch.point)
+                assert triangle_split_check(cand, ch, f) == reference_triangle(cand, ch, f)
+                mutated += bool(cand.nonzero_tangent())
+    assert mutated > 100
+
+
+def test_equality_ignores_the_memos():
+    e, cands = corpus_candidates("framed2")
+    ch = chambers(torus_roots(cands), 2)[0]
+    fs = faces(ch)
+    fresh_ch = Chamber(ch.roots, ch.signs, ch.point)
+    fresh_fs = [Face(f.zero_set, f.point, f.span_basis, f.improper) for f in fs]
+    for cand in cands:
+        for f in fs:
+            triangle_split_check(cand, ch, f)
+    assert any(f._pairings for f in fs) and any(c._splits for c in cands)
+    assert ch == fresh_ch and repr(ch) == repr(fresh_ch)
+    assert fs == fresh_fs and list(map(repr, fs)) == list(map(repr, fresh_fs))
+    assert all(not f._pairings for f in fresh_fs)
+    again = corpus_candidates("framed2")[1]
+    assert cands == again and list(map(repr, cands)) == list(map(repr, again))
 
 
 def fraction_split(candidate, xi):
