@@ -215,7 +215,9 @@ def _point_nums(point) -> tuple[int, ...]:
     return tuple(clear_denominators([frac(x) for x in point])[0])
 
 
-@dataclass
+# frozen, so the cleared numerators and the pairings kept per point stay
+# those of the point
+@dataclass(frozen=True)
 class Chamber:
     roots: tuple            # shared root list
     signs: tuple            # +1 / -1 per root
@@ -279,7 +281,7 @@ def chambers(roots, rank: int) -> list[Chamber]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Face:
     zero_set: frozenset     # indices of roots vanishing on the face
     point: tuple            # relative-interior point

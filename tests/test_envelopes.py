@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -14,11 +15,11 @@ from quiverlab.envelopes import (
     MAX_CHAMBER_REGIONS,
     MAX_DEGREE_PAIRS,
     Chamber,
-    NormalSplit,
     DegreePair,
     DegreeRow,
     DegreeTable,
     Face,
+    NormalSplit,
     TriangleReport,
     WallError,
     _coprime,
@@ -354,8 +355,9 @@ def test_feasible_interior_ignores_row_order_and_repeats():
 
 
 def test_faces_match_fraction_elimination():
-    # each face point from Fraction rows over the flat's canonical kernel basis
-    # over ranks 1-4 with repeated, parallel and non-spanning roots too
+    # each face point from Fraction rows over the flat's canonical kernel
+    # basis, on ranks 1-4 with repeated, parallel and non-spanning roots too
+    # (about six chambers of each seeded arrangement)
     rng = random.Random(2)
     box = sorted({primitive_up_to_sign(v) for v in itertools.product((-1, 0, 1), repeat=3)} - {None})
     systems = [(RANK2_ROOTS, 2), (torus_roots(corpus_candidates("framed2")[1]), 2)]
@@ -987,6 +989,10 @@ def test_equality_ignores_the_memos():
     assert all(not f._pairings for f in fresh_fs)
     again = corpus_candidates("framed2")[1]
     assert cands == again and list(map(repr, cands)) == list(map(repr, again))
+    # a kept pairing cannot outlive its point
+    for obj in (ch, fs[0]):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.point = tuple(2 * x for x in obj.point)
 
 
 def fraction_split(candidate, xi):
