@@ -20,12 +20,12 @@ as integer rows of an integer elimination with no Fraction matrix between.
 Every pairing of a root or character with a rational point is an integer
 dot product with the point's numerators over a common positive
 denominator, which keeps its sign. Pairings are kept per point: a candidate
-keeps its (N^+, N^-) split at each point it has been split at, and a face
+keeps its (N^+, N^-) split at the last point it was split at, and a face
 keeps each character's pairing with its point and whether the character
 vanishes on its span, for every candidate. So the triangle check over all
-(candidate, chamber, face) triples pairs a character with a chamber point
-once per candidate and with a face point once per face, and hands out
-copies of what it keeps.
+(candidate, chamber, face) triples, taken face by face within a chamber,
+pairs a character with a chamber point once per candidate and with a face
+point once per face, and hands out copies of what it keeps.
 """
 
 from __future__ import annotations
@@ -155,8 +155,7 @@ def _back(levels) -> tuple:
     """
     # x = xs / denom with integer xs, so a row r with c = r[j - 1] != 0
     # bounds x_j by -(r . xs) / (c * denom); the extreme bounds are picked
-    # as integer pairs (-(r . xs), c), and x_j, their midpoint or one past
-    # the only bound, is made as one Fraction of integers.
+    # as integer pairs (-(r . xs), c) before any Fraction is made.
     x: list[Fraction] = []
     xs: list[int] = []
     denom = 1
@@ -171,14 +170,11 @@ def _back(levels) -> tuple:
             if upper is None or num * upper[1] < upper[0] * c:
                 upper = (num, c)
         if lower and upper:
-            (a, c), (a2, c2) = lower, upper
-            xj = Fraction(a * c2 + a2 * c, 2 * c * c2 * denom)
+            xj = (Fraction(*lower) + Fraction(*upper)) / (2 * denom)
         elif lower:
-            a, c = lower
-            xj = Fraction(a + c * denom, c * denom)
+            xj = Fraction(*lower) / denom + 1
         elif upper:
-            a, c = upper
-            xj = Fraction(a - c * denom, c * denom)
+            xj = Fraction(*upper) / denom - 1
         else:
             xj = Fraction(0)
         x.append(xj)
@@ -403,20 +399,22 @@ def _sign_split(candidate: FixedCandidate, nums) -> tuple[Counter, Counter]:
     """(N^+, N^-): the nonzero tangent characters by the sign of their
     pairing with a point's numerators; a zero pairing is a WallError.
 
-    The split is made once per point and kept on the candidate, so callers
-    only read it and copy what they hand out. A WallError is not kept, and
-    is raised again on every call at that point.
+    The candidate keeps the split at the last point it was split at, so
+    repeated calls at one point (every face of a chamber) pair each
+    character with it once, and the memo never holds more than one point.
+    Callers only read the split and copy what they hand out. A WallError is
+    not kept, and is raised again on every call at that point.
     """
-    got = candidate._splits.get(nums)
-    if got is None:
+    got = candidate._split
+    if got is None or got[0] != nums:
         plus, minus = Counter(), Counter()
         for ch, m in candidate.nonzero_tangent().items():
             p = sum(map(mul, ch, nums))
             if p == 0:
                 raise WallError(ch)
             (plus if p > 0 else minus)[ch] += m
-        got = candidate._splits[nums] = (plus, minus)
-    return got
+        got = candidate._split = (nums, plus, minus)
+    return got[1], got[2]
 
 
 def _xi_split(candidate: FixedCandidate, nums) -> tuple[Counter, Counter]:

@@ -325,11 +325,7 @@ class TauPoint:
 def tau_charpoly(q: Quiver, split: ArrowSplit, dims: DimData, rep: Representation) -> TauPoint:
     mu = moment_map(q, split, dims, rep)
     loop_polys = {l: charpoly(rep.x[l]) for l in split.loops}
-    # c_k(-M) = (-1)^k c_k(M), so -mu is never built
-    node_polys = {
-        n: tuple(-c if k % 2 else c for k, c in enumerate(charpoly(mu[n])))
-        for n in q.nodes
-    }
+    node_polys = {n: charpoly(-mu[n]) for n in q.nodes}
     return TauPoint(loop_polys, node_polys)
 
 

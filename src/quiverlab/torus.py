@@ -139,8 +139,9 @@ class FixedCandidate:
     resolved: tuple = field(repr=False, compare=False)
     _tangent: Counter | None = field(default=None, repr=False, compare=False)
     _nonzero: Counter | None = field(default=None, repr=False, compare=False)
-    # point numerators -> (N^+, N^-), filled by envelopes._sign_split
-    _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (point numerators, N^+, N^-) at the last point envelopes._sign_split
+    # split this candidate at
+    _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def name(self) -> str:
         parts = []
