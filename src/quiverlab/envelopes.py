@@ -155,7 +155,8 @@ def _back(levels) -> tuple:
     """
     # x = xs / denom with integer xs, so a row r with c = r[j - 1] != 0
     # bounds x_j by -(r . xs) / (c * denom); the extreme bounds are picked
-    # as integer pairs (-(r . xs), c) before any Fraction is made.
+    # as integer pairs (-(r . xs), c), and x_j, their midpoint or one past
+    # the only bound, is made as one Fraction of integers.
     x: list[Fraction] = []
     xs: list[int] = []
     denom = 1
@@ -170,11 +171,14 @@ def _back(levels) -> tuple:
             if upper is None or num * upper[1] < upper[0] * c:
                 upper = (num, c)
         if lower and upper:
-            xj = (Fraction(*lower) + Fraction(*upper)) / (2 * denom)
+            (a, c), (a2, c2) = lower, upper
+            xj = Fraction(a * c2 + a2 * c, 2 * c * c2 * denom)
         elif lower:
-            xj = Fraction(*lower) / denom + 1
+            a, c = lower
+            xj = Fraction(a + c * denom, c * denom)
         elif upper:
-            xj = Fraction(*upper) / denom - 1
+            a, c = upper
+            xj = Fraction(a - c * denom, c * denom)
         else:
             xj = Fraction(0)
         x.append(xj)
