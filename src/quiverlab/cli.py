@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -240,16 +241,19 @@ def _candidate_doc(cand) -> dict:
     return doc
 
 
-def _fixed_payload(args) -> dict:
-    *_, cands = _candidates_for(args)
+def _fixed_payload(cands) -> dict:
     return {"count": len(cands), "candidates": [_candidate_doc(c) for c in cands]}
 
 
 def cmd_fixed(args) -> int:
-    payload = _fixed_payload(args)
-    lines = [f"{payload['count']} candidates"] + [
-        f"  {c['name']}  dimF={c['dim_fixed']}" for c in payload["candidates"]
-    ]
+    *_, cands = _candidates_for(args)
+    # text output prints names and dim F alone, so it derives no quiver
+    if args.format == "json":
+        payload, lines = _fixed_payload(cands), None
+    else:
+        payload, lines = None, [f"{len(cands)} candidates"] + [
+            f"  {c.name()}  dimF={c.dim_fixed()}" for c in cands
+        ]
     _emit(payload, args.format, lines)
     return EXIT_OK
 
@@ -290,18 +294,14 @@ def cmd_chambers(args) -> int:
 
 
 def _stab_table_payload(table, xi) -> dict:
-    # stab_degree_table makes one pair of bound objects per distinct
-    # dim F + dim F', so each pair of bounds is rendered once, looked up by
-    # the objects' ids (the table keeps them alive)
-    bounds = {}
+    # the pair records are made from the rows in table.pairs' order, with
+    # each distinct dim F + dim F' rendered once, and build no DegreePair
+    texts = {s: tuple(map(frac_to_json, b)) for s, b in table.bounds.items()}
     pairs = []
-    for p in table.pairs:
-        key = (id(p.off_diagonal_bound), id(p.fiber_product_bound))
-        text = bounds.get(key)
-        if text is None:
-            text = bounds[key] = (frac_to_json(p.off_diagonal_bound), frac_to_json(p.fiber_product_bound))
-        pairs.append({"first": p.first, "second": p.second,
-                      "off_diagonal_bound": text[0], "fiber_product_bound": text[1]})
+    for r, r2 in itertools.combinations(table.rows, 2):
+        off, fiber = texts[r.dim_fixed + r2.dim_fixed]
+        pairs.append({"first": r.name, "second": r2.name,
+                      "off_diagonal_bound": off, "fiber_product_bound": fiber})
     return {
         "dim_ambient": table.dim_ambient,
         "dim_base": table.dim_base,
@@ -476,7 +476,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     if args.what == "fixed":
-        payload = _fixed_payload(args)
+        payload = _fixed_payload(_candidates_for(args)[-1])
     elif args.what == "chambers":
         payload = _chambers_payload(args)
     else:

@@ -249,6 +249,11 @@ def chambers(roots, rank: int) -> list[Chamber]:
     roots = tuple(tuple(r) for r in roots)
     if any(len(r) != rank for r in roots):
         raise ValueError(f"every root needs {rank} coordinates")
+    for r in roots:
+        # a bool is an int to isinstance, and a Fraction or a 'p/q' string
+        # would reach the integer pairings of faces()
+        if not all(type(x) is int for x in r):
+            raise ValueError(f"root {r} needs integer coordinates")
     if not all(any(r) for r in roots):
         raise ValueError("roots must be nonzero")
     if rank > MAX_CHAMBER_RANK:
@@ -461,10 +466,30 @@ class DegreePair:
 
 @dataclass
 class DegreeTable:
+    """The ledger's rows, and its pairs built the first time they are read.
+
+    Both bounds of a pair depend on dim F + dim F' alone, so the table keeps
+    one (off_diagonal_bound, fiber_product_bound) per distinct sum; the
+    pairs are a function of the rows and dim_base and take no part in
+    equality.
+    """
+
     dim_ambient: int
     dim_base: int
     rows: list
-    pairs: list
+    _pairs: list | None = field(default=None, repr=False, compare=False)
+    # dim F + dim F' -> (off_diagonal_bound, fiber_product_bound)
+    bounds: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def pairs(self) -> list:
+        """One DegreePair per two rows, in itertools.combinations order."""
+        if self._pairs is None:
+            self._pairs = [
+                DegreePair(r.name, r2.name, *self.bounds[r.dim_fixed + r2.dim_fixed])
+                for r, r2 in itertools.combinations(self.rows, 2)
+            ]
+        return self._pairs
 
 
 def stab_degree_table(
@@ -476,8 +501,8 @@ def stab_degree_table(
 ) -> DegreeTable:
     """Dimension and degree ledger imposed by the attracting-cycle axioms.
 
-    One pair per two candidates; more than MAX_DEGREE_PAIRS is refused
-    before any row is built.
+    One pair per two candidates, built when the table's pairs are first
+    read; more than MAX_DEGREE_PAIRS is refused before any row is built.
     """
     candidates = list(candidates)
     count = comb(len(candidates), 2)
@@ -506,17 +531,12 @@ def stab_degree_table(
                 consistent=(attracting - dim_f == rank_minus),
             )
         )
-    # both bounds depend on dim F + dim F' alone
     dims_f = {r.dim_fixed for r in rows}
     bounds = {
         s: (Fraction(s, 2) - 1, Fraction(s, 2) - dim_base)
         for s in {a + b for a in dims_f for b in dims_f}
     }
-    pairs = [
-        DegreePair(r.name, r2.name, *bounds[r.dim_fixed + r2.dim_fixed])
-        for r, r2 in itertools.combinations(rows, 2)
-    ]
-    return DegreeTable(dim_ambient=dim_x, dim_base=dim_base, rows=rows, pairs=pairs)
+    return DegreeTable(dim_ambient=dim_x, dim_base=dim_base, rows=rows, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

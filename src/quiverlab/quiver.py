@@ -43,6 +43,17 @@ class Quiver:
             if a.tail not in nodeset or a.head not in nodeset:
                 raise ValueError(f"arrow {a.id!r} has undeclared endpoint")
 
+    @classmethod
+    def _trusted(cls, nodes: tuple, arrows: tuple) -> Quiver:
+        """A quiver from a tuple of distinct nodes and a tuple of Arrows with
+        distinct ids and declared endpoints, taken as given: no re-tupling
+        and no check. For producers inside the package whose construction
+        guarantees all of that; input from outside goes through Quiver()."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "nodes", nodes)
+        object.__setattr__(q, "arrows", arrows)
+        return q
+
     def arrow(self, aid: ArrowId) -> Arrow:
         for a in self.arrows:
             if a.id == aid:

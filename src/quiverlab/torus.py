@@ -121,7 +121,13 @@ def _resolved(q: Quiver, split: ArrowSplit, act: TorusAction) -> tuple[dict, dic
 
 @dataclass
 class FixedCandidate:
-    """Character grading of the gauge spaces plus the derived quiver."""
+    """Character grading of the gauge spaces plus the derived quiver.
+
+    The derived quiver and its data (quiver, split, v, d, framing_slots)
+    are a function of the base, the grading and the characters, so they
+    are derived the first time one of them is read and take no part in
+    equality or repr.
+    """
 
     base: Quiver
     base_split: ArrowSplit
@@ -129,19 +135,51 @@ class FixedCandidate:
     action: TorusAction
     sigma: tuple
     grading: dict          # node -> {Char: dim}
-    quiver: Quiver         # derived quiver on occupied (node, char) pairs
-    split: ArrowSplit
-    v: dict
-    d: dict
-    framing_slots: dict    # (node, char) -> tuple of aligned slot indices
     # the action's arrow and framing characters, resolved once per
-    # enumeration (_resolved); read by the tangent and the induced action
+    # enumeration (_resolved); read by the tangent, the derived quiver at a
+    # nonzero cocharacter and the induced action
     resolved: tuple = field(repr=False, compare=False)
     _tangent: Counter | None = field(default=None, repr=False, compare=False)
     _nonzero: Counter | None = field(default=None, repr=False, compare=False)
+    # _derived_quiver's (quiver, split, v, d, framing_slots)
+    _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # (point numerators, N^+, N^-) at the last point envelopes._sign_split
     # split this candidate at
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _derive(self) -> tuple:
+        if self._derived is None:
+            chars, framing = self.resolved
+            if not any(self.sigma):
+                # the zero cocharacter's candidate is the input relabelled:
+                # it is derived with every character zero
+                zero = zero_char(self.action.rank)
+                chars = {ar.id: zero for ar in self.base.arrows}
+                framing = {n: (zero,) * self.base_dims.d[n] for n in self.base.nodes}
+            self._derived = _derived_quiver(self.base, self.base_split, self.grading, chars, framing)
+        return self._derived
+
+    @property
+    def quiver(self) -> Quiver:
+        """The derived quiver on occupied (node, char) pairs."""
+        return self._derive()[0]
+
+    @property
+    def split(self) -> ArrowSplit:
+        return self._derive()[1]
+
+    @property
+    def v(self) -> dict:
+        return self._derive()[2]
+
+    @property
+    def d(self) -> dict:
+        return self._derive()[3]
+
+    @property
+    def framing_slots(self) -> dict:
+        """(node, char) -> tuple of aligned slot indices."""
+        return self._derive()[4]
 
     def name(self) -> str:
         parts = []
@@ -200,7 +238,7 @@ class FixedCandidate:
 
 
 def _derived_quiver(q, split, grading, chars, framing):
-    """The zero-character blocks of a grading, as FixedCandidate's fields
+    """The zero-character blocks of a grading, as FixedCandidate's
     quiver, split, v, d, framing_slots in order: a copy (a, w) of each arrow
     whose head weight w + ch(a) is occupied, and at each occupied (n, w) the
     framing slots of character w. chars and framing map each arrow and node
@@ -214,8 +252,8 @@ def _derived_quiver(q, split, grading, chars, framing):
         copies[ar.id] = {w: h for w, h in shifted if h in head}
     arrows = [Arrow((ar.id, w), (ar.tail, w), (ar.head, h))
               for ar in q.arrows for w, h in copies[ar.id].items()]
-    # a* carries -ch(a) (fixed_components refuses anything else, and derives
-    # the zero cocharacter with every character zero), so every copy's
+    # a* carries -ch(a) (fixed_components refuses anything else, and the
+    # zero cocharacter is derived with every character zero), so every copy's
     # partner exists; a loop carries zero, so it has a copy at every weight
     pairs = [((a, w), (b, h)) for a, b in split.pairs for w, h in copies[a].items()]
     loops = [(l, w) for l in split.loops for w in copies[l]]
@@ -223,7 +261,7 @@ def _derived_quiver(q, split, grading, chars, framing):
         (n, w): tuple(s for s, ch in enumerate(framing[n]) if ch == w) for n, w in v
     }
     d = {nd: len(slots) for nd, slots in framing_slots.items()}
-    quiver = Quiver(tuple(v), tuple(arrows))
+    quiver = Quiver._trusted(tuple(v), tuple(arrows))
     return quiver, ArrowSplit(tuple(pairs), tuple(loops)), v, d, framing_slots
 
 
@@ -283,11 +321,9 @@ def fixed_components(
             raise ValueError("action is not self-dual")
         zero = zero_char(act.rank)
         grading = {n: {zero: dims.v[n]} for n in q.nodes}
-        zeros = {ar.id: zero for ar in q.arrows}, {n: (zero,) * dims.d[n] for n in q.nodes}
-        derived = _derived_quiver(q, split, grading, *zeros)
         dim = dim_quiver_variety(q, dims)
         tangent = Counter({zero: dim} if dim else {})
-        return [FixedCandidate(q, split, dims, act, sigma, grading, *derived, resolved, tangent)]
+        return [FixedCandidate(q, split, dims, act, sigma, grading, resolved, tangent)]
     # the derived quiver pairs the copies of a and a* only when their
     # characters are opposite; loops carry zero, so the action is self-dual
     for a_id, astar_id in split.pairs:
@@ -361,8 +397,7 @@ def fixed_components(
             for tail, head, ch in arrow_ends
             for w in grading[tail]
         ):
-            derived = _derived_quiver(q, split, grading, chars, framing)
-            out.append(FixedCandidate(q, split, dims, act, sigma, grading, *derived, resolved))
+            out.append(FixedCandidate(q, split, dims, act, sigma, grading, resolved))
     return out
 
 

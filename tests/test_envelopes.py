@@ -572,7 +572,7 @@ def _reference_degree_table(q, split, dims, candidates, xi):
                    Fraction(r.dim_fixed + r2.dim_fixed, 2) - dim_base)
         for r, r2 in itertools.combinations(rows, 2)
     ]
-    return DegreeTable(dim_x, dim_base, rows, pairs)
+    return DegreeTable(dim_x, dim_base, rows, pairs)  # pairs given, not built on read
 
 
 def _reference_stab_table_payload(table, xi):
@@ -611,6 +611,7 @@ def test_degree_ledger_matches_per_candidate_reference():
             continue
         table = stab_degree_table(*args, cands, xi)
         assert table == expected, e.name
+        assert table.pairs == expected.pairs, e.name
         payload = _stab_table_payload(table, xi)
         reference = _reference_stab_table_payload(expected, xi)
         assert payload == reference, e.name

@@ -465,11 +465,13 @@ def test_nonzero_tangent_is_built_once_and_drops_only_zero():
 
 def _reference_fixed_components(q, split, dims, act, sigma, window):
     """fixed_components as it was before the early drop, with its count of
-    drops: every distinct grading is built into a candidate, and one whose
-    derived quiver has no arrow and no framing is dropped afterwards. The
+    drops: every distinct grading is built into a candidate with its
+    derived quiver, and one whose derived quiver has no arrow and no framing
+    is dropped afterwards. Returns (candidate, derived fields) pairs. The
     zero cocharacter drops nothing and is handed to fixed_components."""
     if act.rank == 0 or not any(sigma):
-        return fixed_components(q, split, dims, act, sigma, window), 0
+        cands = fixed_components(q, split, dims, act, sigma, window)
+        return [(c, (c.quiver, c.split, c.v, c.d, c.framing_slots)) for c in cands], 0
     lo, hi = window
     chars = list(itertools.product(range(lo, hi + 1), repeat=act.rank))
     components = torus._components_of(q)
@@ -498,26 +500,34 @@ def _reference_fixed_components(q, split, dims, act, sigma, window):
             continue
         seen.add(key)
         derived = torus._derived_quiver(q, split, grading, *resolved)
-        cand = torus.FixedCandidate(q, split, dims, act, sigma, grading, *derived, resolved)
-        if cand.quiver.arrows or any(cand.d.values()):
-            out.append(cand)
+        if derived[0].arrows or any(derived[3].values()):
+            out.append((torus.FixedCandidate(q, split, dims, act, sigma, grading, resolved), derived))
         else:
             dropped += 1
     return out, dropped
+
+
+def _assert_same_candidates(cands, expected):
+    """cands equal the reference's candidates, and each derives the
+    reference's derived fields when they are read."""
+    assert cands == [c for c, _ in expected]
+    assert [(c.quiver, c.split, c.v, c.d, c.framing_slots) for c in cands] == [
+        derived for _, derived in expected
+    ]
 
 
 def test_early_drop_matches_build_then_drop():
     dropped = 0
     for problem, cands, _ in _block_view_problems():
         expected, n = _reference_fixed_components(*problem)
-        assert cands == expected
+        _assert_same_candidates(cands, expected)
         dropped += n
     assert dropped >= 100, dropped
     e = corpus()["framed2"]
     for width in (1, 2, 3):
         args = (e.quiver, e.split, e.dims, e.action, e.sigma, (-width, width))
         expected, n = _reference_fixed_components(*args)
-        assert fixed_components(*args) == expected
+        _assert_same_candidates(fixed_components(*args), expected)
         if width == 1:
             # the default window: 81 candidates built to keep 17
             assert (len(expected), n) == (17, 64)
