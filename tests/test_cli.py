@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from quiverlab import cli, verify
+from quiverlab import cli, envelopes, torus, verify
 from quiverlab.cli import build_parser, main
 from quiverlab.corpus import corpus
-from quiverlab.envelopes import MAX_DEGREE_PAIRS
+from quiverlab.envelopes import MAX_DEGREE_PAIRS, stab_degree_table
 from quiverlab.jsonio import (
     dumps_canonical,
     mat_from_json,
@@ -29,6 +29,7 @@ from quiverlab.exactlinalg import Mat
 from quiverlab.quiver import DimData
 from quiverlab.sampling import random_representation
 from quiverlab.surgery import MAX_LEG_NODES, build_aux
+from quiverlab.torus import fixed_components
 
 ROOT = Path(__file__).resolve().parent.parent
 THETA_ZERO_DEN = "perfbench/data/theta_zero_den.json"
@@ -719,10 +720,82 @@ def test_non_rational_t_entry_is_named(value, tmp_path, capsys):
 def test_stab_table_over_the_pair_budget_is_input_error(capsys, monkeypatch):
     # loop2 at -6..6 has 1183 candidates; the default window's 75 stay in budget
     monkeypatch.chdir(ROOT)
-    _assert_one_error_line(
-        ["stab-table", "inputs/loop2.json", "--window=-6..6"], capsys,
-        f"1183 candidates give 699153 degree pairs, over the budget of {MAX_DEGREE_PAIRS}",
-    )
+    for fmt in ([], ["--format", "json"]):
+        _assert_one_error_line(
+            ["stab-table", "inputs/loop2.json", "--window=-6..6", *fmt], capsys,
+            f"1183 candidates give 699153 degree pairs, over the budget of {MAX_DEGREE_PAIRS}",
+        )
+
+
+def _text_and_json(argv, capsys):
+    """(exit code, stdout lines) of argv as text, and (exit code, payload)
+    of argv with --format json."""
+    text_code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    json_code = main([*argv, "--format", "json"])
+    return (text_code, lines), (json_code, json.loads(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize(
+    "file, window, xi",
+    # framed2's sigma (1, 3) lies on a wall of the -2..2 characters; 1,5 does not
+    [("inputs/loop2.json", "--window=-3..3", []), ("inputs/framed2.json", "--window=-2..2", ["--xi", "1,5"])],
+)
+def test_fixed_and_stab_table_text_matches_json(file, window, xi, capsys, monkeypatch):
+    # outside the goldens' windows: the text form, which builds no JSON
+    # document or degree pair, prints what the JSON payload holds
+    monkeypatch.chdir(ROOT)
+    (code, lines), (json_code, payload) = _text_and_json(["fixed", file, window], capsys)
+    assert code == json_code == 0
+    assert lines == [f"{payload['count']} candidates"] + [
+        f"  {c['name']}  dimF={c['dim_fixed']}" for c in payload["candidates"]
+    ]
+    (code, lines), (json_code, payload) = _text_and_json(["stab-table", file, window, *xi], capsys)
+    assert code == json_code
+    assert lines == [f"dim X = {payload['dim_ambient']}"] + [
+        f"  {r['name']}: dimF={r['dim_fixed']} rankN-={r['rank_minus']} "
+        f"attr={r['attracting_dim']} consistent={r['consistent']}"
+        for r in payload["rows"]
+    ]
+    assert len(payload["pairs"]) == len(payload["rows"]) * (len(payload["rows"]) - 1) // 2
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call in the
+    returned list."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_commands_build_only_what_their_output_reads(capsys, monkeypatch):
+    # work done, counted in calls: a command that prints no derived quiver
+    # derives none, fixed --format json derives each candidate's once, and
+    # stab-table renders its pairs without building a DegreePair
+    monkeypatch.chdir(ROOT)
+    derived = _count_calls(monkeypatch, torus, "_derived_quiver")
+    degree_pairs = _count_calls(monkeypatch, envelopes, "DegreePair")
+    for file in ("inputs/loop2.json", "inputs/framed2.json"):
+        for command in ("stab-table", "chambers", "triangle"):
+            for fmt in ([], ["--format", "json"]):
+                assert main([command, file, *fmt]) == 0
+                assert not derived, (command, file, fmt)
+                capsys.readouterr()
+        assert not degree_pairs
+        assert main(["fixed", file, "--format", "json"]) == 0
+        assert len(derived) == json.loads(capsys.readouterr().out)["count"] > 0
+        derived.clear()
+    # the counters see the calls a reader of the ledger's pairs makes
+    e = corpus()["loop2"]
+    cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
+    table = stab_degree_table(e.quiver, e.split, e.dims, cands, e.sigma)
+    assert not degree_pairs and len(table.pairs) == len(degree_pairs) == 75 * 74 // 2
+    assert len({id(c.quiver) for c in cands + cands}) == len(derived) == 75
 
 
 @pytest.mark.parametrize("field", ["arrows", "A", "B", "t"])

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -1087,6 +1088,11 @@ def test_wrong_rank_pairings_name_the_rank():
         (((1, 0), (1,)), "every root needs 2 coordinates"),
         (((1, 0), (0, 1, 1)), "every root needs 2 coordinates"),
         (((1, 0), (0, 0)), "roots must be nonzero"),
+        # faces() pairs the kept roots as integers; a bool is refused, not read as 1
+        pytest.param(((Fraction(1, 2), 0), (0, 1)),
+                     re.escape("root (Fraction(1, 2), 0) needs integer coordinates"), id="fraction"),
+        pytest.param((("1/2", 0), (0, 1)), re.escape("root ('1/2', 0) needs integer coordinates"), id="string"),
+        pytest.param(((True, 0), (0, 1)), re.escape("root (True, 0) needs integer coordinates"), id="bool"),
     ],
 )
 def test_chambers_refuses_ragged_or_zero_roots(roots, message):

@@ -429,6 +429,18 @@ def test_block_view_matches_reference_derived_quiver_and_tangent():
     assert at_zero >= 40 and min(aligned, paired, looped) >= 150, (at_zero, aligned, paired, looped)
 
 
+def test_derived_quivers_pass_public_validation():
+    # _derived_quiver builds its Quiver without Quiver's checks; each one it
+    # builds must pass them, with a split that validates against it
+    cands = [c for _, problem_cands, _ in _block_view_problems() for c in problem_cands]
+    for e in corpus().values():
+        cands += fixed_components(e.quiver, e.split, e.dims, e.action, (0,) * e.action.rank)
+    for c in cands:
+        assert Quiver(c.quiver.nodes, c.quiver.arrows) == c.quiver
+        c.split.validate(c.quiver)
+    assert len(cands) > 1000 and sum(not any(c.sigma) for c in cands) > 40
+
+
 def test_framed2_derived_splits_are_valid():
     e = corpus()["framed2"]
     steps = (1, 2, 3, -1, -2, -3)
