@@ -26,6 +26,11 @@ vanishes on its span, for every candidate. So the triangle check over all
 (candidate, chamber, face) triples, taken face by face within a chamber,
 pairs a character with a chamber point once per candidate and with a face
 point once per face, and hands out copies of what it keeps.
+A triangle check decides its verdict in one pass over the candidate's
+characters and builds no multiset: the split holds exactly when no
+character of N^- is alive and positive on the face, so every multiplicity,
+negative ones included, is compared exactly. Its report builds N^- and the
+two sides from the N^- and face of its own check when they are read.
 """
 
 from __future__ import annotations
@@ -83,11 +88,12 @@ def _lead_positive(row: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def torus_roots(candidates) -> tuple[tuple[int, ...], ...]:
-    """Nonzero tangent characters across candidates, primitive up to sign."""
-    roots = set()
+    """Nonzero tangent characters across candidates, primitive up to sign;
+    each distinct character is made primitive once."""
+    chars = set()
     for cand in candidates:
-        roots.update(primitive_up_to_sign(ch) for ch in cand.nonzero_tangent())
-    return tuple(sorted(roots))
+        chars.update(cand.nonzero_tangent())
+    return tuple(sorted({primitive_up_to_sign(ch) for ch in chars}))
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +548,82 @@ def stab_degree_table(
 # ---------------------------------------------------------------------------
 # Weight-level triangle identity
 
-@dataclass
+def _triangle_multisets(n_minus: Counter, face: Face) -> tuple[Counter, Counter, Counter]:
+    """(n_minus_full, side_face, side_quotient) of a triangle check as fresh
+    Counters: N^- itself, its characters alive on the face span and
+    negative at the face point, and those dead on the span. A character
+    whose face sign disagrees with its span is in neither side."""
+    side_face: Counter = Counter()
+    side_quot: Counter = Counter()
+    pairing = face._pairing
+    for ch, m in n_minus.items():
+        s_face, dead = pairing(ch)
+        if dead:
+            if s_face == 0:
+                side_quot[ch] = m
+        elif s_face < 0:
+            side_face[ch] = m
+    return Counter(n_minus), side_face, side_quot
+
+
 class TriangleReport:
-    ok: bool
-    n_minus_full: Counter
-    side_face: Counter       # characters alive on the subtorus, face-negative
-    side_quotient: Counter   # characters dead on the subtorus, chamber-negative
-    problems: tuple = ()
+    """A triangle check's verdict and its three character multisets.
+
+    `ok` and `problems` are decided when the check runs. A report from
+    `triangle_split_check` keeps the N^- and the face it was checked with
+    and builds `n_minus_full`, `side_face` and `side_quotient` from them
+    each time one is read, as fresh Counters, so a caller may change what
+    it reads; a report built as TriangleReport(ok=..., n_minus_full=...,
+    side_face=..., side_quotient=..., problems=...) keeps the three it is
+    given. Two reports are equal exactly when their five values are.
+    """
+
+    __slots__ = ("ok", "problems", "_kept", "_face")
+    __hash__ = None
+
+    def __init__(self, ok: bool, n_minus_full: Counter, side_face: Counter,
+                 side_quotient: Counter, problems: tuple = ()):
+        # without a face, _kept is the three multisets as given
+        self.ok, self.problems = ok, problems
+        self._kept, self._face = (n_minus_full, side_face, side_quotient), None
+
+    @classmethod
+    def _of(cls, ok: bool, problems: tuple, n_minus: Counter, face: Face) -> TriangleReport:
+        rpt = cls.__new__(cls)
+        rpt.ok, rpt.problems, rpt._kept, rpt._face = ok, problems, n_minus, face
+        return rpt
+
+    def _multisets(self) -> tuple[Counter, Counter, Counter]:
+        if self._face is None:
+            return self._kept
+        return _triangle_multisets(self._kept, self._face)
+
+    @property
+    def n_minus_full(self) -> Counter:
+        return self._multisets()[0]
+
+    @property
+    def side_face(self) -> Counter:
+        """Characters alive on the subtorus, face-negative."""
+        return self._multisets()[1]
+
+    @property
+    def side_quotient(self) -> Counter:
+        """Characters dead on the subtorus, chamber-negative."""
+        return self._multisets()[2]
+
+    def _values(self) -> tuple:
+        return (self.ok, *self._multisets(), self.problems)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        names = ("ok", "n_minus_full", "side_face", "side_quotient", "problems")
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._values()))
+        return f"TriangleReport({fields})"
 
 
 def triangle_split_check(
@@ -566,6 +641,12 @@ def triangle_split_check(
     with the sign at the face point flags incompatible input data, as does
     a face-negative character that is not chamber-negative (face outside
     the chamber closure).
+
+    Without problems, every character of N^- is dead on the face or alive
+    with a nonzero face sign, so the union misses exactly the characters
+    of N^- alive and positive at the face point, whatever their
+    multiplicities: the verdict is one pass over the characters with no
+    multiset built. The report builds its multisets when they are read.
     """
     rank = candidate.action.rank
     face_nums = face.nums
@@ -574,27 +655,17 @@ def triangle_split_check(
     chamber_nums = chamber.nums
     if len(chamber_nums) != rank:
         raise ValueError(f"chamber point has {len(chamber_nums)} coordinates, the action has rank {rank}")
-    n_minus_full = _sign_split(candidate, chamber_nums)[1]
+    n_minus = _sign_split(candidate, chamber_nums)[1]
     problems = []
-    side_face: Counter = Counter()
-    side_quot: Counter = Counter()
+    split = True  # no character of N^- alive and positive on the face
     pairing = face._pairing
-    for ch, m in candidate.nonzero_tangent().items():
+    for ch in candidate.nonzero_tangent():
         s_face, dead = pairing(ch)
         if dead != (s_face == 0):
             problems.append(("incoherent-face-sign", ch))
-        elif dead:
-            if ch in n_minus_full:
-                side_quot[ch] += m
-        elif s_face < 0:
-            if ch in n_minus_full:
-                side_face[ch] += m
-            else:
-                problems.append(("face-not-in-chamber-closure", ch))
-    return TriangleReport(
-        ok=not problems and n_minus_full == side_face + side_quot,
-        n_minus_full=Counter(n_minus_full),
-        side_face=side_face,
-        side_quotient=side_quot,
-        problems=tuple(problems),
-    )
+        elif s_face > 0:
+            if ch in n_minus:
+                split = False
+        elif s_face < 0 and ch not in n_minus:
+            problems.append(("face-not-in-chamber-closure", ch))
+    return TriangleReport._of(split and not problems, tuple(problems), n_minus, face)

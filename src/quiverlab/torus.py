@@ -309,6 +309,15 @@ def fixed_components(
     invalid or non-self-dual action, paired arrows without opposite
     characters at a nonzero cocharacter, and a window with more than
     MAX_FIXED_GRADINGS gradings are refused up front.
+
+    So every candidate returned passes fixed_self_dual_check. At a nonzero
+    sigma, the copy (a, w) of a paired arrow runs from (tail, w) to
+    (head, w + ch) and carries ch; a* carries -ch, so its copy at
+    (head, w + ch) runs back to (tail, w) and carries -ch, the transposed
+    block with the negated character; a loop's copies carry zero from a
+    weight to itself. At sigma = 0 the candidate is the input relabelled,
+    its copies carry the base characters, and the base passed the
+    self-duality check before the candidate was built.
     """
     act.validate(q, split, dims)
     sigma = tuple(sigma)

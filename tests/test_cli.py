@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +15,8 @@ import pytest
 
 from quiverlab import cli, envelopes, torus, verify
 from quiverlab.cli import build_parser, main
-from quiverlab.corpus import corpus
-from quiverlab.envelopes import MAX_DEGREE_PAIRS, stab_degree_table
+from quiverlab.corpus import ACTION_ENTRIES, corpus
+from quiverlab.envelopes import MAX_DEGREE_PAIRS, chambers, faces, stab_degree_table, torus_roots
 from quiverlab.jsonio import (
     dumps_canonical,
     mat_from_json,
@@ -796,6 +797,60 @@ def test_commands_build_only_what_their_output_reads(capsys, monkeypatch):
     table = stab_degree_table(e.quiver, e.split, e.dims, cands, e.sigma)
     assert not degree_pairs and len(table.pairs) == len(degree_pairs) == 75 * 74 // 2
     assert len({id(c.quiver) for c in cands + cands}) == len(derived) == 75
+
+
+def test_passing_triangle_triples_build_no_counter(capsys, monkeypatch):
+    # the Counters envelopes makes: N^+ and N^- once per candidate and
+    # chamber it is split at, and none for a passing triple until one of
+    # its report's multisets is read
+    monkeypatch.chdir(ROOT)
+    splits = 0
+    for name in ACTION_ENTRIES:
+        e = corpus()[name]
+        cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
+        splits += len(cands) * len(chambers(torus_roots(cands), e.action.rank))
+    made = []
+
+    class CountedCounter(Counter):
+        def __init__(self, *args, **kwargs):
+            made.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(envelopes, "Counter", CountedCounter)
+    assert main(["verify", "triangle"]) == 0
+    assert len(made) == 2 * splits > 0
+    made.clear()
+    assert main(["triangle", "inputs/framed2.json"]) == 0
+    assert capsys.readouterr().out.endswith("triangle: 1088/1088 pass\n")
+    assert len(made) == 2 * 17 * 16
+    # the counter sees the three a read builds
+    e = corpus()["framed2"]
+    cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
+    ch = chambers(torus_roots(cands), 2)[0]
+    rpt = envelopes.triangle_split_check(cands[-1], ch, faces(ch)[0])
+    made.clear()
+    assert rpt.side_face is not None and len(made) == 3
+
+
+def test_triangle_passes_with_negative_multiplicities(tmp_path, capsys):
+    # some candidates here hold a character of N^- with negative
+    # multiplicity, which a sum of Counters drops
+    doc = {
+        "nodes": ["0", "1", "2"],
+        "arrows": [{"id": i, "tail": t, "head": h} for a, t0, h0 in
+                   (("a0", "1", "0"), ("a1", "2", "0"), ("a2", "0", "2"))
+                   for i, t, h in ((a, t0, h0), (a + "*", h0, t0))],
+        "pairs": [["a0", "a0*"], ["a1", "a1*"], ["a2", "a2*"]],
+        "v": {"0": 2, "1": 2, "2": 1},
+        "d": {"0": 1, "1": 0, "2": 1},
+        "action": {"rank": 1, "arrow_chars": {"a0": [-2], "a1": [-2], "a2*": [1]},
+                   "framing_chars": {"0": [[-1]], "1": [], "2": [[0]]}},
+        "sigma": [1],
+    }
+    path = _write(tmp_path, "negative.json", doc)
+    assert main(["triangle", path, "--window=-1..1"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("triangle: 336/336 pass\n", "")
 
 
 @pytest.mark.parametrize("field", ["arrows", "A", "B", "t"])

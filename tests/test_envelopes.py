@@ -40,8 +40,12 @@ from quiverlab.envelopes import (
 from quiverlab.exactlinalg import Mat, clear_denominators, dot, kernel_basis
 from quiverlab.jsonio import dumps_canonical, frac_to_json, quiver_from_json
 from quiverlab.surgery import dim_quiver_variety, hgamma_data
-from quiverlab.torus import fixed_components
+from quiverlab.quiver import Arrow, ArrowSplit, DimData, Quiver
+from quiverlab.torus import TorusAction, fixed_components
 from quiverlab.corpus import ACTION_ENTRIES, corpus
+from quiverlab import envelopes
+
+from test_torus import _block_view_problems
 
 ROOT = Path(__file__).resolve().parent.parent
 RANK2_ROOTS = ((1, 0), (0, 1), (1, -1))
@@ -709,18 +713,34 @@ def test_triangle_flags_face_outside_chamber_closure():
     assert flagged == len(cands) - 1  # one candidate has no nonzero tangent character
 
 
-def per_character_triangle(candidate, chamber, face):
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def point_signs(chars, point) -> dict:
+    """Each character's sign at a rational point, paired with the point's
+    numerators over one positive denominator."""
+    nums, _ = clear_denominators(point)
+    return {x: _sign(sum(map(mul, x, nums))) for x in chars}
+
+
+def per_character_triangle(candidate, chamber, face, signs=None):
     """The triangle check as one loop over the characters, each pairing
     taken on its own, before it read the chamber split from split_N:
-    (ok, n_minus_full, side_face, side_quotient, problems)."""
+    (ok, n_minus_full, side_face, side_quotient, problems). signs, when
+    given, maps each character to its signs at the chamber and face points
+    and whether it vanishes on the face span. The union of the sides is
+    compared with N^- count by count, since N^- may hold negative counts."""
     problems = []
     n_minus, side_face, side_quot = Counter(), Counter(), Counter()
     for ch, m in candidate.nonzero_tangent().items():
-        s_full = dot(ch, chamber.point)
+        if signs is None:
+            s_full, s_face = _sign(dot(ch, chamber.point)), _sign(dot(ch, face.point))
+            dead = all(dot(ch, b) == 0 for b in face.span_basis)
+        else:
+            s_full, s_face, dead = signs[ch]
         if s_full == 0:
             raise WallError(ch)
-        s_face = dot(ch, face.point)
-        dead = all(dot(ch, b) == 0 for b in face.span_basis)
         if dead != (s_face == 0):
             problems.append(("incoherent-face-sign", ch))
             continue
@@ -733,8 +753,117 @@ def per_character_triangle(candidate, chamber, face):
             side_face[ch] += m
         if dead and s_full < 0:
             side_quot[ch] += m
-    ok = not problems and n_minus == side_face + side_quot
+    union = Counter(side_face)
+    union.update(side_quot)  # adds every count, where + drops those <= 0
+    ok = not problems and n_minus == union
     return ok, n_minus, side_face, side_quot, tuple(problems)
+
+
+def negative_multiplicity_problem():
+    """Nodes 0, 1, 2 with pairs a0: 1 -> 0, a1: 2 -> 0 and a2: 0 -> 2,
+    v = (2, 2, 1), d = (1, 0, 1); rank-1 characters a0 = a1 = (-2) and
+    a2* = (1), framing (-1) at node 0 and (0) at node 2. At sigma = 1 and
+    window -1..1, some candidates hold a character of N^- with negative
+    multiplicity."""
+    ends = (("a0", "1", "0"), ("a1", "2", "0"), ("a2", "0", "2"))
+    arrows = tuple(a for x, t, h in ends for a in (Arrow(x, t, h), Arrow(x + "*", h, t)))
+    q = Quiver(("0", "1", "2"), arrows)
+    split = ArrowSplit(tuple((x, x + "*") for x, _, _ in ends), ())
+    dims = DimData({"0": 2, "1": 2, "2": 1}, {"0": 1, "1": 0, "2": 1})
+    action = TorusAction(1, {"a0": (-2,), "a1": (-2,), "a2*": (1,)}, {"0": ((-1,),), "2": ((0,),)})
+    return q, split, dims, action
+
+
+def test_triangle_passes_with_negative_multiplicities_in_n_minus():
+    # Counter addition drops counts <= 0, so side_face + side_quotient
+    # could not equal an N^- with a negative count even on the improper
+    # face, where side_face is N^- itself
+    q, split, dims, action = negative_multiplicity_problem()
+    cands = fixed_components(q, split, dims, action, (1,), (-1, 1))
+    checked = negative = 0
+    for ch in chambers(torus_roots(cands), 1):
+        for f in faces(ch):
+            for cand in cands:
+                rpt = triangle_split_check(cand, ch, f)
+                assert rpt.ok and not rpt.problems, (cand.name(), ch.signs, sorted(f.zero_set))
+                assert rpt == TriangleReport(*per_character_triangle(cand, ch, f))
+                negative += any(m < 0 for m in rpt.n_minus_full.values())
+                checked += 1
+    assert (checked, negative) == (336, 12)
+
+
+def test_triangle_matches_per_character_loop_on_block_view_problems():
+    # every triple of the block-view problems at a nonzero sigma. Two
+    # oracles need no reference: the improper face sees all of N^- on the
+    # subtorus side, and the minimal flat, where every root vanishes, all
+    # of it on the quotient side
+    triples = negative = dropped = 0
+    for (_, _, _, act, sigma, _), cands, _ in _block_view_problems():
+        if not any(sigma):
+            continue
+        chars = set().union(*(c.nonzero_tangent() for c in cands))
+        # rank at most 2: every arrangement is within the chamber budget
+        for ch in chambers(torus_roots(cands), act.rank):
+            full = point_signs(chars, ch.point)
+            for f in faces(ch):
+                at_face = point_signs(chars, f.point)
+                signs = {
+                    x: (full[x], at_face[x], not any(sum(map(mul, x, b)) for b in f.span_basis))
+                    for x in chars
+                }
+                minimal = len(f.zero_set) == len(ch.roots)
+                for cand in cands:
+                    want = per_character_triangle(cand, ch, f, signs)
+                    assert triangle_split_check(cand, ch, f) == TriangleReport(*want), (
+                        cand.name(), ch.signs, sorted(f.zero_set))
+                    ok, n_minus, side_face, side_quot, _ = want
+                    if f.improper:
+                        assert ok and side_face == n_minus
+                    if minimal:
+                        assert ok and side_quot == n_minus
+                    if min(n_minus.values(), default=0) < 0:
+                        negative += 1
+                        dropped += n_minus != side_face + side_quot
+                triples += len(cands)
+    assert triples == 272_996
+    # the triples a sum of Counters failed
+    assert negative == dropped == 42_672
+
+
+def test_torus_roots_makes_each_distinct_character_primitive_once(monkeypatch):
+    problems = [cands for _, cands, _ in _block_view_problems()]
+    problems += [corpus_candidates(name)[1] for name in ACTION_ENTRIES]
+    for cands in problems:
+        per_candidate = {primitive_up_to_sign(ch) for c in cands for ch in c.nonzero_tangent()}
+        assert torus_roots(cands) == tuple(sorted(per_candidate))
+    calls = []
+    real = envelopes.primitive_up_to_sign
+    monkeypatch.setattr(envelopes, "primitive_up_to_sign", lambda ch: calls.append(ch) or real(ch))
+    _, loop2 = corpus_candidates("loop2")
+    assert torus_roots(loop2) == ((1,),)
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 10
+
+
+def test_report_fields_are_built_from_their_own_check():
+    # a report's multisets are built when read, from the N^- and face its
+    # check saw, after the candidate has been split at later chambers; a
+    # changed field changes neither a second read nor a later report
+    e, cands = corpus_candidates("framed2")
+    triples = [(ch, f) for ch in chambers(torus_roots(cands), 2) for f in faces(ch)]
+    changed = 0
+    for cand in cands:
+        reports = [(ch, f, triangle_split_check(cand, ch, f)) for ch, f in triples]
+        assert cand._split[0] == triples[-1][0].nums
+        for ch, f, rpt in reports:
+            want = per_character_triangle(cand, ch, f)
+            fields = (rpt.n_minus_full, rpt.side_face, rpt.side_quotient)
+            assert (rpt.ok, *fields, rpt.problems) == want
+            for counter in fields:
+                counter[(9, 9)] -= 2
+            changed += bool(want[1])
+            assert (rpt.ok, rpt.n_minus_full, rpt.side_face, rpt.side_quotient, rpt.problems) == want
+            assert triangle_split_check(cand, ch, f) == rpt == TriangleReport(*want)
+    assert changed > 100
 
 
 def triangle_inputs():

@@ -441,6 +441,17 @@ def test_derived_quivers_pass_public_validation():
     assert len(cands) > 1000 and sum(not any(c.sigma) for c in cands) > 40
 
 
+def test_every_enumerated_candidate_is_self_dual():
+    # fixed --format json writes self_dual true for every candidate on the
+    # strength of fixed_components' refusals (its docstring)
+    cands = [c for _, problem_cands, _ in _block_view_problems() for c in problem_cands]
+    for e in corpus().values():
+        cands += fixed_components(e.quiver, e.split, e.dims, e.action, (0,) * e.action.rank)
+        cands += fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
+    assert all(fixed_self_dual_check(c) for c in cands)
+    assert len(cands) > 4800 and sum(not any(c.sigma) for c in cands) > 40
+
+
 def test_framed2_derived_splits_are_valid():
     e = corpus()["framed2"]
     steps = (1, 2, 3, -1, -2, -3)
