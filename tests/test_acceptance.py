@@ -185,7 +185,9 @@ def test_criterion_8_triangle_shadow():
             assert any(len(f.zero_set) == len(roots) for f in face_list)
         for cand, ch, f, rpt in triangle_checks(cands, chamber_list):
             assert rpt.ok, (name, cand.name(), ch.signs, sorted(f.zero_set))
-            assert rpt.n_minus_full == rpt.side_face + rpt.side_quotient
+            union = rpt.side_face
+            union.update(rpt.side_quotient)  # + would drop counts <= 0
+            assert rpt.n_minus_full == union
             checks += 1
     _report(
         "criterion 8 (triangle split)", f"{checks} triples, exact multisets", started, 5

@@ -823,13 +823,13 @@ def test_passing_triangle_triples_build_no_counter(capsys, monkeypatch):
     assert main(["triangle", "inputs/framed2.json"]) == 0
     assert capsys.readouterr().out.endswith("triangle: 1088/1088 pass\n")
     assert len(made) == 2 * 17 * 16
-    # the counter sees the three a read builds
+    # reading a field builds the report's three multisets, and is counted
     e = corpus()["framed2"]
     cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
     ch = chambers(torus_roots(cands), 2)[0]
     rpt = envelopes.triangle_split_check(cands[-1], ch, faces(ch)[0])
     made.clear()
-    assert rpt.side_face is not None and len(made) == 3
+    assert isinstance(rpt.side_face, Counter) and len(made) == 3
 
 
 def test_triangle_passes_with_negative_multiplicities(tmp_path, capsys):

@@ -677,7 +677,9 @@ def test_triangle_all_corpus_triples():
                 for f in faces(ch):
                     rpt = triangle_split_check(cand, ch, f)
                     assert rpt.ok, (name, cand.name(), ch.signs, sorted(f.zero_set))
-                    assert rpt.n_minus_full == rpt.side_face + rpt.side_quotient
+                    union = rpt.side_face
+                    union.update(rpt.side_quotient)  # + would drop counts <= 0
+                    assert rpt.n_minus_full == union
 
 
 def test_triangle_foreign_face_detected():
