@@ -296,8 +296,8 @@ def cmd_chambers(args) -> int:
 
 
 def _stab_table_payload(table, xi) -> dict:
-    # the pair records are made from the rows in table.pairs' order, with
-    # each distinct dim F + dim F' rendered once, and build no DegreePair
+    # one pair record per itertools.combinations(table.rows, 2), with each
+    # distinct dim F + dim F' of table.bounds rendered once
     texts = {s: tuple(map(frac_to_json, b)) for s, b in table.bounds.items()}
     pairs = []
     for r, r2 in itertools.combinations(table.rows, 2):

@@ -29,8 +29,14 @@ point once per face, and hands out copies of what it keeps.
 A triangle check decides its verdict in one pass over the candidate's
 characters and builds no multiset: the split holds exactly when no
 character of N^- is alive and positive on the face, so every multiplicity,
-negative ones included, is compared exactly. Its report builds N^- and the
-two sides from the N^- and face of its own check when they are read.
+negative ones included, is compared exactly. Its report carries only `ok`
+and `problems`. A character negative at a chamber point is <= 0 on a face
+in the chamber's closure, and one that vanishes at a relative-interior
+point of the face vanishes on its span, so with correct chambers() and
+faces() every triple passes: the verdict checks this geometry, not the
+triangle lemma. Likewise the degree ledger's `consistent` column holds
+because the tangent is self-dual (rank N^- = (dim X - dim F) / 2 off the
+walls); it checks self-duality, not the degree axiom.
 """
 
 from __future__ import annotations
@@ -294,10 +300,9 @@ def chambers(roots, rank: int) -> list[Chamber]:
 
 @dataclass(frozen=True)
 class Face:
-    zero_set: frozenset     # indices of roots vanishing on the face
+    zero_set: frozenset     # indices of roots vanishing on the face, empty on the open chamber
     point: tuple            # relative-interior point
     span_basis: tuple       # primitive integer basis of the face span
-    improper: bool
     # character -> (pairing with nums, whether it vanishes on span_basis),
     # shared by every candidate checked against this face
     _pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -388,14 +393,7 @@ def faces(chamber: Chamber) -> list[Face]:
             sum((coords[j] * kb[j][c] for j in range(k)), Fraction(0))
             for c in range(rank)
         )
-        out.append(
-            Face(
-                zero_set=zero_set,
-                point=point,
-                span_basis=basis,
-                improper=not zero_set,
-            )
-        )
+        out.append(Face(zero_set=zero_set, point=point, span_basis=basis))
     return out
 
 
@@ -463,39 +461,20 @@ class DegreeRow:
 
 
 @dataclass
-class DegreePair:
-    first: str
-    second: str
-    off_diagonal_bound: Fraction  # (dim F + dim F')/2 - 1
-    fiber_product_bound: Fraction  # (dim F + dim F')/2 - dim of the base
-
-
-@dataclass
 class DegreeTable:
-    """The ledger's rows, and its pairs built the first time they are read.
+    """The ledger's rows, and the bounds its pairs are read from.
 
     Both bounds of a pair depend on dim F + dim F' alone, so the table keeps
-    one (off_diagonal_bound, fiber_product_bound) per distinct sum; the
-    pairs are a function of the rows and dim_base and take no part in
-    equality.
+    one (off_diagonal_bound, fiber_product_bound) per distinct sum; a pair
+    is two rows in itertools.combinations order. The bounds are a function
+    of the rows and dim_base and take no part in equality.
     """
 
     dim_ambient: int
     dim_base: int
-    rows: list
-    _pairs: list | None = field(default=None, repr=False, compare=False)
+    rows: list[DegreeRow]
     # dim F + dim F' -> (off_diagonal_bound, fiber_product_bound)
     bounds: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def pairs(self) -> list:
-        """One DegreePair per two rows, in itertools.combinations order."""
-        if self._pairs is None:
-            self._pairs = [
-                DegreePair(r.name, r2.name, *self.bounds[r.dim_fixed + r2.dim_fixed])
-                for r, r2 in itertools.combinations(self.rows, 2)
-            ]
-        return self._pairs
 
 
 def stab_degree_table(
@@ -507,8 +486,8 @@ def stab_degree_table(
 ) -> DegreeTable:
     """Dimension and degree ledger imposed by the attracting-cycle axioms.
 
-    One pair per two candidates, built when the table's pairs are first
-    read; more than MAX_DEGREE_PAIRS is refused before any row is built.
+    One pair per two candidates, read from the rows and the bounds; more
+    than MAX_DEGREE_PAIRS is refused before any row is built.
     """
     candidates = list(candidates)
     count = comb(len(candidates), 2)
@@ -548,82 +527,12 @@ def stab_degree_table(
 # ---------------------------------------------------------------------------
 # Weight-level triangle identity
 
-def _triangle_multisets(n_minus: Counter, face: Face) -> tuple[Counter, Counter, Counter]:
-    """(n_minus_full, side_face, side_quotient) of a triangle check as fresh
-    Counters: N^- itself, its characters alive on the face span and
-    negative at the face point, and those dead on the span. A character
-    whose face sign disagrees with its span is in neither side."""
-    side_face: Counter = Counter()
-    side_quot: Counter = Counter()
-    pairing = face._pairing
-    for ch, m in n_minus.items():
-        s_face, dead = pairing(ch)
-        if dead:
-            if s_face == 0:
-                side_quot[ch] = m
-        elif s_face < 0:
-            side_face[ch] = m
-    return Counter(n_minus), side_face, side_quot
-
-
+@dataclass(slots=True)
 class TriangleReport:
-    """A triangle check's verdict and its three character multisets.
+    """A triangle check's verdict and the problems that flagged its input."""
 
-    `ok` and `problems` are decided when the check runs. A report from
-    `triangle_split_check` keeps the N^- and the face it was checked with
-    and builds `n_minus_full`, `side_face` and `side_quotient` from them
-    each time one is read, as fresh Counters, so a caller may change what
-    it reads; a report built as TriangleReport(ok=..., n_minus_full=...,
-    side_face=..., side_quotient=..., problems=...) keeps the three it is
-    given. Two reports are equal exactly when their five values are.
-    """
-
-    __slots__ = ("ok", "problems", "_kept", "_face")
-    __hash__ = None
-
-    def __init__(self, ok: bool, n_minus_full: Counter, side_face: Counter,
-                 side_quotient: Counter, problems: tuple = ()):
-        # without a face, _kept is the three multisets as given
-        self.ok, self.problems = ok, problems
-        self._kept, self._face = (n_minus_full, side_face, side_quotient), None
-
-    @classmethod
-    def _of(cls, ok: bool, problems: tuple, n_minus: Counter, face: Face) -> TriangleReport:
-        rpt = cls.__new__(cls)
-        rpt.ok, rpt.problems, rpt._kept, rpt._face = ok, problems, n_minus, face
-        return rpt
-
-    def _multisets(self) -> tuple[Counter, Counter, Counter]:
-        if self._face is None:
-            return self._kept
-        return _triangle_multisets(self._kept, self._face)
-
-    @property
-    def n_minus_full(self) -> Counter:
-        return self._multisets()[0]
-
-    @property
-    def side_face(self) -> Counter:
-        """Characters alive on the subtorus, face-negative."""
-        return self._multisets()[1]
-
-    @property
-    def side_quotient(self) -> Counter:
-        """Characters dead on the subtorus, chamber-negative."""
-        return self._multisets()[2]
-
-    def _values(self) -> tuple:
-        return (self.ok, *self._multisets(), self.problems)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        names = ("ok", "n_minus_full", "side_face", "side_quotient", "problems")
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._values()))
-        return f"TriangleReport({fields})"
+    ok: bool
+    problems: tuple = ()
 
 
 def triangle_split_check(
@@ -646,7 +555,7 @@ def triangle_split_check(
     with a nonzero face sign, so the union misses exactly the characters
     of N^- alive and positive at the face point, whatever their
     multiplicities: the verdict is one pass over the characters with no
-    multiset built. The report builds its multisets when they are read.
+    multiset built.
     """
     rank = candidate.action.rank
     face_nums = face.nums
@@ -668,4 +577,4 @@ def triangle_split_check(
                 split = False
         elif s_face < 0 and ch not in n_minus:
             problems.append(("face-not-in-chamber-closure", ch))
-    return TriangleReport._of(split and not problems, tuple(problems), n_minus, face)
+    return TriangleReport(split and not problems, tuple(problems))

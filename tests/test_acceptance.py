@@ -40,6 +40,8 @@ from quiverlab.verify import (
     triangle_checks,
 )
 
+from test_envelopes import triangle_multisets
+
 SEED = 20240809
 
 
@@ -181,13 +183,13 @@ def test_criterion_8_triangle_shadow():
         roots = torus_roots(cands)
         chamber_list = chamber_faces(cands, e.action.rank)
         for ch, face_list in chamber_list:
-            assert any(f.improper for f in face_list)
+            assert any(not f.zero_set for f in face_list)
             assert any(len(f.zero_set) == len(roots) for f in face_list)
         for cand, ch, f, rpt in triangle_checks(cands, chamber_list):
             assert rpt.ok, (name, cand.name(), ch.signs, sorted(f.zero_set))
-            union = rpt.side_face
-            union.update(rpt.side_quotient)  # + would drop counts <= 0
-            assert rpt.n_minus_full == union
+            n_minus, union, side_quot = triangle_multisets(cand, ch, f)
+            union.update(side_quot)  # + would drop counts <= 0
+            assert n_minus == union
             checks += 1
     _report(
         "criterion 8 (triangle split)", f"{checks} triples, exact multisets", started, 5

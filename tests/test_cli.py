@@ -16,7 +16,7 @@ import pytest
 from quiverlab import cli, envelopes, torus, verify
 from quiverlab.cli import build_parser, main
 from quiverlab.corpus import ACTION_ENTRIES, corpus
-from quiverlab.envelopes import MAX_DEGREE_PAIRS, chambers, faces, stab_degree_table, torus_roots
+from quiverlab.envelopes import MAX_DEGREE_PAIRS, chambers, faces, torus_roots
 from quiverlab.jsonio import (
     dumps_canonical,
     mat_from_json,
@@ -776,33 +776,27 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 def test_commands_build_only_what_their_output_reads(capsys, monkeypatch):
     # work done, counted in calls: a command that prints no derived quiver
-    # derives none, fixed --format json derives each candidate's once, and
-    # stab-table renders its pairs without building a DegreePair
+    # derives none, and fixed --format json derives each candidate's once
     monkeypatch.chdir(ROOT)
     derived = _count_calls(monkeypatch, torus, "_derived_quiver")
-    degree_pairs = _count_calls(monkeypatch, envelopes, "DegreePair")
     for file in ("inputs/loop2.json", "inputs/framed2.json"):
         for command in ("stab-table", "chambers", "triangle"):
             for fmt in ([], ["--format", "json"]):
                 assert main([command, file, *fmt]) == 0
                 assert not derived, (command, file, fmt)
                 capsys.readouterr()
-        assert not degree_pairs
         assert main(["fixed", file, "--format", "json"]) == 0
         assert len(derived) == json.loads(capsys.readouterr().out)["count"] > 0
         derived.clear()
-    # the counters see the calls a reader of the ledger's pairs makes
+    # the counter sees the calls a reader of the derived quivers makes
     e = corpus()["loop2"]
     cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
-    table = stab_degree_table(e.quiver, e.split, e.dims, cands, e.sigma)
-    assert not degree_pairs and len(table.pairs) == len(degree_pairs) == 75 * 74 // 2
     assert len({id(c.quiver) for c in cands + cands}) == len(derived) == 75
 
 
 def test_passing_triangle_triples_build_no_counter(capsys, monkeypatch):
     # the Counters envelopes makes: N^+ and N^- once per candidate and
-    # chamber it is split at, and none for a passing triple until one of
-    # its report's multisets is read
+    # chamber it is split at, and none for a triple or its report
     monkeypatch.chdir(ROOT)
     splits = 0
     for name in ACTION_ENTRIES:
@@ -823,13 +817,16 @@ def test_passing_triangle_triples_build_no_counter(capsys, monkeypatch):
     assert main(["triangle", "inputs/framed2.json"]) == 0
     assert capsys.readouterr().out.endswith("triangle: 1088/1088 pass\n")
     assert len(made) == 2 * 17 * 16
-    # reading a field builds the report's three multisets, and is counted
+    # checking every face of one framed2 chamber and reading each report's
+    # ok and problems builds only the chamber's split, and is counted
     e = corpus()["framed2"]
     cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
     ch = chambers(torus_roots(cands), 2)[0]
-    rpt = envelopes.triangle_split_check(cands[-1], ch, faces(ch)[0])
+    fs = faces(ch)
     made.clear()
-    assert isinstance(rpt.side_face, Counter) and len(made) == 3
+    reports = [envelopes.triangle_split_check(c, ch, f) for c in cands for f in fs]
+    assert [(r.ok, r.problems) for r in reports] == [(True, ())] * 17 * len(fs)
+    assert len(made) == 2 * 17
 
 
 def test_triangle_passes_with_negative_multiplicities(tmp_path, capsys):

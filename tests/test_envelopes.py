@@ -3,7 +3,7 @@ import itertools
 import json
 import random
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -16,7 +16,6 @@ from quiverlab.envelopes import (
     MAX_CHAMBER_REGIONS,
     MAX_DEGREE_PAIRS,
     Chamber,
-    DegreePair,
     DegreeRow,
     DegreeTable,
     Face,
@@ -470,9 +469,9 @@ def test_faces_rank1():
     chs = chambers(((1,),), 1)
     fs = faces(chs[0])
     assert len(fs) == 2
-    improper = [f for f in fs if f.improper]
+    improper = [f for f in fs if not f.zero_set]
     assert len(improper) == 1 and improper[0].span_basis == ((1,),)
-    origin = [f for f in fs if not f.improper]
+    origin = [f for f in fs if f.zero_set]
     assert origin[0].point == (Fraction(0),) and origin[0].span_basis == ()
 
 
@@ -481,7 +480,7 @@ def test_faces_rank2_facets():
         fs = faces(ch)
         facets = [f for f in fs if len(f.zero_set) == 1]
         assert len(facets) == 2  # every sector has two walls
-        assert sum(f.improper for f in fs) == 1
+        assert sum(not f.zero_set for f in fs) == 1
         assert any(f.point == (Fraction(0), Fraction(0)) for f in fs)
 
 
@@ -546,7 +545,7 @@ def test_stab_degree_table():
         by_dim.setdefault(r.dim_fixed, r.name)
     pair = next(
         p
-        for p in table.pairs
+        for p in degree_pairs(table)
         if {p.first, p.second} == {by_dim[0], by_dim[2]}
     )
     assert pair.off_diagonal_bound == 0
@@ -560,9 +559,23 @@ def test_stab_degree_table_sigma_zero():
     assert row.dim_fixed == 4 and row.attracting_dim == 4 and row.rank_minus == 0
 
 
+DegreePair = namedtuple("DegreePair", "first second off_diagonal_bound fiber_product_bound")
+
+
+def degree_pairs(table) -> list:
+    """One DegreePair per two rows of a degree table, in
+    itertools.combinations order, with the bounds the table keeps for the
+    two rows' dim F + dim F'."""
+    return [
+        DegreePair(r.name, r2.name, *table.bounds[r.dim_fixed + r2.dim_fixed])
+        for r, r2 in itertools.combinations(table.rows, 2)
+    ]
+
+
 def _reference_degree_table(q, split, dims, candidates, xi):
     """stab_degree_table as it was built before xi was cleared once per
-    table: split_N per candidate, and each pair's bounds from its own sum."""
+    table: split_N per candidate, and each pair's bounds from its own sum.
+    Returns the table and its pairs."""
     dim_x = dim_quiver_variety(q, dims)
     dim_base = hgamma_data(q, split, dims).dim_h
     rows = []
@@ -577,12 +590,12 @@ def _reference_degree_table(q, split, dims, candidates, xi):
                    Fraction(r.dim_fixed + r2.dim_fixed, 2) - dim_base)
         for r, r2 in itertools.combinations(rows, 2)
     ]
-    return DegreeTable(dim_x, dim_base, rows, pairs)  # pairs given, not built on read
+    return DegreeTable(dim_x, dim_base, rows), pairs
 
 
-def _reference_stab_table_payload(table, xi):
-    """The stab-table JSON payload as it was built from vars() per pair,
-    rendering both bounds of every pair."""
+def _reference_stab_table_payload(table, pairs, xi):
+    """The stab-table JSON payload as it was built from the fields of
+    each pair, rendering both bounds of every pair."""
     return {
         "dim_ambient": table.dim_ambient,
         "dim_base": table.dim_base,
@@ -590,11 +603,11 @@ def _reference_stab_table_payload(table, xi):
         "rows": [{**vars(r), "attracting_dim": frac_to_json(r.attracting_dim)} for r in table.rows],
         "pairs": [
             {
-                **vars(p),
+                **p._asdict(),
                 "off_diagonal_bound": frac_to_json(p.off_diagonal_bound),
                 "fiber_product_bound": frac_to_json(p.fiber_product_bound),
             }
-            for p in table.pairs
+            for p in pairs
         ],
     }
 
@@ -609,16 +622,16 @@ def test_degree_ledger_matches_per_candidate_reference():
         args = (e.quiver, e.split, e.dims)
         cands = fixed_components(*args, e.action, e.sigma, window)
         try:
-            expected = _reference_degree_table(*args, cands, xi)
+            expected, expected_pairs = _reference_degree_table(*args, cands, xi)
         except WallError:
             with pytest.raises(WallError):
                 stab_degree_table(*args, cands, xi)
             continue
         table = stab_degree_table(*args, cands, xi)
         assert table == expected, e.name
-        assert table.pairs == expected.pairs, e.name
+        assert degree_pairs(table) == expected_pairs, e.name
         payload = _stab_table_payload(table, xi)
-        reference = _reference_stab_table_payload(expected, xi)
+        reference = _reference_stab_table_payload(expected, expected_pairs, xi)
         assert payload == reference, e.name
         if all(type(x) is int for x in xi):
             # the record-list writer against the json.dumps oracle, on the
@@ -652,17 +665,52 @@ def test_stab_degree_table_refuses_pairs_before_any_row():
         stab_degree_table(e.quiver, e.split, e.dims, [None] * 447, (1,))
 
 
+# A triangle check's verdict with the three character multisets of its
+# split: N^- at the chamber point, its characters alive on the face span and
+# negative at the face point, and those dead on the span.
+Triangle = namedtuple("Triangle", "ok n_minus_full side_face side_quotient problems")
+
+
+def triangle_multisets(candidate, chamber, face):
+    """(n_minus_full, side_face, side_quotient) as fresh Counters, built
+    from what triangle_split_check reads: N^- from envelopes._sign_split at
+    the chamber's numerators and each character's kept (pairing, dead) from
+    face._pairing. A character whose face sign disagrees with its span is in
+    neither side. Comparing these with per_character_triangle or
+    reference_triangle checks the kept pairings against pairings taken
+    afresh."""
+    n_minus = envelopes._sign_split(candidate, chamber.nums)[1]
+    side_face: Counter = Counter()
+    side_quot: Counter = Counter()
+    for ch, m in n_minus.items():
+        s_face, dead = face._pairing(ch)
+        if dead:
+            if s_face == 0:
+                side_quot[ch] = m
+        elif s_face < 0:
+            side_face[ch] = m
+    return Counter(n_minus), side_face, side_quot
+
+
+def checked_triangle(candidate, chamber, face) -> Triangle:
+    """triangle_split_check's verdict and problems, with the multisets of
+    triangle_multisets for the same triple."""
+    rpt = triangle_split_check(candidate, chamber, face)
+    assert type(rpt) is TriangleReport
+    return Triangle(rpt.ok, *triangle_multisets(candidate, chamber, face), rpt.problems)
+
+
 def test_triangle_degenerate_faces():
     e, cands = corpus_candidates("framed2")
     roots = torus_roots(cands)
     ch = chambers(roots, 2)[0]
     fs = faces(ch)
-    improper = next(f for f in fs if f.improper)
+    improper = next(f for f in fs if not f.zero_set)
     origin = next(f for f in fs if len(f.zero_set) == len(roots))
     for cand in cands:
-        r1 = triangle_split_check(cand, ch, improper)
+        r1 = checked_triangle(cand, ch, improper)
         assert r1.ok and not r1.side_quotient
-        r2 = triangle_split_check(cand, ch, origin)
+        r2 = checked_triangle(cand, ch, origin)
         assert r2.ok and not r2.side_face
         assert r2.side_quotient == r2.n_minus_full
 
@@ -675,7 +723,7 @@ def test_triangle_all_corpus_triples():
         for cand in cands:
             for ch in chs:
                 for f in faces(ch):
-                    rpt = triangle_split_check(cand, ch, f)
+                    rpt = checked_triangle(cand, ch, f)
                     assert rpt.ok, (name, cand.name(), ch.signs, sorted(f.zero_set))
                     union = rpt.side_face
                     union.update(rpt.side_quotient)  # + would drop counts <= 0
@@ -688,7 +736,7 @@ def test_triangle_foreign_face_detected():
     roots = torus_roots(cands)
     chs = chambers(roots, 2)
     foreign = chambers(((1, 1),), 2)
-    f = next(f for f in faces(foreign[0]) if not f.improper and f.zero_set)
+    f = next(f for f in faces(foreign[0]) if f.zero_set)
     flagged = 0
     for cand in cands:
         rpt = triangle_split_check(cand, chs[0], f)
@@ -703,7 +751,7 @@ def test_triangle_flags_face_outside_chamber_closure():
     e, cands = corpus_candidates("framed2")
     chs = chambers(torus_roots(cands), 2)
     opposite = next(c for c in chs if c.signs == tuple(-s for s in chs[0].signs))
-    face = next(f for f in faces(opposite) if f.improper)
+    face = next(f for f in faces(opposite) if not f.zero_set)
     flagged = 0
     for cand in cands:
         rpt = triangle_split_check(cand, chs[0], face)
@@ -728,8 +776,8 @@ def point_signs(chars, point) -> dict:
 
 def per_character_triangle(candidate, chamber, face, signs=None):
     """The triangle check as one loop over the characters, each pairing
-    taken on its own, before it read the chamber split from split_N:
-    (ok, n_minus_full, side_face, side_quotient, problems). signs, when
+    taken on its own, before it read the chamber split from split_N, as a
+    Triangle. signs, when
     given, maps each character to its signs at the chamber and face points
     and whether it vanishes on the face span. The union of the sides is
     compared with N^- count by count, since N^- may hold negative counts."""
@@ -758,7 +806,7 @@ def per_character_triangle(candidate, chamber, face, signs=None):
     union = Counter(side_face)
     union.update(side_quot)  # adds every count, where + drops those <= 0
     ok = not problems and n_minus == union
-    return ok, n_minus, side_face, side_quot, tuple(problems)
+    return Triangle(ok, n_minus, side_face, side_quot, tuple(problems))
 
 
 def negative_multiplicity_problem():
@@ -786,9 +834,9 @@ def test_triangle_passes_with_negative_multiplicities_in_n_minus():
     for ch in chambers(torus_roots(cands), 1):
         for f in faces(ch):
             for cand in cands:
-                rpt = triangle_split_check(cand, ch, f)
+                rpt = checked_triangle(cand, ch, f)
                 assert rpt.ok and not rpt.problems, (cand.name(), ch.signs, sorted(f.zero_set))
-                assert rpt == TriangleReport(*per_character_triangle(cand, ch, f))
+                assert rpt == per_character_triangle(cand, ch, f)
                 negative += any(m < 0 for m in rpt.n_minus_full.values())
                 checked += 1
     assert (checked, negative) == (336, 12)
@@ -816,10 +864,10 @@ def test_triangle_matches_per_character_loop_on_block_view_problems():
                 minimal = len(f.zero_set) == len(ch.roots)
                 for cand in cands:
                     want = per_character_triangle(cand, ch, f, signs)
-                    assert triangle_split_check(cand, ch, f) == TriangleReport(*want), (
+                    assert checked_triangle(cand, ch, f) == want, (
                         cand.name(), ch.signs, sorted(f.zero_set))
                     ok, n_minus, side_face, side_quot, _ = want
-                    if f.improper:
+                    if not f.zero_set:
                         assert ok and side_face == n_minus
                     if minimal:
                         assert ok and side_quot == n_minus
@@ -846,28 +894,6 @@ def test_torus_roots_makes_each_distinct_character_primitive_once(monkeypatch):
     assert sorted(calls) == sorted(set(calls)) and len(calls) == 10
 
 
-def test_report_fields_are_built_from_their_own_check():
-    # a report's multisets are built when read, from the N^- and face its
-    # check saw, after the candidate has been split at later chambers; a
-    # changed field changes neither a second read nor a later report
-    e, cands = corpus_candidates("framed2")
-    triples = [(ch, f) for ch in chambers(torus_roots(cands), 2) for f in faces(ch)]
-    changed = 0
-    for cand in cands:
-        reports = [(ch, f, triangle_split_check(cand, ch, f)) for ch, f in triples]
-        assert cand._split[0] == triples[-1][0].nums
-        for ch, f, rpt in reports:
-            want = per_character_triangle(cand, ch, f)
-            fields = (rpt.n_minus_full, rpt.side_face, rpt.side_quotient)
-            assert (rpt.ok, *fields, rpt.problems) == want
-            for counter in fields:
-                counter[(9, 9)] -= 2
-            changed += bool(want[1])
-            assert (rpt.ok, rpt.n_minus_full, rpt.side_face, rpt.side_quotient, rpt.problems) == want
-            assert triangle_split_check(cand, ch, f) == rpt == TriangleReport(*want)
-    assert changed > 100
-
-
 def triangle_inputs():
     """(label, candidates, chamber, face) over every corpus triple, framed2
     at window -2..2, a foreign face, the opposite chamber's open face and a
@@ -885,7 +911,7 @@ def triangle_inputs():
     chs = chambers(torus_roots(cands), 2)
     foreign = next(f for f in faces(chambers(((1, 1),), 2)[0]) if f.zero_set)
     opposite = next(c for c in chs if c.signs == tuple(-s for s in chs[0].signs))
-    incoherent = Face(frozenset(), (Fraction(0), Fraction(0)), ((1, 0), (0, 1)), True)
+    incoherent = Face(frozenset(), (Fraction(0), Fraction(0)), ((1, 0), (0, 1)))
     for label, f in [("foreign", foreign), ("opposite", faces(opposite)[0]), ("incoherent", incoherent)]:
         out += [(label, cands, ch, f) for ch in chs]
     return out
@@ -895,7 +921,7 @@ def test_triangle_matches_per_character_loop():
     kinds = Counter()
     for label, cands, ch, f in triangle_inputs():
         for cand in cands:
-            rpt = triangle_split_check(cand, ch, f)
+            rpt = checked_triangle(cand, ch, f)
             ok, n_minus, side_face, side_quot, problems = per_character_triangle(cand, ch, f)
             where = (label, cand.name(), ch.signs, sorted(f.zero_set))
             assert (rpt.ok, rpt.side_face, rpt.side_quotient, rpt.problems) == (
@@ -933,7 +959,7 @@ def split_then_loop_triangle(candidate, chamber, face):
                 side_face[ch] += m
             else:
                 problems.append(("face-not-in-chamber-closure", ch))
-    return TriangleReport(
+    return Triangle(
         ok=not problems and n_minus_full == side_face + side_quot,
         n_minus_full=n_minus_full,
         side_face=side_face,
@@ -958,7 +984,7 @@ def test_triangle_matches_split_then_loop_on_framed2_window3():
     kinds = Counter()
     for ch, f in triples:
         for cand in cands:
-            rpt = triangle_split_check(cand, ch, f)
+            rpt = checked_triangle(cand, ch, f)
             assert rpt == split_then_loop_triangle(cand, ch, f), (cand.name(), ch.signs, f.point)
             kinds.update(kind for kind, _ in rpt.problems)
             kinds[rpt.ok] += 1
@@ -1013,7 +1039,7 @@ def reference_triangle(candidate, chamber, face):
                 side_face[ch] += m
             else:
                 problems.append(("face-not-in-chamber-closure", ch))
-    return TriangleReport(
+    return Triangle(
         ok=not problems and n_minus_full == side_face + side_quot,
         n_minus_full=n_minus_full,
         side_face=side_face,
@@ -1040,18 +1066,18 @@ def shared_memo_calls():
     calls = []
     by_rank: dict = {}
     for label, cands, ch, f in triangle_inputs():
-        calls += [(triangle_split_check, reference_triangle, cand, ch, f) for cand in cands]
+        calls += [(checked_triangle, reference_triangle, cand, ch, f) for cand in cands]
         calls += [(split_N, reference_split_N, cand, f.point) for cand in cands]
         rank = len(ch.point)
         by_rank.setdefault(rank, ([], []))
         by_rank[rank][0].extend(c for c in cands if c not in by_rank[rank][0])
         by_rank[rank][1].append((ch, f))
     cands1, pairs1 = by_rank[1]
-    calls += [(triangle_split_check, reference_triangle, c, ch, f) for c in cands1 for ch, f in pairs1]
+    calls += [(checked_triangle, reference_triangle, c, ch, f) for c in cands1 for ch, f in pairs1]
     for ch, f in pairs1[:8] + by_rank[2][1][:40:5]:
         on_wall = Chamber(ch.roots, ch.signs, f.point)
         for c in by_rank[len(ch.point)][0][:20]:
-            calls.append((triangle_split_check, reference_triangle, c, on_wall, f))
+            calls.append((checked_triangle, reference_triangle, c, on_wall, f))
             calls.append((split_N, reference_split_N, c, ch.point))
     random.Random(28).shuffle(calls)
     return calls
@@ -1063,11 +1089,11 @@ def test_memoised_pairings_match_references_in_shuffled_order():
         want = _outcome(ref, *args)
         assert _outcome(fn, *args) == want, (fn.__name__, args[0].name(), args[1:])
         kinds[fn.__name__, type(want).__name__] += 1
-        if isinstance(want, TriangleReport):
+        if isinstance(want, Triangle):
             kinds.update(kind for kind, _ in want.problems)
     assert kinds["incoherent-face-sign"] and kinds["face-not-in-chamber-closure"]
     # both functions returned reports and raised (a tuple outcome)
-    assert kinds["triangle_split_check", "TriangleReport"] and kinds["triangle_split_check", "tuple"]
+    assert kinds["checked_triangle", "Triangle"] and kinds["checked_triangle", "tuple"]
     assert kinds["split_N", "NormalSplit"] and kinds["split_N", "tuple"]
 
 
@@ -1095,17 +1121,17 @@ def test_mutating_returned_counters_leaves_later_calls_alone():
     for cand in cands:
         for ch in chs[:4]:
             for f in faces(ch):
-                rpt = triangle_split_check(cand, ch, f)
+                rpt = checked_triangle(cand, ch, f)
                 for counter in (rpt.n_minus_full, rpt.side_face, rpt.side_quotient):
                     counter[(9, 9)] += 3
                     counter.clear()
                 rpt.n_minus_full.update(cand.nonzero_tangent())
-                assert triangle_split_check(cand, ch, f) == reference_triangle(cand, ch, f)
+                assert checked_triangle(cand, ch, f) == reference_triangle(cand, ch, f)
                 ns = split_N(cand, ch.point)
                 ns.n_plus.clear()
                 ns.n_minus.update(cand.nonzero_tangent())
                 assert split_N(cand, ch.point) == reference_split_N(cand, ch.point)
-                assert triangle_split_check(cand, ch, f) == reference_triangle(cand, ch, f)
+                assert checked_triangle(cand, ch, f) == reference_triangle(cand, ch, f)
                 mutated += bool(cand.nonzero_tangent())
     assert mutated > 100
 
@@ -1115,7 +1141,7 @@ def test_equality_ignores_the_memos():
     ch = chambers(torus_roots(cands), 2)[0]
     fs = faces(ch)
     fresh_ch = Chamber(ch.roots, ch.signs, ch.point)
-    fresh_fs = [Face(f.zero_set, f.point, f.span_basis, f.improper) for f in fs]
+    fresh_fs = [Face(f.zero_set, f.point, f.span_basis) for f in fs]
     for cand in cands:
         for f in fs:
             triangle_split_check(cand, ch, f)
@@ -1180,10 +1206,10 @@ def test_triangle_unchanged_by_positive_scaling_of_points():
     for n, (label, cands, ch, f) in enumerate(inputs[::5]):
         s_ch, s_face = SCALES[n % 4], SCALES[(n + 1) % 4]
         scaled_ch = Chamber(ch.roots, ch.signs, tuple(s_ch * x for x in ch.point))
-        scaled_face = Face(f.zero_set, tuple(s_face * x for x in f.point), f.span_basis, f.improper)
+        scaled_face = Face(f.zero_set, tuple(s_face * x for x in f.point), f.span_basis)
         for cand in cands:
-            rpt = triangle_split_check(cand, scaled_ch, scaled_face)
-            assert rpt == triangle_split_check(cand, ch, f), (label, ch.signs, sorted(f.zero_set))
+            rpt = checked_triangle(cand, scaled_ch, scaled_face)
+            assert rpt == checked_triangle(cand, ch, f), (label, ch.signs, sorted(f.zero_set))
             ok, _, side_face, side_quot, problems = per_character_triangle(cand, scaled_ch, scaled_face)
             assert (rpt.ok, rpt.side_face, rpt.side_quotient, rpt.problems) == (
                 ok, side_face, side_quot, problems)

@@ -4,6 +4,14 @@ Each name bound in ``quiverlab/__init__.py`` must either be referenced in
 another module of ``src/quiverlab`` (imported there, or read outside its
 own definition in its own module) or be listed in README's "Library API"
 section, so an export nothing needs cannot stay unnoticed.
+
+The same holds for the public fields and properties of the classes a
+library caller receives: every exported class, every class an exported
+function's return annotation names, and every class a field of one of those
+names. Each such attribute must be read somewhere in ``src/quiverlab``
+(other than by its own definition), or be listed in the section as
+``Class.attribute``. Attributes are matched by name, so a read of another
+class's attribute of the same name counts too.
 """
 
 import ast
@@ -51,6 +59,121 @@ def test_every_export_is_used_in_src_or_listed_as_library_api():
     listed = set(re.findall(r"`(?:\w+\.)?(\w+)`", _library_api_section()))
     unused = [n for n in _exported() if not any(_references(m, n) for m in modules)]
     assert [n for n in unused if n not in listed] == []
+
+
+# classes whose instances cli renders whole through vars(), so every field
+# is read, with the cli function that renders them
+RENDERED_BY_VARS = {"DegreeRow": "_stab_table_payload"}
+
+
+def _modules() -> dict:
+    return {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+
+
+def _names_in(annotation, classes) -> set:
+    return {n.id for n in ast.walk(annotation) if isinstance(n, ast.Name) and n.id in classes}
+
+
+def _caller_classes(modules, exported) -> dict:
+    """name -> ClassDef for every class a library caller receives."""
+    classes = {n.name: n for t in modules.values() for n in t.body if isinstance(n, ast.ClassDef)}
+    functions = [n for t in modules.values() for n in t.body if isinstance(n, ast.FunctionDef)]
+    todo = set(exported) & set(classes)
+    for f in functions:
+        if f.name in exported and f.returns is not None:
+            todo |= _names_in(f.returns, classes)
+    seen = set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        fields = [n.annotation for n in classes[name].body if isinstance(n, ast.AnnAssign)]
+        todo |= set().union(*(_names_in(a, classes) for a in fields)) - seen
+    return {name: classes[name] for name in seen}
+
+
+def _public_attributes(cls: ast.ClassDef) -> list:
+    """A class's public fields (annotated names in its body), properties,
+    and the attributes its __init__ sets on self."""
+    names = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        elif isinstance(node, ast.FunctionDef):
+            decorators = {getattr(d, "id", getattr(d, "attr", None)) for d in node.decorator_list}
+            if decorators & {"property", "cached_property"}:
+                names.append(node.name)
+            elif node.name == "__init__":
+                names += [
+                    a.attr for a in ast.walk(node)
+                    if isinstance(a, ast.Attribute) and isinstance(a.ctx, ast.Store)
+                    and isinstance(a.value, ast.Name) and a.value.id == "self"
+                ]
+    return [n for n in dict.fromkeys(names) if not n.startswith("_")]
+
+
+def _reads_attribute(node, attr: str) -> bool:
+    """Whether the tree reads .attr, skipping attr's own definition so a
+    property that reads itself does not count."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef) and child.name == attr:
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == attr and isinstance(child.ctx, ast.Load):
+            return True
+        if _reads_attribute(child, attr):
+            return True
+    return False
+
+
+def _unread_attributes(modules, classes) -> list:
+    return [
+        f"{name}.{attr}"
+        for name, cls in sorted(classes.items())
+        if name not in RENDERED_BY_VARS
+        for attr in _public_attributes(cls)
+        if not any(_reads_attribute(t, attr) for t in modules.values())
+    ]
+
+
+def test_every_public_attribute_is_read_in_src_or_listed_as_library_api():
+    modules = _modules()
+    classes = _caller_classes(modules, _exported())
+    # the report types exported functions return, and the rows of one
+    assert {"TriangleReport", "DegreeTable", "DegreeRow", "NormalSplit"} <= set(classes)
+    listed = {".".join(t.split(".")[-2:]) for t in re.findall(r"`([\w.]+)`", _library_api_section())}
+    assert [a for a in _unread_attributes(modules, classes) if a not in listed] == []
+    # the classes counted as read whole are rendered through vars()
+    for name, function in RENDERED_BY_VARS.items():
+        (f,) = [n for n in modules["cli"].body if isinstance(n, ast.FunctionDef) and n.name == function]
+        assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "vars" for n in ast.walk(f)), name
+
+
+def test_library_api_check_sees_an_unused_attribute():
+    # Report is returned by an exported function and Row named by its field;
+    # a property that reads only itself is unread, a field its own class
+    # reads is read
+    source = (
+        "class Row:\n"
+        "    label: str\n"
+        "\n"
+        "class Report:\n"
+        "    ok: bool\n"
+        "    rows: list[Row]\n"
+        "    spare: int\n"
+        "    def __init__(self):\n"
+        "        self.given, self._kept = 1, 2\n"
+        "    @property\n"
+        "    def shown(self):\n"
+        "        return self.given + self.shown\n"
+        "\n"
+        "def check() -> Report:\n"
+        "    r = Report()\n"
+        "    return r.ok, r.rows\n"
+    )
+    modules = {"m": ast.parse(source)}
+    classes = _caller_classes(modules, ["check"])
+    assert sorted(classes) == ["Report", "Row"]
+    assert _public_attributes(classes["Report"]) == ["ok", "rows", "spare", "given", "shown"]
+    assert _unread_attributes(modules, classes) == ["Report.spare", "Report.shown", "Row.label"]
 
 
 def test_library_api_check_sees_an_unused_name():
