@@ -4,7 +4,9 @@ Sign-definite stability conditions are decided exactly: for positive theta
 a representation is stable iff no nonzero invariant graded subspace is
 killed by every B map, and for negative theta iff the framing images
 generate everything. Mixed signs only get a randomized destabilizer
-search, which can certify instability but never stability.
+search, which certifies instability with a witness; its None says only that
+no witness was found, either because the budget ran out or because no
+invariant subspace pairs positively.
 
 Witnesses carry explicit bases so invariance can be rechecked from
 scratch; pairings are evaluated in the completed sense where the framing
@@ -20,6 +22,14 @@ that mode grows from that closure, and none can be proper when it is
 full. Skipped trials still draw their seeds, so the random stream, the
 first trial that succeeds and its witness are those of an unpruned
 search.
+
+The same two containments bound each mode's pairing before the first
+draw: a closure missing the framing node pairs to at most theta over the
+core's dimensions where theta > 0, and one holding it to at most -theta
+over what the framing closure misses where theta < 0. When neither bound
+is positive no trial can destabilize, and the search returns None without
+drawing; its random stream is local to the call, so no caller sees the
+draws it skips.
 
 Each check (stability_report, destabilizer_search) clears the
 representation into one integer form, _IntegerRep: every arrow matrix
@@ -230,8 +240,11 @@ def verify_witness(
     of the completion, and the recorded pairing value."""
     validate_shapes(q, dims, rep)
     for n in q.nodes:
-        # a basis of the recorded size that spans fewer dimensions is no basis
-        basis = w.basis[n]
+        # a basis of the recorded size that spans fewer dimensions is no
+        # basis, nor is a missing node or a vector of the wrong length
+        basis = w.basis.get(n)
+        if basis is None or n not in w.dims or any(len(vec) != dims.v[n] for vec in basis):
+            return False
         if not len(basis) == len(reduce_span(basis, dims.v[n])) == w.dims[n]:
             return False
     for ar in q.arrows:
@@ -291,8 +304,9 @@ def destabilizer_search(
 
     Samples seed vectors or coordinate subsets per node, closes them up
     under the arrow maps, and returns the first proper invariant subspace
-    with positive completed pairing. Returning None only means the budget
-    ran out, never stability.
+    with positive completed pairing. None means that the budget ran out or
+    that no invariant subspace has a positive completed pairing; the two
+    are not told apart.
 
     Trials that cannot pass the side rule are skipped without a closure,
     by two containments computed once per call:
@@ -307,19 +321,30 @@ def destabilizer_search(
     Every trial draws its seeds, skipped or not, so later trials see the
     same random stream and the first trial that succeeds is the one an
     unpruned search finds; its witness basis is canonical.
+
+    The containments also bound the pairing of every closure a mode can
+    reach: the core's dimensions weighted by theta where theta > 0, or
+    what the framing closure misses weighted by -theta where theta < 0.
+    When both bounds are zero the search returns None before its first
+    draw, and before any trial closure.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     form = _integer_rep(q, dims, rep)
-    rng = random.Random(seed)
     # a subspace missing the framing node can only destabilize where theta
     # is positive somewhere; one containing it only where negative somewhere
-    modes = []
-    if any(frac(theta[n]) > 0 for n in q.nodes):
-        modes.append(False)
-    if any(frac(theta[n]) < 0 for n in q.nodes):
-        modes.append(True)
+    pos = [n for n in q.nodes if frac(theta[n]) > 0]
+    neg = [n for n in q.nodes if frac(theta[n]) < 0]
+    modes = [m for m, nodes in ((False, pos), (True, neg)) if nodes]
     if not modes:
+        return None
+    core = _core(form, dims) if pos else None
+    framing = _generate(form, dims, {}, True) if neg else None
+    # a closure missing the framing lies in the core, so it pairs to at most
+    # theta over the core where theta > 0; one holding it contains the
+    # framing closure, so it pairs to at most -theta over what that misses
+    # where theta < 0
+    if not any(core[n] for n in pos) and not any(len(framing[n]) < dims.v[n] for n in neg):
         return None
 
     # systematic phase: every single coordinate line (and the bare framing
@@ -330,8 +355,7 @@ def destabilizer_search(
             for j in range(dims.v[n]):
                 systematic.append((m, {n: [_unit(j, dims.v[n])]}))
 
-    core = _core(form, dims) if False in modes else None
-    framing = _generate(form, dims, {}, True) if True in modes else None
+    rng = random.Random(seed)
     framing_full = framing is not None and all(len(framing[n]) == dims.v[n] for n in q.nodes)
     for trial in range(trials):
         if trial < len(systematic):

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -365,6 +367,64 @@ def test_destabilizer_search_matches_fraction_search():
             assert late > 0
 
 
+def _node_bound_problems():
+    """120 seeded mixed-theta problems in which only the per-node bound kills
+    a mode: the core is nonzero, but only at nodes where theta <= 0, or the
+    framing closure is short, but only at nodes where theta >= 0. Zeroing B
+    and the arrows out of a node puts the node in the core; zeroing A and
+    the arrows into it keeps the framing closure off it. Each problem comes
+    with whether both modes are dead: a closure missing the framing pairs to
+    at most theta over the core where theta > 0, one holding it to at most
+    -theta over what the framing closure misses where theta < 0."""
+    chain = Quiver(("0", "1", "2"), (Arrow("a", "0", "1"), Arrow("a*", "1", "0"),
+                                     Arrow("b", "1", "2"), Arrow("b*", "2", "1")))
+    shapes = [(e.quiver, e.dims) for e in corpus().values() if len(e.quiver.nodes) > 1]
+    shapes.append((chain, DimData({"0": 1, "1": 2, "2": 1}, {"0": 1, "1": 0, "2": 1})))
+    rng = random.Random(3232)
+    seed = 0
+    while seed < 120:
+        q, dims = rng.choice(shapes)
+        signs = [rng.choice((1, -1, 0)) for _ in q.nodes]
+        if 1 not in signs or -1 not in signs:
+            continue
+        theta = {n: Fraction(s * rng.randint(1, 3)) for n, s in zip(q.nodes, signs)}
+        rep = random_representation(rng, q, dims)
+        for n in q.nodes:
+            if rng.random() < 0.5:
+                rep.b[n] = Mat.zero(dims.d[n], dims.v[n])
+                rep.x.update({a.id: Mat.zero(dims.v[a.head], dims.v[n]) for a in q.arrows if a.tail == n})
+            if rng.random() < 0.5:
+                rep.a[n] = Mat.zero(dims.v[n], dims.d[n])
+                rep.x.update({a.id: Mat.zero(dims.v[n], dims.v[a.tail]) for a in q.arrows if a.head == n})
+        core = cogenerated_core(q, dims, rep)
+        framing = generated_closure(q, dims, rep, {}, True)
+        missing = sum(theta[n] * len(core[n]) for n in q.nodes if theta[n] > 0)
+        holding = sum(-theta[n] * (dims.v[n] - len(framing[n])) for n in q.nodes if theta[n] < 0)
+        short = any(len(framing[n]) < dims.v[n] for n in q.nodes)
+        if (any(core.values()) and not missing) or (short and not holding):
+            seed += 1
+            yield q, dims, rep, theta, seed, not missing and not holding
+
+
+def test_search_with_modes_killed_per_node_matches_fraction_search(monkeypatch):
+    # a search whose modes are all dead draws nothing; one with a live mode
+    # finds what the reference finds, also when its other mode is dead
+    problems = list(_node_bound_problems())
+    draws = _count_draws(monkeypatch)
+    for trials in (1, 5, 30, 50):
+        kinds = Counter()
+        for q, dims, rep, theta, seed, dead in problems:
+            want = _search_reference(q, dims, rep, theta, trials, seed)[0]
+            del draws[:]
+            assert destabilizer_search(q, dims, rep, theta, trials=trials, seed=seed) == want, (trials, seed)
+            if dead:
+                assert want is None and not draws, (trials, seed)
+            kinds[len(q.nodes), dead, want is not None] += 1
+        if trials == 50:
+            assert kinds == {(2, False, True): 35, (2, False, False): 4, (2, True, False): 24,
+                             (3, False, True): 45, (3, False, False): 8, (3, True, False): 4}
+
+
 def _disagreements():
     return sum(
         destabilizer_search(q, dims, rep, theta, trials=30, seed=seed)
@@ -393,10 +453,69 @@ def test_fraction_search_catches_a_full_framing_closure(monkeypatch):
     assert _disagreements() > 0
 
 
+def _count_draws(monkeypatch):
+    """Swap the search's random.Random for one that records every draw; the
+    reference search keeps the real module. A subclass that overrides
+    random() alone would make randint draw through it instead of through
+    getrandbits, so both are overridden and the stream stays the same."""
+    draws = []
+
+    class Counted(random.Random):
+        def random(self):
+            draws.append("random")
+            return super().random()
+
+        def getrandbits(self, k):
+            draws.append("getrandbits")
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(stability, "random", types.SimpleNamespace(Random=Counted))
+    return draws
+
+
+def _count_closures(monkeypatch):
+    calls = []
+    closure = stability._closure
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_closure", counted)
+    return calls
+
+
+def test_dead_search_returns_before_its_first_draw(monkeypatch):
+    # a2sym with a* = 0: node 1 has no B and sends nothing back, so the core
+    # is the line at node 1; A and a fill both nodes with the framing closure
+    e = corpus()["a2sym"]
+    q, dims = e.quiver, e.dims
+    rep = Representation({"a": Mat([[1]]), "a*": Mat([[0]])}, {"0": Mat([[1]]), "1": Mat.zero(1, 0)},
+                         {"0": Mat([[1]]), "1": Mat.zero(0, 1)})
+    dead = {"0": Fraction(1), "1": Fraction(-1)}
+    draws = _count_draws(monkeypatch)
+    calls = _count_closures(monkeypatch)
+    # the core is nonzero, but only where theta < 0, and the framing
+    # closure is full: only the core's and the framing's closures run
+    assert destabilizer_search(q, dims, rep, dead, trials=50, seed=4) is None
+    assert draws == [] and len(calls) == 2
+    assert _search_reference(q, dims, rep, dead, 50, 4) == (None, False)
+    # with the signs swapped the core's line pairs to 1
+    w = destabilizer_search(q, dims, rep, {"0": Fraction(-1), "1": Fraction(1)}, trials=50, seed=4)
+    assert w.dims == {"0": 0, "1": 1} and w.pairing == 1 and not w.includes_framing
+    # with B_0 = 0 the core is everything: the mode missing the framing is
+    # live, every closure of it pairs to 0 or -1, and the budget runs out
+    rep.b["0"] = Mat([[0]])
+    del draws[:]
+    assert destabilizer_search(q, dims, rep, dead, trials=50, seed=4) is None
+    assert draws
+
+
 def test_search_on_a_stable_representation_makes_two_closures(monkeypatch):
     # stable at +theta the core is zero, so no trial missing the framing
     # survives; stable at -theta the framing closure is full, so no trial
-    # holding it is proper: only the core's and the framing's closures run
+    # holding it is proper: only the core's and the framing's closures run,
+    # and the search returns before its first draw
     e = corpus()["loop2"]
     q, dims = e.quiver, e.dims
     rng = random.Random(2121)
@@ -406,17 +525,11 @@ def test_search_on_a_stable_representation_makes_two_closures(monkeypatch):
             break
     else:
         pytest.fail("no representation stable at both signs")
-    calls = []
-    closure = stability._closure
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return closure(*args, **kwargs)
-
-    monkeypatch.setattr(stability, "_closure", counted)
+    draws = _count_draws(monkeypatch)
+    calls = _count_closures(monkeypatch)
     theta = {"0": Fraction(2), "1": Fraction(-1)}
     assert destabilizer_search(q, dims, rep, theta, trials=50, seed=3) is None
-    assert len(calls) <= 2
+    assert len(calls) <= 2 and draws == []
 
 
 def test_transfer_basic():
@@ -489,6 +602,12 @@ def test_verify_witness_rejects_tampered_witnesses():
     _, _, _, x_zero = jordan_rep([[0, 0], [0, 0]], [[1], [0]], [[1, 0]])
     assert verify_witness(q, dims, x_zero, theta_pos, line2)
     assert not verify_witness(q, dims, x_zero, theta_pos, dataclasses.replace(w, basis={"0": (e1,)}))
+    # a basis vector of the wrong length, and a witness that leaves out the
+    # node in its basis or in its dims
+    long = dataclasses.replace(w, basis={"0": (e2 + (Fraction(0),),)})
+    assert not verify_witness(q, dims, x_zero, theta_pos, long)
+    assert not verify_witness(q, dims, x_zero, theta_pos, dataclasses.replace(line2, basis={}))
+    assert not verify_witness(q, dims, x_zero, theta_pos, dataclasses.replace(line2, dims={}))
 
 
 def test_verify_witness_rejects_a_repeated_basis_vector():
@@ -525,6 +644,11 @@ def test_verify_witness_rejects_tampered_framing_witnesses():
         w, dims={"0": 2}, basis={"0": ((Fraction(1), Fraction(0)), e2)}, pairing=Fraction(0)
     )
     assert not verify_witness(q, dims, rep, theta_neg, whole)
+    # a basis vector of the wrong length, and a witness that leaves out the
+    # node in its basis or in its dims
+    assert not verify_witness(q, dims, rep, theta_neg, dataclasses.replace(w, basis={"0": ((Fraction(1),),)}))
+    assert not verify_witness(q, dims, rep, theta_neg, dataclasses.replace(w, basis={}))
+    assert not verify_witness(q, dims, rep, theta_neg, dataclasses.replace(w, dims={}))
 
 
 @pytest.mark.parametrize("theta", [1, -1, 0])
