@@ -430,12 +430,17 @@ def _sign_split(candidate: FixedCandidate, nums) -> tuple[Counter, Counter]:
     return got[1], got[2]
 
 
+def _check_rank(candidate: FixedCandidate, nums, what: str) -> None:
+    """Refuse a point, named by what, with other than rank coordinates."""
+    rank = candidate.action.rank
+    if len(nums) != rank:
+        raise ValueError(f"{what} has {len(nums)} coordinates, the action has rank {rank}")
+
+
 def _xi_split(candidate: FixedCandidate, nums) -> tuple[Counter, Counter]:
     """_sign_split at xi's numerators, after checking their count against
     the candidate's rank."""
-    rank = candidate.action.rank
-    if len(nums) != rank:
-        raise ValueError(f"xi has {len(nums)} coordinates, the action has rank {rank}")
+    _check_rank(candidate, nums, "xi")
     return _sign_split(candidate, nums)
 
 
@@ -557,14 +562,9 @@ def triangle_split_check(
     multiplicities: the verdict is one pass over the characters with no
     multiset built.
     """
-    rank = candidate.action.rank
-    face_nums = face.nums
-    if len(face_nums) != rank:
-        raise ValueError(f"face point has {len(face_nums)} coordinates, the action has rank {rank}")
-    chamber_nums = chamber.nums
-    if len(chamber_nums) != rank:
-        raise ValueError(f"chamber point has {len(chamber_nums)} coordinates, the action has rank {rank}")
-    n_minus = _sign_split(candidate, chamber_nums)[1]
+    _check_rank(candidate, face.nums, "face point")
+    _check_rank(candidate, chamber.nums, "chamber point")
+    n_minus = _sign_split(candidate, chamber.nums)[1]
     problems = []
     split = True  # no character of N^- alive and positive on the face
     pairing = face._pairing

@@ -13,36 +13,27 @@ scratch; pairings are evaluated in the completed sense where the framing
 is absorbed into an extra dimension-1 node whose stability value is
 -sum(theta_i * v_i).
 
-The search skips, without a closure, every trial that cannot pass the
-side rule. A subspace missing the framing node that is invariant and
-killed by every B lies inside the B-killed core; the core is invariant,
-so a closure lies in it exactly when its seeds do. A subspace holding the
-framing node contains the closure of the framing images, so a trial of
-that mode grows from that closure, and none can be proper when it is
-full. Skipped trials still draw their seeds, so the random stream, the
-first trial that succeeds and its witness are those of an unpruned
-search.
-
-The same two containments bound each mode's pairing before the first
-draw: a closure missing the framing node pairs to at most theta over the
-core's dimensions where theta > 0, and one holding it to at most -theta
-over what the framing closure misses where theta < 0. When neither bound
-is positive no trial can destabilize, and the search returns None without
-drawing; its random stream is local to the call, so no caller sees the
-draws it skips.
+Both the exact verdict and the search read each mode of the completion
+(missing the framing node, or holding it) through one bound on what its
+invariant subspaces can pair to, stated in _extreme. For sign-definite
+theta the verdict is that bound's sign; the search skips every trial of a
+mode whose bound is zero, and returns None without drawing when no mode's
+bound is positive. Skipped trials still draw their seeds, so the random
+stream, the first trial that succeeds and its witness are those of an
+unpruned search; the stream is local to the call, so no caller sees the
+draws a dead search skips.
 
 Each check (stability_report, destabilizer_search) clears the
 representation into one integer form, _IntegerRep: every arrow matrix
 scaled by one common denominator, and its transpose for the core; the A
-columns and B rows, read as numerators like the arrows. The closure, the
-core (a dual closure and the kernel read off its basis) and the side rule
-all run on integer Gauss-Jordan bases grown by exactlinalg.insert_row.
-Fractions are made only at the edges: the public generated_closure clears
-its seeds on entry, normalise_basis makes the canonical bases that
-generated_closure and cogenerated_core return and that a witness carries
-(the search normalises only the witness it returns), pairings are
-Fractions of theta, and verify_witness rechecks a witness on Fractions,
-apart from the form.
+columns and B rows, read as numerators like the arrows. The closure and
+the core (a dual closure and the kernel read off its basis) run on
+integer Gauss-Jordan bases grown by exactlinalg.insert_row. Fractions are
+made only at the edges: the public generated_closure clears its seeds on
+entry, normalise_basis makes the canonical bases that generated_closure
+and cogenerated_core return and that a witness carries (the search
+normalises only the witness it returns), pairings are Fractions of theta,
+and verify_witness rechecks a witness on Fractions, apart from the form.
 """
 
 from __future__ import annotations
@@ -90,8 +81,7 @@ class _IntegerRep(NamedTuple):
     it keeps its map up to a scalar and sends spans to the same spans;
     per-row scales would not. The A columns and B rows only span, so their
     numerators serve as well: insert_row stores any positive multiple of a
-    seed row as the same row, and the side rule only tests pairings for
-    zero.
+    seed row as the same row.
     """
 
     arrows_out: dict  # node -> [(head, M)] for each arrow out of it
@@ -216,34 +206,26 @@ def _witness(q, dims, theta, bases, includes_framing) -> SubrepWitness:
     )
 
 
-def _side_rule_holds(q, dims, b_rows, spans, includes_framing) -> bool:
-    """The completion's side condition on an invariant graded subspace: one
-    holding the framing node must be proper, one missing it must be nonzero
-    and killed by every B map.
-
-    b_rows and spans hold rows of ints or Fractions at each node. The rule
-    only sees spans, so an integer basis row decides it as well as the row
-    divided by its pivot, and a B row as well as any multiple of it.
-    """
-    if includes_framing:
-        return any(len(spans[n]) < dims.v[n] for n in q.nodes)
-    return any(spans[n] for n in q.nodes) and not any(
-        sum(map(mul, r, vec)) for n in q.nodes for vec in spans[n] for r in b_rows[n]
-    )
-
-
 def verify_witness(
     q: Quiver, dims: DimData, rep: Representation, theta, w: SubrepWitness
 ) -> bool:
     """Recheck a witness by direct matrix containment, independently of how
-    it was produced: arrow invariance, the framing condition for its side
-    of the completion, and the recorded pairing value."""
+    it was produced: arrow invariance, the side rule of its mode of the
+    completion (a subspace holding the framing node must hold the framing
+    images and be proper, one missing it must be nonzero and killed by
+    every B map), and the recorded pairing value."""
     validate_shapes(q, dims, rep)
     for n in q.nodes:
         # a basis of the recorded size that spans fewer dimensions is no
-        # basis, nor is a missing node or a vector of the wrong length
+        # basis, nor is a missing node, anything but a sequence of vectors
+        # of the node's length, or an entry that is not an int or a Fraction
+        # (a bool is neither)
         basis = w.basis.get(n)
-        if basis is None or n not in w.dims or any(len(vec) != dims.v[n] for vec in basis):
+        if n not in w.dims or not isinstance(basis, (tuple, list)) or not all(
+            isinstance(vec, (tuple, list)) and len(vec) == dims.v[n]
+            and all(type(x) in (int, Fraction) for x in vec)
+            for vec in basis
+        ):
             return False
         if not len(basis) == len(reduce_span(basis, dims.v[n])) == w.dims[n]:
             return False
@@ -256,40 +238,56 @@ def verify_witness(
             for j in range(rep.a[n].cols):
                 if not in_span(rep.a[n].col_tuple(j), w.basis[n], dims.v[n]):
                     return False
-    b_rows = {n: rep.b[n].num for n in q.nodes}
-    if not _side_rule_holds(q, dims, b_rows, w.basis, w.includes_framing):
+        if all(w.dims[n] == dims.v[n] for n in q.nodes):
+            return False
+    elif not any(w.dims[n] for n in q.nodes) or any(
+        any(rep.b[n].apply(vec)) for n in q.nodes for vec in w.basis[n]
+    ):
         return False
     return w.pairing == _completed_pairing(q, dims, theta, w.dims, w.includes_framing)
 
 
-def _theta_sign(q: Quiver, theta) -> int:
-    values = [frac(theta[n]) for n in q.nodes]
-    if all(v > 0 for v in values):
-        return 1
-    if all(v < 0 for v in values):
-        return -1
-    return 0
+def _extreme(
+    q: Quiver, dims: DimData, form: _IntegerRep, theta, include_framing: bool
+) -> tuple[dict, bool]:
+    """The extreme subspace of one mode of the completion, and whether the
+    mode's bound on the completed pairing is positive.
+
+    An invariant subspace missing the framing node and killed by every B
+    lies in the B-killed core, so it pairs to at most theta over the core's
+    dimensions where theta > 0. One holding the framing node contains the
+    closure of the framing images, so it pairs to at most -theta over what
+    that closure misses where theta < 0. The core, or the framing closure,
+    is the mode's extreme subspace: it obeys the mode's side rule exactly
+    when the bound is positive, and pairs to the bound when theta has the
+    mode's sign at every node.
+    """
+    if include_framing:
+        bases = _generate(form, dims, {}, True)
+        return bases, any(frac(theta[n]) < 0 for n in q.nodes if len(bases[n]) < dims.v[n])
+    bases = _core(form, dims)
+    return bases, any(frac(theta[n]) > 0 for n in q.nodes if bases[n])
 
 
 def stability_report(q: Quiver, dims: DimData, rep: Representation, theta):
     """(stable, witness) for sign-definite theta; witness is None when stable.
 
-    The B-killed core (positive theta) or the closure of the framing images
-    (negative theta) destabilizes exactly when it obeys the side rule.
+    Positive theta reads the mode missing the framing node, negative theta
+    the mode holding it: the representation is stable exactly when that
+    mode's bound (see _extreme) is zero, and otherwise its extreme subspace
+    is the witness.
     """
     form = _integer_rep(q, dims, rep)
-    sign = _theta_sign(q, theta)
-    if sign == 0:
+    positive = all(frac(theta[n]) > 0 for n in q.nodes)
+    if not positive and not all(frac(theta[n]) < 0 for n in q.nodes):
         raise MixedSignTheta(
             "mixed-sign stability is undecidable by this routine; "
             "use destabilizer_search for a semidecision"
         )
-    includes_framing = sign < 0
-    bases = _generate(form, dims, {}, True) if includes_framing else _core(form, dims)
-    spans = {n: bases[n].values() for n in q.nodes}
-    if not _side_rule_holds(q, dims, form.b_rows, spans, includes_framing):
+    bases, live = _extreme(q, dims, form, theta, not positive)
+    if not live:
         return True, None
-    return False, _witness(q, dims, theta, bases, includes_framing)
+    return False, _witness(q, dims, theta, bases, not positive)
 
 
 def destabilizer_search(
@@ -308,43 +306,26 @@ def destabilizer_search(
     that no invariant subspace has a positive completed pairing; the two
     are not told apart.
 
-    Trials that cannot pass the side rule are skipped without a closure,
-    by two containments computed once per call:
-    - missing the framing: an invariant subspace killed by every B lies in
-      the B-killed core, and a closure lies in the core exactly when its
-      seeds do. A trial is skipped when its seeds are all zero or one of
-      them leaves the core; the closure of any other trial is nonzero and
-      killed by B.
-    - holding the framing: every closure contains the closure of the
-      framing images. When that is full at every node no trial of this
-      mode is proper; otherwise each trial grows from a copy of it.
-    Every trial draws its seeds, skipped or not, so later trials see the
-    same random stream and the first trial that succeeds is the one an
-    unpruned search finds; its witness basis is canonical.
-
-    The containments also bound the pairing of every closure a mode can
-    reach: the core's dimensions weighted by theta where theta > 0, or
-    what the framing closure misses weighted by -theta where theta < 0.
-    When both bounds are zero the search returns None before its first
-    draw, and before any trial closure.
+    Trials that cannot destabilize are skipped without a closure: every
+    trial of a mode whose bound (see _extreme) is zero; a trial missing the
+    framing whose seeds are all zero or leave the core, since a closure lies
+    in the invariant core exactly when its seeds do; and a trial holding the
+    framing whose closure, grown from a copy of the framing closure, is
+    full. Every trial draws its seeds, skipped or not, so later trials see
+    the same random stream and the first trial that succeeds is the one an
+    unpruned search finds; its witness basis is canonical. When no mode's
+    bound is positive the search returns None before its first draw, and
+    before any trial closure.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     form = _integer_rep(q, dims, rep)
     # a subspace missing the framing node can only destabilize where theta
     # is positive somewhere; one containing it only where negative somewhere
-    pos = [n for n in q.nodes if frac(theta[n]) > 0]
-    neg = [n for n in q.nodes if frac(theta[n]) < 0]
-    modes = [m for m, nodes in ((False, pos), (True, neg)) if nodes]
-    if not modes:
-        return None
-    core = _core(form, dims) if pos else None
-    framing = _generate(form, dims, {}, True) if neg else None
-    # a closure missing the framing lies in the core, so it pairs to at most
-    # theta over the core where theta > 0; one holding it contains the
-    # framing closure, so it pairs to at most -theta over what that misses
-    # where theta < 0
-    if not any(core[n] for n in pos) and not any(len(framing[n]) < dims.v[n] for n in neg):
+    signs = {(t > 0) - (t < 0) for t in (frac(theta[n]) for n in q.nodes)}
+    modes = [m for m, sign in ((False, 1), (True, -1)) if sign in signs]
+    extreme = {m: _extreme(q, dims, form, theta, m) for m in modes}
+    if not any(live for _, live in extreme.values()):
         return None
 
     # systematic phase: every single coordinate line (and the bare framing
@@ -356,7 +337,6 @@ def destabilizer_search(
                 systematic.append((m, {n: [_unit(j, dims.v[n])]}))
 
     rng = random.Random(seed)
-    framing_full = framing is not None and all(len(framing[n]) == dims.v[n] for n in q.nodes)
     for trial in range(trials):
         if trial < len(systematic):
             include_framing, seeds = systematic[trial]
@@ -373,15 +353,16 @@ def destabilizer_search(
                 else:
                     count = rng.randint(0, max(0, vn - 1))
                     seeds[n] = [[rng.randint(-3, 3) for _ in range(vn)] for _ in range(count)]
+        top, live = extreme[include_framing]
+        if not live:
+            continue
         if include_framing:
-            if framing_full:
-                continue
-            bases = _closure(form.arrows_out, dims, seeds, start=framing)
+            bases = _closure(form.arrows_out, dims, seeds, start=top)
             if all(len(bases[n]) == dims.v[n] for n in q.nodes):
                 continue
         else:
             rows = [(n, v) for n, vs in seeds.items() for v in vs if any(v)]
-            if not rows or any(any(_reduce(core[n], v)) for n, v in rows):
+            if not rows or any(any(_reduce(top[n], v)) for n, v in rows):
                 continue
             bases = _generate(form, dims, seeds, False)
         sub_dims = {n: len(bases[n]) for n in q.nodes}

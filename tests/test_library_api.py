@@ -3,7 +3,10 @@
 Each name bound in ``quiverlab/__init__.py`` must either be referenced in
 another module of ``src/quiverlab`` (imported there, or read outside its
 own definition in its own module) or be listed in README's "Library API"
-section, so an export nothing needs cannot stay unnoticed.
+section, so an export nothing needs cannot stay unnoticed. The same holds
+for every module-level function and class of the package, private ones
+included, so a helper left without a caller fails too; a read of
+``module.name`` counts as a reference to it.
 
 The same holds for the public fields and properties of the classes a
 library caller receives: every exported class, every class an exported
@@ -32,19 +35,8 @@ def _exported() -> list:
     return [n for n in names if not n.startswith("_")]
 
 
-def _references(node, name: str) -> bool:
-    """Whether the tree imports name or reads it, skipping name's own
-    definition so a recursive call does not count."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and child.name == name:
-            continue
-        if isinstance(child, ast.ImportFrom) and any(a.name == name for a in child.names):
-            return True
-        if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
-            return True
-        if _references(child, name):
-            return True
-    return False
+def _modules() -> dict:
+    return {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
 
 
 def _library_api_section() -> str:
@@ -54,20 +46,57 @@ def _library_api_section() -> str:
     return match.group(1)
 
 
+def _reads(node) -> set:
+    """Every name the tree imports or reads, and every module.name it reads
+    as "module.name", leaving out the reads of a name inside its own
+    definition so a recursive call does not count."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ImportFrom):
+            found.update(a.name for a in child.names)
+        elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            found.add(child.id)
+        elif (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+              and isinstance(child.value, ast.Name)):
+            found.add(f"{child.value.id}.{child.attr}")
+        inner = _reads(child)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner.discard(child.name)
+        found |= inner
+    return found
+
+
+def _unused_definitions(modules: dict) -> list:
+    """module.name for every module-level function and class that no module
+    imports, reads by name, or reads as module.name."""
+    reads = set().union(*map(_reads, modules.values()))
+    return [
+        f"{module}.{node.name}"
+        for module, tree in sorted(modules.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not {node.name, f"{module}.{node.name}"} & reads
+    ]
+
+
 def test_every_export_is_used_in_src_or_listed_as_library_api():
-    modules = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    reads = set().union(*map(_reads, _modules().values()))
     listed = set(re.findall(r"`(?:\w+\.)?(\w+)`", _library_api_section()))
-    unused = [n for n in _exported() if not any(_references(m, n) for m in modules)]
+    unused = [n for n in _exported() if n not in reads]
     assert [n for n in unused if n not in listed] == []
+
+
+def test_every_definition_is_used_in_src_or_listed_as_library_api():
+    listed = set(re.findall(r"`(?:\w+\.)?(\w+)`", _library_api_section()))
+    unused = _unused_definitions(_modules())
+    # the names the benchmark alone reaches are listed, and found here
+    assert {"stability.generated_closure", "envelopes.split_N"} <= set(unused)
+    assert [n for n in unused if n.split(".")[1] not in listed] == []
 
 
 # classes whose instances cli renders whole through vars(), so every field
 # is read, with the cli function that renders them
 RENDERED_BY_VARS = {"DegreeRow": "_stab_table_payload"}
-
-
-def _modules() -> dict:
-    return {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
 
 
 def _names_in(annotation, classes) -> set:
@@ -178,6 +207,21 @@ def test_library_api_check_sees_an_unused_attribute():
 
 def test_library_api_check_sees_an_unused_name():
     tree = ast.parse("def f():\n    return f()\n\ndef g():\n    return h\n")
-    assert not _references(tree, "f")
-    assert _references(tree, "h")
-    assert _references(ast.parse("from .x import f\n"), "f")
+    assert "f" not in _reads(tree)
+    assert "h" in _reads(tree)
+    assert "f" in _reads(ast.parse("from .x import f\n"))
+
+
+def test_library_api_check_sees_an_unused_helper():
+    # a private helper that only calls itself is unused; one read as
+    # module.name from another module, or by name in its own, is used
+    modules = {
+        "m": ast.parse(
+            "def _dead():\n    return _dead()\n\n"
+            "def _suite():\n    pass\n\n"
+            "class _Row:\n    pass\n\n"
+            "def _helper() -> _Row:\n    pass\n"
+        ),
+        "n": ast.parse("from . import m\n\nrun = m._suite, m._helper\nother = x._dead\n"),
+    }
+    assert _unused_definitions(modules) == ["m._dead"]

@@ -478,7 +478,7 @@ def _count_closures(monkeypatch):
     closure = stability._closure
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(kwargs)
         return closure(*args, **kwargs)
 
     monkeypatch.setattr(stability, "_closure", counted)
@@ -509,6 +509,46 @@ def test_dead_search_returns_before_its_first_draw(monkeypatch):
     del draws[:]
     assert destabilizer_search(q, dims, rep, dead, trials=50, seed=4) is None
     assert draws
+
+
+def test_dead_mode_beside_a_live_one_runs_no_trial_closure(monkeypatch):
+    # a2sym with a = a* = 0 and A_0 = B_0 = 1 at theta = (-1, +1): the
+    # framing closure fills node 0 and misses node 1, where theta > 0, so
+    # the mode holding the framing is dead; the core is the line at node 1
+    e = corpus()["a2sym"]
+    q, dims = e.quiver, e.dims
+    rep = Representation({"a": Mat([[0]]), "a*": Mat([[0]])}, {"0": Mat([[1]]), "1": Mat.zero(1, 0)},
+                         {"0": Mat([[1]]), "1": Mat.zero(0, 1)})
+    theta = {"0": Fraction(-1), "1": Fraction(1)}
+    calls = _count_closures(monkeypatch)
+    w = destabilizer_search(q, dims, rep, theta, trials=50, seed=4)
+    # no trial grows from the framing closure, the core's line is found
+    assert not any("start" in kwargs for kwargs in calls)
+    assert w.dims == {"0": 0, "1": 1} and w.pairing == 1 and not w.includes_framing
+    assert w == _search_reference(q, dims, rep, theta, 50, 4)[0]
+    assert verify_witness(q, dims, rep, theta, w)
+
+
+def test_exact_verdict_is_a_dead_search(monkeypatch):
+    # for sign-definite theta the report is stable exactly when the search
+    # draws nothing and runs only the closure of its one extreme subspace
+    draws = _count_draws(monkeypatch)
+    calls = _count_closures(monkeypatch)
+    count = stable_count = 0
+    for q, dims, rep, theta, seed in _search_problems():
+        if len({theta[n] > 0 for n in q.nodes}) > 1:
+            continue
+        count += 1
+        stable, w = stability_report(q, dims, rep, theta)
+        del draws[:], calls[:]
+        destabilizer_search(q, dims, rep, theta, trials=50, seed=seed)
+        assert stable == (not draws and len(calls) == 1), seed
+        if stable:
+            stable_count += 1
+        else:
+            assert verify_witness(q, dims, rep, theta, w) and w.pairing > 0, seed
+    assert count == 260
+    assert 0 < stable_count < count
 
 
 def test_search_on_a_stable_representation_makes_two_closures(monkeypatch):
@@ -608,6 +648,12 @@ def test_verify_witness_rejects_tampered_witnesses():
     assert not verify_witness(q, dims, x_zero, theta_pos, long)
     assert not verify_witness(q, dims, x_zero, theta_pos, dataclasses.replace(line2, basis={}))
     assert not verify_witness(q, dims, x_zero, theta_pos, dataclasses.replace(line2, dims={}))
+    # a basis that is not a sequence of vectors, and entries that are not
+    # exact rationals
+    for basis in (e2, 5, (5,), (None,), ((Fraction(0), None),), ((0, True),), ((0, "x"),), (("0", "1"),)):
+        assert not verify_witness(q, dims, x_zero, theta_pos, dataclasses.replace(line2, basis={"0": basis}))
+    # ints serve as well as Fractions
+    assert verify_witness(q, dims, x_zero, theta_pos, dataclasses.replace(line2, basis={"0": [[0, 1]]}))
 
 
 def test_verify_witness_rejects_a_repeated_basis_vector():
