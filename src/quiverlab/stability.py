@@ -215,13 +215,17 @@ def verify_witness(
     images and be proper, one missing it must be nonzero and killed by
     every B map), and the recorded pairing value."""
     validate_shapes(q, dims, rep)
+    # exact types, here and per node: a bool is no int, a float no pairing
+    if not (isinstance(w.dims, dict) and isinstance(w.basis, dict)
+            and type(w.pairing) in (int, Fraction) and type(w.includes_framing) is bool):
+        return False
     for n in q.nodes:
         # a basis of the recorded size that spans fewer dimensions is no
         # basis, nor is a missing node, anything but a sequence of vectors
         # of the node's length, or an entry that is not an int or a Fraction
         # (a bool is neither)
         basis = w.basis.get(n)
-        if n not in w.dims or not isinstance(basis, (tuple, list)) or not all(
+        if type(w.dims.get(n)) is not int or not isinstance(basis, (tuple, list)) or not all(
             isinstance(vec, (tuple, list)) and len(vec) == dims.v[n]
             and all(type(x) in (int, Fraction) for x in vec)
             for vec in basis

@@ -79,6 +79,16 @@ class AuxResult:
         return DimData({n: self.v[n] for n in nodes}, {n: self.d[n] for n in nodes})
 
 
+def _require_gauge(q: Quiver, dims: DimData):
+    """dims.validate, then refuse a node of gauge dimension 0: no leg fits it."""
+    dims.validate(q)
+    for node in q.nodes:
+        if dims.v[node] == 0:
+            raise ValueError(
+                f"gauge dimension 0 at node {node!r}; drop the node before building legs"
+            )
+
+
 def build_aux(q: Quiver, split: ArrowSplit, dims: DimData) -> AuxResult:
     """Replace each loop of Q^add by a doubled A_{n-1} leg.
 
@@ -86,12 +96,7 @@ def build_aux(q: Quiver, split: ArrowSplit, dims: DimData) -> AuxResult:
     no nodes are added). Framing extends by zero on the new nodes. Legs that
     would add more than MAX_LEG_NODES nodes are refused up front.
     """
-    dims.validate(q)
-    for node in q.nodes:
-        if dims.v[node] == 0:
-            raise ValueError(
-                f"gauge dimension 0 at node {node!r}; drop the node before building legs"
-            )
+    _require_gauge(q, dims)
     add_q, add_split = build_add(q, split)
     by_id = {a.id: a for a in add_q.arrows}
     loop_nodes = {loop_id: by_id[loop_id].head for loop_id in add_split.loops}
@@ -264,10 +269,7 @@ def hgamma_data(q: Quiver, split: ArrowSplit, dims: DimData) -> HGammaData:
     size v at the loop's node, permuted by the symmetric group S_v. The
     leftover linear directions count the original loops.
     """
-    dims.validate(q)
-    for node in q.nodes:
-        if dims.v[node] < 1:
-            raise ValueError("all gauge dimensions must be >= 1")
+    _require_gauge(q, dims)
     factors = [dims.v[q.arrow(l).head] for l in split.loops]
     factors += [dims.v[n] for n in q.nodes]
     return HGammaData(

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from operator import add, sub
 
 from .quiver import Arrow, ArrowSplit, DimData, Quiver, node_key
-from .surgery import dim_quiver_variety
 
 Char = tuple  # tuple of ints, length = rank
 
@@ -124,9 +123,9 @@ class FixedCandidate:
     """Character grading of the gauge spaces plus the derived quiver.
 
     The derived quiver and its data (quiver, split, v, d, framing_slots)
-    are a function of the base, the grading and the characters, so they
-    are derived the first time one of them is read and take no part in
-    equality or repr.
+    and the tangent are a function of the base, the grading and the
+    characters its graded blocks carry (block_chars), so they are derived
+    the first time one of them is read and take no part in equality or repr.
     """
 
     base: Quiver
@@ -136,26 +135,30 @@ class FixedCandidate:
     sigma: tuple
     grading: dict          # node -> {Char: dim}
     # the action's arrow and framing characters, resolved once per
-    # enumeration (_resolved); read by the tangent, the derived quiver at a
-    # nonzero cocharacter and the induced action
+    # enumeration (_resolved); read by block_chars at a nonzero cocharacter
+    # and by the induced action
     resolved: tuple = field(repr=False, compare=False)
-    _tangent: Counter | None = field(default=None, repr=False, compare=False)
-    _nonzero: Counter | None = field(default=None, repr=False, compare=False)
+    _tangent: Counter | None = field(default=None, init=False, repr=False, compare=False)
+    _nonzero: Counter | None = field(default=None, init=False, repr=False, compare=False)
     # _derived_quiver's (quiver, split, v, d, framing_slots)
     _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # (point numerators, N^+, N^-) at the last point envelopes._sign_split
     # split this candidate at
     _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    def block_chars(self) -> tuple[dict, dict]:
+        """The (arrow, framing) characters the graded blocks carry: resolved
+        at a nonzero cocharacter; at zero, whose candidate is the input
+        relabelled, every character zero, with d_n framing slots per node."""
+        if any(self.sigma):
+            return self.resolved
+        zero = zero_char(self.action.rank)
+        arrows = {ar.id: zero for ar in self.base.arrows}
+        return arrows, {n: (zero,) * self.base_dims.d[n] for n in self.base.nodes}
+
     def _derive(self) -> tuple:
         if self._derived is None:
-            chars, framing = self.resolved
-            if not any(self.sigma):
-                # the zero cocharacter's candidate is the input relabelled:
-                # it is derived with every character zero
-                zero = zero_char(self.action.rank)
-                chars = {ar.id: zero for ar in self.base.arrows}
-                framing = {n: (zero,) * self.base_dims.d[n] for n in self.base.nodes}
+            chars, framing = self.block_chars()
             self._derived = _derived_quiver(self.base, self.base_split, self.grading, chars, framing)
         return self._derived
 
@@ -204,13 +207,13 @@ class FixedCandidate:
         framing blocks count +1, the adjoint blocks V_n -> V_n count -1.
         The zero character survives with net multiplicity equal to the
         dimension of the candidate itself, when that is nonzero; no
-        character is kept with multiplicity zero. The zero cocharacter's
-        candidate is built with its tangent given (fixed_components).
+        character is kept with multiplicity zero. At the zero cocharacter
+        every block carries zero (block_chars): dim X at character zero.
         """
         if self._tangent is not None:
             return self._tangent
         g, zero = self.grading, zero_char(self.action.rank)
-        chars, framing = self.resolved
+        chars, framing = self.block_chars()
         frame = {zero: 1}  # the framing space W as a weight-0 node
         blocks = [(chars[ar.id], 1, g[ar.tail], g[ar.head]) for ar in self.base.arrows]
         for n in self.base.nodes:
@@ -296,8 +299,8 @@ def fixed_components(
     """Enumerate fixed-component candidates for a cocharacter.
 
     The zero cocharacter yields exactly one candidate, the input itself,
-    derived with every character zero (a relabelling) and given its tangent:
-    dim X directions, all at character zero. Any nonzero sigma gives the
+    whose graded blocks all carry the zero character (a relabelling;
+    FixedCandidate.block_chars). Any nonzero sigma gives the
     same T-fixed candidates, graded by characters of the whole torus; they
     are the components of X^sigma only when sigma lies off every wall.
     Gradings run over characters with each coordinate inside the window
@@ -324,15 +327,12 @@ def fixed_components(
     if len(sigma) != act.rank:
         raise ValueError("cocharacter has wrong rank")
     resolved = chars, framing = _resolved(q, split, act)
-    if act.rank == 0 or not any(sigma):
+    if not any(sigma):
         # the zero cocharacter pairs no arrow copies, so swapped pairs pass
         if not _arrows_self_dual(q, dims.v, chars):
             raise ValueError("action is not self-dual")
-        zero = zero_char(act.rank)
-        grading = {n: {zero: dims.v[n]} for n in q.nodes}
-        dim = dim_quiver_variety(q, dims)
-        tangent = Counter({zero: dim} if dim else {})
-        return [FixedCandidate(q, split, dims, act, sigma, grading, resolved, tangent)]
+        grading = {n: {zero_char(act.rank): dims.v[n]} for n in q.nodes}
+        return [FixedCandidate(q, split, dims, act, sigma, grading, resolved)]
     # the derived quiver pairs the copies of a and a* only when their
     # characters are opposite; loops carry zero, so the action is self-dual
     for a_id, astar_id in split.pairs:
@@ -378,7 +378,6 @@ def fixed_components(
     ]
     arrow_ends = [(ar.tail, ar.head, chars[ar.id]) for ar in q.arrows]
     framed_at = [(n, set(framing[n])) for n in q.nodes if framing[n]]
-    keys = [node_key(n) for n in q.nodes]
 
     seen = set()
     out = []
@@ -394,7 +393,7 @@ def fixed_components(
                     grading[n] = {
                         tuple(map(sub, ch, base)): m for ch, m in grading[n].items()
                     }
-        key = tuple((k, tuple(sorted(grading[n].items()))) for k, n in zip(keys, q.nodes))
+        key = tuple(tuple(sorted(grading[n].items())) for n in q.nodes)  # one node order
         if key in seen:
             continue
         seen.add(key)
@@ -411,26 +410,17 @@ def fixed_components(
 
 
 def fixed_self_dual_check(cand: FixedCandidate) -> bool:
-    """Self-duality of the induced action on the derived quiver.
-
-    The induced action is not validated again: every arrow copy and
-    aligned slot carries a character of the base action, which
-    fixed_components validated, and a loop's copies carry its zero.
-    """
-    return _arrows_self_dual(cand.quiver, cand.v, _copy_chars(cand))
-
-
-def _copy_chars(cand: FixedCandidate) -> dict:
-    """Each arrow copy's character: that of the base arrow it copies."""
-    chars = cand.resolved[0]
-    return {copy.id: chars[copy.id[0]] for copy in cand.quiver.arrows}
+    """Self-duality of the induced action on the derived quiver: one
+    self_dual_check, of induced_action(cand)."""
+    return self_dual_check(cand.quiver, cand.split, DimData(cand.v, cand.d), induced_action(cand))
 
 
 def induced_action(cand: FixedCandidate) -> TorusAction:
-    """Action on the derived quiver: arrow copies inherit their characters,
-    aligned framing slots keep theirs."""
-    framing = cand.resolved[1]
+    """Action on the derived quiver: arrow copies inherit the base
+    characters of the arrows they copy, aligned framing slots keep theirs."""
+    chars, framing = cand.resolved
+    arrow_chars = {copy.id: chars[copy.id[0]] for copy in cand.quiver.arrows}
     framing_chars = {
         nd: tuple(framing[nd[0]][s] for s in cand.framing_slots[nd]) for nd in cand.quiver.nodes
     }
-    return TorusAction(cand.action.rank, _copy_chars(cand), framing_chars)
+    return TorusAction(cand.action.rank, arrow_chars, framing_chars)

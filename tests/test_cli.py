@@ -1035,3 +1035,62 @@ def test_representation_shape_error_names_the_file(command, field, value, needle
     doc["representation"][field] = value
     path = _write(tmp_path, "shape.json", doc)
     _assert_one_error_line([command, path], capsys, f"{path}: {needle}")
+
+
+@pytest.mark.parametrize("command", ["analyze", "stab-table"])
+def test_zero_gauge_dimension_is_refused_naming_the_node(command, tmp_path, capsys):
+    # the legs and the leg deformation base share one refusal
+    path = _write(tmp_path, "v0.json", _input_doc("a2sym", v={"0": 1, "1": 0}))
+    _assert_one_error_line(
+        [command, path], capsys, "gauge dimension 0 at node '1'; drop the node before building legs"
+    )
+
+
+ARROWS_A2 = [ARROW_A, {"id": "a*", "tail": "1", "head": "0"}]
+CB_ARROWS = [{"id": "a", "tail": "0", "head": "inf"}, {"id": "a*", "tail": "inf", "head": "0"}]
+NODE_PAIR = {"v": {"0": 1, "inf": 1}, "d": {"0": 1, "inf": 0}, "theta": {"0": "1", "inf": "1"}}
+
+
+def _jordan2_rep_with_flat_a():
+    doc = _rep_doc()
+    doc["representation"]["A"]["0"] = [1, 2]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, doc, needle",
+    [
+        (["analyze"], _input_doc("a2sym", nodes=["0", "0", "1"]), "duplicate node identifiers"),
+        (["analyze"], _input_doc("a2sym", arrows=[ARROW_A] + ARROWS_A2), "duplicate arrow id 'a'"),
+        (["analyze"], _input_doc("a2sym", pairs=[["a", "a"]]), "split does not partition the arrow set"),
+        (
+            ["analyze"],
+            _input_doc("jordan2", nodes=["x@1", ["x", 1]], arrows=[], v={"x@1": 1}, d={"x@1": 0},
+                       theta={"x@1": "1"}, action=None),
+            "node key collision at 'x@1'",
+        ),
+        (["stability", "--theta=1"], _jordan2_rep_with_flat_a(), "'A' entry '0' needs a matrix object"),
+        (["fixed"], _input_doc("a2sym", sigma=[1, 2]), "cocharacter has wrong rank"),
+        (
+            ["fixed"],
+            _input_doc("a2sym", action={"rank": 1, "arrow_chars": {"a": [1, 0]},
+                                        "framing_chars": {"0": [[0]], "1": []}}),
+            "character on 'a' has wrong rank",
+        ),
+        (
+            ["cb"],
+            _input_doc("a2sym", nodes=["0", "inf"], arrows=CB_ARROWS, action=None, **NODE_PAIR),
+            "node 'inf' already present",
+        ),
+        (
+            ["analyze"],
+            _input_doc("jordan2", nodes=["0", ["eps", 1]], v={"0": 2, "eps@1": 1},
+                       d={"0": 1, "eps@1": 0}, theta={"0": "1", "eps@1": "1"}, action=None),
+            "leg node ('eps', 1) collides with an existing node",
+        ),
+    ],
+)
+def test_structural_refusals_are_input_errors(argv, doc, needle, tmp_path, capsys):
+    # exit 2 with one error line on stderr, so no traceback
+    path = _write(tmp_path, "refused.json", doc)
+    _assert_one_error_line([argv[0], path, *argv[1:]], capsys, needle)

@@ -836,7 +836,7 @@ def test_triangle_passes_with_negative_multiplicities_in_n_minus():
             for cand in cands:
                 rpt = checked_triangle(cand, ch, f)
                 assert rpt.ok and not rpt.problems, (cand.name(), ch.signs, sorted(f.zero_set))
-                assert rpt == per_character_triangle(cand, ch, f)
+                assert rpt == per_character_triangle(cand, ch, f) == reference_triangle(cand, ch, f)
                 negative += any(m < 0 for m in rpt.n_minus_full.values())
                 checked += 1
     assert (checked, negative) == (336, 12)
@@ -935,42 +935,10 @@ def test_triangle_matches_per_character_loop():
     assert kinds["framed2 -2..2"] > kinds["framed2"]
 
 
-def split_then_loop_triangle(candidate, chamber, face):
-    """triangle_split_check as it was when it read N^- from split_N at the
-    chamber point, and cleared both points, on every call."""
-    rank = candidate.action.rank
-    if len(face.point) != rank:
-        raise ValueError(f"face point has {len(face.point)} coordinates, the action has rank {rank}")
-    n_minus_full = split_N(candidate, chamber.point).n_minus
-    face_nums, _ = clear_denominators(face.point)
-    problems = []
-    side_face: Counter = Counter()
-    side_quot: Counter = Counter()
-    for ch, m in candidate.nonzero_tangent().items():
-        s_face = sum(map(mul, ch, face_nums))
-        dead = not any(sum(map(mul, ch, b)) for b in face.span_basis)
-        if dead != (s_face == 0):
-            problems.append(("incoherent-face-sign", ch))
-        elif dead:
-            if ch in n_minus_full:
-                side_quot[ch] += m
-        elif s_face < 0:
-            if ch in n_minus_full:
-                side_face[ch] += m
-            else:
-                problems.append(("face-not-in-chamber-closure", ch))
-    return Triangle(
-        ok=not problems and n_minus_full == side_face + side_quot,
-        n_minus_full=n_minus_full,
-        side_face=side_face,
-        side_quotient=side_quot,
-        problems=tuple(problems),
-    )
-
-
 def test_triangle_matches_split_then_loop_on_framed2_window3():
     # every triple of `triangle inputs/framed2.json --window=-3..3`, then
-    # faces of another chamber and of the default window's arrangement
+    # faces of another chamber and of the default window's arrangement,
+    # against the reference that splits N^- off first, then loops
     q, split, dims, action, sigma = quiver_from_json(
         json.loads((ROOT / "inputs" / "framed2.json").read_text()))
     cands = fixed_components(q, split, dims, action, sigma, (-3, 3))
@@ -985,7 +953,7 @@ def test_triangle_matches_split_then_loop_on_framed2_window3():
     for ch, f in triples:
         for cand in cands:
             rpt = checked_triangle(cand, ch, f)
-            assert rpt == split_then_loop_triangle(cand, ch, f), (cand.name(), ch.signs, f.point)
+            assert rpt == reference_triangle(cand, ch, f), (cand.name(), ch.signs, f.point)
             kinds.update(kind for kind, _ in rpt.problems)
             kinds[rpt.ok] += 1
     assert len(kinds) == 4, kinds  # ok, not ok and both problem kinds
@@ -1039,8 +1007,10 @@ def reference_triangle(candidate, chamber, face):
                 side_face[ch] += m
             else:
                 problems.append(("face-not-in-chamber-closure", ch))
+    union = Counter(side_face)
+    union.update(side_quot)  # adds every count, where + drops those <= 0
     return Triangle(
-        ok=not problems and n_minus_full == side_face + side_quot,
+        ok=not problems and n_minus_full == union,
         n_minus_full=n_minus_full,
         side_face=side_face,
         side_quotient=side_quot,

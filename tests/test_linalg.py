@@ -9,6 +9,7 @@ from quiverlab.exactlinalg import (
     _num_sum,
     _scalar_entry,
     charpoly,
+    dot,
     frac,
     in_span,
     kernel_basis,
@@ -590,3 +591,21 @@ def test_frac_refuses_bool():
         with pytest.raises(TypeError):
             frac(flag)
     assert frac(1) == 1 and frac("-3/6") == Fraction(-1, 2)
+
+
+def test_shape_refusals_name_the_fault():
+    with pytest.raises(ValueError, match="ragged matrix data"):
+        Mat([[1, 2], [3]])
+    with pytest.raises(ValueError, match="empty matrix needs an explicit column count"):
+        Mat([])
+    assert Mat([], cols=2).cols == 2
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        Mat.identity(2).apply((1, 2, 3))
+    with pytest.raises(ValueError, match="inverse of a non-square matrix"):
+        Mat.zero(2, 3).inverse()
+    with pytest.raises(ValueError, match="characteristic polynomial of a non-square matrix"):
+        charpoly(Mat.zero(3, 2))
+    with pytest.raises(ValueError, match="row count mismatch in solve"):
+        solve(Mat.identity(2), Mat.identity(3))
+    with pytest.raises(ValueError, match="dot length mismatch"):
+        dot((1, 2), (1, 2, 3))

@@ -155,9 +155,26 @@ def test_build_aux_a2sym():
 
 
 def test_build_aux_rejects_zero_dimension():
+    # the legs and the leg deformation base refuse it in the same words
     q, split, dims = jordan(0, 1)
-    with pytest.raises(ValueError):
-        build_aux(q, split, dims)
+    for build in (build_aux, hgamma_data):
+        with pytest.raises(ValueError, match="gauge dimension 0 at node '0'; drop the node"):
+            build(q, split, dims)
+
+
+def test_split_and_dimension_refusals_name_the_fault():
+    q = Quiver(("0", "1"), (Arrow("a", "0", "1"), Arrow("b", "0", "1")))
+    with pytest.raises(ValueError, match=r"pair \('a', 'b'\) is not orientation-reversed"):
+        ArrowSplit((("a", "b"),), ()).validate(q)
+    full = {"0": 1, "1": 1}
+    for dims, need_theta, missing in (
+        (DimData({"0": 1}, full), False, "missing gauge dimension at node '1'"),
+        (DimData(full, {"1": 0}), False, "missing framing dimension at node '0'"),
+        (DimData(full, full, {"0": 1}), True, "missing stability value at node '1'"),
+    ):
+        with pytest.raises(ValueError, match=missing):
+            dims.validate(q, need_theta)
+    DimData(full, full, {"0": 1}).validate(q)
 
 
 def test_build_aux_leg_structure_v3():

@@ -730,3 +730,10 @@ def test_transfer_refuses_a_kernel_in_any_single_C():
             assert not leg_stable(aux, rep)
             with pytest.raises(ValueError, match="not leg-stable"):
                 check_stability_transfer(aux, rep, t, xi)
+
+
+def test_random_injective_refuses_a_smaller_target():
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="no injective map into a smaller space"):
+        random_injective(rng, 2, 3)
+    assert rank(random_injective(rng, 3, 3)) == 3

@@ -367,6 +367,31 @@ def test_destabilizer_search_matches_fraction_search():
             assert late > 0
 
 
+def test_search_refuses_an_empty_budget():
+    q, _, dims, rep = jordan_rep([[0, 1], [0, 0]], [[1], [0]], [[0, 1]])
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        destabilizer_search(q, dims, rep, {"0": Fraction(1)}, trials=0)
+
+
+def test_random_phase_draws_nothing_at_a_node_of_dimension_zero():
+    # a2sym at v = (2, 0) with B = (1, -1) at node 0: only the line of
+    # (1, 1) is killed by B, no coordinate line reaches it, so every search
+    # runs random trials, and node 1 draws no seeds in them
+    e = corpus()["a2sym"]
+    q, dims = e.quiver, DimData({"0": 2, "1": 0}, e.dims.d)
+    rng = random.Random(3434)
+    late = 0
+    for seed in range(40):
+        rep = random_representation(rng, q, dims)
+        rep.b["0"] = Mat([[1, -1]])
+        theta = {"0": Fraction(rng.randint(1, 3)), "1": Fraction(rng.choice((-1, 1)))}
+        for trials in (3, 10, 30):
+            want, random_trial = _search_reference(q, dims, rep, theta, trials, seed)
+            assert destabilizer_search(q, dims, rep, theta, trials=trials, seed=seed) == want, (trials, seed)
+            late += random_trial
+    assert late > 0
+
+
 def _node_bound_problems():
     """120 seeded mixed-theta problems in which only the per-node bound kills
     a mode: the core is nonzero, but only at nodes where theta <= 0, or the
@@ -610,6 +635,15 @@ def test_transfer_unstable_image_agrees():
     assert hits > 0  # the sample really exercises the unstable branch
 
 
+def test_transfer_refuses_nonpositive_xi():
+    e = corpus()["jordan2"]
+    aux = build_aux(e.quiver, e.split, e.dims)
+    rep, t = random_leg_stable_aux(random.Random(9), aux)
+    for xi in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="xi must be strictly positive on every base node"):
+            check_stability_transfer(aux, rep, t, {"0": xi})
+
+
 def test_transfer_respects_delta_override():
     e = corpus()["jordan2"]
     aux = build_aux(e.quiver, e.split, e.dims)
@@ -654,6 +688,24 @@ def test_verify_witness_rejects_tampered_witnesses():
         assert not verify_witness(q, dims, x_zero, theta_pos, dataclasses.replace(line2, basis={"0": basis}))
     # ints serve as well as Fractions
     assert verify_witness(q, dims, x_zero, theta_pos, dataclasses.replace(line2, basis={"0": [[0, 1]]}))
+    # recorded values of the wrong type: a bool or float dimension, a float
+    # pairing, a mode that is not a bool, and containers that are not dicts,
+    # on the witnesses of both modes
+    theta_neg = {"0": Fraction(-1)}
+    q, _, dims, rep_neg = jordan_rep([[0, 0], [0, 0]], [[1], [0]], [[0, 0]])
+    stable, w_neg = stability_report(q, dims, rep_neg, theta_neg)
+    assert not stable and w_neg.includes_framing and w_neg.dims == {"0": 1}
+    for witness, r, theta in ((w_neg, rep_neg, theta_neg), (w, rep, theta_pos)):
+        assert verify_witness(q, dims, r, theta, witness)
+        for change in (
+            {"dims": {"0": True}}, {"dims": {"0": float(witness.dims["0"])}, "pairing": float(witness.pairing)},
+            {"pairing": float(witness.pairing)}, {"includes_framing": int(witness.includes_framing)},
+            {"includes_framing": "yes"}, {"basis": None}, {"dims": None},
+            {"basis": tuple(witness.basis.items())},
+        ):
+            assert verify_witness(q, dims, r, theta, dataclasses.replace(witness, **change)) is False
+        # an int pairing serves as well as a Fraction
+        assert verify_witness(q, dims, r, theta, dataclasses.replace(witness, pairing=int(witness.pairing)))
 
 
 def test_verify_witness_rejects_a_repeated_basis_vector():
