@@ -262,6 +262,12 @@ def cmd_fixed(args) -> int:
 
 def _roots_for(args):
     if args.roots is not None:
+        # the roots are the whole input, so any other would be dropped
+        given = [name for name, value in (
+            ("an input file", args.file), ("--sigma", args.sigma), ("--window", args.window)
+        ) if value is not None]
+        if given:
+            raise InputError(f"--roots cannot be combined with {' or '.join(given)}")
         try:
             roots = tuple(
                 tuple(int(x) for x in part.split(",")) for part in args.roots.split(";")

@@ -12,11 +12,19 @@ bounds, so a chamber's point depends on its sign rows alone, not on the
 order in which they were added.
 A face fixes a closed subset of roots to zero and keeps the chamber signs
 on the rest; its span is the common kernel of the vanishing roots, which
-is also the Lie algebra of the associated subtorus. These closed subsets
-are the flats of the arrangement, found by walking up from the whole space
-through covers: a flat is covered by one flat per hyperplane the remaining
-roots cut out of its kernel, so the lattice costs one kernel per flat, taken
-as integer rows of an integer elimination with no Fraction matrix between.
+is also the Lie algebra of the associated subtorus. A chamber's faces are
+found by walking down its own face lattice from the open chamber. Every
+face is the intersection of the facets that contain it, so a face one
+dimension below a face F is F cut by one facet hyperplane; its zero set is
+F's zero set Z joined with a cover class of Z, the roots whose restrictions
+to F's span cut the same hyperplane as that facet's root. So only the cover
+classes that hold a facet root are tried, each by one Fourier-Motzkin
+elimination on the flat's signed pairing rows. The facets are the parallel
+classes of roots whose sign flip is another chamber, a lookup among the
+chambers that chambers() returned together. Those chambers share one
+record of the arrangement, which keeps each flat the walks reached, its
+kernel taken as integer rows of an integer elimination with no Fraction
+matrix between.
 Every pairing of a root or character with a rational point is an integer
 dot product with the point's numerators over a common positive
 denominator, which keeps its sign. Pairings are kept per point: a candidate
@@ -49,7 +57,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 
-from .exactlinalg import _int_basis, clear_denominators, frac, kernel_rows, normalise_basis
+from .exactlinalg import _int_basis, clear_denominators, frac, kernel_rows
 from .quiver import ArrowSplit, DimData, Quiver
 from .surgery import dim_quiver_variety, hgamma_data
 from .torus import FixedCandidate
@@ -69,8 +77,9 @@ class WallError(ValueError):
 
 def _primitive_row(vec) -> tuple[int, ...]:
     """The positive rational multiple of a vector with coprime integer
-    entries; the zero vector stays zero."""
-    if not all(isinstance(x, int) for x in vec):
+    entries; the zero vector stays zero. A bool is refused, as frac
+    refuses it."""
+    if not all(type(x) is int for x in vec):
         vec, _ = clear_denominators([frac(x) for x in vec])
     return _coprime(tuple(vec))
 
@@ -215,8 +224,14 @@ def feasible_interior(rows, nvars: int):
     keeps an integer numerator vector over one common denominator. The
     levels are sets and back-substitution reads only their extreme bounds,
     so the point depends on the set of rows alone, not on their order or
-    repeats.
+    repeats. Every row needs nvars entries.
     """
+    if not (type(nvars) is int and nvars >= 0):
+        raise ValueError(f"nvars needs a nonnegative integer, got {nvars!r}")
+    rows = [tuple(r) for r in rows]
+    for r in rows:
+        if len(r) != nvars:
+            raise ValueError(f"row {r} needs {nvars} entries")
     levels = _extend(((frozenset(), frozenset()),) * nvars, map(_primitive_row, rows))
     return None if levels is None else _back(levels)
 
@@ -234,10 +249,99 @@ class Chamber:
     roots: tuple            # shared root list
     signs: tuple            # +1 / -1 per root
     point: tuple            # certified interior point
+    # the record shared by the chambers one chambers() call returned; a
+    # chamber built by hand, or by dataclasses.replace, has none
+    _arrangement: _Arrangement | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @functools.cached_property
     def nums(self) -> tuple[int, ...]:
         return _point_nums(self.point)
+
+
+@dataclass(frozen=True, slots=True)
+class _Flat:
+    """A flat of the arrangement, by its zero set Z.
+
+    The kernel basis of Z times one common positive scale gives integer
+    vectors v_j; coordinates[c] holds entry c of every v_j, so the point
+    with integer coordinates x over a denominator d in the kernel basis has
+    entry c equal to (x . coordinates[c]) / (d * scale). pairings holds
+    (i, root i against the v_j, scaled to a primitive integer row) for every
+    root i off Z, and covers groups their indices by the row up to sign:
+    each group C is the zero set Z | C of one flat covering this one.
+    """
+
+    coordinates: tuple
+    scale: int
+    basis: tuple            # the kernel basis made primitive up to sign
+    pairings: tuple
+    covers: tuple
+
+
+class _Arrangement:
+    """What the faces of one arrangement's chambers share: each chamber's
+    point by its signs, filled as chambers() finds them, and the flats the
+    walks of faces() reached, by zero set. It holds no chamber, so the
+    chambers and the record are freed by reference counting alone."""
+
+    __slots__ = ("roots", "rank", "points", "_flats")
+
+    def __init__(self, roots: tuple, rank: int):
+        self.roots = roots
+        self.rank = rank
+        self.points: dict = {}
+        self._flats: dict = {}
+
+    def facet_roots(self, signs) -> set:
+        """The indices of the roots on the facets of the chamber with these
+        signs: the parallel classes whose sign flip is another chamber. The
+        whole space is the flat with no root zero, and its covers are those
+        classes."""
+        out = set()
+        for cls in self.flat(frozenset()).covers:
+            flipped = list(signs)
+            for i in cls:
+                flipped[i] = -flipped[i]
+            if tuple(flipped) in self.points:
+                out.update(cls)
+        return out
+
+    def flat(self, zero: frozenset) -> _Flat:
+        """The flat with this zero set, built once.
+
+        The kernel is taken as integer rows from an integer elimination of
+        the zero set's roots; row f is the kernel basis vector with 1 at f
+        times row[f] > 0, so scaling each row to one common multiple gives
+        the basis up to one scalar. On the kernel, two roots off Z cut the
+        same hyperplane exactly when their pairing rows agree up to sign,
+        so the covers are the sign classes of the rows.
+        """
+        got = self._flats.get(zero)
+        if got is None:
+            krows = kernel_rows(_int_basis(self.roots[i] for i in sorted(zero)), self.rank)
+            free = sorted(krows)
+            scale = lcm(*(krows[f][f] for f in free))
+            vectors = [[x * (scale // krows[f][f]) for x in krows[f]] for f in free]
+            pairings = tuple(
+                (i, _coprime(tuple(sum(map(mul, r, v)) for v in vectors)))
+                for i, r in enumerate(self.roots)
+                if i not in zero
+            )
+            covers: dict = {}
+            for i, row in pairings:
+                # off the closed zero set, so the coprime row is nonzero
+                covers.setdefault(_lead_positive(row), []).append(i)
+            got = self._flats[zero] = _Flat(
+                coordinates=tuple(zip(*vectors)) if vectors else ((),) * self.rank,
+                scale=scale,
+                # kernel rows are nonzero, so each has a primitive form
+                basis=tuple(primitive_up_to_sign(krows[f]) for f in free),
+                pairings=pairings,
+                covers=tuple(covers.values()),
+            )
+        return got
 
 
 def region_bound(n: int, rank: int) -> int:
@@ -256,8 +360,11 @@ def chambers(roots, rank: int) -> list[Chamber]:
     forms only the rows its one new root generates. Those levels equal the
     ones `feasible_interior` builds from the full sign rows, so each
     chamber's point is `feasible_interior` of its sign rows and does not
-    depend on the order of the search.
+    depend on the order of the search. The chambers share one record of
+    the arrangement, which faces() reads.
     """
+    if not (type(rank) is int and rank >= 0):
+        raise ValueError(f"rank needs a nonnegative integer, got {rank!r}")
     roots = tuple(tuple(r) for r in roots)
     if any(len(r) != rank for r in roots):
         raise ValueError(f"every root needs {rank} coordinates")
@@ -276,6 +383,7 @@ def chambers(roots, rank: int) -> list[Chamber]:
             f"{len(roots)} roots in rank {rank} may cut out up to {bound} chambers, "
             f"over the enumeration budget of {MAX_CHAMBER_REGIONS}"
         )
+    record = _Arrangement(roots, rank)
     out = []
     # each root's sign rows, +1 then -1, formed once for the whole search
     signed = []
@@ -287,7 +395,10 @@ def chambers(roots, rank: int) -> list[Chamber]:
     while stack:
         signs, levels = stack.pop()
         if len(signs) == len(roots):
-            out.append(Chamber(roots=roots, signs=signs, point=_back(levels)))
+            point = record.points[signs] = _back(levels)
+            ch = Chamber(roots, signs, point)
+            object.__setattr__(ch, "_arrangement", record)
+            out.append(ch)
             continue
         children = []
         for s, rows in signed[len(signs)]:
@@ -323,78 +434,63 @@ class Face:
         return got
 
 
-@functools.lru_cache(maxsize=1)
-def _flats(roots, rank: int):
-    """All flats as (zero set, kernel basis, span basis, pairings), by
-    zero-set size then members. The span basis is the kernel basis made
-    primitive up to sign; pairings holds (i, root i against the kernel
-    basis, scaled to a primitive integer row) for every root i off the
-    zero set.
+def faces(chamber: Chamber) -> list[Face]:
+    """Faces of a chamber, the chamber itself and the minimal flat included,
+    by zero-set size then members.
 
-    The lattice is built from covers, starting at the flat where no root
-    vanishes. On a flat's kernel, the roots off its zero set Z restrict to
-    the pairings rows; two roots cut the same hyperplane of the kernel
-    exactly when their rows agree up to sign. So each sign class C of rows
-    gives one flat covering this one, with zero set Z | C, and every flat
-    is reached along a chain of covers. The kernel is taken once per flat,
-    as integer rows from an integer elimination of its zero set's roots;
-    the kernel basis is each row divided by its free-column entry, and the
-    span basis and pairings are read off the integer rows. A flat with a
-    zero kernel has no pairings and so no covers.
+    The walk starts at the open face, whose point is the point chambers()
+    found for these signs: its flat's kernel basis is the unit basis, so
+    its signed rows and elimination are those of chambers(). A face one
+    dimension below a face F is F cut by one facet hyperplane, and its
+    zero set is a cover class of F's zero set holding that facet's root;
+    so the walk tries only those covers, and keeps one when the strict
+    chamber signs are feasible on its flat. The face point is expanded
+    from coordinates in the flat's kernel basis, and its span basis
+    doubles as the subtorus Lie algebra. A chamber built by hand takes the
+    record of chambers(chamber.roots, rank); signs that are not a chamber
+    of the roots are a ValueError.
     """
-    flats = {}
-    todo = [frozenset(i for i, r in enumerate(roots) if not any(r))]
+    record = chamber._arrangement
+    if record is None:
+        record = chambers(chamber.roots, len(chamber.point))[0]._arrangement
+        object.__setattr__(chamber, "_arrangement", record)
+    signs = tuple(chamber.signs)
+    point = record.points.get(signs)
+    if point is None:
+        raise ValueError(f"signs {signs} are not a chamber of the roots")
+    on_facets = record.facet_roots(signs)
+    top = frozenset()
+    found = [Face(zero_set=top, point=point, span_basis=record.flat(top).basis)]
+    seen = {top}
+    todo = [top]
     while todo:
         zero = todo.pop()
-        if zero in flats:
-            continue
-        krows = kernel_rows(_int_basis(roots[i] for i in sorted(zero)), rank)
-        kb = normalise_basis(krows)
-        free = sorted(krows)
-        # row f is kb's vector with 1 at f times row[f] > 0, so scaling
-        # each row to one common multiple gives kb's columns up to a scalar
-        scale = lcm(*(krows[f][f] for f in free))
-        cols = [[x * (scale // krows[f][f]) for x in krows[f]] for f in free]
-        pairings = tuple(
-            (i, _coprime(tuple(sum(map(mul, r, c)) for c in cols)))
-            for i, r in enumerate(roots)
-            if i not in zero
-        )
-        # kernel rows are nonzero, so each has a primitive form
-        basis = tuple(primitive_up_to_sign(krows[f]) for f in free)
-        flats[zero] = (zero, kb, basis, pairings)
-        covers: dict = {}
-        for i, row in pairings:
-            # off the closed zero set, so the coprime row is nonzero
-            covers.setdefault(_lead_positive(row), []).append(i)
-        # built in increasing order, as a frozenset of a scan over the roots
-        # would be, so even its iteration order is the same
-        todo.extend(frozenset(sorted(zero.union(c))) for c in covers.values())
-    return tuple(sorted(flats.values(), key=lambda f: (len(f[0]), sorted(f[0]))))
-
-
-def faces(chamber: Chamber) -> list[Face]:
-    """Faces of a chamber, the chamber itself and the minimal flat included.
-
-    A flat contributes a face when the strict chamber signs are feasible on
-    it; the face point is expanded from coordinates in the flat's kernel
-    basis and its span basis doubles as the subtorus Lie algebra.
-    """
-    roots = chamber.roots
-    rank = len(chamber.point)
-    out = []
-    for zero_set, kb, basis, pairings in _flats(roots, rank):
-        k = len(kb)
-        rows = [tuple(chamber.signs[i] * p for p in row) for i, row in pairings]
-        coords = feasible_interior(rows, k)
-        if coords is None:
-            continue
-        point = tuple(
-            sum((coords[j] * kb[j][c] for j in range(k)), Fraction(0))
-            for c in range(rank)
-        )
-        out.append(Face(zero_set=zero_set, point=point, span_basis=basis))
-    return out
+        for cover in record.flat(zero).covers:
+            if on_facets.isdisjoint(cover):
+                continue
+            # built in increasing order, as a frozenset of a scan over the
+            # roots would be, so even its iteration order is the same
+            below = frozenset(sorted(zero.union(cover)))
+            if below in seen:
+                continue
+            seen.add(below)
+            flat = record.flat(below)
+            # the pairing rows are primitive, and so are their negatives
+            rows = [row if signs[i] > 0 else tuple(-x for x in row) for i, row in flat.pairings]
+            levels = _extend(((frozenset(), frozenset()),) * len(flat.basis), rows)
+            if levels is None:
+                continue
+            coords = _back(levels)
+            den = lcm(*(x.denominator for x in coords))
+            nums = [x.numerator * (den // x.denominator) for x in coords]
+            den *= flat.scale
+            found.append(Face(
+                zero_set=below,
+                point=tuple(Fraction(sum(map(mul, nums, c)), den) for c in flat.coordinates),
+                span_basis=flat.basis,
+            ))
+            todo.append(below)
+    return sorted(found, key=lambda f: (len(f.zero_set), sorted(f.zero_set)))
 
 
 # ---------------------------------------------------------------------------

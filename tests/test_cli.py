@@ -447,6 +447,27 @@ def test_malformed_input_is_input_error(argv, capsys, monkeypatch):
     assert MISSING_KEY.get(" ".join(argv), "") in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["chambers", "inputs/framed2.json", "--roots", "1,0;0,1"], "an input file"),
+        (["chambers", "--roots", "1,0;0,1", "--sigma", "5,5", "--window=-9..9"], "--sigma or --window"),
+        (["chambers", "--roots", "1,0;0,1", "--window=-9..9"], "--window"),
+        (["export", "inputs/framed2.json", "--what", "chambers", "--roots", "1,0;0,1"], "an input file"),
+        (["export", "--what", "chambers", "--roots", "1,0;0,1", "--sigma", "5,5"], "--sigma"),
+        (["export", "--what", "chambers", "--roots", "1", "--window=-9..9"], "--window"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_roots_refuse_other_input(argv, given, capsys, monkeypatch):
+    # the roots are the whole input; each of these was once dropped silently
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --roots cannot be combined with {given}\n"
+
+
 NONSYMMETRIC = ("tests/data/nonsymmetric.json", "tests/data/nonsymmetric_rep.json")
 # the commands that need no doubled-pair split read a non-symmetric quiver
 NONSYMMETRIC_OK = {"analyze", "stability"}

@@ -3,9 +3,10 @@ import itertools
 import json
 import random
 import re
+import runpy
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from quiverlab.envelopes import (
     TriangleReport,
     WallError,
     _coprime,
-    _flats,
     _point_nums,
     _primitive_row,
     chambers,
@@ -89,6 +89,22 @@ def test_feasible_interior():
     assert p[0] > p[1] > 0
 
 
+@pytest.mark.parametrize(
+    "rows, nvars, error, match",
+    [
+        ([], -1, ValueError, "nvars needs a nonnegative integer, got -1"),
+        ([], True, ValueError, "nvars needs a nonnegative integer, got True"),
+        ([(1,)], 2, ValueError, r"row \(1,\) needs 2 entries"),
+        ([(1, 2, 3)], 2, ValueError, r"row \(1, 2, 3\) needs 2 entries"),
+        ([(1, 0), (True, 0)], 2, TypeError, "cannot interpret True"),
+    ],
+)
+def test_feasible_interior_refuses_malformed_input(rows, nvars, error, match):
+    # each once returned a point that certified nothing, or read True as 1
+    with pytest.raises(error, match=match):
+        feasible_interior(rows, nvars)
+
+
 def test_torus_roots_examples():
     _, cands = corpus_candidates("a2sym")
     assert torus_roots(cands) == ((1,),)
@@ -116,6 +132,12 @@ def test_chambers_rank2_count_and_oracle():
 def test_chambers_empty_roots():
     chs = chambers((), 3)
     assert len(chs) == 1 and chs[0].signs == ()
+
+
+@pytest.mark.parametrize("roots, rank", [((), -1), ((), True), ((), 2.0), (((1, 0),), True)])
+def test_chambers_refuses_a_rank_that_is_not_a_nonnegative_int(roots, rank):
+    with pytest.raises(ValueError, match=re.escape(f"rank needs a nonnegative integer, got {rank!r}")):
+        chambers(roots, rank)
 
 
 def test_chambers_budget():
@@ -413,20 +435,119 @@ def all_subsets_flats(roots, rank):
     return tuple(sorted(found.values(), key=lambda f: (len(f[0]), sorted(f[0]))))
 
 
+def all_flats_faces(chamber, flats):
+    """faces() as it was before the walk down the chamber's face lattice:
+    every flat of the arrangement (flats, from all_subsets_flats) is
+    eliminated, and kept when the strict chamber signs are feasible on it."""
+    rank = len(chamber.point)
+    out = []
+    for zero_set, kb, basis, pairings in flats:
+        rows = [tuple(chamber.signs[i] * p for p in row) for i, row in pairings]
+        coords = feasible_interior(rows, len(kb))
+        if coords is None:
+            continue
+        point = tuple(sum((c * v[j] for c, v in zip(coords, kb)), Fraction(0)) for j in range(rank))
+        out.append(Face(zero_set=zero_set, point=point, span_basis=basis))
+    return out
+
+
+FLAT_SYSTEMS = seeded_arrangements() + [((), rank) for rank in (1, 2, 3, 4)] + [
+    (((1, 0, 0),), 3),
+    (((1, 0, 0), (2, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -3, -3)), 3),
+    (((1, 1, 0, 0), (0, 0, 1, 1), (2, 2, 1, 1), (1, 1, -1, -1)), 4),  # rank 2 in rank 4
+    (RANK2_ROOTS, 2),
+]
+
+
 def test_flats_match_all_subsets_closures():
-    systems = seeded_arrangements() + [((), rank) for rank in (1, 2, 3, 4)]
-    systems += [
-        (((1, 0, 0),), 3),
-        (((1, 0, 0), (2, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -3, -3)), 3),
-        (((1, 1, 0, 0), (0, 0, 1, 1), (2, 2, 1, 1), (1, 1, -1, -1)), 4),  # rank 2 in rank 4
-        (RANK2_ROOTS, 2),
-    ]
+    # the faces of all chambers reach every flat, and each flat the walks
+    # built keeps the kernel basis, span basis and pairings of its closure
     sizes = Counter()
-    for roots, rank in systems:
-        got = _flats(roots, rank)
-        assert got == all_subsets_flats(roots, rank), (roots, rank)
-        sizes[rank] = max(sizes[rank], len(got))
+    for roots, rank in FLAT_SYSTEMS:
+        chs = chambers(roots, rank)
+        want = {f[0]: f for f in all_subsets_flats(roots, rank)}
+        assert {f.zero_set for ch in chs for f in faces(ch)} == set(want), (roots, rank)
+        built = chs[0]._arrangement._flats
+        for zero, flat in built.items():
+            _, kb, basis, pairings = want[zero]
+            vectors = tuple(zip(*flat.coordinates))
+            assert tuple(tuple(Fraction(x, flat.scale) for x in v) for v in vectors) == kb
+            assert (flat.basis, flat.pairings) == (basis, pairings), (roots, rank, sorted(zero))
+        sizes[rank] = max(sizes[rank], len(want))
     assert sizes[3] > 20 and sizes[4] > 20
+
+
+def workload_pools(seeds=(1, 2, 3)):
+    """The rank-3 arrangements of the first round of the benchmark's
+    chambers workload at each seed."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    out = []
+    for seed in seeds:
+        (first,) = workloads["build"]("chambers", seed, rounds=1)
+        out += [op.args[:2] for op in first if op.fn is workloads["op_arrangement"]]
+    return out
+
+
+def test_faces_match_all_flats_reference():
+    # zero sets, points, span bases and order, on every chamber of the
+    # corpus arrangements, the seeded rank 1-4 ones and the workload's pools
+    systems = []
+    for name in ACTION_ENTRIES:
+        e, cands = corpus_candidates(name)
+        systems.append((torus_roots(cands), e.action.rank))
+    systems += FLAT_SYSTEMS + workload_pools()
+    checked = Counter()
+    for roots, rank in systems:
+        flats = all_subsets_flats(roots, rank)
+        for ch in chambers(roots, rank):
+            fs, want = faces(ch), all_flats_faces(ch, flats)
+            assert fs == want, (roots, rank, ch.signs)
+            # equal frozensets may still iterate in different orders
+            assert [list(f.zero_set) for f in fs] == [list(f.zero_set) for f in want]
+            checked[rank] += len(fs)
+    assert min(checked[rank] for rank in (1, 2, 3, 4)) > 50, checked
+
+
+def braid_roots(d):
+    """The roots e_i - e_j (i < j) of the braid arrangement A_{d-1}, in
+    rank d - 1 with e_d = 0."""
+    out = []
+    for i, j in itertools.combinations(range(d), 2):
+        v = [0] * d
+        v[i], v[j] = 1, -1
+        out.append(tuple(v[:-1]))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_braid_closed_forms(d):
+    # d! chambers, each a simplicial cone over the origin with d - 1
+    # facets and 2^(d-1) faces, one per subset of its facets
+    chs = chambers(braid_roots(d), d - 1)
+    assert len(chs) == factorial(d)
+    pairs = 0
+    for ch in chs:
+        fs = faces(ch)
+        assert sum(len(f.span_basis) == d - 2 for f in fs) == d - 1
+        assert len(fs) == 2 ** (d - 1)
+        pairs += len(fs)
+    assert pairs == factorial(d) * 2 ** (d - 1) == {3: 24, 4: 192, 5: 1920}[d]
+
+
+def test_faces_of_a_chamber_built_by_hand():
+    chs = chambers(RANK2_ROOTS, 2)
+    for ch in chs:
+        by_hand = Chamber(ch.roots, ch.signs, ch.point)
+        assert by_hand == ch and repr(by_hand) == repr(ch) and hash(by_hand) == hash(ch)
+        assert faces(by_hand) == faces(ch)
+    # the point is not read: the open face keeps the arrangement's point
+    moved = Chamber([list(r) for r in RANK2_ROOTS], list(chs[0].signs), tuple(2 * x for x in chs[0].point))
+    assert faces(moved) == faces(chs[0])
+    assert faces(dataclasses.replace(chs[1], signs=chs[2].signs)) == faces(chs[2])
+    # x < 0 < y with x > y has no point
+    for signs in ((-1, 1, 1), (1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="not a chamber of the roots"):
+            faces(Chamber(RANK2_ROOTS, signs, chs[0].point))
 
 
 def test_chambers_oracle_on_corpus_rank2():
