@@ -453,6 +453,8 @@ def cmd_verify(args) -> int:
     _check_positive(args.samples, "--samples")
     delta = None
     if args.delta is not None:
+        if args.suite not in ("transfer", "all"):
+            raise InputError(f"--delta applies to the transfer suite, not to {args.suite}")
         try:
             delta = frac(args.delta)
         except ValueError:
@@ -483,6 +485,11 @@ def cmd_verify(args) -> int:
 # export
 
 def cmd_export(args) -> int:
+    # an option the selected export does not read would be dropped
+    unread = {"fixed": ("roots",), "chambers": ()}.get(args.what, ("roots", "sigma", "window"))
+    given = [f"--{name}" for name in unread if getattr(args, name) is not None]
+    if given:
+        raise InputError(f"export --what {args.what} does not read {' or '.join(given)}")
     if args.what == "fixed":
         payload = _fixed_payload(_candidates_for(args)[-1])
     elif args.what == "chambers":

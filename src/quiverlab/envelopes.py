@@ -27,13 +27,13 @@ kernel taken as integer rows of an integer elimination with no Fraction
 matrix between.
 Every pairing of a root or character with a rational point is an integer
 dot product with the point's numerators over a common positive
-denominator, which keeps its sign. Pairings are kept per point: a candidate
-keeps its (N^+, N^-) split at the last point it was split at, and a face
-keeps each character's pairing with its point and whether the character
-vanishes on its span, for every candidate. So the triangle check over all
-(candidate, chamber, face) triples, taken face by face within a chamber,
-pairs a character with a chamber point once per candidate and with a face
-point once per face, and hands out copies of what it keeps.
+denominator, which keeps its sign. Pairings are kept per point: a chamber
+keeps each character's pairing with its point, and a face keeps that
+pairing and whether the character vanishes on its span, for every
+candidate. So the triangle check over all (candidate, chamber, face)
+triples pairs a character with a chamber point once per chamber and with a
+face point once per face. split_N and the degree ledger read only the ranks
+of N^+ and N^-, counted in one pass with nothing kept.
 A triangle check decides its verdict in one pass over the candidate's
 characters and builds no multiset: the split holds exactly when no
 character of N^- is alive and positive on the face, so every multiplicity,
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -254,10 +253,20 @@ class Chamber:
     _arrangement: _Arrangement | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # character -> pairing with nums, shared by every candidate checked
+    # in this chamber
+    _pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def nums(self) -> tuple[int, ...]:
         return _point_nums(self.point)
+
+    def _pairing(self, ch) -> int:
+        """ch against the point's numerators, taken once per character."""
+        got = self._pairings.get(ch)
+        if got is None:
+            got = self._pairings[ch] = sum(map(mul, ch, self.nums))
+        return got
 
 
 @dataclass(frozen=True, slots=True)
@@ -498,32 +507,8 @@ def faces(chamber: Chamber) -> list[Face]:
 
 @dataclass
 class NormalSplit:
-    n_plus: Counter
-    n_minus: Counter
     rank_plus: int
     rank_minus: int
-
-
-def _sign_split(candidate: FixedCandidate, nums) -> tuple[Counter, Counter]:
-    """(N^+, N^-): the nonzero tangent characters by the sign of their
-    pairing with a point's numerators; a zero pairing is a WallError.
-
-    The candidate keeps the split at the last point it was split at, so
-    repeated calls at one point (every face of a chamber) pair each
-    character with it once, and the memo never holds more than one point.
-    Callers only read the split and copy what they hand out. A WallError is
-    not kept, and is raised again on every call at that point.
-    """
-    got = candidate._split
-    if got is None or got[0] != nums:
-        plus, minus = Counter(), Counter()
-        for ch, m in candidate.nonzero_tangent().items():
-            p = sum(map(mul, ch, nums))
-            if p == 0:
-                raise WallError(ch)
-            (plus if p > 0 else minus)[ch] += m
-        got = candidate._split = (nums, plus, minus)
-    return got[1], got[2]
 
 
 def _check_rank(candidate: FixedCandidate, nums, what: str) -> None:
@@ -533,22 +518,28 @@ def _check_rank(candidate: FixedCandidate, nums, what: str) -> None:
         raise ValueError(f"{what} has {len(nums)} coordinates, the action has rank {rank}")
 
 
-def _xi_split(candidate: FixedCandidate, nums) -> tuple[Counter, Counter]:
-    """_sign_split at xi's numerators, after checking their count against
-    the candidate's rank."""
+def _split_ranks(candidate: FixedCandidate, nums) -> tuple[int, int]:
+    """(rank N^+, rank N^-) at xi's numerators, after checking their count
+    against the candidate's rank: the multiplicities of the nonzero tangent
+    characters summed by the sign of their pairing. A zero pairing is a
+    WallError, at the first such character in nonzero_tangent() order."""
     _check_rank(candidate, nums, "xi")
-    return _sign_split(candidate, nums)
+    plus = minus = 0
+    for ch, m in candidate.nonzero_tangent().items():
+        p = sum(map(mul, ch, nums))
+        if p > 0:
+            plus += m
+        elif p < 0:
+            minus += m
+        else:
+            raise WallError(ch)
+    return plus, minus
 
 
 def split_N(candidate: FixedCandidate, xi) -> NormalSplit:
-    """Partition the nonzero tangent characters by the sign of their pairing."""
-    plus, minus = _xi_split(candidate, _point_nums(xi))
-    return NormalSplit(
-        n_plus=Counter(plus),
-        n_minus=Counter(minus),
-        rank_plus=sum(plus.values()),
-        rank_minus=sum(minus.values()),
-    )
+    """The ranks of the nonzero tangent characters split by the sign of
+    their pairing with xi: N^+ positive, N^- negative."""
+    return NormalSplit(*_split_ranks(candidate, _point_nums(xi)))
 
 
 @dataclass
@@ -604,15 +595,14 @@ def stab_degree_table(
     nums = _point_nums(xi) if candidates else ()
     for cand in candidates:
         dim_f = cand.dim_fixed()
-        plus, minus = _xi_split(cand, nums)
-        rank_minus = sum(minus.values())
+        rank_plus, rank_minus = _split_ranks(cand, nums)
         attracting = Fraction(dim_x + dim_f, 2)
         rows.append(
             DegreeRow(
                 name=cand.name(),
                 dim_fixed=dim_f,
                 rank_minus=rank_minus,
-                rank_plus=sum(plus.values()),
+                rank_plus=rank_plus,
                 attracting_dim=attracting,
                 consistent=(attracting - dim_f == rank_minus),
             )
@@ -660,17 +650,20 @@ def triangle_split_check(
     """
     _check_rank(candidate, face.nums, "face point")
     _check_rank(candidate, chamber.nums, "chamber point")
-    n_minus = _sign_split(candidate, chamber.nums)[1]
     problems = []
     split = True  # no character of N^- alive and positive on the face
-    pairing = face._pairing
+    chamber_pairing, face_pairing = chamber._pairing, face._pairing
     for ch in candidate.nonzero_tangent():
-        s_face, dead = pairing(ch)
+        # N^- holds ch exactly when its chamber pairing is negative
+        s_chamber = chamber_pairing(ch)
+        if s_chamber == 0:
+            raise WallError(ch)
+        s_face, dead = face_pairing(ch)
         if dead != (s_face == 0):
             problems.append(("incoherent-face-sign", ch))
         elif s_face > 0:
-            if ch in n_minus:
+            if s_chamber < 0:
                 split = False
-        elif s_face < 0 and ch not in n_minus:
+        elif s_face < 0 and s_chamber > 0:
             problems.append(("face-not-in-chamber-closure", ch))
     return TriangleReport(split and not problems, tuple(problems))

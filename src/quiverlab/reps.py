@@ -13,7 +13,7 @@ resolved moment forms the base nodes' blocks only. A leg depth's scalar
 is decided on the integer sum of its two products, and a flag check
 builds each level's shifted map the same way and reads leg stability
 off the flag bases it builds: every C is injective exactly when V_k has
-n-k basis rows for every k.
+n-k basis rows for every k. A flag check returns only its verdict.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .exactlinalg import (
     _unit,
     charpoly,
     frac,
-    normalise_basis,
     rank,
 )
 from .quiver import ArrowSplit, DimData, Quiver
@@ -222,31 +221,29 @@ def check_compare_moment(aux: AuxResult, rep: Representation, t: dict) -> bool:
 # ---------------------------------------------------------------------------
 # Flag structure of a single leg
 
-@dataclass
+@dataclass(slots=True)
 class FlagReport:
+    """A flag check's verdict."""
+
     ok: bool
-    flags: tuple          # bases of V_0 > V_1 > ... > V_{n-1}
-    preserved: bool
-    scalars: tuple        # induced scalar on V_k / V_{k+1}, k = 0..n-1
-    lambdas: tuple        # deformation parameters lambda_1..lambda_{n-1}
-    nonscalar_depths: tuple = ()
-    violations: tuple = ()  # (k, witness vector) pairs
 
 
 def flag_check(n: int, cs: list[Mat], ds: list[Mat], t) -> FlagReport:
     """Verify the flag shape of X = C_{n-1} D_{n-1} + t*id.
 
     V_k is the image of C_{n-1} ... C_{n-k}; X must preserve each V_k and
-    act on V_k / V_{k+1} by t + lambda_1 + ... + lambda_k, where lambda_j
-    is read off the moment scalar at leg depth j.
+    act on V_k / V_{k+1} by e_k = t + lambda_1 + ... + lambda_k, where
+    lambda_j = -s_j is read off the moment scalar s_j at leg depth j. Then
+    X - e_k = C_{n-1} D_{n-1} + (s_1 + ... + s_k) id, so t cancels: it is
+    refused unless it is an exact rational, and takes no part in the
+    verdict.
     """
-    t = frac(t)
+    frac(t)
     _check_chain(n, cs, ds)
 
-    # each V_k as an integer Gauss-Jordan basis {pivot: row}; its
-    # normalised rows are the canonical RREF basis the report carries.
-    # Every C is injective exactly when every composite C_{n-1} ... C_{n-k}
-    # is, that is when each V_k has n-k basis rows
+    # each V_k as an integer Gauss-Jordan basis {pivot: row}. Every C is
+    # injective exactly when every composite C_{n-1} ... C_{n-k} is, that
+    # is when each V_k has n-k basis rows
     bases = [{i: _unit(i, n) for i in range(n)}]
     comp = None
     for k in range(1, n):
@@ -256,54 +253,25 @@ def flag_check(n: int, cs: list[Mat], ds: list[Mat], t) -> FlagReport:
             raise ValueError("leg is not leg-stable: some C has a kernel")
 
     depth_scalars = _leg_depth_scalars(n, cs, ds)
-    lambdas = [None if s is None else -s for s in depth_scalars]
-    nonscalar = [depth for depth, s in enumerate(depth_scalars, 1) if s is None]
-    if nonscalar:
-        return FlagReport(
-            ok=False,
-            flags=(),
-            preserved=False,
-            scalars=(),
-            lambdas=tuple(lambdas),
-            nonscalar_depths=tuple(nonscalar),
-        )
-    flags = [normalise_basis(b) for b in bases]
+    if None in depth_scalars:
+        return FlagReport(ok=False)
 
-    # e_k = t + lambda_1 + ... + lambda_k is the scalar X must induce on
-    # V_k / V_{k+1}, and X - e_k = C_{n-1} D_{n-1} + (t - e_k) id, one
-    # _num_sum per level: integer rows, a positive multiple of X - e_k.
-    # A vector v of V_k passes when (X - e_k) v lies in V_{k+1}. V_{k+1}
-    # lies in V_k, so X v lies in V_k exactly when (X - e_k) v does, and
-    # only a failing vector needs that test. Both run on integer rows: a
-    # basis row of V_k is a multiple of its RREF vector
+    # X - e_k is one _num_sum per level: integer rows, a positive multiple
+    # of it. X preserves the flag with these quotient scalars exactly when
+    # (X - e_k) sends each basis row of V_k into V_{k+1}; since V_{k+1}
+    # lies in V_k, that test also decides whether X preserves V_k
     prod = [_product_term(1, cs[-1], ds[-1])] if n >= 2 else []
-    preserved = True
-    violations = []
-    scalars = []
-    shift = Fraction(0)  # t - e_k = -(lambda_1 + ... + lambda_k)
+    shift = Fraction(0)  # s_1 + ... + s_k
     for k in range(n):
         if k:
-            shift -= lambdas[k - 1]
-        scalars.append(t - shift)
+            shift += depth_scalars[k - 1]
         p, q = shift.as_integer_ratio()
         shifted, _ = _num_sum([*prod, (p, None, q)], n)
         vnext = bases[k + 1] if k + 1 < n else {}
-        for (_, row), vec in zip(sorted(bases[k].items()), flags[k]):
-            image = [sum(map(mul, r, row)) for r in shifted]
-            if not any(_reduce(vnext, image)):
-                continue
-            if k >= 1 and any(_reduce(bases[k], image)):
-                preserved = False
-            violations.append((k, vec))
-    ok = preserved and not violations
-    return FlagReport(
-        ok=ok,
-        flags=tuple(flags),
-        preserved=preserved,
-        scalars=tuple(scalars),
-        lambdas=tuple(lambdas),
-        violations=tuple(violations),
-    )
+        for row in bases[k].values():
+            if any(_reduce(vnext, [sum(map(mul, r, row)) for r in shifted])):
+                return FlagReport(ok=False)
+    return FlagReport(ok=True)
 
 
 # ---------------------------------------------------------------------------

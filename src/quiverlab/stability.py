@@ -380,7 +380,6 @@ class TransferReport:
     lhs_stable: bool        # assembled representation, base condition
     rhs_stable: bool        # auxiliary representation, lifted condition
     inclusion_ok: bool
-    delta: Fraction
     lhs_witness: SubrepWitness | None = None
     rhs_witness: SubrepWitness | None = None
 
@@ -408,7 +407,7 @@ def check_stability_transfer(
         if leg_moment_scalars(aux, rep, loop_id) is None:
             raise ValueError(f"leg {loop_id!r} moment value is not scalar")
 
-    lifted, delta_used = lift_stability(xi, aux, delta)
+    lifted, _ = lift_stability(xi, aux, delta)
     img = p_map(aux, rep, t)
     lhs, lhs_w = stability_report(aux.add_quiver, aux.base_dims(), img, xi)
     rhs, rhs_w = stability_report(aux.quiver, DimData(aux.v, aux.d), rep, lifted)
@@ -416,7 +415,6 @@ def check_stability_transfer(
         lhs_stable=lhs,
         rhs_stable=rhs,
         inclusion_ok=(lhs == rhs),
-        delta=delta_used,
         lhs_witness=lhs_w,
         rhs_witness=rhs_w,
     )

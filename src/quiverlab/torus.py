@@ -126,6 +126,8 @@ class FixedCandidate:
     and the tangent are a function of the base, the grading and the
     characters its graded blocks carry (block_chars), so they are derived
     the first time one of them is read and take no part in equality or repr.
+    The candidate keeps no pairing with a point: a chamber and a face keep
+    each character's pairing with their own point (envelopes).
     """
 
     base: Quiver
@@ -142,9 +144,6 @@ class FixedCandidate:
     _nonzero: Counter | None = field(default=None, init=False, repr=False, compare=False)
     # _derived_quiver's (quiver, split, v, d, framing_slots)
     _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (point numerators, N^+, N^-) at the last point envelopes._sign_split
-    # split this candidate at
-    _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def block_chars(self) -> tuple[dict, dict]:
         """The (arrow, framing) characters the graded blocks carry: resolved

@@ -7,10 +7,13 @@ record per sample or triple; ``detail`` is the line reported on failure.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .corpus import ACTION_ENTRIES, MOMENT_QUIVERS, TRANSFER_QUIVERS, corpus
-from .envelopes import chambers, faces, torus_roots, triangle_split_check
+from .envelopes import (
+    Chamber, Face, TriangleReport, chambers, faces, torus_roots, triangle_split_check,
+)
 from .quiver import DimData
 from .reps import check_compare_moment, flag_check
 from .sampling import (
@@ -18,7 +21,7 @@ from .sampling import (
 )
 from .stability import check_stability_transfer
 from .surgery import build_aux
-from .torus import fixed_components
+from .torus import FixedCandidate, fixed_components
 
 
 def moment_records(aux, samples: int, seed: int):
@@ -58,7 +61,9 @@ def chamber_faces(cands, rank: int) -> list:
     return [(ch, faces(ch)) for ch in chambers(torus_roots(cands), rank)]
 
 
-def triangle_checks(cands, chamber_list):
+def triangle_checks(
+    cands, chamber_list
+) -> Iterator[tuple[FixedCandidate, Chamber, Face, TriangleReport]]:
     """(candidate, chamber, face, report) for every triangle split check."""
     for cand in cands:
         for ch, face_list in chamber_list:

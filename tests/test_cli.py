@@ -468,6 +468,53 @@ def test_roots_refuse_other_input(argv, given, capsys, monkeypatch):
     assert captured.err == f"error: --roots cannot be combined with {given}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["export", "inputs/jordan2.json", "--what", "aux", "--roots", "1,0"],
+         "export --what aux does not read --roots"),
+        (["export", "inputs/jordan2.json", "--what", "aux", "--sigma", "9", "--window=-9..9"],
+         "export --what aux does not read --sigma or --window"),
+        (["export", "inputs/jordan2.json", "--what", "add", "--window=-1..1"],
+         "export --what add does not read --window"),
+        (["export", "inputs/jordan2.json", "--what", "rem", "--sigma", "1"],
+         "export --what rem does not read --sigma"),
+        (["export", "inputs/a2sym.json", "--what", "cb", "--roots", "1", "--sigma", "1", "--window=0..1"],
+         "export --what cb does not read --roots or --sigma or --window"),
+        (["export", "inputs/framed2.json", "--what", "fixed", "--roots", "1,0;0,1"],
+         "export --what fixed does not read --roots"),
+        (["verify", "moment", "--delta", "1/8"], "--delta applies to the transfer suite, not to moment"),
+        (["verify", "flag", "--delta", "1/100"], "--delta applies to the transfer suite, not to flag"),
+        (["verify", "triangle", "--delta", "abc"], "--delta applies to the transfer suite, not to triangle"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_options_the_selection_does_not_read_are_refused(argv, message, capsys, monkeypatch):
+    # each of these exited 0 with the option dropped, or (verify moment
+    # --delta 1/8) was refused over the transfer bound it never reads
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "inputs/jordan2.json", "--what", "aux"],
+        ["export", "inputs/framed2.json", "--what", "fixed", "--sigma", "1,3", "--window=-1..1"],
+        ["verify", "transfer", "--delta", "1/100", "--samples", "2"],
+        ["verify", "all", "--delta", "1/100", "--samples", "2"],
+    ],
+    ids=" ".join,
+)
+def test_options_the_selection_reads_are_accepted(argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 NONSYMMETRIC = ("tests/data/nonsymmetric.json", "tests/data/nonsymmetric_rep.json")
 # the commands that need no doubled-pair split read a non-symmetric quiver
 NONSYMMETRIC_OK = {"analyze", "stability"}
@@ -816,30 +863,39 @@ def test_commands_build_only_what_their_output_reads(capsys, monkeypatch):
 
 
 def test_passing_triangle_triples_build_no_counter(capsys, monkeypatch):
-    # the Counters envelopes makes: N^+ and N^- once per candidate and
-    # chamber it is split at, and none for a triple or its report
+    # envelopes makes no Counter: the triangle check reads each character's
+    # sign off the chamber's kept pairings. Every Counter is counted by the
+    # module of the first frame outside collections that made it, so the
+    # candidates' tangents show up under torus
     monkeypatch.chdir(ROOT)
-    splits = 0
-    for name in ACTION_ENTRIES:
-        e = corpus()[name]
-        cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
-        splits += len(cands) * len(chambers(torus_roots(cands), e.action.rank))
-    made = []
+    assert not hasattr(envelopes, "Counter")
+    made = Counter()
+    init = Counter.__init__
 
-    class CountedCounter(Counter):
-        def __init__(self, *args, **kwargs):
-            made.append(None)
-            super().__init__(*args, **kwargs)
+    def counted(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "collections":
+            frame = frame.f_back
+        made[frame.f_globals["__name__"]] += 1
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(envelopes, "Counter", CountedCounter)
+    monkeypatch.setattr(Counter, "__init__", counted)
+    # each chamber keeps one pairing per distinct character it was asked
+    # for: 16 framed2 chambers, 20 characters
+    paired = []
+    pairing = envelopes.Chamber._pairing
+    monkeypatch.setattr(envelopes.Chamber, "_pairing", lambda ch, x: paired.append(ch) or pairing(ch, x))
     assert main(["verify", "triangle"]) == 0
-    assert len(made) == 2 * splits > 0
+    assert made["quiverlab.torus"] > 0 and made["quiverlab.envelopes"] == 0
     made.clear()
+    paired.clear()
     assert main(["triangle", "inputs/framed2.json"]) == 0
     assert capsys.readouterr().out.endswith("triangle: 1088/1088 pass\n")
-    assert len(made) == 2 * 17 * 16
+    assert made["quiverlab.envelopes"] == 0
+    chs = {id(ch): ch for ch in paired}.values()
+    assert len(chs) == 16 and sum(len(ch._pairings) for ch in chs) == 320
     # checking every face of one framed2 chamber and reading each report's
-    # ok and problems builds only the chamber's split, and is counted
+    # ok and problems builds no Counter either
     e = corpus()["framed2"]
     cands = fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, e.window)
     ch = chambers(torus_roots(cands), 2)[0]
@@ -847,7 +903,7 @@ def test_passing_triangle_triples_build_no_counter(capsys, monkeypatch):
     made.clear()
     reports = [envelopes.triangle_split_check(c, ch, f) for c in cands for f in fs]
     assert [(r.ok, r.problems) for r in reports] == [(True, ())] * 17 * len(fs)
-    assert len(made) == 2 * 17
+    assert made["quiverlab.envelopes"] == 0
 
 
 def test_triangle_passes_with_negative_multiplicities(tmp_path, capsys):

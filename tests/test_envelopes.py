@@ -620,9 +620,10 @@ def test_split_N_basic():
     e, cands = corpus_candidates("a2sym")
     cand = next(c for c in cands if dict(c.nonzero_tangent()) == {(1,): 1, (-1,): 1})
     ns = split_N(cand, (1,))
-    assert dict(ns.n_plus) == {(1,): 1}
-    assert dict(ns.n_minus) == {(-1,): 1}
-    assert ns.rank_plus == ns.rank_minus == 1
+    plus, minus = reference_sign_split(cand, (1,))
+    assert dict(plus) == {(1,): 1}
+    assert dict(minus) == {(-1,): 1}
+    assert ns == NormalSplit(rank_plus=1, rank_minus=1)
     with pytest.raises(WallError):
         split_N(cand, (0,))
 
@@ -636,7 +637,10 @@ def test_split_N_opposite_chamber_swaps():
             for ch in chs:
                 ns = split_N(cand, ch.point)
                 opp = split_N(cand, tuple(-x for x in ch.point))
-                assert ns.n_plus == opp.n_minus and ns.n_minus == opp.n_plus
+                assert (ns.rank_plus, ns.rank_minus) == (opp.rank_minus, opp.rank_plus)
+                plus, minus = reference_sign_split(cand, ch.nums)
+                assert (plus, minus) == reference_sign_split(cand, tuple(-x for x in ch.nums))[::-1]
+                assert (ns.rank_plus, ns.rank_minus) == (sum(plus.values()), sum(minus.values()))
 
 
 def test_rank_completeness():
@@ -794,13 +798,19 @@ Triangle = namedtuple("Triangle", "ok n_minus_full side_face side_quotient probl
 
 def triangle_multisets(candidate, chamber, face):
     """(n_minus_full, side_face, side_quotient) as fresh Counters, built
-    from what triangle_split_check reads: N^- from envelopes._sign_split at
-    the chamber's numerators and each character's kept (pairing, dead) from
-    face._pairing. A character whose face sign disagrees with its span is in
-    neither side. Comparing these with per_character_triangle or
-    reference_triangle checks the kept pairings against pairings taken
-    afresh."""
-    n_minus = envelopes._sign_split(candidate, chamber.nums)[1]
+    from what triangle_split_check reads: N^- from each character's kept
+    pairing chamber._pairing, a zero one a WallError, and each character's
+    kept (pairing, dead) from face._pairing. A character whose face sign
+    disagrees with its span is in neither side. Comparing these with
+    per_character_triangle or reference_triangle checks the kept pairings
+    against pairings taken afresh."""
+    n_minus: Counter = Counter()
+    for ch, m in candidate.nonzero_tangent().items():
+        p = chamber._pairing(ch)
+        if p == 0:
+            raise WallError(ch)
+        if p < 0:
+            n_minus[ch] += m
     side_face: Counter = Counter()
     side_quot: Counter = Counter()
     for ch, m in n_minus.items():
@@ -810,7 +820,7 @@ def triangle_multisets(candidate, chamber, face):
                 side_quot[ch] = m
         elif s_face < 0:
             side_face[ch] = m
-    return Counter(n_minus), side_face, side_quot
+    return n_minus, side_face, side_quot
 
 
 def checked_triangle(candidate, chamber, face) -> Triangle:
@@ -1050,7 +1060,8 @@ def test_triangle_matches_per_character_loop():
             if not problems:
                 assert rpt.n_minus_full == n_minus, where
             # a character flagged incoherent stays in N^-, as split_N puts it
-            assert rpt.n_minus_full == split_N(cand, ch.point).n_minus, where
+            assert rpt.n_minus_full == reference_sign_split(cand, ch.nums)[1], where
+            assert sum(rpt.n_minus_full.values()) == split_N(cand, ch.point).rank_minus, where
             kinds.update({kind for kind, _ in problems} | {label})
     assert kinds["incoherent-face-sign"] and kinds["face-not-in-chamber-closure"]
     assert kinds["framed2 -2..2"] > kinds["framed2"]
@@ -1081,7 +1092,8 @@ def test_triangle_matches_split_then_loop_on_framed2_window3():
 
 
 def reference_sign_split(candidate, nums):
-    """(N^+, N^-) as _sign_split made it before the split was kept per point."""
+    """(N^+, N^-): the nonzero tangent characters by the sign of their
+    pairing with a point's numerators; a zero pairing is a WallError."""
     plus, minus = Counter(), Counter()
     for ch, m in candidate.nonzero_tangent().items():
         p = sum(map(mul, ch, nums))
@@ -1092,18 +1104,19 @@ def reference_sign_split(candidate, nums):
 
 
 def reference_split_N(candidate, xi):
-    """split_N before its pairings were kept on the candidate."""
+    """split_N as the ranks of reference_sign_split's multisets."""
     nums = _point_nums(xi)
     rank = candidate.action.rank
     if len(nums) != rank:
         raise ValueError(f"xi has {len(nums)} coordinates, the action has rank {rank}")
     plus, minus = reference_sign_split(candidate, nums)
-    return NormalSplit(plus, minus, sum(plus.values()), sum(minus.values()))
+    return NormalSplit(sum(plus.values()), sum(minus.values()))
 
 
 def reference_triangle(candidate, chamber, face):
-    """triangle_split_check before the chamber split was kept on the
-    candidate and each character's face pairing on the face."""
+    """triangle_split_check with every pairing taken afresh: N^- split off
+    the chamber point first, then one loop over the characters that builds
+    all three multisets."""
     rank = candidate.action.rank
     face_nums = _point_nums(face.point)
     if len(face_nums) != rank:
@@ -1196,13 +1209,19 @@ def test_wall_errors_are_raised_again_and_not_kept():
     walled = [c for c in cands if any(dot(x, wall.point) == 0 for x in c.nonzero_tangent())]
     assert walled
     for cand in walled:
+        # the first character on the wall, in nonzero_tangent() order
+        first = next(x for x in cand.nonzero_tangent() if dot(x, wall.point) == 0)
         for _ in range(2):
-            with pytest.raises(WallError):
+            with pytest.raises(WallError) as err:
                 split_N(cand, wall.point)
-            with pytest.raises(WallError):
+            assert err.value.char == first
+            with pytest.raises(WallError) as err:
                 triangle_split_check(cand, on_wall, wall)
-        assert cand._split is None or cand._split[0] != on_wall.nums
+            assert err.value.char == first
+        # the chamber keeps the zero pairing, not the error
+        assert on_wall._pairings[first] == 0
         assert split_N(cand, ch.point) == reference_split_N(cand, ch.point)
+    assert on_wall._pairings == {x: sum(map(mul, x, on_wall.nums)) for x in on_wall._pairings}
 
 
 def test_mutating_returned_counters_leaves_later_calls_alone():
@@ -1219,8 +1238,8 @@ def test_mutating_returned_counters_leaves_later_calls_alone():
                 rpt.n_minus_full.update(cand.nonzero_tangent())
                 assert checked_triangle(cand, ch, f) == reference_triangle(cand, ch, f)
                 ns = split_N(cand, ch.point)
-                ns.n_plus.clear()
-                ns.n_minus.update(cand.nonzero_tangent())
+                ns.rank_plus = -1
+                ns.rank_minus += len(cand.nonzero_tangent())
                 assert split_N(cand, ch.point) == reference_split_N(cand, ch.point)
                 assert checked_triangle(cand, ch, f) == reference_triangle(cand, ch, f)
                 mutated += bool(cand.nonzero_tangent())
@@ -1236,8 +1255,9 @@ def test_equality_ignores_the_memos():
     for cand in cands:
         for f in fs:
             triangle_split_check(cand, ch, f)
-    assert any(f._pairings for f in fs) and any(c._split for c in cands)
-    assert ch == fresh_ch and repr(ch) == repr(fresh_ch)
+    assert any(f._pairings for f in fs) and ch._pairings
+    assert ch == fresh_ch and repr(ch) == repr(fresh_ch) and hash(ch) == hash(fresh_ch)
+    assert not fresh_ch._pairings
     assert fs == fresh_fs and list(map(repr, fs)) == list(map(repr, fresh_fs))
     assert all(not f._pairings for f in fresh_fs)
     again = corpus_candidates("framed2")[1]
@@ -1285,8 +1305,9 @@ def test_split_N_matches_fraction_pairing_under_positive_scaling():
                     walls += 1
                     continue
                 for s in (1,) + SCALES:
-                    ns = split_N(cand, tuple(s * x for x in point))
-                    assert (ns.n_plus, ns.n_minus) == want, (name, point, s)
+                    scaled = tuple(s * x for x in point)
+                    ns = split_N(cand, scaled)
+                    assert reference_sign_split(cand, _point_nums(scaled)) == want, (name, point, s)
                     assert (ns.rank_plus, ns.rank_minus) == tuple(sum(c.values()) for c in want)
                     checked += 1
     assert checked > 1000 and walls

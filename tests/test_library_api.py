@@ -13,8 +13,10 @@ library caller receives: every exported class, every class an exported
 function's return annotation names, and every class a field of one of those
 names. Each such attribute must be read somewhere in ``src/quiverlab``
 (other than by its own definition), or be listed in the section as
-``Class.attribute``. Attributes are matched by name, so a read of another
-class's attribute of the same name counts too.
+``Class.attribute``. Attributes are matched by name, and a read counts only
+in a module that names the class or a function returning it, so a module
+that never handles the class (``cli`` reading ``args.delta``) does not read
+its field.
 """
 
 import ast
@@ -153,14 +155,35 @@ def _reads_attribute(node, attr: str) -> bool:
     return False
 
 
+def _named(tree) -> set:
+    """The names a module defines at top level, imports or reads, a read
+    of module.name counted as name."""
+    defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    return defined | {name.split(".")[-1] for name in _reads(tree)}
+
+
+def _readers(modules, classes, name) -> list:
+    """The modules that name the class, or a module-level function whose
+    return annotation names it."""
+    handles = {name} | {
+        f.name for t in modules.values() for f in t.body
+        if isinstance(f, ast.FunctionDef) and f.returns is not None
+        and name in _names_in(f.returns, classes)
+    }
+    return [t for t in modules.values() if handles & _named(t)]
+
+
 def _unread_attributes(modules, classes) -> list:
-    return [
-        f"{name}.{attr}"
-        for name, cls in sorted(classes.items())
-        if name not in RENDERED_BY_VARS
-        for attr in _public_attributes(cls)
-        if not any(_reads_attribute(t, attr) for t in modules.values())
-    ]
+    out = []
+    for name, cls in sorted(classes.items()):
+        if name in RENDERED_BY_VARS:
+            continue
+        readers = _readers(modules, classes, name)
+        out += [
+            f"{name}.{attr}" for attr in _public_attributes(cls)
+            if not any(_reads_attribute(t, attr) for t in readers)
+        ]
+    return out
 
 
 def test_every_public_attribute_is_read_in_src_or_listed_as_library_api():
@@ -203,6 +226,28 @@ def test_library_api_check_sees_an_unused_attribute():
     assert sorted(classes) == ["Report", "Row"]
     assert _public_attributes(classes["Report"]) == ["ok", "rows", "spare", "given", "shown"]
     assert _unread_attributes(modules, classes) == ["Report.spare", "Report.shown", "Row.label"]
+
+
+def test_library_api_check_skips_a_read_of_an_unrelated_object():
+    # cli reads args.delta of its own namespace and never handles Report,
+    # so Report.delta is unread; run handles Report through check and reads
+    # ok, and show names Report itself and reads label
+    modules = {
+        "m": ast.parse(
+            "class Report:\n    ok: bool\n    delta: int\n    label: str\n\n"
+            "def check() -> Report:\n    return Report(True, 1, '')\n"
+        ),
+        "cli": ast.parse("def main(args):\n    return args.delta, args.ok\n"),
+        "run": ast.parse("from .m import check\n\ndef go():\n    return check().ok\n"),
+        "show": ast.parse("from . import m\n\ndef show(r: m.Report):\n    return r.label\n"),
+    }
+    classes = _caller_classes(modules, ["check"])
+    assert [ast.unparse(t) for t in _readers(modules, classes, "Report")] == [
+        ast.unparse(modules[n]) for n in ("m", "run", "show")]
+    assert _unread_attributes(modules, classes) == ["Report.delta"]
+    # cli reading delta counts once it names the function that returns Report
+    modules["cli"] = ast.parse("from .m import check\n\ndef main(args):\n    return args.delta\n")
+    assert _unread_attributes(modules, classes) == []
 
 
 def test_library_api_check_sees_an_unused_name():

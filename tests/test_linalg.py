@@ -11,6 +11,7 @@ from quiverlab.exactlinalg import (
     charpoly,
     dot,
     frac,
+    image_span,
     in_span,
     kernel_basis,
     preimage_span,
@@ -609,3 +610,72 @@ def test_shape_refusals_name_the_fault():
         solve(Mat.identity(2), Mat.identity(3))
     with pytest.raises(ValueError, match="dot length mismatch"):
         dot((1, 2), (1, 2, 3))
+
+
+def test_image_span_matches_sympy():
+    # the canonical basis of the images, against sympy's RREF of the
+    # images as rows: (X S^T)^T for the source vectors S, no Mat.apply
+    sympy = pytest.importorskip("sympy")
+
+    def sym(rows, cols):
+        return sympy.Matrix(len(rows), cols, [sympy.Rational(e.numerator, e.denominator)
+                                              for row in rows for e in row])
+
+    nonzero = 0
+    for (a, k), (b, m) in zip(_kernel_cases(46, 200), _kernel_cases(47, 200)):
+        x = Mat(a, cols=k)
+        # source vectors of length k: b's rows cut or padded with zeros
+        source = tuple(tuple(row[:k]) + (Fraction(0),) * (k - m) for row in b)
+        expected = ()
+        if a and source:
+            reduced, pivots = (sym(a, k) * sym(source, k).T).T.rref()
+            expected = tuple(
+                tuple(Fraction(int(e.p), int(e.q)) for e in reduced.row(i)) for i in range(len(pivots))
+            )
+        assert image_span(x, source) == expected, (a, source)
+        nonzero += bool(expected)
+    assert nonzero > 50
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        image_span(Mat.identity(2), ((1, 2, 3),))
+
+
+def test_mat_repr_shows_entries_or_an_empty_shape():
+    assert repr(Mat([[1, Fraction(-1, 2)], [0, "3/9"]])) == "Mat[1 -1/2; 0 1/3]"
+    assert repr(Mat([[Fraction(0)]])) == "Mat[0]"
+    assert repr(Mat.zero(0, 3)) == "Mat.zero(0, 3)"
+    assert repr(Mat.zero(2, 0)) == "Mat.zero(2, 0)"
+    assert repr(Mat([], cols=0)) == "Mat.zero(0, 0)"
+
+
+def test_mat_is_immutable():
+    m = Mat([[1, 2], [3, 4]])
+    for name, value in (("num", ((0, 0), (0, 0))), ("den", 2), ("rows", 1), ("cols", 1), ("extra", 0)):
+        with pytest.raises(AttributeError, match="Mat is immutable"):
+            setattr(m, name, value)
+    assert m == Mat([[1, 2], [3, 4]]) and (m.num, m.den, m.rows, m.cols) == (((1, 2), (3, 4)), 1, 2, 2)
+
+
+def test_mat_times_mat_is_matmul():
+    rng = random.Random(17)
+    for _ in range(50):
+        r, k, c = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a = Mat([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k)] for _ in range(r)], cols=k)
+        b = Mat([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(c)] for _ in range(k)], cols=c)
+        want = tuple(
+            tuple(sum((a.data[i][t] * b.data[t][j] for t in range(k)), Fraction(0)) for j in range(c))
+            for i in range(r)
+        )
+        for got in (a * b, a.matmul(b)):
+            assert (got.rows, got.cols, got.data) == (r, c, want)
+    half = Mat([[1, 2]]) * "1/2"
+    assert half == Mat([[Fraction(1, 2), 1]]) and half == Fraction(1, 2) * Mat([[1, 2]])
+
+
+def test_matmul_refuses_mismatched_shapes():
+    for a, b in ((Mat.zero(2, 3), Mat.zero(2, 3)), (Mat.zero(0, 1), Mat.zero(2, 0)),
+                 (Mat.identity(2), Mat.zero(3, 1))):
+        message = f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
+        with pytest.raises(ValueError, match=message):
+            a.matmul(b)
+        with pytest.raises(ValueError, match=message):
+            a * b

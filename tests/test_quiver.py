@@ -366,3 +366,19 @@ def test_iterated_surgery_gets_fresh_names():
     hg = hgamma_data(aux.quiver, aux.split, dims2)
     hq, hd = half_quiver(aux2)
     assert dim_quiver_variety(aux.quiver, dims2) == dim_universal_nakajima(hq, hd) + hg.dim_l
+
+
+def test_unknown_arrow_ids_are_key_errors():
+    q = Quiver(("0", "1"), (Arrow("a", "0", "1"), Arrow("a*", "1", "0"), Arrow("eps", "0", "0")))
+    split = ArrowSplit((("a", "a*"),), ("eps",))
+    assert q.arrow("eps") == Arrow("eps", "0", "0")
+    assert (split.star("a"), split.star("a*")) == ("a*", "a")
+    for aid in ("b", "eps", ("a",), None):
+        if aid != "eps":
+            with pytest.raises(KeyError) as err:
+                q.arrow(aid)
+            assert err.value.args == (aid,)
+        # a loop has no star, and neither has an id outside the pairs
+        with pytest.raises(KeyError) as err:
+            split.star(aid)
+        assert err.value.args == (aid,)

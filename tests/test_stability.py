@@ -21,7 +21,7 @@ from quiverlab.stability import (
     stability_report,
     verify_witness,
 )
-from quiverlab.surgery import build_aux
+from quiverlab.surgery import build_aux, lift_stability
 from quiverlab.corpus import corpus
 
 
@@ -602,11 +602,15 @@ def test_transfer_basic():
     aux = build_aux(e.quiver, e.split, e.dims)
     rng = random.Random(101)
     xi = {"0": Fraction(1)}
+    # the lifted condition at jordan2's default offset
+    lifted, delta = lift_stability(xi, aux)
+    assert delta == Fraction(1, 8)
     for _ in range(60):
         rep, t = random_leg_stable_aux(rng, aux)
         rpt = check_stability_transfer(aux, rep, t, xi)
         assert rpt.inclusion_ok
-        assert rpt.delta == Fraction(1, 8)
+        assert (rpt.rhs_stable, rpt.rhs_witness) == stability_report(
+            aux.quiver, DimData(aux.v, aux.d), rep, lifted)
 
 
 def test_transfer_rejects_non_leg_stable():
@@ -650,7 +654,22 @@ def test_transfer_respects_delta_override():
     rng = random.Random(8)
     rep, t = random_leg_stable_aux(rng, aux)
     rpt = check_stability_transfer(aux, rep, t, {"0": Fraction(1)}, Fraction(1, 100))
-    assert rpt.delta == Fraction(1, 100)
+    # the auxiliary side is decided at the lifted condition of the override
+    lifted, delta = lift_stability({"0": Fraction(1)}, aux, Fraction(1, 100))
+    assert delta == Fraction(1, 100) and set(lifted.values()) == {Fraction(1), Fraction(1, 100)}
+    assert (rpt.rhs_stable, rpt.rhs_witness) == stability_report(
+        aux.quiver, DimData(aux.v, aux.d), rep, lifted)
+    # a sample whose auxiliary witness pairs differently at the default offset
+    default = lift_stability({"0": Fraction(1)}, aux)[0]
+    for _ in range(300):
+        rep, t = random_leg_stable_aux(rng, aux)
+        want = stability_report(aux.quiver, DimData(aux.v, aux.d), rep, lifted)
+        if want != stability_report(aux.quiver, DimData(aux.v, aux.d), rep, default):
+            break
+    else:
+        pytest.fail("no sample tells the two offsets apart")
+    rpt = check_stability_transfer(aux, rep, t, {"0": Fraction(1)}, Fraction(1, 100))
+    assert (rpt.rhs_stable, rpt.rhs_witness) == want
     with pytest.raises(ValueError):
         check_stability_transfer(aux, rep, t, {"0": Fraction(1)}, Fraction(1, 3))
 
