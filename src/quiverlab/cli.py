@@ -20,12 +20,14 @@ from .corpus import TRANSFER_QUIVERS, corpus
 from .envelopes import chambers, stab_degree_table, torus_roots
 from .exactlinalg import frac
 from .jsonio import (
+    RecordTexts,
     _object,
     dumps_canonical,
     frac_to_json,
     quiver_from_json,
     quiver_to_json,
     rep_from_json,
+    value_text,
 )
 from .quiver import DimData, node_key
 from .reps import tau_charpoly, validate_shapes
@@ -301,15 +303,25 @@ def cmd_chambers(args) -> int:
     return EXIT_OK
 
 
+# the keys of a stab-table pair record, sorted
+_PAIR_KEYS = ("fiber_product_bound", "first", "off_diagonal_bound", "second")
+
+
 def _stab_table_payload(table, xi) -> dict:
-    # one pair record per itertools.combinations(table.rows, 2), with each
-    # distinct dim F + dim F' of table.bounds rendered once
-    texts = {s: tuple(map(frac_to_json, b)) for s, b in table.bounds.items()}
-    pairs = []
-    for r, r2 in itertools.combinations(table.rows, 2):
-        off, fiber = texts[r.dim_fixed + r2.dim_fixed]
-        pairs.append({"first": r.name, "second": r2.name,
-                      "off_diagonal_bound": off, "fiber_product_bound": fiber})
+    # one pair record per itertools.combinations(table.rows, 2), handed to
+    # the writer as value texts: each row name and each distinct
+    # dim F + dim F' of table.bounds is encoded once, and no pair is a dict.
+    # The pairs are a generator, so the payload is written once.
+    bounds = {
+        s: (value_text(frac_to_json(fiber)), value_text(frac_to_json(off)))
+        for s, (off, fiber) in table.bounds.items()
+    }
+    named = [(value_text(r.name), r.dim_fixed) for r in table.rows]
+    pairs = (
+        (fiber, first, off, second)
+        for (first, d), (second, d2) in itertools.combinations(named, 2)
+        for fiber, off in (bounds[d + d2],)
+    )
     return {
         "dim_ambient": table.dim_ambient,
         "dim_base": table.dim_base,
@@ -319,7 +331,7 @@ def _stab_table_payload(table, xi) -> dict:
             {**vars(r), "attracting_dim": frac_to_json(r.attracting_dim)}
             for r in table.rows
         ],
-        "pairs": pairs,
+        "pairs": RecordTexts(_PAIR_KEYS, pairs),
     }
 
 
@@ -327,13 +339,15 @@ def cmd_stab_table(args) -> int:
     q, split, dims, action, sigma, cands = _candidates_for(args)
     xi = _parse_vector(args.xi, "--xi", action.rank) if args.xi is not None else sigma
     table = stab_degree_table(q, split, dims, cands, xi)
-    lines = [f"dim X = {table.dim_ambient}"] + [
-        f"  {r.name}: dimF={r.dim_fixed} rankN-={r.rank_minus} "
-        f"attr={frac_to_json(r.attracting_dim)} consistent={r.consistent}"
-        for r in table.rows
-    ]
-    # only JSON output prints the payload, and its pairs are most of it
-    payload = _stab_table_payload(table, xi) if args.format == "json" else None
+    # each format builds only what it prints
+    if args.format == "json":
+        payload, lines = _stab_table_payload(table, xi), None
+    else:
+        payload, lines = None, [f"dim X = {table.dim_ambient}"] + [
+            f"  {r.name}: dimF={r.dim_fixed} rankN-={r.rank_minus} "
+            f"attr={frac_to_json(r.attracting_dim)} consistent={r.consistent}"
+            for r in table.rows
+        ]
     _emit(payload, args.format, lines)
     return EXIT_OK if all(r.consistent for r in table.rows) else EXIT_FAIL
 

@@ -596,15 +596,15 @@ def stab_degree_table(
     for cand in candidates:
         dim_f = cand.dim_fixed()
         rank_plus, rank_minus = _split_ranks(cand, nums)
-        attracting = Fraction(dim_x + dim_f, 2)
         rows.append(
             DegreeRow(
                 name=cand.name(),
                 dim_fixed=dim_f,
                 rank_minus=rank_minus,
                 rank_plus=rank_plus,
-                attracting_dim=attracting,
-                consistent=(attracting - dim_f == rank_minus),
+                attracting_dim=Fraction(dim_x + dim_f, 2),
+                # (dim X + dim F)/2 - dim F == rank N^-, on integers
+                consistent=(dim_x - dim_f == 2 * rank_minus),
             )
         )
     dims_f = {r.dim_fixed for r in rows}

@@ -109,6 +109,9 @@ class Mat:
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Mat is immutable")
+
     @property
     def data(self) -> tuple:
         """The entries as a tuple of tuples of Fractions, built on each call."""

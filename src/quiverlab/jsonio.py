@@ -3,6 +3,11 @@
 Rationals travel as exact 'p/q' strings, never floats. Node identifiers
 are strings, except leg nodes which serialize as [loop_id, depth] pairs;
 object keys use the canonical string form from quiver.node_key.
+
+dumps_canonical writes any JSON value byte-stably. A list of flat records
+may also be handed to it as RecordTexts: the sorted keys and, per record,
+the JSON texts of its values, so a caller that holds few distinct values
+encodes each once and builds no dict per record.
 """
 
 from __future__ import annotations
@@ -272,8 +277,8 @@ def dumps_canonical(obj) -> str:
     with only str keys are written here; any other value (a float, a dict
     with a non-str key, a subclass, an unserialisable object) is handed to
     json.dumps and re-indented, so it encodes, or raises, as json.dumps
-    does. A list of flat records (see _records) is written from one
-    template per list, one string per record.
+    does. A list of flat records (see _records), or a RecordTexts, is
+    written from one template per list, one string per record.
     """
     out: list = []
     _write(obj, "\n", out)
@@ -296,8 +301,30 @@ _SCALARS = frozenset(_SCALAR_TEXT)
 _STR = frozenset((str,))
 
 
-def _scalar_text(x) -> str:
+def value_text(x) -> str:
+    """The JSON text of a str, exact int, bool or None, as dumps_canonical
+    writes it."""
     return _SCALAR_TEXT[type(x)](x)
+
+
+class RecordTexts:
+    """A list of flat records in a second form: its sorted str keys and an
+    iterable of rows, each a tuple of the JSON texts of one record's values
+    in key order.
+
+    dumps_canonical writes it exactly as the list of those records; the
+    texts are trusted to be JSON (value_text gives them). The rows are read
+    each time it is written, so rows given as an iterator write once.
+    """
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys, rows):
+        keys = tuple(keys)
+        if list(keys) != sorted(keys):
+            raise ValueError(f"record keys need to be sorted, got {keys!r}")
+        self.keys = keys
+        self.rows = rows
 
 
 def _write(x, nl: str, out: list) -> None:
@@ -311,7 +338,7 @@ def _write(x, nl: str, out: list) -> None:
         inner = nl + "  "
         records = _records(x, inner) if type(x[0]) is dict else None
         if records is not None:
-            out.append("[" + inner + ("," + inner).join(records) + nl + "]")
+            out.append(_record_list(records, nl))
             return
         sep = "[" + inner
         for item in x:
@@ -339,7 +366,9 @@ def _write(x, nl: str, out: list) -> None:
             sep = "," + inner
         out.append(nl + "}")
     elif t in _SCALARS:
-        out.append(_scalar_text(x))
+        out.append(value_text(x))
+    elif t is RecordTexts:
+        out.append(_record_list(_fill(x.keys, x.rows, nl + "  "), nl))
     else:
         # encoded JSON holds no raw newline, so every newline is an indent
         out.append(json.dumps(x, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", nl))
@@ -373,11 +402,26 @@ def _records(x, nl: str) -> list | None:
         kinds = set(map(type, column))
         if not _SCALARS.issuperset(kinds):
             return None
-        text = _SCALAR_TEXT[kinds.pop()] if len(kinds) == 1 else _scalar_text
+        text = _SCALAR_TEXT[kinds.pop()] if len(kinds) == 1 else value_text
         columns.append(map(text, column))
+    return _fill(keys, zip(*columns), nl)
+
+
+def _fill(keys, rows, nl: str) -> list:
+    """The JSON text of one record per row of value texts (a tuple in the
+    order of the sorted keys), each on a line indented by nl: every row is
+    filled into one %-template."""
     inner = nl + "  "
     # %-escaped keys: a key may hold any character, braces and % included
     template = "{" + inner + ("," + inner).join(
         _encode_str(k).replace("%", "%%") + ": %s" for k in keys
-    ) + nl + "}"
-    return list(map(template.__mod__, zip(*columns)))
+    ) + nl + "}" if keys else "{}"
+    return list(map(template.__mod__, rows))
+
+
+def _record_list(records: list, nl: str) -> str:
+    """The JSON text of a list of record texts, its members indented by nl."""
+    if not records:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(records) + nl + "]"

@@ -44,6 +44,9 @@ def _cases() -> list[tuple[str, ...]]:
         sigma = "0,0" if name == "framed2" else "0"
         cases.append(("--format", "json", "fixed", f"inputs/{name}.json", "--sigma", sigma))
     cases.append(("--format", "json", "triangle", "inputs/loop2.json", "--window=-1..1"))
+    # a wide degree ledger (196 candidates, 19,110 pairs) and one with no pair
+    cases.append(("--format", "json", "stab-table", "inputs/loop2.json", "--window=-3..3"))
+    cases.append(("--format", "json", "stab-table", "inputs/jordan2.json", "--sigma", "0"))
     return cases
 
 
@@ -190,6 +193,8 @@ GOLDEN = {
     '--format json fixed inputs/jordan3.json --sigma 0': '910af6a66642a316726243f061c044fcc07ade3d9a9f2bdd2a307594d2a04aa0',
     '--format json fixed inputs/loop2.json --sigma 0': 'bb82b66850acbfa773d4634f2d578beaf86f1a2aaf8c4f613936d2837539c9d6',
     '--format json triangle inputs/loop2.json --window=-1..1': '30e72c93b5996b8e5e5c1fad348025babe7de21a6439f342ada6c019ba9e155f',
+    '--format json stab-table inputs/loop2.json --window=-3..3': '29295776b93f9f0171fd6e7d94b1a17634c05e14ef7ca21aff77c52205c380d1',
+    '--format json stab-table inputs/jordan2.json --sigma 0': 'cc82f83738ef1f2a48350120148076e419b5391adba95e5d499773ef2e37e3f7',
 }
 
 

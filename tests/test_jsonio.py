@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverlab.jsonio import _records, dumps_canonical
+from quiverlab.jsonio import RecordTexts, _records, dumps_canonical, value_text
 
 # quotes, backslashes, control characters, non-ASCII and line separators
 SPECIAL = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "→", " ", "𝔽", "'"])
@@ -122,3 +122,37 @@ def test_record_lists_match_json_dumps(drawn):
         assert (_records(records, "\n  ") is not None) == flat
     else:
         assert not flat
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    keys=RECORD_KEYS,
+    count=st.sampled_from((0, 1, 2, 7)),
+    values=st.data(),
+    depth=st.integers(0, 2),
+)
+def test_record_texts_match_json_dumps_of_the_records(keys, count, values, depth):
+    # each value text is json.dumps's own, so floats are covered beside
+    # every scalar value_text writes
+    records = [{k: values.draw(FLAT_VALUES | st.floats()) for k in keys} for _ in range(count)]
+    keys = sorted(keys)
+    rows = [tuple(json.dumps(r[k], ensure_ascii=False) for k in keys) for r in records]
+    value, texts = records, RecordTexts(keys, rows)
+    for _ in range(depth):
+        value, texts = {"k": value}, {"k": texts}
+    assert dumps_canonical(texts) == _oracle(value)
+    # an iterator of rows writes the same, once
+    once = RecordTexts(keys, iter(rows))
+    assert dumps_canonical(once) == _oracle(records)
+    assert dumps_canonical(once) == _oracle([])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(value=FLAT_VALUES)
+def test_value_text_is_json_dumps(value):
+    assert value_text(value) == json.dumps(value, ensure_ascii=False)
+
+
+def test_record_texts_refuse_unsorted_keys():
+    with pytest.raises(ValueError, match="sorted"):
+        RecordTexts(("b", "a"), [])

@@ -655,6 +655,16 @@ def test_mat_is_immutable():
     assert m == Mat([[1, 2], [3, 4]]) and (m.num, m.den, m.rows, m.cols) == (((1, 2), (3, 4)), 1, 2, 2)
 
 
+def test_mat_refuses_del_and_still_works():
+    m = Mat([[1, Fraction(1, 2)], [3, 4]])
+    for name in ("num", "den", "rows", "cols", "extra"):
+        with pytest.raises(AttributeError, match="Mat is immutable"):
+            delattr(m, name)
+    assert repr(m) == "Mat[1 1/2; 3 4]"
+    assert m == Mat([[1, Fraction(1, 2)], [3, 4]])
+    assert (m * m).data == ((Fraction(5, 2), Fraction(5, 2)), (Fraction(15), Fraction(35, 2)))
+
+
 def test_mat_times_mat_is_matmul():
     rng = random.Random(17)
     for _ in range(50):
