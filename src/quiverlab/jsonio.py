@@ -4,17 +4,17 @@ Rationals travel as exact 'p/q' strings, never floats. Node identifiers
 are strings, except leg nodes which serialize as [loop_id, depth] pairs;
 object keys use the canonical string form from quiver.node_key.
 
-dumps_canonical writes any JSON value byte-stably. A list of flat records
-may also be handed to it as RecordTexts: the sorted keys and, per record,
-the JSON texts of its values, so a caller that holds few distinct values
-encodes each once and builds no dict per record.
+dumps_canonical writes any JSON value byte-stably; a list of dicts is
+written as dicts are. RecordTexts is its one template form for a list of
+flat records: the sorted keys and, per record, the JSON texts of its
+values, so a caller that holds few distinct values encodes each once and
+builds no dict per record.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring as _encode_str
-from operator import itemgetter
 
 from .exactlinalg import Mat, frac
 from .quiver import Arrow, ArrowSplit, DimData, Quiver, check_symmetric, node_key
@@ -274,11 +274,11 @@ def dumps_canonical(obj) -> str:
     ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``,
     written directly: with an indent, json.dumps runs its pure-Python
     encoder. Strings, None, booleans, exact ints, lists, tuples and dicts
-    with only str keys are written here; any other value (a float, a dict
-    with a non-str key, a subclass, an unserialisable object) is handed to
-    json.dumps and re-indented, so it encodes, or raises, as json.dumps
-    does. A list of flat records (see _records), or a RecordTexts, is
-    written from one template per list, one string per record.
+    with only str keys are written here, a list of dicts as a list of
+    dicts; any other value (a float, a dict with a non-str key, a
+    subclass, an unserialisable object) is handed to json.dumps and
+    re-indented, so it encodes, or raises, as json.dumps does. A
+    RecordTexts is written from one template, one string per record.
     """
     out: list = []
     _write(obj, "\n", out)
@@ -297,7 +297,6 @@ _SCALAR_TEXT = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): _null,
 }
-_SCALARS = frozenset(_SCALAR_TEXT)
 _STR = frozenset((str,))
 
 
@@ -308,9 +307,9 @@ def value_text(x) -> str:
 
 
 class RecordTexts:
-    """A list of flat records in a second form: its sorted str keys and an
-    iterable of rows, each a tuple of the JSON texts of one record's values
-    in key order.
+    """A list of flat records in a second form: its str keys, strictly
+    increasing, and an iterable of rows, each a tuple of the JSON texts of
+    one record's values in key order.
 
     dumps_canonical writes it exactly as the list of those records; the
     texts are trusted to be JSON (value_text gives them). The rows are read
@@ -321,8 +320,9 @@ class RecordTexts:
 
     def __init__(self, keys, rows):
         keys = tuple(keys)
-        if list(keys) != sorted(keys):
-            raise ValueError(f"record keys need to be sorted, got {keys!r}")
+        # a repeated key would write an object no dict can hold
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError(f"record keys need to be sorted and distinct, got {keys!r}")
         self.keys = keys
         self.rows = rows
 
@@ -336,10 +336,6 @@ def _write(x, nl: str, out: list) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        records = _records(x, inner) if type(x[0]) is dict else None
-        if records is not None:
-            out.append(_record_list(records, nl))
-            return
         sep = "[" + inner
         for item in x:
             scalar = _SCALAR_TEXT.get(type(item))
@@ -365,63 +361,29 @@ def _write(x, nl: str, out: list) -> None:
                 _write(item, inner, out)
             sep = "," + inner
         out.append(nl + "}")
-    elif t in _SCALARS:
+    elif t in _SCALAR_TEXT:
         out.append(value_text(x))
     elif t is RecordTexts:
-        out.append(_record_list(_fill(x.keys, x.rows, nl + "  "), nl))
+        _write_records(x, nl, out)
     else:
         # encoded JSON holds no raw newline, so every newline is an indent
         out.append(json.dumps(x, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", nl))
 
 
-def _records(x, nl: str) -> list | None:
-    """The JSON texts of the members of a nonempty list x whose first member
-    is a dict, when every member is a flat record, each on a line indented
-    by nl; None otherwise.
-
-    A flat record is a nonempty dict with the same str keys as every other
-    member and only str, int, bool or None values. Each column of values is
-    encoded by one map and each record filled into one %-template, so a
-    record costs one string, not one per value. A list whose first member
-    is not a flat record is turned down after one look at that member.
-    """
-    first = x[0]
-    if not (
-        first
-        and _SCALARS.issuperset(map(type, first.values()))
-        and _STR.issuperset(map(type, first))
-    ):
-        return None
-    keys = first.keys()
-    if set(map(type, x)) != {dict} or not all(map(keys.__eq__, map(dict.keys, x))):
-        return None
-    keys = sorted(keys)
-    columns = []
-    for k in keys:
-        column = list(map(itemgetter(k), x))
-        kinds = set(map(type, column))
-        if not _SCALARS.issuperset(kinds):
-            return None
-        text = _SCALAR_TEXT[kinds.pop()] if len(kinds) == 1 else value_text
-        columns.append(map(text, column))
-    return _fill(keys, zip(*columns), nl)
-
-
-def _fill(keys, rows, nl: str) -> list:
-    """The JSON text of one record per row of value texts (a tuple in the
-    order of the sorted keys), each on a line indented by nl: every row is
-    filled into one %-template."""
+def _write_records(x: RecordTexts, nl: str, out: list) -> None:
+    """Append the JSON of the records of x to out, as _write does: each row
+    is filled, with the separator before it, into one %-template."""
     inner = nl + "  "
+    field = inner + "  "
     # %-escaped keys: a key may hold any character, braces and % included
-    template = "{" + inner + ("," + inner).join(
-        _encode_str(k).replace("%", "%%") + ": %s" for k in keys
-    ) + nl + "}" if keys else "{}"
-    return list(map(template.__mod__, rows))
-
-
-def _record_list(records: list, nl: str) -> str:
-    """The JSON text of a list of record texts, its members indented by nl."""
-    if not records:
-        return "[]"
-    inner = nl + "  "
-    return "[" + inner + ("," + inner).join(records) + nl + "]"
+    record = "{" + field + ("," + field).join(
+        _encode_str(k).replace("%", "%%") + ": %s" for k in x.keys
+    ) + inner + "}" if x.keys else "{}"
+    rows = iter(x.rows)
+    first = next(rows, None)
+    if first is None:
+        out.append("[]")
+        return
+    out.append(("[" + inner + record) % first)
+    out.extend(map(("," + inner + record).__mod__, rows))
+    out.append(nl + "]")

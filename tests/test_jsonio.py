@@ -3,12 +3,13 @@ json.dumps(x, sort_keys=True, indent=2, ensure_ascii=False) + "\\n", and a
 value json.dumps refuses raises the same exception type."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverlab.jsonio import RecordTexts, _records, dumps_canonical, value_text
+from quiverlab.jsonio import RecordTexts, dumps_canonical, value_text
 
 # quotes, backslashes, control characters, non-ASCII and line separators
 SPECIAL = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "→", " ", "𝔽", "'"])
@@ -77,9 +78,8 @@ NEAR_MISSES = (
 
 @st.composite
 def record_lists(draw):
-    """(value, flat, records): a list of records with one key set, possibly
-    turned into a near miss, and nested at a drawn depth in value; flat
-    tells whether records is a list of flat records."""
+    """A list of records with one key set, possibly turned into a near miss,
+    nested at a drawn depth."""
     keys = draw(RECORD_KEYS)
     records = [{k: draw(FLAT_VALUES) for k in keys} for _ in range(draw(st.sampled_from((3, 1, 2, 5))))]
     miss = draw(st.none() | st.sampled_from(NEAR_MISSES))
@@ -98,30 +98,18 @@ def record_lists(draw):
         victim.clear()
     elif miss == "non-dict member":
         records.insert(draw(st.integers(0, len(records))), draw(FLAT_VALUES | st.lists(FLAT_VALUES, max_size=2)))
-    first = records[0]
-    flat = (
-        all(type(r) is dict and r and r.keys() == first.keys() for r in records)
-        and all(type(v) in (str, int, bool, type(None)) for r in records for v in r.values())
-    )
     if miss == "tuple":
         records = tuple(records)
     value = records
     for _ in range(draw(st.integers(0, 2))):
         value = {"k": value} if draw(st.booleans()) else [value]
-    return value, flat, records
+    return value
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(drawn=record_lists())
-def test_record_lists_match_json_dumps(drawn):
-    value, flat, records = drawn
+@given(value=record_lists())
+def test_record_lists_match_json_dumps(value):
     assert _outcome(dumps_canonical, value) == _outcome(_oracle, value)
-    # the one-template path takes exactly the lists of flat records; the
-    # writer asks it only about a list whose first member is a dict
-    if type(records[0]) is dict:
-        assert (_records(records, "\n  ") is not None) == flat
-    else:
-        assert not flat
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -156,3 +144,23 @@ def test_value_text_is_json_dumps(value):
 def test_record_texts_refuse_unsorted_keys():
     with pytest.raises(ValueError, match="sorted"):
         RecordTexts(("b", "a"), [])
+    # a repeated key would write {"a": 1, "a": 2}, which no dict holds
+    with pytest.raises(ValueError, match="distinct"):
+        RecordTexts(("a", "a"), [("1", "2")])
+    with pytest.raises(ValueError, match="distinct"):
+        RecordTexts(("a", "b", "b"), [])
+
+
+def test_record_texts_peak_below_three_times_the_output():
+    # the record texts and the joined output are held once each at the
+    # peak: no second joined copy of the record list
+    keys = ("a", "b", "c", "d")
+    rows = ((str(i), '"x"', "true", "null") for i in range(100_000))
+    tracemalloc.start()
+    try:
+        text = dumps_canonical({"pairs": RecordTexts(keys, rows), "x": 1})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.endswith('  ],\n  "x": 1\n}\n')
+    assert peak < 3 * len(text)
