@@ -1,16 +1,25 @@
 """Built-in desk-scale corpus used by the verification suites and the CLI.
 
-Four symmetric quivers exercise the surgery and stability paths, and the
-attached torus actions cover rank 0, 1 and 2 weight combinatorics.
+Each entry is defined by one JSON file, ``data/<name>.json``, and read by
+the CLI's reader (``jsonio.quiver_from_json``), so the corpus is checked
+like any input file; ``inputs/<name>.json`` links to the same file. Four
+symmetric quivers (the Jordan quivers at v = 2 and 3, a2sym and loop2)
+exercise the surgery and stability paths with rank-1 torus actions; the
+arrowless framed2 carries a rank-2 framing torus, so its candidates'
+tangent characters span a two-dimensional root system.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from fractions import Fraction
+from pathlib import Path
 
-from .quiver import Arrow, ArrowSplit, DimData, Quiver
+from .jsonio import quiver_from_json
+from .quiver import ArrowSplit, DimData, Quiver
 from .torus import TorusAction
+
+DATA = Path(__file__).with_name("data")
 
 
 @dataclass
@@ -24,73 +33,13 @@ class CorpusEntry:
     window: tuple[int, int] | None = None
 
 
-def _jordan(v: int) -> CorpusEntry:
-    q = Quiver(("0",), (Arrow("eps", "0", "0"),))
-    split = ArrowSplit((), ("eps",))
-    dims = DimData({"0": v}, {"0": 1}, {"0": Fraction(1)})
-    action = TorusAction(1, {}, {"0": ((1,),)})
-    return CorpusEntry(
-        name=f"jordan{v}",
-        quiver=q,
-        split=split,
-        dims=dims,
-        action=action,
-        sigma=(1,),
-    )
-
-
-def _a2sym() -> CorpusEntry:
-    q = Quiver(("0", "1"), (Arrow("a", "0", "1"), Arrow("a*", "1", "0")))
-    split = ArrowSplit((("a", "a*"),), ())
-    dims = DimData(
-        {"0": 1, "1": 1}, {"0": 1, "1": 0}, {"0": Fraction(1), "1": Fraction(1)}
-    )
-    action = TorusAction(1, {"a": (1,)}, {"0": ((0,),), "1": ()})
-    return CorpusEntry(
-        name="a2sym", quiver=q, split=split, dims=dims, action=action, sigma=(1,)
-    )
-
-
-def _loop2() -> CorpusEntry:
-    q = Quiver(
-        ("0", "1"),
-        (Arrow("a", "0", "1"), Arrow("a*", "1", "0"), Arrow("eps", "0", "0")),
-    )
-    split = ArrowSplit((("a", "a*"),), ("eps",))
-    dims = DimData(
-        {"0": 2, "1": 1}, {"0": 1, "1": 0}, {"0": Fraction(1), "1": Fraction(1)}
-    )
-    action = TorusAction(1, {"a": (1,)}, {"0": ((0,),), "1": ()})
-    return CorpusEntry(
-        name="loop2", quiver=q, split=split, dims=dims, action=action, sigma=(1,)
-    )
-
-
-def _framed2() -> CorpusEntry:
-    # arrowless two-node quiver with a rank-2 framing torus; its candidate
-    # tangent characters span a genuinely two-dimensional root system
-    q = Quiver(("0", "1"), ())
-    split = ArrowSplit((), ())
-    dims = DimData(
-        {"0": 1, "1": 1}, {"0": 1, "1": 1}, {"0": Fraction(1), "1": Fraction(1)}
-    )
-    action = TorusAction(2, {}, {"0": ((1, 0),), "1": ((0, 1),)})
-    return CorpusEntry(
-        name="framed2",
-        quiver=q,
-        split=split,
-        dims=dims,
-        action=action,
-        sigma=(1, 3),
-        window=(-1, 1),
-    )
-
-
 def corpus() -> dict[str, CorpusEntry]:
-    entries = [_jordan(2), _jordan(3), _a2sym(), _loop2(), _framed2()]
-    return {e.name: e for e in entries}
+    # read afresh on every call: entries are mutable
+    docs = {n: json.loads((DATA / f"{n}.json").read_text()) for n in ENTRIES}
+    return {n: CorpusEntry(n, *quiver_from_json(doc)) for n, doc in docs.items()}
 
 
+ENTRIES = ("jordan2", "jordan3", "a2sym", "loop2", "framed2")
 MOMENT_QUIVERS = ("jordan2", "jordan3", "a2sym", "loop2")
 TRANSFER_QUIVERS = ("jordan2", "jordan3", "a2sym", "loop2")
 ACTION_ENTRIES = ("jordan2", "a2sym", "loop2", "framed2")

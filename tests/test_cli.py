@@ -9,11 +9,12 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
 from quiverlab import cli, envelopes, torus, verify
+from quiverlab import corpus as corpus_module
 from quiverlab.cli import build_parser, main
 from quiverlab.corpus import ACTION_ENTRIES, corpus
 from quiverlab.envelopes import MAX_DEGREE_PAIRS, chambers, faces, torus_roots
@@ -68,6 +69,33 @@ def test_input_files_are_the_corpus_entries(name):
     e = corpus()[name]
     doc = quiver_to_json(e.quiver, e.split, e.dims, e.action, e.sigma, name=name)
     assert (ROOT / "inputs" / f"{name}.json").read_text() == dumps_canonical(doc)
+
+
+def test_the_corpus_is_read_like_an_input_file(tmp_path, monkeypatch):
+    # every entry goes through the CLI's reader, so a malformed data file
+    # is refused with the reader's error
+    for p in corpus_module.DATA.glob("*.json"):
+        doc = json.loads(p.read_text())
+        if p.stem == "loop2":
+            del doc["arrows"]
+        (tmp_path / p.name).write_text(json.dumps(doc))
+    monkeypatch.setattr(corpus_module, "DATA", tmp_path)
+    with pytest.raises(ValueError, match="a quiver needs key 'arrows'"):
+        corpus()
+
+
+def test_the_corpus_ships_as_package_data_and_inputs_link_to_it():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["quiverlab"]
+    package = ROOT / "src" / "quiverlab"
+    data = sorted((package / "data").glob("*.json"))
+    assert sorted(p.stem for p in data) == sorted(corpus())
+    for p in data:
+        rel = PurePosixPath(p.relative_to(package).as_posix())
+        assert any(rel.match(pattern) for pattern in patterns), rel
+    for name in corpus():
+        assert (ROOT / "inputs" / f"{name}.json").resolve() == package / "data" / f"{name}.json"
 
 
 def test_roundtrip_quiver():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter, namedtuple
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from quiverlab.sampling import (
     random_scalar_moment_leg,
 )
 from quiverlab.surgery import build_aux
-from quiverlab.corpus import _jordan, corpus
+from quiverlab.corpus import corpus
 from quiverlab.exactlinalg import frac
 from test_quiver import generic_locus_hyperplanes, is_generic_level
 
@@ -47,6 +48,18 @@ def jordan2():
 def a2():
     e = corpus()["a2sym"]
     return e.quiver, e.split, e.dims
+
+
+def _jordan(v: int):
+    """The Jordan quiver at gauge dimension v: the jordan2 entry with v replaced."""
+    e = corpus()["jordan2"]
+    return replace(e, name=f"jordan{v}", dims=replace(e.dims, v={"0": v}))
+
+
+def test_jordan_helper_gives_the_corpus_jordan_entries():
+    entries = corpus()
+    assert _jordan(2) == entries["jordan2"]
+    assert _jordan(3) == entries["jordan3"]
 
 
 def test_moment_scalar_example(a2):

@@ -452,6 +452,17 @@ def test_every_enumerated_candidate_is_self_dual():
     assert len(cands) > 4800 and sum(not any(c.sigma) for c in cands) > 40
 
 
+def test_framed2_default_window_is_its_former_explicit_window():
+    # fixed_components' default window is +-(largest gauge dimension), which
+    # is (-1, 1) on framed2, so its corpus entry needs no window of its own
+    e = corpus()["framed2"]
+    names = [
+        [c.name() for c in fixed_components(e.quiver, e.split, e.dims, e.action, (1, 3), window)]
+        for window in (None, (-1, 1))
+    ]
+    assert names[0] and names[0] == names[1]
+
+
 def test_framed2_derived_splits_are_valid():
     e = corpus()["framed2"]
     steps = (1, 2, 3, -1, -2, -3)
