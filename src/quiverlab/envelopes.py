@@ -18,13 +18,13 @@ face is the intersection of the facets that contain it, so a face one
 dimension below a face F is F cut by one facet hyperplane; its zero set is
 F's zero set Z joined with a cover class of Z, the roots whose restrictions
 to F's span cut the same hyperplane as that facet's root. So only the cover
-classes that hold a facet root are tried, each by one Fourier-Motzkin
-elimination on the flat's signed pairing rows. The facets are the parallel
-classes of roots whose sign flip is another chamber, a lookup among the
-chambers that chambers() returned together. Those chambers share one
-record of the arrangement, which keeps each flat the walks reached, its
-kernel taken as integer rows of an integer elimination with no Fraction
-matrix between.
+classes that hold a facet root are tried, each by one feasible_interior
+call (one Fourier-Motzkin elimination) on the flat's signed pairing rows.
+The facets are the parallel classes of roots whose sign flip is another
+chamber, a lookup among the chambers that chambers() returned together.
+Those chambers share one record of the arrangement, which keeps each flat
+the walks reached, its kernel taken as integer rows of an integer
+elimination with no Fraction matrix between.
 Every pairing of a root or character with a rational point is an integer
 dot product with the point's numerators over a common positive
 denominator, which keeps its sign. Pairings are kept per point: a chamber
@@ -453,11 +453,11 @@ def faces(chamber: Chamber) -> list[Face]:
     dimension below a face F is F cut by one facet hyperplane, and its
     zero set is a cover class of F's zero set holding that facet's root;
     so the walk tries only those covers, and keeps one when the strict
-    chamber signs are feasible on its flat. The face point is expanded
-    from coordinates in the flat's kernel basis, and its span basis
-    doubles as the subtorus Lie algebra. A chamber built by hand takes the
-    record of chambers(chamber.roots, rank); signs that are not a chamber
-    of the roots are a ValueError.
+    chamber signs are feasible on its flat (feasible_interior). The face
+    point is expanded from coordinates in the flat's kernel basis, and its
+    span basis doubles as the subtorus Lie algebra. A chamber built by hand
+    takes the record of chambers(chamber.roots, rank); signs that are not a
+    chamber of the roots are a ValueError.
     """
     record = chamber._arrangement
     if record is None:
@@ -484,12 +484,12 @@ def faces(chamber: Chamber) -> list[Face]:
                 continue
             seen.add(below)
             flat = record.flat(below)
-            # the pairing rows are primitive, and so are their negatives
+            # the pairing rows are primitive, and so are their negatives, so
+            # feasible_interior eliminates them as they are
             rows = [row if signs[i] > 0 else tuple(-x for x in row) for i, row in flat.pairings]
-            levels = _extend(((frozenset(), frozenset()),) * len(flat.basis), rows)
-            if levels is None:
+            coords = feasible_interior(rows, len(flat.basis))
+            if coords is None:
                 continue
-            coords = _back(levels)
             den = lcm(*(x.denominator for x in coords))
             nums = [x.numerator * (den // x.denominator) for x in coords]
             den *= flat.scale

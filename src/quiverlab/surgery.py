@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactlinalg import frac
 from .quiver import Arrow, ArrowSplit, DimData, NodeId, Quiver, node_key
 
 MAX_LEG_NODES = 10_000
@@ -208,9 +209,10 @@ def lift_stability(xi, aux: AuxResult, delta=None) -> tuple[dict, Fraction]:
     """Extend a stability condition on the base nodes by delta on leg nodes.
 
     Rejects delta outside (0, ...) or violating delta * S < 1/2 where S is
-    the total added gauge dimension.
+    the total added gauge dimension. xi and delta are read as exact
+    rationals (exactlinalg.frac), so a float or a bool is refused.
     """
-    delta = default_delta(aux) if delta is None else Fraction(delta)
+    delta = default_delta(aux) if delta is None else frac(delta)
     s = aux.new_node_total
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -221,7 +223,7 @@ def lift_stability(xi, aux: AuxResult, delta=None) -> tuple[dict, Fraction]:
     lifted = {}
     base_nodes = set(aux.base_quiver.nodes)
     for node in aux.quiver.nodes:
-        lifted[node] = Fraction(xi[node]) if node in base_nodes else delta
+        lifted[node] = frac(xi[node]) if node in base_nodes else delta
     return lifted, delta
 
 

@@ -11,8 +11,11 @@ character ch + w1 - w2, with the framing space W a weight-0 node: arrow a
 gives ch(a), a framing slot's A column W -> V_n gives its character and its
 B row V_n -> W the negated one, and the adjoint V_n -> V_n gives zero. The
 tangent is the signed sum of all blocks; the derived quiver is their
-zero-character part. Whether a candidate is actually nonempty as a moduli
-space is not decided here.
+zero-character part. fixed_components stores on each candidate the
+characters its blocks carry (block_chars): the action's at a nonzero
+cocharacter, and zero at sigma = 0, where the candidate is the input
+relabelled. Whether a candidate is actually nonempty as a moduli space is
+not decided here.
 """
 
 from __future__ import annotations
@@ -122,10 +125,10 @@ def _resolved(q: Quiver, split: ArrowSplit, act: TorusAction) -> tuple[dict, dic
 class FixedCandidate:
     """Character grading of the gauge spaces plus the derived quiver.
 
-    The derived quiver and its data (quiver, split, v, d, framing_slots)
-    and the tangent are a function of the base, the grading and the
-    characters its graded blocks carry (block_chars), so they are derived
-    the first time one of them is read and take no part in equality or repr.
+    The derived quiver and its data (quiver, split, v, d) and the tangent
+    are a function of the base, the grading and the characters its graded
+    blocks carry (block_chars), so they are derived the first time one of
+    them is read and take no part in equality or repr.
     The candidate keeps no pairing with a point: a chamber and a face keep
     each character's pairing with their own point (envelopes).
     """
@@ -136,29 +139,17 @@ class FixedCandidate:
     action: TorusAction
     sigma: tuple
     grading: dict          # node -> {Char: dim}
-    # the action's arrow and framing characters, resolved once per
-    # enumeration (_resolved); read by block_chars at a nonzero cocharacter
-    # and by the induced action
-    resolved: tuple = field(repr=False, compare=False)
+    # the (arrow, framing) characters the graded blocks carry, chosen once
+    # per enumeration by fixed_components: arrow id -> Char, node -> Chars
+    block_chars: tuple = field(repr=False, compare=False)
     _tangent: Counter | None = field(default=None, init=False, repr=False, compare=False)
     _nonzero: Counter | None = field(default=None, init=False, repr=False, compare=False)
-    # _derived_quiver's (quiver, split, v, d, framing_slots)
+    # _derived_quiver's (quiver, split, v, d)
     _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def block_chars(self) -> tuple[dict, dict]:
-        """The (arrow, framing) characters the graded blocks carry: resolved
-        at a nonzero cocharacter; at zero, whose candidate is the input
-        relabelled, every character zero, with d_n framing slots per node."""
-        if any(self.sigma):
-            return self.resolved
-        zero = zero_char(self.action.rank)
-        arrows = {ar.id: zero for ar in self.base.arrows}
-        return arrows, {n: (zero,) * self.base_dims.d[n] for n in self.base.nodes}
 
     def _derive(self) -> tuple:
         if self._derived is None:
-            chars, framing = self.block_chars()
-            self._derived = _derived_quiver(self.base, self.base_split, self.grading, chars, framing)
+            self._derived = _derived_quiver(self.base, self.base_split, self.grading, *self.block_chars)
         return self._derived
 
     @property
@@ -177,11 +168,6 @@ class FixedCandidate:
     @property
     def d(self) -> dict:
         return self._derive()[3]
-
-    @property
-    def framing_slots(self) -> dict:
-        """(node, char) -> tuple of aligned slot indices."""
-        return self._derive()[4]
 
     def name(self) -> str:
         parts = []
@@ -207,12 +193,13 @@ class FixedCandidate:
         The zero character survives with net multiplicity equal to the
         dimension of the candidate itself, when that is nonzero; no
         character is kept with multiplicity zero. At the zero cocharacter
-        every block carries zero (block_chars): dim X at character zero.
+        every block carries zero (fixed_components): dim X at character
+        zero.
         """
         if self._tangent is not None:
             return self._tangent
         g, zero = self.grading, zero_char(self.action.rank)
-        chars, framing = self.block_chars()
+        chars, framing = self.block_chars
         frame = {zero: 1}  # the framing space W as a weight-0 node
         blocks = [(chars[ar.id], 1, g[ar.tail], g[ar.head]) for ar in self.base.arrows]
         for n in self.base.nodes:
@@ -241,10 +228,10 @@ class FixedCandidate:
 
 def _derived_quiver(q, split, grading, chars, framing):
     """The zero-character blocks of a grading, as FixedCandidate's
-    quiver, split, v, d, framing_slots in order: a copy (a, w) of each arrow
-    whose head weight w + ch(a) is occupied, and at each occupied (n, w) the
-    framing slots of character w. chars and framing map each arrow and node
-    to its characters, as _resolved gives them."""
+    quiver, split, v, d in order: a copy (a, w) of each arrow whose head
+    weight w + ch(a) is occupied, and at each occupied (n, w) the framing
+    slots of character w. chars and framing map each arrow and node to the
+    characters its blocks carry (FixedCandidate.block_chars)."""
     weights = {n: sorted(grading[n]) for n in q.nodes}
     v = {(n, w): grading[n][w] for n in q.nodes for w in weights[n]}
     copies = {}  # arrow id -> {tail weight: head weight} of its copies
@@ -259,12 +246,9 @@ def _derived_quiver(q, split, grading, chars, framing):
     # partner exists; a loop carries zero, so it has a copy at every weight
     pairs = [((a, w), (b, h)) for a, b in split.pairs for w, h in copies[a].items()]
     loops = [(l, w) for l in split.loops for w in copies[l]]
-    framing_slots = {
-        (n, w): tuple(s for s, ch in enumerate(framing[n]) if ch == w) for n, w in v
-    }
-    d = {nd: len(slots) for nd, slots in framing_slots.items()}
+    d = {(n, w): framing[n].count(w) for n, w in v}
     quiver = Quiver._trusted(tuple(v), tuple(arrows))
-    return quiver, ArrowSplit(tuple(pairs), tuple(loops)), v, d, framing_slots
+    return quiver, ArrowSplit(tuple(pairs), tuple(loops)), v, d
 
 
 def _components_of(q: Quiver) -> list[set]:
@@ -298,18 +282,21 @@ def fixed_components(
     """Enumerate fixed-component candidates for a cocharacter.
 
     The zero cocharacter yields exactly one candidate, the input itself,
-    whose graded blocks all carry the zero character (a relabelling;
-    FixedCandidate.block_chars). Any nonzero sigma gives the
-    same T-fixed candidates, graded by characters of the whole torus; they
-    are the components of X^sigma only when sigma lies off every wall.
-    Gradings run over characters with each coordinate inside the window
-    (default: max gauge dimension on both sides). Unframed connected
+    whose graded blocks all carry the zero character (a relabelling), with
+    d_n framing slots per node. Any nonzero sigma gives the same T-fixed
+    candidates, graded by characters of the whole torus, whose blocks carry
+    the action's characters; they are the components of X^sigma only when
+    sigma lies off every wall. Each candidate holds the characters its
+    blocks carry as block_chars, the only place the sigma = 0 rule is
+    applied. Gradings run over characters with each coordinate inside the
+    window (default: max gauge dimension on both sides). Unframed connected
     components are normalized by shifting their smallest occupied character
     in sigma's order, sigma's only other use, to zero, merging gradings
     that induce the same action; a grading whose graded representation space
     and framing both vanish is dropped before its candidate is built. An
-    invalid or non-self-dual action, paired arrows without opposite
-    characters at a nonzero cocharacter, and a window with more than
+    invalid or non-self-dual action, a sigma entry that is not an int,
+    paired arrows without opposite characters at a nonzero cocharacter, and
+    a window that is not two ints, is empty or has more than
     MAX_FIXED_GRADINGS gradings are refused up front.
 
     So every candidate returned passes fixed_self_dual_check. At a nonzero
@@ -323,6 +310,8 @@ def fixed_components(
     """
     act.validate(q, split, dims)
     sigma = tuple(sigma)
+    if not all(type(s) is int for s in sigma):
+        raise ValueError(f"sigma needs integer entries, got {list(sigma)}")
     if len(sigma) != act.rank:
         raise ValueError("cocharacter has wrong rank")
     resolved = chars, framing = _resolved(q, split, act)
@@ -330,8 +319,10 @@ def fixed_components(
         # the zero cocharacter pairs no arrow copies, so swapped pairs pass
         if not _arrows_self_dual(q, dims.v, chars):
             raise ValueError("action is not self-dual")
-        grading = {n: {zero_char(act.rank): dims.v[n]} for n in q.nodes}
-        return [FixedCandidate(q, split, dims, act, sigma, grading, resolved)]
+        zero = zero_char(act.rank)
+        grading = {n: {zero: dims.v[n]} for n in q.nodes}
+        blocks = {ar.id: zero for ar in q.arrows}, {n: (zero,) * dims.d[n] for n in q.nodes}
+        return [FixedCandidate(q, split, dims, act, sigma, grading, blocks)]
     # the derived quiver pairs the copies of a and a* only when their
     # characters are opposite; loops carry zero, so the action is self-dual
     for a_id, astar_id in split.pairs:
@@ -342,6 +333,10 @@ def fixed_components(
                 f"got {list(ch)} and {list(ch_star)}"
             )
     vmax = max((dims.v[n] for n in q.nodes), default=1)
+    if window is not None and not (
+        isinstance(window, (tuple, list)) and len(window) == 2 and all(type(x) is int for x in window)
+    ):
+        raise ValueError(f"weight window needs two integers lo, hi, got {window!r}")
     lo, hi = window if window is not None else (-vmax, vmax)
     if lo > hi:
         raise ValueError("empty weight window")
@@ -416,10 +411,13 @@ def fixed_self_dual_check(cand: FixedCandidate) -> bool:
 
 def induced_action(cand: FixedCandidate) -> TorusAction:
     """Action on the derived quiver: arrow copies inherit the base
-    characters of the arrows they copy, aligned framing slots keep theirs."""
-    chars, framing = cand.resolved
+    characters of the arrows they copy, and the node (n, w) keeps the
+    characters of the slots at n whose block character is w."""
+    chars, framing = _resolved(cand.base, cand.base_split, cand.action)
+    blocks = cand.block_chars[1]
     arrow_chars = {copy.id: chars[copy.id[0]] for copy in cand.quiver.arrows}
     framing_chars = {
-        nd: tuple(framing[nd[0]][s] for s in cand.framing_slots[nd]) for nd in cand.quiver.nodes
+        (n, w): tuple(ch for ch, b in zip(framing[n], blocks[n]) if b == w)
+        for n, w in cand.quiver.nodes
     }
     return TorusAction(cand.action.rank, arrow_chars, framing_chars)

@@ -17,6 +17,10 @@ names. Each such attribute must be read somewhere in ``src/quiverlab``
 in a module that names the class or a function returning it, so a module
 that never handles the class (``cli`` reading ``args.delta``) does not read
 its field.
+
+README's sub-list of the functions only the benchmark reaches is checked
+the other way: no function it names as ``module.name`` may be read in
+``src/quiverlab``, so a function that gains a caller leaves the list.
 """
 
 import ast
@@ -94,6 +98,55 @@ def test_every_definition_is_used_in_src_or_listed_as_library_api():
     # the names the benchmark alone reaches are listed, and found here
     assert {"stability.generated_closure", "envelopes.split_N"} <= set(unused)
     assert [n for n in unused if n.split(".")[1] not in listed] == []
+
+
+BENCHMARK_ONLY = "The benchmark (`perfbench/`) names the functions below"
+
+
+def _named_functions(text: str, modules: dict) -> list:
+    """Each `module.name` in text that names a module-level function of
+    modules, in order. A bare name is not matched: the list also names
+    workloads, such as `chambers`, that share a function's name."""
+    defined = {
+        f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    return list(dict.fromkeys(t for t in re.findall(r"`(\w+\.\w+)`", text) if t in defined))
+
+
+def _listed_but_read(text: str, modules: dict) -> list:
+    """The functions text names that some module imports or reads."""
+    unused = set(_unused_definitions(modules))
+    return [f for f in _named_functions(text, modules) if f not in unused]
+
+
+def test_benchmark_only_functions_have_no_caller_in_src():
+    # README's sub-list of the functions only the benchmark reaches: a
+    # function that gains a caller in src/ leaves the list
+    section = _library_api_section()
+    assert BENCHMARK_ONLY in section
+    text = section.split(BENCHMARK_ONLY, 1)[1]
+    modules = _modules()
+    assert {"stability.generated_closure", "exactlinalg.span_intersect", "envelopes.split_N"} <= set(
+        _named_functions(text, modules))
+    assert _listed_but_read(text, modules) == []
+
+
+def test_library_api_check_sees_a_listed_function_with_a_caller():
+    # run calls solve, and traced calls only itself; neither the bare
+    # `run`, nor `run()`, nor `m.Row.label` names a function
+    modules = {
+        "m": ast.parse(
+            "def traced():\n    return traced()\n\n"
+            "def solve():\n    pass\n\n"
+            "def run():\n    return solve()\n"
+        ),
+        "n": ast.parse("from . import m\n"),
+    }
+    text = "- `m.traced` and `m.solve`, which `run()` and `run` call; `m.Row.label`.\n"
+    assert _named_functions(text, modules) == ["m.traced", "m.solve"]
+    assert _listed_but_read(text, modules) == ["m.solve"]
+    assert _listed_but_read("- `m.traced`.\n", modules) == []
 
 
 # classes whose instances cli renders whole through vars(), so every field

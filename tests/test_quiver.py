@@ -225,11 +225,29 @@ def test_lift_stability_default_and_bound():
         lift_stability({"0": 1}, aux, Fraction(1, 3))  # 2/3 >= 1/2
     with pytest.raises(ValueError):
         lift_stability({"0": 1}, aux, Fraction(-1))
+    # 'p/q' strings are exact rationals
+    lifted, delta = lift_stability({"0": "1/2"}, aux, "1/10")
+    assert delta == Fraction(1, 10)
+    assert lifted == {n: Fraction(1, 2) if n == "0" else Fraction(1, 10) for n in aux.quiver.nodes}
     # S = 0: delta defaults to 1, bound vacuous
     q1, split1, dims1 = jordan(1, 1)
     aux1 = build_aux(q1, split1, dims1)
     lifted1, delta1 = lift_stability({"0": Fraction(3, 7)}, aux1)
     assert delta1 == 1 and lifted1 == {"0": Fraction(3, 7)}
+
+
+@pytest.mark.parametrize("xi, delta", [
+    ({"0": 0.5}, Fraction(1, 10)),
+    ({"0": 1}, 0.1),
+    ({"0": True}, None),
+    ({"0": 1}, True),
+])
+def test_lift_stability_refuses_a_float_or_bool(xi, delta):
+    # Fraction(0.5) would give the binary value of the float; frac refuses it
+    q, split, dims = jordan(2, 1)
+    aux = build_aux(q, split, dims)
+    with pytest.raises(TypeError, match="as an exact rational"):
+        lift_stability(xi, aux, delta)
 
 
 def test_lift_stability_default_always_inside_bound():

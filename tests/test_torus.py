@@ -1,8 +1,10 @@
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -147,12 +149,14 @@ def test_fixed_components_sigma_zero():
         assert len(cands) == 1
         cand = cands[0]
         assert cand.action is e.action
-        # the real characters stay for the induced action
-        assert cand.resolved == torus._resolved(e.quiver, e.split, e.action)
         assert {n: sum(g.values()) for n, g in cand.grading.items()} == dict(e.dims.v)
         # derived quiver is the input itself, relabelled node for node
         assert len(cand.quiver.arrows) == len(e.quiver.arrows)
         z = (0,) * e.action.rank
+        # every block carries zero, with d_n framing slots per node
+        assert cand.block_chars == (
+            {a.id: z for a in e.quiver.arrows}, {n: (z,) * e.dims.d[n] for n in e.quiver.nodes}
+        )
         assert cand.quiver == Quiver(
             tuple((n, z) for n in e.quiver.nodes),
             tuple(Arrow((a.id, z), (a.tail, z), (a.head, z)) for a in e.quiver.arrows),
@@ -161,9 +165,13 @@ def test_fixed_components_sigma_zero():
             tuple(((a, z), (b, z)) for a, b in e.split.pairs),
             tuple((l, z) for l in e.split.loops),
         )
-        assert cand.framing_slots == {
-            (n, z): tuple(range(e.dims.d[n])) for n in e.quiver.nodes
-        }
+        # the real characters reach the induced action: every slot is
+        # aligned, in order, and each copy keeps its arrow's character
+        assert induced_action(cand) == TorusAction(
+            e.action.rank,
+            {(a.id, z): e.action.char(a.id, e.split) for a in e.quiver.arrows},
+            {(n, z): e.action.framing(n) for n in e.quiver.nodes},
+        )
         assert (cand.v, cand.d) == (
             {(n, z): e.dims.v[n] for n in e.quiver.nodes},
             {(n, z): e.dims.d[n] for n in e.quiver.nodes},
@@ -181,8 +189,8 @@ def test_fixed_components_jordan_framing_alignment():
     aligned = [c for c in cands if c.d.get(("0", (1,)), 0) > 0]
     assert aligned
     for c in aligned:
-        assert all(slot_char == (1,) for nd, slots in c.framing_slots.items()
-                   if nd[1] == (1,) for slot_char in [(1,)] * len(slots))
+        # each derived node keeps exactly the slots of its own character
+        assert induced_action(c).framing_chars == {nd: (nd[1],) * c.d[nd] for nd in c.quiver.nodes}
 
 
 def test_fixed_components_a2sym_weight_shift():
@@ -276,8 +284,11 @@ def test_anchoring_merges_shifted_gradings():
 
 def test_window_validation_and_budget():
     e = corpus()["a2sym"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty weight window"):
         fixed_components(e.quiver, e.split, e.dims, e.action, (1,), (2, 1))
+    # a window given as a list of two ints is taken as the tuple
+    args = (e.quiver, e.split, e.dims, e.action, (1,))
+    assert fixed_components(*args, [-1, 1]) == fixed_components(*args, (-1, 1))
     not_sd = TorusAction(1, {"a": (1,), "a*": (1,)}, {"0": ((0,),), "1": ()})
     with pytest.raises(ValueError):
         fixed_components(e.quiver, e.split, e.dims, not_sd, (1,))
@@ -285,6 +296,22 @@ def test_window_validation_and_budget():
     e = corpus()["loop2"]
     with pytest.raises(ValueError, match=f"35301 gradings.*{MAX_FIXED_GRADINGS}"):
         fixed_components(e.quiver, e.split, e.dims, e.action, (1,), (-20, 20))
+
+
+@pytest.mark.parametrize("sigma", [(1.5, 3), (True, 3), (1, Fraction(3)), (0.0, 0)])
+def test_fixed_components_refuses_a_sigma_entry_that_is_not_an_int(sigma):
+    # the text jsonio gives a file's sigma entry; a float sigma would
+    # otherwise enumerate and fail later, in the degree table
+    e = corpus()["framed2"]
+    with pytest.raises(ValueError, match=re.escape(f"sigma needs integer entries, got {list(sigma)}")):
+        fixed_components(e.quiver, e.split, e.dims, e.action, sigma)
+
+
+@pytest.mark.parametrize("window", [(-1.5, 1), (-1, 0, 1), (True, 1), (-1,), 1, "01", (-1, None)])
+def test_fixed_components_refuses_a_window_that_is_not_two_ints(window):
+    e = corpus()["framed2"]
+    with pytest.raises(ValueError, match=re.escape(f"weight window needs two integers lo, hi, got {window!r}")):
+        fixed_components(e.quiver, e.split, e.dims, e.action, e.sigma, window)
 
 
 def test_window_budget_is_checked_before_the_window_is_built():
@@ -364,6 +391,25 @@ def _reference_derived_quiver(q, split, act, grading):
     return Quiver(tuple(nodes), tuple(arrows)), ArrowSplit(tuple(pairs), tuple(loops)), v, d, framing_slots
 
 
+def _reference_derived(q, split, dims, act, cand):
+    """A candidate's derived quiver, split, v and d by the reference, and
+    the induced action read off the reference's slot alignment: each copy
+    keeps its arrow's character and each derived node the characters of its
+    aligned slots, the action's own. At sigma = 0 every block carries zero,
+    so every slot is aligned at the one weight."""
+    derive = act
+    if not any(cand.sigma):
+        zero = (0,) * act.rank
+        derive = TorusAction(act.rank, {}, {n: (zero,) * dims.d[n] for n in q.nodes})
+    quiver, dsplit, v, d, slots = _reference_derived_quiver(q, split, derive, cand.grading)
+    induced = TorusAction(
+        act.rank,
+        {copy.id: act.char(copy.id[0], split) for copy in quiver.arrows},
+        {nd: tuple(act.framing(nd[0])[s] for s in slots[nd]) for nd in quiver.nodes},
+    )
+    return quiver, dsplit, v, d, induced
+
+
 def _reference_tangent(cand):
     """The three-loop tangent the block view replaced."""
     rank, g = cand.action.rank, cand.grading
@@ -406,26 +452,36 @@ def _block_view_problems():
 
 
 def test_block_view_matches_reference_derived_quiver_and_tangent():
-    at_zero = aligned = paired = looped = 0
-    for (q, split, dims, act, sigma, _), _, sample in _block_view_problems():
-        zero_sigma = not any(sigma)
+    # the derived fields and the induced action on every candidate, the
+    # corpus at its sigma and at zero included, and the tangent on the
+    # sample; at sigma = 0 every block carries zero, and the induced action
+    # still carries the action's real characters
+    problems = [(problem[:4], cands, sample) for problem, cands, sample in _block_view_problems()]
+    for e in corpus().values():
+        for sigma in (e.sigma, (0,) * e.action.rank):
+            problem = (e.quiver, e.split, e.dims, e.action)
+            problems.append((problem, fixed_components(*problem, sigma, e.window), []))
+    checked = real_at_zero = at_zero = aligned = paired = looped = 0
+    for problem, cands, sample in problems:
+        for cand in cands:
+            induced = induced_action(cand)
+            assert (cand.quiver, cand.split, cand.v, cand.d, induced) == _reference_derived(*problem, cand)
+            checked += 1
+            if not any(cand.sigma):
+                real_at_zero += any(map(any, induced.arrow_chars.values())) or any(
+                    any(ch) for chars in induced.framing_chars.values() for ch in chars
+                )
         for cand in sample:
-            derive = act
-            if zero_sigma:
-                zero = (0,) * act.rank
-                derive = TorusAction(act.rank, {}, {n: (zero,) * dims.d[n] for n in q.nodes})
-            quiver, dsplit, v, d, slots = _reference_derived_quiver(q, split, derive, cand.grading)
-            assert (cand.quiver, cand.split, cand.v, cand.d, cand.framing_slots) == (
-                quiver, dsplit, v, d, slots
-            )
             # sorted items, not Counters: Counter equality ignores zero counts
             assert sorted(cand.tangent().items()) == sorted(_reference_tangent(cand).items())
             # _derived_quiver builds a valid split without checking it
             cand.split.validate(cand.quiver)
+            zero_sigma = not any(cand.sigma)
             at_zero += zero_sigma
-            aligned += any(d.values()) and not zero_sigma
-            paired += bool(dsplit.pairs) and not zero_sigma
-            looped += bool(dsplit.loops) and not zero_sigma
+            aligned += any(cand.d.values()) and not zero_sigma
+            paired += bool(cand.split.pairs) and not zero_sigma
+            looped += bool(cand.split.loops) and not zero_sigma
+    assert checked > 4800 and real_at_zero >= 40, (checked, real_at_zero)
     assert at_zero >= 40 and min(aligned, paired, looped) >= 150, (at_zero, aligned, paired, looped)
 
 
@@ -501,11 +557,12 @@ def _reference_fixed_components(q, split, dims, act, sigma, window):
     """fixed_components as it was before the early drop, with its count of
     drops: every distinct grading is built into a candidate with its
     derived quiver, and one whose derived quiver has no arrow and no framing
-    is dropped afterwards. Returns (candidate, derived fields) pairs. The
-    zero cocharacter drops nothing and is handed to fixed_components."""
+    is dropped afterwards. Returns (candidate, derived fields and induced
+    action) pairs. The zero cocharacter drops nothing and is handed to
+    fixed_components."""
     if act.rank == 0 or not any(sigma):
         cands = fixed_components(q, split, dims, act, sigma, window)
-        return [(c, (c.quiver, c.split, c.v, c.d, c.framing_slots)) for c in cands], 0
+        return [(c, (c.quiver, c.split, c.v, c.d, induced_action(c))) for c in cands], 0
     lo, hi = window
     chars = list(itertools.product(range(lo, hi + 1), repeat=act.rank))
     components = torus._components_of(q)
@@ -533,9 +590,16 @@ def _reference_fixed_components(q, split, dims, act, sigma, window):
         if key in seen:
             continue
         seen.add(key)
-        derived = torus._derived_quiver(q, split, grading, *resolved)
-        if derived[0].arrows or any(derived[3].values()):
-            out.append((torus.FixedCandidate(q, split, dims, act, sigma, grading, resolved), derived))
+        quiver, dsplit, v, d = torus._derived_quiver(q, split, grading, *resolved)
+        if quiver.arrows or any(d.values()):
+            # copies keep their arrows' characters, and (n, w) the slots of w
+            induced = TorusAction(
+                act.rank,
+                {copy.id: resolved[0][copy.id[0]] for copy in quiver.arrows},
+                {(n, w): tuple(ch for ch in resolved[1][n] if ch == w) for n, w in quiver.nodes},
+            )
+            cand = torus.FixedCandidate(q, split, dims, act, sigma, grading, resolved)
+            out.append((cand, (quiver, dsplit, v, d, induced)))
         else:
             dropped += 1
     return out, dropped
@@ -543,9 +607,9 @@ def _reference_fixed_components(q, split, dims, act, sigma, window):
 
 def _assert_same_candidates(cands, expected):
     """cands equal the reference's candidates, and each derives the
-    reference's derived fields when they are read."""
+    reference's derived fields and induced action when they are read."""
     assert cands == [c for c, _ in expected]
-    assert [(c.quiver, c.split, c.v, c.d, c.framing_slots) for c in cands] == [
+    assert [(c.quiver, c.split, c.v, c.d, induced_action(c)) for c in cands] == [
         derived for _, derived in expected
     ]
 
